@@ -53,7 +53,6 @@ from .shortcut import (
     fidelity,
     fidelity_report,
     optimize,
-    optimize_with_amplitudes,
 )
 from .interferometer import (
     ContrastCurve,
@@ -118,7 +117,6 @@ __all__ = [
     "fidelity",
     "fidelity_report",
     "optimize",
-    "optimize_with_amplitudes",
     "ContrastCurve",
     "CoherenceResult",
     "EnsembleSpec",

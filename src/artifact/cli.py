@@ -128,6 +128,14 @@ class RunConfig:
                 raise ValidationError(f"config file not found: {path}")
             with open(p) as f:
                 data = yaml.safe_load(f) or {}
+        sections = ("lattice", "basis", "ensemble", "optimizer")
+        if not isinstance(data, dict) or not all(
+            isinstance(data.get(key, {}), dict) for key in sections
+        ):
+            raise ValidationError(
+                f"config must be a mapping whose {', '.join(sections)} "
+                "sections are mappings"
+            )
         cfg = cls()
         lat = data.get("lattice", {})
         cfg.geometry = str(lat.get("geometry", cfg.geometry))
@@ -439,8 +447,7 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
         spec,
         basis,
         opts,
-        variable_amplitude=args.variable_amplitude,
-        depth_bounds=(args.depth_min, args.depth_max),
+        (args.depth_min, args.depth_max) if args.variable_amplitude else None,
     )
     save_sequence(
         writer,
@@ -502,6 +509,9 @@ def cmd_eval(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def _fringe_times(args, period: float) -> np.ndarray:
+    for name, value in (("dt", args.dt), ("t-max", args.t_max)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"--{name} must be positive and finite, got {value}")
     if args.dt >= period / 8.0:
         raise ValidationError(
             f"dt = {args.dt} us undersamples the fringe: need dt < period/8 "
@@ -563,7 +573,7 @@ def _run_fringe(kind: FringeKind, cfg: RunConfig, args, out_dir: Path) -> int:
         ens,
         spec,
         basis,
-        n_echo=getattr(args, "n_echo", 2) or 2,
+        n_echo=getattr(args, "n_echo", 2),
         threads=cfg.threads,
     )
     contrast = contrast_curve(fringe, args.contrast_window or period)

@@ -215,9 +215,12 @@ def potential_fourier(spec: LatticeSpec, depth: float | None = None) -> dict:
     beam-exchange symmetry).  1D: the standard two-component cosine lattice
     (constant -depth/2, -depth/4 at each of +-b1).
 
-    The constant term shifts all band energies uniformly (a global phase in
-    any evolution) and has no observable effect; it is kept so the map is the
-    complete Fourier series of the potential.
+    The constant term shifts all lattice-on band energies uniformly, so it
+    only multiplies a pulse sequence's operator by a global phase, which no
+    single-sequence fidelity or population sees.  It is not inert, though:
+    the canonical gauge that phase-locks pi (anti-diagonal) pulses, see
+    :func:`artifact.shortcut.aligned_fidelity_block`, depends on that global
+    phase, so phase-locked echo fringes change if the term is dropped.
     """
     d = spec.depth if depth is None else depth
     if d < 0:
@@ -306,14 +309,18 @@ def fold_to_bz(basis: PlaneWaveBasis, q: np.ndarray) -> np.ndarray:
 
 
 def sd_gap(spec: LatticeSpec, basis: PlaneWaveBasis | None = None) -> float:
-    """S-D band gap at the zone center, in E_r, at the spec's depth."""
+    """S-D band gap at the zone center, in E_r, at the spec's depth.
+
+    Goes through the shared eigen-cache, so the q = 0 solve is reused by the
+    objectives and pulse operators built afterwards.
+    """
     from . import dynamics  # local import to avoid a cycle
 
     if basis is None:
         basis = build_basis(spec)
-    sol = dynamics.solve_bands(hamiltonian_on(basis, spec, np.zeros(2)))
+    energies, _ = dynamics.band_eig(np.zeros(2), spec, basis)
     s_idx, d_idx = dynamics.default_band_pair(spec.geometry)
-    return float(sol.energies[d_idx - 1] - sol.energies[s_idx - 1])
+    return float(energies[d_idx - 1] - energies[s_idx - 1])
 
 
 def fringe_period_us(spec: LatticeSpec, basis: PlaneWaveBasis | None = None) -> float:

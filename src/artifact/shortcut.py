@@ -18,21 +18,20 @@ designed pulses compose consistently in interferometer sequences (see
 
 Optimization is projected gradient ascent: central finite-difference
 gradients, Armijo backtracking line search (guaranteeing a monotone fidelity
-trace), projection onto non-negative durations (and a depth box for
-variable-amplitude design), and seeded multi-start.
+trace), projection onto a box (non-negative durations, per-step depths either
+frozen or bounded for variable-amplitude design), and seeded multi-start.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import (
     PulseSequence,
-    PulseStep,
     band_eig,
     bloch_state,
     default_band_pair,
@@ -195,30 +194,22 @@ def rotation_block(
     return obj.band_frame.conj().T @ evolved
 
 
-def fidelity(
-    seq: PulseSequence, obj: PulseObjective, phase_frame: str = "aligned"
-) -> float:
+def fidelity(seq: PulseSequence, obj: PulseObjective) -> float:
     """Coherent-overlap fidelity of a sequence against an objective.
 
-    ``phase_frame="aligned"`` (default) evaluates the overlap sum in the
-    aligned band frame (invariant to eigenvector phase conventions);
-    ``"fixed"`` uses the raw deterministic eigenvector phases.  The loading
-    objective has a single pair, so its fidelity is a plain modulus and both
-    frames coincide.
+    The overlap sum is evaluated in the aligned band frame, which makes it
+    invariant to eigenvector phase conventions.  The loading objective has a
+    single pair, so its fidelity is a plain modulus.
     """
     if obj.kind is ObjectiveKind.LOAD:
         final = evolve_columns(
             obj.initial[:, 0], seq, obj.quasimomentum, obj.spec, obj.basis
         )
         return float(abs(np.vdot(obj.targets[:, 0], final)))
-    block = rotation_block(seq, obj)
-    target = ROTATION_BLOCKS[obj.kind]
-    if phase_frame == "aligned":
-        eta, _, _ = aligned_fidelity_block(block, target)
-        return float(eta)
-    if phase_frame == "fixed":
-        return float(abs(np.trace(target.conj().T @ block)) / 2.0)
-    raise ValueError(f"unknown phase_frame {phase_frame!r}")
+    eta, _, _ = aligned_fidelity_block(
+        rotation_block(seq, obj), ROTATION_BLOCKS[obj.kind]
+    )
+    return float(eta)
 
 
 def fidelity_report(seq: PulseSequence, obj: PulseObjective) -> dict:
@@ -273,7 +264,6 @@ class OptimizerOptions:
     max_iters: int = 200
     fd_step: float = 0.01
     learning_rate: float = 50.0
-    min_duration: float = 0.0
     grid_quantum: float = 0.1
     restarts: int = 10
     rng_seed: int = 0
@@ -287,8 +277,6 @@ class OptimizerOptions:
             raise ValueError("max_iters and restarts must be >= 1")
         if self.fd_step <= 0 or self.learning_rate <= 0:
             raise ValueError("fd_step and learning_rate must be positive")
-        if self.min_duration < 0:
-            raise ValueError("min_duration must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -302,8 +290,9 @@ class OptimizeResult:
     restart: int
 
 
-def _ascend(x0, evaluate, project, opts: OptimizerOptions, fd_mask=None):
-    """Monotone projected gradient ascent from one start point."""
+def _ascend(x0, evaluate, project, opts: OptimizerOptions):
+    """Monotone projected gradient ascent from one start point; a parameter
+    frozen by the box (zero projected step) gets no gradient evaluations."""
     x = project(np.asarray(x0, dtype=float))
     f = evaluate(x)
     if not math.isfinite(f):
@@ -311,12 +300,9 @@ def _ascend(x0, evaluate, project, opts: OptimizerOptions, fd_mask=None):
     trace = [f]
     lr = opts.learning_rate
     n = len(x)
-    mask = np.ones(n, dtype=bool) if fd_mask is None else fd_mask
     for _ in range(opts.max_iters):
         grad = np.zeros(n)
         for k in range(n):
-            if not mask[k]:
-                continue
             xp = x.copy()
             xp[k] += opts.fd_step
             xm = x.copy()
@@ -357,121 +343,65 @@ def _ascend(x0, evaluate, project, opts: OptimizerOptions, fd_mask=None):
     return x, f, trace
 
 
-def _round_to_grid(x: np.ndarray, quantum: float) -> np.ndarray:
-    if quantum <= 0:
-        return x
-    return np.round(x / quantum) * quantum
-
-
 def optimize(
     seed_seq: PulseSequence,
     obj: PulseObjective,
     opts: OptimizerOptions | None = None,
+    depth_bounds: tuple[float, float] | None = None,
 ) -> OptimizeResult:
-    """Optimize step durations at fixed depth; multi-start, monotone trace.
+    """Optimize step durations and depths; multi-start, monotone trace.
 
-    Start 0 is the given seed; further starts (up to ``opts.restarts`` total)
-    draw durations uniformly from the options' on/off ranges with a seeded
-    RNG.  The best final (post-rounding) fidelity wins.  The returned
-    fidelity is never below the seed's.
+    The parameters ``[t_on..., t_off..., depth...]`` are projected onto a box:
+    durations >= 0, depths in ``depth_bounds`` (which must contain the spec's
+    depth).  ``depth_bounds=None`` freezes each depth at its seed value
+    (lo == hi), so the seed depths come back unchanged, ``None`` included.
+
+    Start 0 is the seed; further starts (up to ``opts.restarts`` total) draw
+    durations from the on/off ranges, and depths from a non-degenerate box,
+    with a seeded RNG.  Results are rounded to the grid quantum and projected
+    back; the best post-rounding fidelity wins.  With one restart the
+    pre-rounding fidelity is never below the seed's.
     """
     opts = opts or OptimizerOptions()
     k = len(seed_seq.steps)
-    depths = [s.depth for s in seed_seq.steps]
-
-    def to_seq(x: np.ndarray) -> PulseSequence:
-        steps = tuple(
-            PulseStep(float(x[i]), float(x[k + i]), depths[i]) for i in range(k)
-        )
-        return PulseSequence(steps=steps)
-
-    def evaluate(x: np.ndarray) -> float:
-        return fidelity(to_seq(x), obj)
-
-    def project(x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, opts.min_duration)
-
-    rng = np.random.default_rng(opts.rng_seed)
-    starts = [seed_seq.durations]
-    for _ in range(opts.restarts - 1):
-        ons = rng.uniform(*opts.on_range, size=k)
-        offs = rng.uniform(*opts.off_range, size=k)
-        starts.append(np.concatenate([ons, offs]))
-
-    best: OptimizeResult | None = None
-    for r, x0 in enumerate(starts):
-        x, f, trace = _ascend(x0, evaluate, project, opts)
-        xr = project(_round_to_grid(x, opts.grid_quantum))
-        fr = evaluate(xr)
-        result = OptimizeResult(
-            sequence=to_seq(xr),
-            fidelity=float(fr),
-            fidelity_pre_rounding=float(f),
-            trace=tuple(trace),
-            restart=r,
-        )
-        if best is None or result.fidelity > best.fidelity:
-            best = result
-    return best
-
-
-def optimize_with_amplitudes(
-    seed_seq: PulseSequence,
-    obj: PulseObjective,
-    opts: OptimizerOptions | None = None,
-    depth_bounds: tuple[float, float] = (3.0, 6.0),
-) -> OptimizeResult:
-    """Jointly optimize durations and per-step depths in a box.
-
-    A degenerate box (lo == hi) freezes the depths, reducing exactly to
-    :func:`optimize`.  Depths are rounded to the same grid quantum as
-    durations.
-    """
-    opts = opts or OptimizerOptions()
-    lo, hi = depth_bounds
-    if not lo <= hi:
-        raise ValueError("depth_bounds must satisfy lo <= hi")
     nominal = obj.spec.depth
-    if not (lo <= nominal <= hi):
-        raise ValueError("depth_bounds must contain the spec's depth")
-    k = len(seed_seq.steps)
+    seed_depths = [s.depth for s in seed_seq.steps]
+    x_seed = np.concatenate(
+        [seed_seq.durations, [nominal if d is None else d for d in seed_depths]]
+    )
+    if depth_bounds is None:
+        lo = hi = x_seed[2 * k :]
+    else:
+        lo, hi = depth_bounds
+        if not lo <= nominal <= hi:
+            raise ValueError("depth_bounds must satisfy lo <= spec depth <= hi")
+    lower = np.concatenate([np.zeros(2 * k), np.broadcast_to(lo, (k,))])
+    upper = np.concatenate([np.full(2 * k, np.inf), np.broadcast_to(hi, (k,))])
 
     def to_seq(x: np.ndarray) -> PulseSequence:
-        steps = tuple(
-            PulseStep(float(x[i]), float(x[k + i]), float(x[2 * k + i]))
-            for i in range(k)
-        )
-        return PulseSequence(steps=steps)
+        depths = seed_depths if depth_bounds is None else x[2 * k :].tolist()
+        pairs = zip(x[:k].tolist(), x[k : 2 * k].tolist())
+        return PulseSequence.from_durations(list(pairs), depths)
 
     def evaluate(x: np.ndarray) -> float:
         return fidelity(to_seq(x), obj)
 
     def project(x: np.ndarray) -> np.ndarray:
-        out = x.copy()
-        out[: 2 * k] = np.maximum(out[: 2 * k], opts.min_duration)
-        out[2 * k :] = np.clip(out[2 * k :], lo, hi)
-        return out
-
-    mask = np.ones(3 * k, dtype=bool)
-    if hi - lo == 0:
-        mask[2 * k :] = False  # frozen depths: identical iterates to optimize()
+        return np.clip(x, lower, upper)
 
     rng = np.random.default_rng(opts.rng_seed)
-    seed_depths = np.array(
-        [s.depth if s.depth is not None else nominal for s in seed_seq.steps],
-        dtype=float,
-    )
-    starts = [np.concatenate([seed_seq.durations, seed_depths])]
+    starts = [x_seed]
     for _ in range(opts.restarts - 1):
         ons = rng.uniform(*opts.on_range, size=k)
         offs = rng.uniform(*opts.off_range, size=k)
-        ds = rng.uniform(lo, hi, size=k) if hi > lo else np.full(k, lo)
+        ds = rng.uniform(lo, hi, size=k) if np.any(hi > lo) else lower[2 * k :]
         starts.append(np.concatenate([ons, offs, ds]))
 
     best: OptimizeResult | None = None
     for r, x0 in enumerate(starts):
-        x, f, trace = _ascend(x0, evaluate, project, opts, fd_mask=mask)
-        xr = project(_round_to_grid(x, opts.grid_quantum))
+        x, f, trace = _ascend(x0, evaluate, project, opts)
+        q = opts.grid_quantum
+        xr = project(np.round(x / q) * q if q > 0 else x)
         fr = evaluate(xr)
         result = OptimizeResult(
             sequence=to_seq(xr),
@@ -491,16 +421,16 @@ def design_sequence(
     spec: LatticeSpec,
     basis: PlaneWaveBasis,
     opts: OptimizerOptions | None = None,
-    variable_amplitude: bool = False,
-    depth_bounds: tuple[float, float] = (3.0, 6.0),
+    depth_bounds: tuple[float, float] | None = None,
 ) -> OptimizeResult:
-    """Design a pulse sequence from scratch: seeded random start + restarts."""
+    """Design a pulse sequence from scratch: seeded random start + restarts.
+
+    ``depth_bounds`` boxes per-step depths; ``None`` keeps the spec's depth.
+    """
     opts = opts or OptimizerOptions()
     rng = np.random.default_rng(opts.rng_seed + 1)
     ons = rng.uniform(*opts.on_range, size=n_steps)
     offs = rng.uniform(*opts.off_range, size=n_steps)
     seed = PulseSequence.from_durations(list(zip(ons, offs)))
     obj = build_objective(kind, spec, basis)
-    if variable_amplitude:
-        return optimize_with_amplitudes(seed, obj, opts, depth_bounds)
-    return optimize(seed, obj, opts)
+    return optimize(seed, obj, opts, depth_bounds)

@@ -61,6 +61,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig.load(str(p))
 
+    @pytest.mark.parametrize(
+        "text", ["- 1\n- 2\n", "lattice: 5.0\n", "optimizer:\n  - 3\n"]
+    )
+    def test_non_mapping_config_exits_2(self, tmp_path, capsys, text):
+        p = tmp_path / "c.yaml"
+        p.write_text(text)
+        code = main(["bands", "--samples", "2", "--config", str(p),
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_VALIDATION
+        assert "mapping" in capsys.readouterr().err
+
 
 class TestLoadSequence:
     def test_reference_names(self):
@@ -176,6 +187,25 @@ class TestFringeCommands:
                      "--single-q", "--out", str(tmp_path / "x")])
         assert code == EXIT_VALIDATION
         assert "dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--dt", "0"), ("--dt", "-4"), ("--dt", "nan"),
+         ("--t-max", "-400"), ("--t-max", "inf")],
+    )
+    def test_bad_time_grid_exits_2(self, tmp_path, capsys, flag, value):
+        args = {"--t-max": "400", "--dt": "4", flag: value}
+        code = main(["ramsey", "--pi2", "ideal", "--single-q",
+                     "--t-max", args["--t-max"], "--dt", args["--dt"],
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_VALIDATION
+        assert flag in capsys.readouterr().err
+
+    def test_echo_zero_pulses_exits_2(self, tmp_path, capsys):
+        code = main(["echo", "--pi2", "ideal", "--n-echo", "0", "--single-q",
+                     "--t-max", "400", "--dt", "4", "--out", str(tmp_path / "x")])
+        assert code == EXIT_VALIDATION
+        assert "n_echo" in capsys.readouterr().err
 
     def test_echo_runs_with_references(self, tmp_path):
         out = tmp_path / "run"

@@ -20,7 +20,6 @@ from artifact.shortcut import (
     fidelity,
     fidelity_report,
     optimize,
-    optimize_with_amplitudes,
     rotation_block,
 )
 
@@ -99,13 +98,10 @@ class TestFidelityProperties:
         for seq in (REFERENCE_PI2, REFERENCE_PI):
             for kind in (ObjectiveKind.HALF_PI, ObjectiveKind.PI):
                 obj = objectives[kind]
-                aligned = fidelity(seq, obj, phase_frame="aligned")
-                fixed = fidelity(seq, obj, phase_frame="fixed")
+                aligned = fidelity(seq, obj)
+                target = ROTATION_BLOCKS[kind]
+                fixed = abs(np.trace(target.conj().T @ rotation_block(seq, obj))) / 2
                 assert aligned >= fixed - 1e-12
-
-    def test_unknown_phase_frame_rejected(self, objectives):
-        with pytest.raises(ValueError):
-            fidelity(REFERENCE_PI2, objectives[ObjectiveKind.HALF_PI], "other")
 
 
 class TestAlignedBlock:
@@ -199,8 +195,6 @@ class TestOptimize:
             OptimizerOptions(max_iters=0)
         with pytest.raises(ValueError):
             OptimizerOptions(fd_step=0.0)
-        with pytest.raises(ValueError):
-            OptimizerOptions(min_duration=-1.0)
 
 
 class TestVariableAmplitude:
@@ -208,9 +202,7 @@ class TestVariableAmplitude:
         obj = objectives[ObjectiveKind.HALF_PI]
         seed = PulseSequence.from_durations([(10.0, 10.0)])
         flat = optimize(seed, obj, TINY)
-        pinned = optimize_with_amplitudes(
-            seed, obj, TINY, depth_bounds=(spec.depth, spec.depth)
-        )
+        pinned = optimize(seed, obj, TINY, depth_bounds=(spec.depth, spec.depth))
         assert pinned.fidelity == pytest.approx(flat.fidelity, abs=1e-12)
         assert list(pinned.sequence.durations) == pytest.approx(
             list(flat.sequence.durations), abs=1e-12
@@ -219,7 +211,7 @@ class TestVariableAmplitude:
     def test_depths_stay_in_box(self, objectives):
         obj = objectives[ObjectiveKind.HALF_PI]
         seed = PulseSequence.from_durations([(10.0, 10.0), (8.0, 12.0)])
-        result = optimize_with_amplitudes(seed, obj, TINY, depth_bounds=(4.0, 6.0))
+        result = optimize(seed, obj, TINY, depth_bounds=(4.0, 6.0))
         for step in result.sequence.steps:
             assert 4.0 - 1e-9 <= step.depth <= 6.0 + 1e-9
 
@@ -227,9 +219,19 @@ class TestVariableAmplitude:
         obj = objectives[ObjectiveKind.HALF_PI]
         seed = PulseSequence.from_durations([(10.0, 10.0)])
         with pytest.raises(ValueError):
-            optimize_with_amplitudes(seed, obj, TINY, depth_bounds=(6.0, 7.0))
+            optimize(seed, obj, TINY, depth_bounds=(6.0, 7.0))
         with pytest.raises(ValueError):
-            optimize_with_amplitudes(seed, obj, TINY, depth_bounds=(6.0, 5.0))
+            optimize(seed, obj, TINY, depth_bounds=(6.0, 5.0))
+
+    def test_frozen_seed_depths_come_back_exactly(self, objectives):
+        obj = objectives[ObjectiveKind.HALF_PI]
+        seed = PulseSequence.from_durations(
+            [(10.0, 10.0), (8.0, 12.0), (6.0, 4.0)], depths=[4.27, None, 5.5]
+        )
+        opts = OptimizerOptions(max_iters=3, restarts=2, rng_seed=0)
+        result = optimize(seed, obj, opts)
+        assert [s.depth for s in result.sequence.steps] == [4.27, None, 5.5]
+        assert result.fidelity == fidelity(result.sequence, obj)
 
 
 class TestDesignAndReport:

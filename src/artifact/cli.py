@@ -34,6 +34,8 @@ Config files are YAML with explicit unit suffixes::
       restarts: 10
     rng_seed: 0
 
+A key outside the schema tables below is refused (exit code 2).
+
 Exit codes: 0 success, 2 validation error, 3 threshold not met,
 4 numerical failure.
 """
@@ -61,6 +63,7 @@ from .interferometer import (
     FringeKind,
     IdealPulses,
     SequencePulses,
+    check_sampling,
     coherence_time,
     contrast_curve,
     ensemble_fringe,
@@ -101,6 +104,53 @@ class ValidationError(ValueError):
     """Bad config, arguments, or input files."""
 
 
+#: Config schema: (section, key, converter); section ``None`` is the top
+#: level.  Each key loads into the :class:`RunConfig` field of the same name.
+_CONFIG_KEYS = (
+    ("lattice", "geometry", str),
+    ("lattice", "wavelength_nm", float),
+    ("lattice", "depth_Er", float),
+    ("lattice", "atom_mass_kg", float),
+    ("basis", "shell_radius", int),
+    ("ensemble", "distribution", str),
+    ("ensemble", "delta_q_hk", float),
+    ("ensemble", "width_reading", str),
+    ("ensemble", "quadrature", int),
+    ("ensemble", "width_schedule", list),
+    (None, "optimizer", dict),
+    (None, "rng_seed", int),
+)
+
+#: ``optimizer`` section: key -> (OptimizerOptions field, converter).
+_OPTIMIZER_KEYS = {
+    "max_iters": ("max_iters", int),
+    "fd_step_us": ("fd_step", float),
+    "learning_rate": ("learning_rate", float),
+    "grid_quantum_us": ("grid_quantum", float),
+    "restarts": ("restarts", int),
+    "convergence_tol": ("convergence_tol", float),
+    "on_max_us": ("on_range", lambda v: (0.0, float(v))),
+    "off_max_us": ("off_range", lambda v: (0.0, float(v))),
+}
+
+
+def _reject_unknown_keys(data: dict) -> None:
+    """Refuse any config key that the two schema tables do not name."""
+    known = {None: {sec or key for sec, key, _ in _CONFIG_KEYS}}
+    for sec, key, _ in _CONFIG_KEYS:
+        if sec is not None:
+            known.setdefault(sec, set()).add(key)
+    known["optimizer"] = set(_OPTIMIZER_KEYS)
+    for section, keys in known.items():
+        unknown = set(data if section is None else data.get(section, {})) - keys
+        if unknown:
+            where = "at the top level" if section is None else f"in {section}"
+            raise ValidationError(
+                f"unknown config key(s) {', '.join(sorted(map(str, unknown)))} "
+                f"{where}; expected one of {', '.join(sorted(keys))}"
+            )
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration with explicit units."""
@@ -136,21 +186,15 @@ class RunConfig:
                 f"config must be a mapping whose {', '.join(sections)} "
                 "sections are mappings"
             )
+        _reject_unknown_keys(data)
         cfg = cls()
-        lat = data.get("lattice", {})
-        cfg.geometry = str(lat.get("geometry", cfg.geometry))
-        cfg.wavelength_nm = float(lat.get("wavelength_nm", cfg.wavelength_nm))
-        cfg.depth_Er = float(lat.get("depth_Er", cfg.depth_Er))
-        cfg.atom_mass_kg = float(lat.get("atom_mass_kg", cfg.atom_mass_kg))
-        cfg.shell_radius = int(data.get("basis", {}).get("shell_radius", cfg.shell_radius))
-        ens = data.get("ensemble", {})
-        cfg.distribution = str(ens.get("distribution", cfg.distribution))
-        cfg.delta_q_hk = float(ens.get("delta_q_hk", cfg.delta_q_hk))
-        cfg.width_reading = str(ens.get("width_reading", cfg.width_reading))
-        cfg.quadrature = int(ens.get("quadrature", cfg.quadrature))
-        cfg.width_schedule = list(ens.get("width_schedule", []))
-        cfg.optimizer = dict(data.get("optimizer", {}))
-        cfg.rng_seed = int(data.get("rng_seed", cfg.rng_seed))
+        for section, key, convert in _CONFIG_KEYS:
+            values = data if section is None else data.get(section, {})
+            if key in values:
+                try:
+                    setattr(cfg, key, convert(values[key]))
+                except (TypeError, ValueError) as exc:
+                    raise ValidationError(f"bad config value for {key}: {exc}") from exc
         for key, value in (overrides or {}).items():
             if value is not None:
                 setattr(cfg, key, value)
@@ -192,20 +236,16 @@ class RunConfig:
             raise ValidationError(str(exc)) from exc
 
     def optimizer_options(self) -> OptimizerOptions:
-        o = self.optimizer
         try:
             return OptimizerOptions(
-                max_iters=int(o.get("max_iters", 200)),
-                fd_step=float(o.get("fd_step_us", 0.01)),
-                learning_rate=float(o.get("learning_rate", 50.0)),
-                grid_quantum=float(o.get("grid_quantum_us", 0.1)),
-                restarts=int(o.get("restarts", 10)),
                 rng_seed=self.rng_seed,
-                convergence_tol=float(o.get("convergence_tol", 1e-6)),
-                on_range=(0.0, float(o.get("on_max_us", 30.0))),
-                off_range=(0.0, float(o.get("off_max_us", 40.0))),
+                **{
+                    name: convert(self.optimizer[key])
+                    for key, (name, convert) in _OPTIMIZER_KEYS.items()
+                    if key in self.optimizer
+                },
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValidationError(str(exc)) from exc
 
 
@@ -508,16 +548,38 @@ def cmd_eval(cfg: RunConfig, args, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _fringe_times(args, period: float) -> np.ndarray:
-    for name, value in (("dt", args.dt), ("t-max", args.t_max)):
+def _fringe_times(args, window: float) -> np.ndarray:
+    checks = (("dt", args.dt), ("t-max", args.t_max), ("contrast-window", window))
+    for name, value in checks:
         if not (math.isfinite(value) and value > 0):
             raise ValidationError(f"--{name} must be positive and finite, got {value}")
-    if args.dt >= period / 8.0:
-        raise ValidationError(
-            f"dt = {args.dt} us undersamples the fringe: need dt < period/8 "
-            f"= {period / 8.0:.3f} us"
-        )
+    check_sampling(args.dt, window)
     return np.arange(0.0, args.t_max, args.dt)
+
+
+def _finish_coherence(
+    writer: RunWriter, contrast, coh, window: float, summary: str
+) -> None:
+    """Write contrast.csv, coherence.json and the manifest; print a summary
+    line that starts with ``summary``."""
+    writer.write_csv(
+        "contrast.csv",
+        ["t_us", "contrast"],
+        list(zip(contrast.times, contrast.contrast)),
+        {"window_us": _fmt(window)},
+    )
+    writer.write_json(
+        "coherence.json",
+        {
+            "crossing_1e_us": coh.crossing_us,
+            "fit_tau_us": None if math.isinf(coh.fit_tau_us) else coh.fit_tau_us,
+            "fit_amplitude": coh.fit_amplitude,
+        },
+    )
+    writer.finish()
+    cross = "not crossed" if coh.crossing_us is None else f"{coh.crossing_us:.1f} us"
+    tau = "inf" if math.isinf(coh.fit_tau_us) else f"{coh.fit_tau_us:.1f} us"
+    print(f"{summary}1/e crossing = {cross}, fit tau = {tau}")
 
 
 def _pulse_model(args, need_pi: bool):
@@ -540,7 +602,8 @@ def _run_fringe(kind: FringeKind, cfg: RunConfig, args, out_dir: Path) -> int:
     spec = cfg.lattice_spec()
     basis = build_basis(spec, cfg.shell_radius)
     period = args.period if args.period is not None else fringe_period_us(spec, basis)
-    times = _fringe_times(args, period)
+    window = period if args.contrast_window is None else args.contrast_window
+    times = _fringe_times(args, window)
     need_pi = kind is FringeKind.ECHO
     model = _pulse_model(args, need_pi)
     ens = cfg.ensemble_spec() if not args.single_q else EnsembleSpec(
@@ -576,7 +639,7 @@ def _run_fringe(kind: FringeKind, cfg: RunConfig, args, out_dir: Path) -> int:
         n_echo=getattr(args, "n_echo", 2),
         threads=cfg.threads,
     )
-    contrast = contrast_curve(fringe, args.contrast_window or period)
+    contrast = contrast_curve(fringe, window)
     coh = coherence_time(contrast)
     writer.write_csv(
         "fringe.csv",
@@ -584,26 +647,9 @@ def _run_fringe(kind: FringeKind, cfg: RunConfig, args, out_dir: Path) -> int:
         list(zip(fringe.times, fringe.p_d)),
         {"fringe_kind": kind.value},
     )
-    writer.write_csv(
-        "contrast.csv",
-        ["t_us", "contrast"],
-        list(zip(contrast.times, contrast.contrast)),
-        {"window_us": _fmt(args.contrast_window or period)},
-    )
-    writer.write_json(
-        "coherence.json",
-        {
-            "crossing_1e_us": coh.crossing_us,
-            "fit_tau_us": None if math.isinf(coh.fit_tau_us) else coh.fit_tau_us,
-            "fit_amplitude": coh.fit_amplitude,
-        },
-    )
-    writer.finish()
-    cross = "not crossed" if coh.crossing_us is None else f"{coh.crossing_us:.1f} us"
-    tau = "inf" if math.isinf(coh.fit_tau_us) else f"{coh.fit_tau_us:.1f} us"
-    print(
-        f"{kind.value}: contrast[0] = {contrast.contrast[0]:.3f}, "
-        f"1/e crossing = {cross}, fit tau = {tau}"
+    _finish_coherence(
+        writer, contrast, coh, window,
+        f"{kind.value}: contrast[0] = {contrast.contrast[0]:.3f}, ",
     )
     return EXIT_OK
 
@@ -629,25 +675,9 @@ def cmd_coherence(cfg: RunConfig, args, out_dir: Path) -> int:
     )
     writer.note_input(args.fringe)
     contrast = contrast_curve(fringe, args.period)
-    coh = coherence_time(contrast)
-    writer.write_csv(
-        "contrast.csv",
-        ["t_us", "contrast"],
-        list(zip(contrast.times, contrast.contrast)),
-        {"window_us": _fmt(args.period)},
+    _finish_coherence(
+        writer, contrast, coherence_time(contrast), args.period, "coherence: "
     )
-    writer.write_json(
-        "coherence.json",
-        {
-            "crossing_1e_us": coh.crossing_us,
-            "fit_tau_us": None if math.isinf(coh.fit_tau_us) else coh.fit_tau_us,
-            "fit_amplitude": coh.fit_amplitude,
-        },
-    )
-    writer.finish()
-    cross = "not crossed" if coh.crossing_us is None else f"{coh.crossing_us:.1f} us"
-    tau = "inf" if math.isinf(coh.fit_tau_us) else f"{coh.fit_tau_us:.1f} us"
-    print(f"coherence: 1/e crossing = {cross}, fit tau = {tau}")
     return EXIT_OK
 
 

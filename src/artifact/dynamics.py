@@ -19,12 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import (
+    TRIANGULAR_COUPLING_OFFSETS,
     Geometry,
     Hamiltonian,
     LatticeSpec,
     PlaneWaveBasis,
     angular_frequency_per_Er,
     hamiltonian_on,
+    require_finite,
 )
 
 #: Near-degeneracy threshold (E_r) for the D-band selection rule.
@@ -78,6 +80,7 @@ class PulseStep:
     depth: float | None = None  # E_r; None = use the spec's depth
 
     def __post_init__(self) -> None:
+        require_finite(self, "t_on", "t_off", "depth")
         if self.t_on < 0 or self.t_off < 0:
             raise ValueError("pulse durations must be non-negative")
         if self.depth is not None and self.depth < 0:
@@ -102,21 +105,16 @@ class PulseSequence:
     ) -> "PulseSequence":
         """Build from (t_on, t_off) pairs and optional per-step depths."""
         if depths is None:
-            steps = tuple(PulseStep(on, off) for on, off in durations)
-        else:
-            if len(depths) != len(durations):
-                raise ValueError("depths and durations lengths differ")
-            steps = tuple(
-                PulseStep(on, off, d) for (on, off), d in zip(durations, depths)
-            )
-        return cls(steps=steps)
+            depths = [None] * len(durations)
+        if len(depths) != len(durations):
+            raise ValueError("depths and durations lengths differ")
+        steps = (PulseStep(on, off, d) for (on, off), d in zip(durations, depths))
+        return cls(tuple(steps))
 
     @property
     def durations(self) -> np.ndarray:
         """Flat array [t_on_1, ..., t_on_K, t_off_1, ..., t_off_K]."""
-        ons = [s.t_on for s in self.steps]
-        offs = [s.t_off for s in self.steps]
-        return np.array(ons + offs)
+        return np.array([s.t_on for s in self.steps] + [s.t_off for s in self.steps])
 
     def to_dict(self) -> dict:
         steps = []
@@ -146,14 +144,9 @@ class PulseSequence:
 
 def _fix_phases(states: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude component real and positive."""
-    out = states.copy()
-    for j in range(out.shape[1]):
-        v = out[:, j]
-        i = int(np.argmax(np.abs(v)))
-        piv = v[i]
-        if piv != 0:
-            out[:, j] = v * (np.conj(piv) / abs(piv))
-    return out
+    piv = states[np.argmax(np.abs(states), axis=0), np.arange(states.shape[1])]
+    piv = np.where(piv == 0, 1.0, piv)
+    return states * (np.conj(piv) / np.abs(piv))
 
 
 def solve_bands(h: Hamiltonian) -> BandSolution:
@@ -181,19 +174,13 @@ def band_eig(
     """Cached (energies, states) of the lattice-on Hamiltonian at q.
 
     Pure accessor: results depend only on the arguments; the cache only
-    avoids repeated eigensolves in quasi-momentum/duration scans.
+    avoids repeated eigensolves in quasi-momentum/duration scans.  Its key
+    is what enters H in E_r units: geometry, site set, q and depth.
     """
     d = spec.depth if depth is None else depth
     q = np.asarray(q, dtype=float)
-    key = (
-        spec.geometry,
-        spec.wavelength,
-        spec.atom_mass,
-        basis.shell_radius,
-        round(float(q[0]), 12),
-        round(float(q[1]), 12),
-        round(float(d), 12),
-    )
+    key = (spec.geometry, basis.site_key)
+    key += tuple(round(float(x), 12) for x in (q[0], q[1], d))
     hit = _EIG_CACHE.get(key)
     if hit is not None:
         return hit
@@ -202,16 +189,6 @@ def band_eig(
         _EIG_CACHE.clear()
     _EIG_CACHE[key] = (sol.energies, sol.states)
     return _EIG_CACHE[key]
-
-
-def _symmetric_first_shell(basis: PlaneWaveBasis) -> np.ndarray:
-    """Equal-weight combination of the six first-shell plane waves."""
-    w = np.zeros(basis.size)
-    from .lattice import TRIANGULAR_COUPLING_OFFSETS
-
-    for off in TRIANGULAR_COUPLING_OFFSETS:
-        w[basis.index[off]] = 1.0
-    return w / np.linalg.norm(w)
 
 
 def bloch_state(
@@ -233,31 +210,39 @@ def bloch_state(
     if not (1 <= band_index <= basis.size):
         raise ValueError("band index out of range")
     energies, states = band_eig(q, spec, basis, depth)
+    q = np.asarray(q, float)
     i = band_index - 1
-    _, d_idx = default_band_pair(spec.geometry)
-    lo = hi = i
-    while lo > 0 and energies[lo] - energies[lo - 1] < DEGENERACY_TOL_ER:
-        lo -= 1
-    while hi + 1 < len(energies) and energies[hi + 1] - energies[hi] < DEGENERACY_TOL_ER:
-        hi += 1
     if (
-        hi > lo
-        and band_index == d_idx
-        and spec.geometry is Geometry.TRIANGULAR_3BEAM
+        spec.geometry is Geometry.TRIANGULAR_3BEAM
+        and band_index == default_band_pair(spec.geometry)[1]
     ):
-        cluster = states[:, lo : hi + 1]
-        w = _symmetric_first_shell(basis)
-        coef = cluster.conj().T @ w
-        vec = cluster @ coef
-        n = np.linalg.norm(vec)
-        if n > 1e-12:
-            v = vec / n
-            i_max = int(np.argmax(np.abs(v)))
-            v = v * (np.conj(v[i_max]) / abs(v[i_max]))
-            return QuantumState(quasimomentum=np.asarray(q, float), amplitudes=v)
-    return QuantumState(
-        quasimomentum=np.asarray(q, float), amplitudes=states[:, i].copy()
-    )
+        lo = hi = i
+        while lo > 0 and energies[lo] - energies[lo - 1] < DEGENERACY_TOL_ER:
+            lo -= 1
+        while hi + 1 < len(energies) and energies[hi + 1] - energies[hi] < DEGENERACY_TOL_ER:
+            hi += 1
+        if hi > lo:
+            # Equal-weight combination of the six first-shell plane waves.
+            w = np.zeros(basis.size)
+            w[[basis.index[off] for off in TRIANGULAR_COUPLING_OFFSETS]] = 1.0
+            cluster = states[:, lo : hi + 1]
+            vec = cluster @ (cluster.conj().T @ (w / np.linalg.norm(w)))
+            n = np.linalg.norm(vec)
+            if n > 1e-12:
+                v = _fix_phases((vec / n)[:, None])[:, 0]
+                return QuantumState(quasimomentum=q, amplitudes=v)
+    return QuantumState(quasimomentum=q, amplitudes=states[:, i].copy())
+
+
+def sd_frame(q: np.ndarray, spec: LatticeSpec, basis: PlaneWaveBasis) -> np.ndarray:
+    """The interferometer's S/D band frame at q: (n, 2) columns [S D].
+
+    The columns are :func:`bloch_state` of the :func:`default_band_pair`, so
+    the D column follows the D-band degeneracy rule.  Every pulse operator
+    and objective is expressed in this frame.
+    """
+    bands = default_band_pair(spec.geometry)
+    return np.stack([bloch_state(b, q, spec, basis).amplitudes for b in bands], axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +274,7 @@ def evolve_columns(
     """
     w = angular_frequency_per_Er(spec)
     q = np.asarray(q, dtype=float)
-    kin = np.sum((basis.g_vectors + q) ** 2, axis=1)
+    kin = basis.kinetic(q)
     out = np.asarray(cols, dtype=complex)
     single = out.ndim == 1
     if single:

@@ -8,14 +8,18 @@ Sequences (time order, left to right):
   then pi/2; the pi pulses rephase quasi-momentum-dependent phase
   accumulation.
 
-The hold evolution uses the full multi-band lattice-on propagator.  Pulses
-come in two models: ideal analytic rotations in the S/D subspace, or real
+The hold evolution uses the full multi-band lattice-on propagator.  Every
+pulse is built in the S/D frame F = [S D] of :func:`artifact.dynamics.sd_frame`
+at the pulse's quasi-momentum.  Pulses come in two models: ideal analytic
+rotations, 1 + F (R - 1) F^dagger with R the 2x2 target block, or real
 shortcut pulse sequences.  Sequence operators are phase-locked by default:
 each is dressed with the two per-band reference phases from the aligned
 fidelity frame (:func:`artifact.shortcut.aligned_fidelity_block`), which is
 what makes independently designed pulses compose consistently in a composite
 sequence — without it the inter-pulse phases are an artifact of the
-eigensolver's phase convention rather than of the pulse design.
+eigensolver's phase convention rather than of the pulse design.  The
+dressing only rephases the D column and row, so it is applied as two rank-1
+updates of the sequence operator.
 
 Dephasing arises from averaging fringes over a Gaussian quasi-momentum
 distribution: the S-D gap varies with q, so ensemble fringes decay.  Two
@@ -35,18 +39,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (
-    PulseSequence,
-    band_eig,
-    bloch_state,
-    default_band_pair,
-    sequence_operator,
-)
+from .dynamics import PulseSequence, band_eig, sd_frame, sequence_operator
 from .lattice import (
     Geometry,
     LatticeSpec,
     PlaneWaveBasis,
     angular_frequency_per_Er,
+    require_finite,
 )
 from .shortcut import ROTATION_BLOCKS, ObjectiveKind, aligned_fidelity_block
 
@@ -93,6 +92,7 @@ class EnsembleSpec:
     width_schedule: tuple = ()
 
     def __post_init__(self) -> None:
+        require_finite(self, "sigma_q", "width_schedule")
         if self.distribution not in ("delta", "gaussian"):
             raise ValueError("distribution must be 'delta' or 'gaussian'")
         if self.sigma_q < 0:
@@ -189,15 +189,13 @@ def ideal_fringe(gap: float, times: np.ndarray, spec: LatticeSpec) -> FringeCurv
 def ideal_pulse_operator(
     kind: str, q: np.ndarray, spec: LatticeSpec, basis: PlaneWaveBasis
 ) -> np.ndarray:
-    """Exact S/D-subspace rotation ("pi2" or "pi"), identity elsewhere."""
-    s_idx, d_idx = default_band_pair(spec.geometry)
-    s = bloch_state(s_idx, q, spec, basis).amplitudes
-    d = bloch_state(d_idx, q, spec, basis).amplitudes
-    theta = {"pi2": math.pi / 4.0, "pi": math.pi / 2.0}[kind]
-    eye = np.eye(basis.size, dtype=complex)
-    proj = np.outer(s, s.conj()) + np.outer(d, d.conj())
-    swap = np.outer(d, s.conj()) - np.outer(s, d.conj())
-    return eye + (math.cos(theta) - 1.0) * proj + math.sin(theta) * swap
+    """Exact S/D-subspace rotation ("pi2" or "pi"), identity elsewhere:
+    1 + F (R - 1) F^dagger with F the S/D frame and R the kind's 2x2 block."""
+    frame = sd_frame(q, spec, basis)
+    rot = ROTATION_BLOCKS[ObjectiveKind(kind)] - np.identity(2)
+    op = frame @ rot @ frame.conj().T
+    op[np.diag_indices(basis.size)] += 1.0
+    return op
 
 
 def locked_sequence_operator(
@@ -211,56 +209,34 @@ def locked_sequence_operator(
 
     Applies Z_b R Z_a with Z_theta = 1 + (e^(i theta) - 1)|D><D| and (a, b)
     the phases that maximize the rotation fidelity of R's S/D block against
-    the kind's target rotation.  A deterministic, unitary, per-q dressing.
+    the kind's target rotation.  A deterministic, unitary, per-q dressing,
+    applied as two rank-1 updates of R.
     """
-    s_idx, d_idx = default_band_pair(spec.geometry)
-    s = bloch_state(s_idx, q, spec, basis).amplitudes
-    d = bloch_state(d_idx, q, spec, basis).amplitudes
+    frame = sd_frame(q, spec, basis)
+    d = frame[:, 1]
     r = sequence_operator(seq, q, spec, basis)
-    frame = np.stack([s, d], axis=1)
-    block = frame.conj().T @ r @ frame
-    _, a, b = aligned_fidelity_block(block, ROTATION_BLOCKS[kind])
-    dd = np.outer(d, d.conj())
-    za = np.eye(basis.size, dtype=complex) + (np.exp(1j * a) - 1.0) * dd
-    zb = np.eye(basis.size, dtype=complex) + (np.exp(1j * b) - 1.0) * dd
-    return zb @ r @ za
+    _, a, b = aligned_fidelity_block(frame.conj().T @ r @ frame, ROTATION_BLOCKS[kind])
+    r += np.outer((np.exp(1j * a) - 1.0) * (r @ d), d.conj())
+    r += np.outer(d, (np.exp(1j * b) - 1.0) * (d.conj() @ r))
+    return r
 
 
-def _operators_at_q(
+def _pulse_operator(
     pulses: PulseModel,
+    kind: ObjectiveKind,
     q: np.ndarray,
     spec: LatticeSpec,
     basis: PlaneWaveBasis,
-    need_pi: bool,
-):
-    """(energies, states, s, d, R_half, R_pi_or_None) at one quasi-momentum."""
-    energies, states = band_eig(q, spec, basis)
-    s_idx, d_idx = default_band_pair(spec.geometry)
-    s = bloch_state(s_idx, q, spec, basis).amplitudes
-    d = bloch_state(d_idx, q, spec, basis).amplitudes
+) -> np.ndarray:
+    """Full operator of the model's pulse of the given kind at q."""
     if isinstance(pulses, IdealPulses):
-        r_half = ideal_pulse_operator("pi2", q, spec, basis)
-        r_pi = ideal_pulse_operator("pi", q, spec, basis) if need_pi else None
-        return energies, states, s, d, r_half, r_pi
+        return ideal_pulse_operator(kind.value, q, spec, basis)
+    seq = pulses.pi2 if kind is ObjectiveKind.HALF_PI else pulses.pi
+    if seq is None:
+        raise ValueError("echo requires a pi sequence")
     if pulses.phase_locked:
-        r_half = locked_sequence_operator(
-            pulses.pi2, ObjectiveKind.HALF_PI, q, spec, basis
-        )
-        r_pi = None
-        if need_pi:
-            if pulses.pi is None:
-                raise ValueError("echo requires a pi sequence")
-            r_pi = locked_sequence_operator(
-                pulses.pi, ObjectiveKind.PI, q, spec, basis
-            )
-        return energies, states, s, d, r_half, r_pi
-    r_half = sequence_operator(pulses.pi2, q, spec, basis)
-    r_pi = None
-    if need_pi:
-        if pulses.pi is None:
-            raise ValueError("echo requires a pi sequence")
-        r_pi = sequence_operator(pulses.pi, q, spec, basis)
-    return energies, states, s, d, r_half, r_pi
+        return locked_sequence_operator(seq, kind, q, spec, basis)
+    return sequence_operator(seq, q, spec, basis)
 
 
 def _fringe_kernel(
@@ -278,10 +254,9 @@ def _fringe_kernel(
     the analysis-phase-scan contrast at this q is 2|num|/den.
     """
     w = angular_frequency_per_Er(spec)
-    energies, states, s, d, r_half, r_pi = _operators_at_q(
-        pulses, q, spec, basis, need_pi=(kind is FringeKind.ECHO)
-    )
-    times = np.asarray(times, dtype=float)
+    energies, states = band_eig(q, spec, basis)
+    s, d = sd_frame(q, spec, basis).T
+    r_half = _pulse_operator(pulses, ObjectiveKind.HALF_PI, q, spec, basis)
     psi1 = states.conj().T @ (r_half @ s)
     wvec = (states.conj().T @ (r_half.conj().T @ d)).conj()
     rdd = complex(np.vdot(d, r_half @ d))
@@ -295,6 +270,7 @@ def _fringe_kernel(
         tau = times / (2.0 * n_echo)
         ph_tau = np.exp(-1j * np.outer(energies, w * tau))
         ph_2tau = ph_tau * ph_tau
+        r_pi = _pulse_operator(pulses, ObjectiveKind.PI, q, spec, basis)
         phi = states.conj().T @ r_pi @ states
         chi = ph_tau * psi1[:, None]
         for j in range(1, n_echo + 1):
@@ -311,12 +287,19 @@ def _fringe_kernel(
     return p_d, num, den
 
 
-def _as_pulse_model(pulses) -> PulseModel:
+def _as_pulse_model(pulses, pi: PulseSequence | None = None) -> PulseModel:
     if isinstance(pulses, (IdealPulses, SequencePulses)):
         return pulses
     if isinstance(pulses, PulseSequence):
-        return SequencePulses(pi2=pulses)
+        return SequencePulses(pi2=pulses, pi=pi)
     raise TypeError("pulses must be a PulseModel or a PulseSequence")
+
+
+def _single_q_pd(kind, model, t_hold, q, spec, basis, n_echo) -> float:
+    if t_hold < 0:
+        raise ValueError("t_hold must be >= 0")
+    p, _, _ = _fringe_kernel(kind, model, np.array([t_hold]), q, spec, basis, n_echo)
+    return float(p[0])
 
 
 def ramsey_pd(
@@ -327,13 +310,8 @@ def ramsey_pd(
     basis: PlaneWaveBasis,
 ) -> float:
     """D-band population after pi/2 - hold(t) - pi/2 at one quasi-momentum."""
-    if t_hold < 0:
-        raise ValueError("t_hold must be >= 0")
     model = _as_pulse_model(seq_pi2)
-    p, _, _ = _fringe_kernel(
-        FringeKind.RAMSEY, model, np.array([t_hold]), q, spec, basis, 0
-    )
-    return float(p[0])
+    return _single_q_pd(FringeKind.RAMSEY, model, t_hold, q, spec, basis, 0)
 
 
 def echo_pd(
@@ -346,16 +324,8 @@ def echo_pd(
     basis: PlaneWaveBasis,
 ) -> float:
     """D-band population after the n-echo sequence at one quasi-momentum."""
-    if t_hold < 0:
-        raise ValueError("t_hold must be >= 0")
-    if isinstance(seq_pi2, (IdealPulses, SequencePulses)):
-        model = seq_pi2
-    else:
-        model = SequencePulses(pi2=seq_pi2, pi=seq_pi)
-    p, _, _ = _fringe_kernel(
-        FringeKind.ECHO, model, np.array([t_hold]), q, spec, basis, n_echo
-    )
-    return float(p[0])
+    model = _as_pulse_model(seq_pi2, seq_pi)
+    return _single_q_pd(FringeKind.ECHO, model, t_hold, q, spec, basis, n_echo)
 
 
 # --------------------------------------------------------------------------
@@ -383,7 +353,7 @@ def _weights_for_sigma(xs: np.ndarray, ys: np.ndarray, sigma: float) -> np.ndarr
 
 def _ensemble_components(
     kind: FringeKind,
-    pulses: PulseModel,
+    pulses,
     times: np.ndarray,
     ens: EnsembleSpec,
     spec: LatticeSpec,
@@ -392,7 +362,7 @@ def _ensemble_components(
     threads: int,
 ):
     """Per-q kernel results plus the (possibly time-dependent) weights."""
-    times = np.asarray(times, dtype=float)
+    pulses = _as_pulse_model(pulses)
     xs, ys = _grid_axes(ens, spec.geometry)
     qs = [np.array([qx, qy]) for qx in xs for qy in ys]
 
@@ -405,17 +375,14 @@ def _ensemble_components(
     else:
         results = [work(q) for q in qs]
 
-    p_d = np.array([r[0] for r in results])
-    num = np.array([r[1] for r in results])
-    den = np.array([r[2] for r in results])
+    p_d, num, den = (np.array(part) for part in zip(*results))
 
     if ens.width_schedule:
         ts = np.array([p[0] for p in ens.width_schedule], dtype=float)
         ss = np.array([p[1] for p in ens.width_schedule], dtype=float)
         sig_t = np.interp(times, ts, ss)
-        weights = np.empty((len(qs), len(times)))
-        for j, sg in enumerate(sig_t):
-            weights[:, j] = _weights_for_sigma(xs, ys, float(sg))
+        columns = [_weights_for_sigma(xs, ys, float(sg)) for sg in sig_t]
+        weights = np.stack(columns, axis=1)
     else:
         weights = _weights_for_sigma(xs, ys, ens.sigma_q)[:, None]
     weights = weights / np.sum(weights, axis=0, keepdims=True)
@@ -440,10 +407,9 @@ def ensemble_fringe(
     counts.
     """
     kind = FringeKind(kind)
-    model = _as_pulse_model(pulses)
     times = np.asarray(times, dtype=float)
     p_d, _, _, weights = _ensemble_components(
-        kind, model, times, ens, spec, basis, n_echo, threads
+        kind, pulses, times, ens, spec, basis, n_echo, threads
     )
     avg = np.sum(weights * p_d, axis=0)
     meta = {
@@ -475,10 +441,9 @@ def phase_scan_contrast(
     when the fringe itself is constant (perfect echo).
     """
     kind = FringeKind(kind)
-    model = _as_pulse_model(pulses)
     times = np.asarray(times, dtype=float)
     _, num, den, weights = _ensemble_components(
-        kind, model, times, ens, spec, basis, n_echo, threads
+        kind, pulses, times, ens, spec, basis, n_echo, threads
     )
     top = 2.0 * np.abs(np.sum(weights * num, axis=0))
     bottom = np.sum(weights * den, axis=0)
@@ -490,6 +455,15 @@ def phase_scan_contrast(
 # Contrast and coherence extraction
 
 
+def check_sampling(dt: float, window: float) -> None:
+    """Require at least 8 hold-time samples per contrast window."""
+    if window / dt < 8.0 - 1e-9:
+        raise ValueError(
+            f"dt = {dt} us undersamples the {window} us contrast window: "
+            f"need dt <= window/8 = {window / 8.0:.3f} us"
+        )
+
+
 def contrast_curve(fringe: FringeCurve, period: float) -> ContrastCurve:
     """Per-period fringe contrast (max-min)/(max+min) in period windows."""
     t = fringe.times
@@ -499,9 +473,7 @@ def contrast_curve(fringe: FringeCurve, period: float) -> ContrastCurve:
     span = t[-1] - t[0]
     if span < 2.0 * period:
         raise ValueError("fringe must span at least two periods")
-    dt = float(np.median(np.diff(t)))
-    if period / dt < 8.0 - 1e-9:
-        raise ValueError("need at least 8 samples per period")
+    check_sampling(float(np.median(np.diff(t))), period)
     centers, values = [], []
     t0 = t[0]
     while t0 + period <= t[-1] + 1e-9:

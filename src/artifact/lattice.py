@@ -59,8 +59,23 @@ class Geometry(enum.Enum):
     STANDING_WAVE_1D = "standing_wave_1d"
 
 
+#: Non-zero Fourier offsets of each geometry's potential (besides (0, 0)).
+COUPLING_OFFSETS = {
+    Geometry.TRIANGULAR_3BEAM: TRIANGULAR_COUPLING_OFFSETS,
+    Geometry.STANDING_WAVE_1D: ((1, 0), (-1, 0)),
+}
+
+
 class GeometryMismatchError(ValueError):
     """An operation was asked for a geometry it does not support."""
+
+
+def require_finite(obj, *names: str) -> None:
+    """Reject NaN and +-inf in the named attributes (numbers, tuples or None)."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +100,7 @@ class LatticeSpec:
     atom_mass: float = MASS_RB87
 
     def __post_init__(self) -> None:
+        require_finite(self, "wavelength", "depth", "atom_mass")
         if self.wavelength <= 0:
             raise ValueError("wavelength must be positive")
         if self.depth < 0:
@@ -131,13 +147,8 @@ def beam_wavevectors(spec: LatticeSpec) -> np.ndarray:
         raise GeometryMismatchError(
             "beam_wavevectors is defined for the triangular geometry only"
         )
-    return np.array(
-        [
-            [1.0, 0.0],
-            [-0.5, math.sqrt(3.0) / 2.0],
-            [-0.5, -math.sqrt(3.0) / 2.0],
-        ]
-    )
+    h = math.sqrt(3.0) / 2.0
+    return np.array([[1.0, 0.0], [-0.5, h], [-0.5, -h]])
 
 
 def reciprocal_primitives(geometry: Geometry) -> np.ndarray:
@@ -156,19 +167,43 @@ def reciprocal_primitives(geometry: Geometry) -> np.ndarray:
 class PlaneWaveBasis:
     """Truncated plane-wave basis over reciprocal-lattice sites.
 
-    Sites are integer coordinates (n1, n2) with |n1| <= N and |n2| <= N
-    (n2 = 0 for the 1D geometry), ordered lexicographically by (n1, n2) so
-    that basis output is deterministic.  The physical reciprocal vector of a
-    site is G = n1 b1 + n2 b2.
+    ``sites`` are integer coordinates (n1, n2) (n2 = 0 for the 1D geometry);
+    :func:`build_basis` gives the standard |n1|, |n2| <= N set, ordered
+    lexicographically so that basis output is deterministic, but any site set
+    works.  The physical reciprocal vector of a site is G = n1 b1 + n2 b2.
+    Everything else is derived from the sites once, on construction.
     """
 
     geometry: Geometry
     shell_radius: int
     sites: tuple[tuple[int, int], ...]
     #: (n_sites, 2) array of G vectors in units of k.
-    g_vectors: np.ndarray = field(repr=False, compare=False)
+    g_vectors: np.ndarray = field(init=False, repr=False, compare=False)
     #: map site -> row index.
-    index: dict = field(repr=False, compare=False)
+    index: dict = field(init=False, repr=False, compare=False)
+    #: coupling table: Fourier offset -> (rows, cols) index arrays, site
+    #: ``cols[k]`` shifted by the offset being site ``rows[k]``; the offsets
+    #: are (0, 0) (the diagonal) and the geometry's COUPLING_OFFSETS.
+    couplings: dict = field(init=False, repr=False, compare=False)
+    #: the site set as bytes (hash computed once): the eigen-cache key.
+    site_key: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        prims = reciprocal_primitives(self.geometry)
+        g = np.array([n1 * prims[0] + n2 * prims[1] for (n1, n2) in self.sites])
+        index = {s: i for i, s in enumerate(self.sites)}
+        couplings = {}
+        for o1, o2 in ((0, 0), *COUPLING_OFFSETS[self.geometry]):
+            pairs = [
+                (index[(n1 + o1, n2 + o2)], i)
+                for i, (n1, n2) in enumerate(self.sites)
+                if (n1 + o1, n2 + o2) in index
+            ]
+            couplings[(o1, o2)] = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        key = np.array(self.sites, dtype=np.int64).tobytes()
+        derived = {"g_vectors": g, "index": index, "couplings": couplings, "site_key": key}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -176,6 +211,10 @@ class PlaneWaveBasis:
 
     def site_index(self, site: tuple[int, int]) -> int:
         return self.index[site]
+
+    def kinetic(self, q: np.ndarray) -> np.ndarray:
+        """Kinetic energies (q + G)^2 in E_r, one per site."""
+        return np.sum((self.g_vectors + q) ** 2, axis=1)
 
 
 def build_basis(spec: LatticeSpec, shell_radius: int = 5) -> PlaneWaveBasis:
@@ -192,16 +231,7 @@ def build_basis(spec: LatticeSpec, shell_radius: int = 5) -> PlaneWaveBasis:
         )
     else:
         sites = tuple((n1, 0) for n1 in range(-n, n + 1))
-    prims = reciprocal_primitives(spec.geometry)
-    g = np.array([n1 * prims[0] + n2 * prims[1] for (n1, n2) in sites])
-    index = {s: i for i, s in enumerate(sites)}
-    return PlaneWaveBasis(
-        geometry=spec.geometry,
-        shell_radius=n,
-        sites=sites,
-        g_vectors=g,
-        index=index,
-    )
+    return PlaneWaveBasis(geometry=spec.geometry, shell_radius=n, sites=sites)
 
 
 def potential_fourier(spec: LatticeSpec, depth: float | None = None) -> dict:
@@ -225,16 +255,16 @@ def potential_fourier(spec: LatticeSpec, depth: float | None = None) -> dict:
     d = spec.depth if depth is None else depth
     if d < 0:
         raise ValueError("depth must be non-negative")
-    if spec.geometry is Geometry.TRIANGULAR_3BEAM:
-        if d == 0:
-            return {}
-        c = TRIANGULAR_FOURIER_COEF * d
-        comps = {offset: -c for offset in TRIANGULAR_COUPLING_OFFSETS}
-        comps[(0, 0)] = -3.0 * c
-        return comps
     if d == 0:
         return {}
-    return {(0, 0): -d / 2.0, (1, 0): -d / 4.0, (-1, 0): -d / 4.0}
+    if spec.geometry is Geometry.TRIANGULAR_3BEAM:
+        c = TRIANGULAR_FOURIER_COEF * d
+        c0 = 3.0 * c
+    else:
+        c, c0 = d / 4.0, d / 2.0
+    comps = {offset: -c for offset in COUPLING_OFFSETS[spec.geometry]}
+    comps[(0, 0)] = -c0
+    return comps
 
 
 @dataclass(frozen=True)
@@ -249,6 +279,16 @@ class Hamiltonian:
         m = self.matrix
         if not np.allclose(m, m.conj().T, atol=1e-12):
             raise ValueError("Hamiltonian must be Hermitian to 1e-12")
+
+
+def _assemble(basis: PlaneWaveBasis, q: np.ndarray, fourier: dict) -> np.ndarray:
+    """Kinetic diagonal (q+G)^2 plus Fourier components (offset -> E_r),
+    placed through the basis's coupling table."""
+    h = np.diag(basis.kinetic(q))
+    for offset, coef in fourier.items():
+        rows, cols = basis.couplings[offset]
+        h[rows, cols] += coef
+    return h
 
 
 def hamiltonian_on(
@@ -266,27 +306,14 @@ def hamiltonian_on(
         raise GeometryMismatchError("basis and spec geometries differ")
     d = spec.depth if depth is None else depth
     q = np.asarray(q, dtype=float)
-    nb = basis.size
-    h = np.zeros((nb, nb))
-    h[np.arange(nb), np.arange(nb)] = np.sum((basis.g_vectors + q) ** 2, axis=1)
-    for offset, coef in potential_fourier(spec, d).items():
-        if offset == (0, 0):
-            h[np.arange(nb), np.arange(nb)] += coef
-            continue
-        for i, (n1, n2) in enumerate(basis.sites):
-            j = basis.index.get((n1 + offset[0], n2 + offset[1]))
-            if j is not None:
-                h[j, i] += coef
+    h = _assemble(basis, q, potential_fourier(spec, d))
     return Hamiltonian(matrix=h, quasimomentum=q, depth_used=d)
 
 
 def hamiltonian_off(basis: PlaneWaveBasis, q: np.ndarray) -> Hamiltonian:
     """Free-particle (lattice-off) Hamiltonian: diagonal (q+G)^2."""
     q = np.asarray(q, dtype=float)
-    nb = basis.size
-    h = np.zeros((nb, nb))
-    h[np.arange(nb), np.arange(nb)] = np.sum((basis.g_vectors + q) ** 2, axis=1)
-    return Hamiltonian(matrix=h, quasimomentum=q, depth_used=0.0)
+    return Hamiltonian(matrix=_assemble(basis, q, {}), quasimomentum=q, depth_used=0.0)
 
 
 def fold_to_bz(basis: PlaneWaveBasis, q: np.ndarray) -> np.ndarray:
@@ -343,27 +370,20 @@ def calibrate_fourier_coefficient(
     """
     from scipy.optimize import brentq
 
+    from . import dynamics  # local import to avoid a cycle
+
     if spec is None:
         spec = LatticeSpec(geometry=Geometry.TRIANGULAR_3BEAM, depth=depth)
+    if spec.geometry is not Geometry.TRIANGULAR_3BEAM:
+        raise GeometryMismatchError("calibration needs the triangular geometry")
     basis = build_basis(spec, shell_radius)
     _, f_hz = recoil_energy(spec)
     target_gap = 1e6 / (period_us * f_hz)
-    nb = basis.size
-    kin = np.sum(basis.g_vectors**2, axis=1)
-    pairs = [
-        (basis.index[(n1 + o1, n2 + o2)], i)
-        for (o1, o2) in TRIANGULAR_COUPLING_OFFSETS
-        for i, (n1, n2) in enumerate(basis.sites)
-        if (n1 + o1, n2 + o2) in basis.index
-    ]
-    rows = np.array([p[0] for p in pairs])
-    cols = np.array([p[1] for p in pairs])
+    s_idx, d_idx = dynamics.default_band_pair(spec.geometry)
 
     def gap_minus_target(c: float) -> float:
-        h = np.zeros((nb, nb))
-        h[np.arange(nb), np.arange(nb)] = kin
-        h[rows, cols] += -c * depth
-        e = np.linalg.eigvalsh(h)
-        return (e[3] - e[0]) - target_gap
+        shell = {offset: -c * depth for offset in TRIANGULAR_COUPLING_OFFSETS}
+        e = np.linalg.eigvalsh(_assemble(basis, np.zeros(2), shell))
+        return (e[d_idx - 1] - e[s_idx - 1]) - target_gap
 
     return float(brentq(gap_minus_target, 0.05, 0.45, xtol=1e-12))

@@ -33,11 +33,11 @@ import numpy as np
 from .dynamics import (
     PulseSequence,
     band_eig,
-    bloch_state,
     default_band_pair,
     evolve_columns,
+    sd_frame,
 )
-from .lattice import LatticeSpec, PlaneWaveBasis
+from .lattice import LatticeSpec, PlaneWaveBasis, require_finite
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -89,18 +89,15 @@ def build_objective(
 ) -> PulseObjective:
     """Construct the standard objective of the given kind at q (default 0)."""
     q = np.zeros(2) if q is None else np.asarray(q, dtype=float)
-    s_idx, d_idx = default_band_pair(spec.geometry)
-    s = bloch_state(s_idx, q, spec, basis).amplitudes
-    d = bloch_state(d_idx, q, spec, basis).amplitudes
-    frame = np.stack([s, d], axis=1)
+    frame = sd_frame(q, spec, basis)
     if kind is ObjectiveKind.LOAD:
         plane = np.zeros(basis.size, dtype=complex)
         plane[basis.site_index((0, 0))] = 1.0
         initial = plane[:, None]
-        targets = s[:, None].astype(complex)
+        targets = frame[:, [0]]
     else:
-        initial = frame.astype(complex)
-        targets = frame.astype(complex) @ ROTATION_BLOCKS[kind]
+        initial = frame
+        targets = frame @ ROTATION_BLOCKS[kind]
     return PulseObjective(
         kind=kind,
         spec=spec,
@@ -137,20 +134,14 @@ def aligned_fidelity_block(
         c1 = np.conj(rt[0, 1]) * m[0, 1] + np.conj(rt[1, 1]) * eb * m[1, 1]
         return c0, c1
 
-    if rt[0, 0] == 0 and rt[1, 1] == 0:
-        # Anti-diagonal target (a pi rotation): |c0| and |c1| are constant
-        # in b, so the maximization is degenerate along one gauge direction.
-        # Pick the canonical point that makes c0 real positive; a then
-        # aligns c1 with it as usual.
-        b = float(-np.angle(np.conj(rt[1, 0]) * m[1, 0]))
-        c0, c1 = parts(b)
-        a = float(np.angle(c0) - np.angle(c1))
-        return float(abs(c0) + abs(c1)) / 2.0, a, b
-
-    if rt[0, 1] == 0 and rt[1, 0] == 0:
-        # Diagonal target: also flat in b, but only a + b matters for the
-        # dressed block.  Canonicalize by making c1 real positive.
-        b = float(-np.angle(np.conj(rt[1, 1]) * m[1, 1]))
+    if (rt[0, 0] == 0 and rt[1, 1] == 0) or (rt[0, 1] == 0 and rt[1, 0] == 0):
+        # Anti-diagonal (a pi rotation) or diagonal target: |c0| and |c1|
+        # are constant in b, so the maximization is degenerate along one
+        # gauge direction.  Pick the canonical point that makes the overlap
+        # of the column whose target has a D component real positive (c0
+        # for anti-diagonal, c1 for diagonal); a then aligns the other.
+        j = 0 if rt[1, 0] != 0 else 1
+        b = float(-np.angle(np.conj(rt[1, j]) * m[1, j]))
         c0, c1 = parts(b)
         a = float(np.angle(c0) - np.angle(c1))
         return float(abs(c0) + abs(c1)) / 2.0, a, b
@@ -184,9 +175,7 @@ def aligned_fidelity_block(
     return (abs(c0) + abs(c1)) / 2.0, a, b
 
 
-def rotation_block(
-    seq: PulseSequence, obj: PulseObjective
-) -> np.ndarray:
+def rotation_block(seq: PulseSequence, obj: PulseObjective) -> np.ndarray:
     """2x2 S/D block of the sequence operator in the objective's band frame."""
     evolved = evolve_columns(
         obj.band_frame.astype(complex), seq, obj.quasimomentum, obj.spec, obj.basis
@@ -273,6 +262,8 @@ class OptimizerOptions:
     off_range: tuple[float, float] = (0.0, 40.0)
 
     def __post_init__(self) -> None:
+        require_finite(self, "fd_step", "learning_rate", "grid_quantum")
+        require_finite(self, "convergence_tol", "on_range", "off_range")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
         if self.fd_step <= 0 or self.learning_rate <= 0:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from artifact.cli import (
     EXIT_THRESHOLD,
     EXIT_VALIDATION,
     RunConfig,
+    build_parser,
     load_sequence,
     main,
 )
@@ -71,6 +74,93 @@ class TestConfig:
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_VALIDATION
         assert "mapping" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("lattice:\n  depth_er: 9.0\n", "depth_er"),
+            ("ensemble:\n  quadratur: 5\n", "quadratur"),
+            ("basis:\n  radius: 3\n", "radius"),
+            ("threads: 4\n", "threads"),
+            ("optimizer:\n  max_iter: 3\n", "max_iter"),
+        ],
+    )
+    def test_unknown_key_exits_2(self, tmp_path, capsys, text, key):
+        p = tmp_path / "c.yaml"
+        p.write_text(text)
+        code = main(["bands", "--samples", "2", "--config", str(p),
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_VALIDATION
+        assert f"unknown config key(s) {key}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_optimizer_keys_load(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        p.write_text(
+            "optimizer:\n  max_iters: 7\n  fd_step_us: 0.02\n  learning_rate: 9\n"
+            "  grid_quantum_us: 0.2\n  restarts: 2\n  convergence_tol: 1e-5\n"
+            "  on_max_us: 12\n  off_max_us: 13\n"
+        )
+        opts = RunConfig.load(str(p)).optimizer_options()
+        assert (opts.max_iters, opts.restarts) == (7, 2)
+        assert (opts.fd_step, opts.learning_rate, opts.grid_quantum) == (0.02, 9.0, 0.2)
+        assert opts.convergence_tol == 1e-5
+        assert (opts.on_range, opts.off_range) == ((0.0, 12.0), (0.0, 13.0))
+
+    def test_non_finite_depth_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text("lattice:\n  depth_Er: .nan\n")
+        code = main(["bands", "--samples", "2", "--config", str(p),
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_VALIDATION
+        assert "depth must be finite" in capsys.readouterr().err
+
+    def test_non_finite_optimizer_value_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text("optimizer:\n  on_max_us: .inf\n")
+        code = main(["design", "--kind", "pi2", "--config", str(p),
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_VALIDATION
+        assert "on_range must be finite" in capsys.readouterr().err
+
+    def test_bad_value_type_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text("lattice:\n  depth_Er: [1, 2]\n")
+        code = main(["bands", "--samples", "2", "--config", str(p),
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_VALIDATION
+        assert "depth_Er" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(lang):
+    text = README.read_text()
+    return [b.split("\n", 1)[1] for b in text.split("```")[1::2] if b.startswith(lang)]
+
+
+class TestReadme:
+    def test_commands_parse(self):
+        commands = [
+            line
+            for block in _readme_blocks("sh")
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("artifact ")
+        ]
+        assert len(commands) >= 7
+        parser = build_parser()
+        for line in commands:
+            parser.parse_args(shlex.split(line)[1:])
+
+    def test_example_config_loads(self, tmp_path):
+        (block,) = _readme_blocks("yaml")
+        p = tmp_path / "c.yaml"
+        p.write_text(block)
+        cfg = RunConfig.load(str(p))
+        assert cfg.rng_seed == 7
+        assert cfg.optimizer == {"max_iters": 200, "restarts": 10}
 
 
 class TestLoadSequence:
@@ -188,16 +278,32 @@ class TestFringeCommands:
         assert code == EXIT_VALIDATION
         assert "dt" in capsys.readouterr().err
 
+    def test_window_sets_sampling(self, tmp_path):
+        # Echo on the acceptance grid: dt 16 us over a two-period window.
+        code = main(["echo", "--pi2", "reference:pi2", "--pi", "reference:pi",
+                     "--t-max", "5000", "--dt", "16", "--contrast-window", "177.6",
+                     "--single-q", "--out", str(tmp_path / "echo")])
+        assert code == EXIT_OK
+
+    def test_eight_samples_per_window_accepted(self, tmp_path, capsys):
+        args = ["ramsey", "--pi2", "ideal", "--single-q", "--t-max", "400",
+                "--period", "88.8"]
+        assert main(args + ["--dt", "11.1", "--out", str(tmp_path / "a")]) == EXIT_OK
+        code = main(args + ["--dt", "11.2", "--out", str(tmp_path / "b")])
+        assert code == EXIT_VALIDATION
+        assert "dt" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--dt", "0"), ("--dt", "-4"), ("--dt", "nan"),
-         ("--t-max", "-400"), ("--t-max", "inf")],
+         ("--t-max", "-400"), ("--t-max", "inf"), ("--contrast-window", "0"),
+         ("--contrast-window", "nan")],
     )
     def test_bad_time_grid_exits_2(self, tmp_path, capsys, flag, value):
         args = {"--t-max": "400", "--dt": "4", flag: value}
-        code = main(["ramsey", "--pi2", "ideal", "--single-q",
-                     "--t-max", args["--t-max"], "--dt", args["--dt"],
-                     "--out", str(tmp_path / "x")])
+        code = main(["ramsey", "--pi2", "ideal", "--single-q"]
+                    + [token for item in args.items() for token in item]
+                    + ["--out", str(tmp_path / "x")])
         assert code == EXIT_VALIDATION
         assert flag in capsys.readouterr().err
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from artifact.dynamics import (
     bloch_state,
     default_band_pair,
     propagator,
+    sd_frame,
     sequence_operator,
     solve_bands,
 )
@@ -51,6 +54,15 @@ class TestSolveBands:
         resid = h.matrix @ sol.states - sol.states * sol.energies
         assert np.max(np.abs(resid)) < 1e-10
 
+    def test_phases_equal_column_loop(self, spec, basis):
+        h = hamiltonian_on(basis, spec, np.array([0.31, -0.02]))
+        _, states = np.linalg.eigh(h.matrix)
+        expected = states.astype(complex)
+        for j in range(expected.shape[1]):
+            piv = expected[np.argmax(np.abs(expected[:, j])), j]
+            expected[:, j] = expected[:, j] * (np.conj(piv) / abs(piv))
+        assert np.array_equal(solve_bands(h).states, expected)
+
     def test_deterministic_phases(self, spec, basis):
         sol = solve_bands(hamiltonian_on(basis, spec, np.array([0.07, 0.21])))
         for col in sol.states.T:
@@ -64,6 +76,14 @@ class TestSolveBands:
         e2, v2 = band_eig(q, spec, basis)
         assert np.array_equal(e1, e2)
         assert np.array_equal(v1, v2)
+
+    def test_cache_keyed_on_site_set(self, spec, basis, hex_basis):
+        q = np.array([0.0123, -0.0456])
+        _, full = band_eig(q, spec, basis)
+        energies, states = band_eig(q, spec, hex_basis)
+        assert full.shape == (121, 121)
+        assert energies.shape == (91,)
+        assert states.shape == (91, 91)
 
 
 class TestBlochState:
@@ -83,6 +103,18 @@ class TestBlochState:
         weights = np.abs(st.amplitudes) ** 2
         assert weights[i0] > 0.4
         assert i0 == np.argmax(weights)
+
+
+class TestSdFrame:
+    @pytest.mark.parametrize("fixture", ["basis", "basis_1d"])
+    def test_columns_are_the_band_pair(self, request, fixture):
+        b = request.getfixturevalue(fixture)
+        spec = LatticeSpec(geometry=b.geometry)
+        q = np.array([0.05, 0.0])
+        frame = sd_frame(q, spec, b)
+        assert frame.shape == (b.size, 2)
+        for col, band in zip(frame.T, default_band_pair(spec.geometry)):
+            assert np.array_equal(col, bloch_state(band, q, spec, b).amplitudes)
 
 
 class TestPropagator:
@@ -135,6 +167,13 @@ class TestPulseStructures:
             PulseStep(-1.0, 0.0)
         with pytest.raises(ValueError):
             PulseStep(0.0, -0.5)
+
+    @pytest.mark.parametrize("name", ["t_on", "t_off", "depth"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        fields = {"t_on": 1.0, "t_off": 1.0, "depth": 4.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PulseStep(**fields)
 
     def test_from_durations_roundtrip(self):
         seq = PulseSequence.from_durations([(1.0, 2.0), (3.0, 4.0)])

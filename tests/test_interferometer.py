@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from artifact.interferometer import (
     FringeKind,
     IdealPulses,
     SequencePulses,
+    check_sampling,
     coherence_time,
     contrast_curve,
     echo_pd,
@@ -18,7 +21,12 @@ from artifact.interferometer import (
     phase_scan_contrast,
     ramsey_pd,
 )
-from artifact.dynamics import band_eig, default_band_pair
+from artifact.dynamics import (
+    band_eig,
+    bloch_state,
+    default_band_pair,
+    sequence_operator,
+)
 from artifact.lattice import fringe_period_us, sd_gap
 from artifact.sequences import REFERENCE_PI, REFERENCE_PI2
 from artifact.shortcut import (
@@ -63,6 +71,13 @@ class TestEnsembleSpec:
     def test_from_width_reading_validated(self):
         with pytest.raises(ValueError):
             EnsembleSpec.from_width(0.5, reading="hwhm")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_width_rejected(self, value):
+        with pytest.raises(ValueError, match="sigma_q must be finite"):
+            EnsembleSpec(sigma_q=value)
+        with pytest.raises(ValueError, match="width_schedule must be finite"):
+            EnsembleSpec(sigma_q=0.3, width_schedule=((0.0, 0.3), (100.0, value)))
 
     def test_width_schedule_times_must_ascend(self):
         with pytest.raises(ValueError):
@@ -130,6 +145,50 @@ class TestIdealOperators:
         u2 = ideal_pulse_operator("pi2", np.zeros(2), spec, basis)
         upi = ideal_pulse_operator("pi", np.zeros(2), spec, basis)
         assert np.allclose(u2 @ u2, upi, atol=1e-10)
+
+
+def _dense_ideal(kind, s, d):
+    """Ideal pulse as an explicit 121x121 sum: identity, projector, swap."""
+    theta = {"pi2": math.pi / 4.0, "pi": math.pi / 2.0}[kind]
+    proj = np.outer(s, s.conj()) + np.outer(d, d.conj())
+    swap = np.outer(d, s.conj()) - np.outer(s, d.conj())
+    return np.eye(len(s)) + (math.cos(theta) - 1.0) * proj + math.sin(theta) * swap
+
+
+class TestDenseOracles:
+    """The S/D-frame operators against their dense 121x121 formulas."""
+
+    Q = np.array([0.21, -0.08])
+
+    def _frame(self, spec, basis):
+        s_idx, d_idx = default_band_pair(spec.geometry)
+        return (
+            bloch_state(s_idx, self.Q, spec, basis).amplitudes,
+            bloch_state(d_idx, self.Q, spec, basis).amplitudes,
+        )
+
+    @pytest.mark.parametrize("kind", ["pi2", "pi"])
+    def test_ideal(self, spec, basis, kind):
+        s, d = self._frame(spec, basis)
+        u = ideal_pulse_operator(kind, self.Q, spec, basis)
+        assert np.max(np.abs(u - _dense_ideal(kind, s, d))) < 1e-13
+
+    @pytest.mark.parametrize(
+        "seq, kind",
+        [(REFERENCE_PI2, ObjectiveKind.HALF_PI), (REFERENCE_PI, ObjectiveKind.PI)],
+    )
+    def test_locked(self, spec, basis, seq, kind):
+        s, d = self._frame(spec, basis)
+        r = sequence_operator(seq, self.Q, spec, basis)
+        frame = np.stack([s, d], axis=1)
+        _, a, b = aligned_fidelity_block(
+            frame.conj().T @ r @ frame, ROTATION_BLOCKS[kind]
+        )
+        dd = np.outer(d, d.conj())
+        za = np.eye(basis.size) + (np.exp(1j * a) - 1.0) * dd
+        zb = np.eye(basis.size) + (np.exp(1j * b) - 1.0) * dd
+        u = locked_sequence_operator(seq, kind, self.Q, spec, basis)
+        assert np.max(np.abs(u - zb @ r @ za)) < 1e-13
 
 
 class TestLockedOperator:
@@ -308,6 +367,14 @@ class TestContrastCurve:
         p = np.full_like(t, 0.5)
         with pytest.raises(ValueError):
             contrast_curve(FringeCurve(times=t, p_d=p), period)
+
+    def test_eight_samples_per_window_accepted(self, period):
+        t = np.arange(0.0, 10 * period, period / 8)
+        p = 0.5 + 0.5 * np.cos(2 * np.pi * t / period)
+        check_sampling(period / 8, period)
+        assert len(contrast_curve(FringeCurve(times=t, p_d=p), period).times) >= 9
+        with pytest.raises(ValueError, match="dt"):
+            check_sampling(period / 7.9, period)
 
     def test_sampling_validated(self, period):
         t = np.arange(0.0, 10 * period, period / 3)

@@ -57,6 +57,12 @@ class TestConstants:
         with pytest.raises(ValueError):
             LatticeSpec(atom_mass=-1e-25)
 
+    @pytest.mark.parametrize("name", ["wavelength", "depth", "atom_mass"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_spec_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LatticeSpec(**{name: value})
+
 
 class TestBeamsAndReciprocal:
     def test_three_beams_sum_to_zero(self, spec):
@@ -141,7 +147,32 @@ class TestPotential:
         assert coefs[(-1, 0)] == pytest.approx(-spec_1d.depth / 4.0)
 
 
+def _loop_hamiltonian(basis, spec, q):
+    """Reference assembly: kinetic diagonal plus one coupling per site and
+    Fourier offset, found by a site lookup."""
+    h = np.diag(np.sum((basis.g_vectors + q) ** 2, axis=1))
+    for offset, coef in potential_fourier(spec).items():
+        if offset == (0, 0):
+            h[np.arange(basis.size), np.arange(basis.size)] += coef
+            continue
+        for i, (n1, n2) in enumerate(basis.sites):
+            j = basis.index.get((n1 + offset[0], n2 + offset[1]))
+            if j is not None:
+                h[j, i] += coef
+    return h
+
+
 class TestHamiltonian:
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    @pytest.mark.parametrize("q", [(0.0, 0.0), (0.3, -0.11)])
+    def test_coupling_table_equals_site_loop(self, geometry, q):
+        spec = LatticeSpec(geometry=geometry)
+        b = build_basis(spec, 5)
+        q = np.array(q)
+        assert np.array_equal(
+            hamiltonian_on(b, spec, q).matrix, _loop_hamiltonian(b, spec, q)
+        )
+
     def test_hermitian(self, spec, basis):
         h = hamiltonian_on(basis, spec, np.array([0.13, -0.29]))
         assert np.allclose(h.matrix, h.matrix.conj().T, atol=1e-12)
@@ -172,6 +203,14 @@ class TestHamiltonian:
         assert rel[3] == pytest.approx(5.5535, abs=2e-4)
         assert rel[4] == pytest.approx(6.6591, abs=2e-4)
         assert rel[5] == pytest.approx(6.6591, abs=2e-4)
+
+    @pytest.mark.parametrize("q", [(0.0, 0.0), (0.3, -0.11)])
+    def test_hex_sub_basis_is_principal_submatrix(self, spec, basis, hex_basis, q):
+        ids = [basis.site_index(s) for s in hex_basis.sites]
+        full = hamiltonian_on(basis, spec, np.array(q)).matrix
+        sub = hamiltonian_on(hex_basis, spec, np.array(q)).matrix
+        assert hex_basis.size == 91
+        assert np.array_equal(sub, full[np.ix_(ids, ids)])
 
     def test_sixfold_rotation_symmetry(self, spec, basis):
         # The rotation (n1, n2) -> (-n2, n1 - n2) permutes reciprocal sites.
@@ -230,6 +269,10 @@ class TestGapAndCalibration:
     def test_calibration_recovers_shipped_coefficient(self):
         c = calibrate_fourier_coefficient()
         assert c == pytest.approx(TRIANGULAR_FOURIER_COEF, abs=1e-6)
+
+    def test_calibration_needs_triangular_geometry(self, spec_1d):
+        with pytest.raises(GeometryMismatchError):
+            calibrate_fourier_coefficient(spec=spec_1d)
 
 
 class TestFoldToBz:

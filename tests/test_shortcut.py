@@ -196,6 +196,15 @@ class TestOptimize:
         with pytest.raises(ValueError):
             OptimizerOptions(fd_step=0.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("fd_step", float("nan")), ("learning_rate", float("inf")),
+         ("convergence_tol", float("nan")), ("on_range", (0.0, float("nan")))],
+    )
+    def test_non_finite_options_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            OptimizerOptions(**{name: value})
+
 
 class TestVariableAmplitude:
     def test_pinned_box_equals_fixed_depth(self, objectives, spec):

@@ -64,6 +64,7 @@ from .interferometer import (
     IdealPulses,
     SequencePulses,
     check_sampling,
+    check_span,
     coherence_time,
     contrast_curve,
     ensemble_fringe,
@@ -104,6 +105,23 @@ class ValidationError(ValueError):
     """Bad config, arguments, or input files."""
 
 
+def _integer(value) -> int:
+    """An integral number or integer string; refuses booleans and fractions
+    instead of truncating them."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _convert(key: str, convert, value):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad config value for {key}: {exc}") from exc
+
+
 #: Config schema: (section, key, converter); section ``None`` is the top
 #: level.  Each key loads into the :class:`RunConfig` field of the same name.
 _CONFIG_KEYS = (
@@ -111,23 +129,23 @@ _CONFIG_KEYS = (
     ("lattice", "wavelength_nm", float),
     ("lattice", "depth_Er", float),
     ("lattice", "atom_mass_kg", float),
-    ("basis", "shell_radius", int),
+    ("basis", "shell_radius", _integer),
     ("ensemble", "distribution", str),
     ("ensemble", "delta_q_hk", float),
     ("ensemble", "width_reading", str),
-    ("ensemble", "quadrature", int),
+    ("ensemble", "quadrature", _integer),
     ("ensemble", "width_schedule", list),
     (None, "optimizer", dict),
-    (None, "rng_seed", int),
+    (None, "rng_seed", _integer),
 )
 
 #: ``optimizer`` section: key -> (OptimizerOptions field, converter).
 _OPTIMIZER_KEYS = {
-    "max_iters": ("max_iters", int),
+    "max_iters": ("max_iters", _integer),
     "fd_step_us": ("fd_step", float),
     "learning_rate": ("learning_rate", float),
     "grid_quantum_us": ("grid_quantum", float),
-    "restarts": ("restarts", int),
+    "restarts": ("restarts", _integer),
     "convergence_tol": ("convergence_tol", float),
     "on_max_us": ("on_range", lambda v: (0.0, float(v))),
     "off_max_us": ("off_range", lambda v: (0.0, float(v))),
@@ -191,10 +209,7 @@ class RunConfig:
         for section, key, convert in _CONFIG_KEYS:
             values = data if section is None else data.get(section, {})
             if key in values:
-                try:
-                    setattr(cfg, key, convert(values[key]))
-                except (TypeError, ValueError) as exc:
-                    raise ValidationError(f"bad config value for {key}: {exc}") from exc
+                setattr(cfg, key, _convert(key, convert, values[key]))
         for key, value in (overrides or {}).items():
             if value is not None:
                 setattr(cfg, key, value)
@@ -236,15 +251,13 @@ class RunConfig:
             raise ValidationError(str(exc)) from exc
 
     def optimizer_options(self) -> OptimizerOptions:
+        fields = {
+            name: _convert(key, convert, self.optimizer[key])
+            for key, (name, convert) in _OPTIMIZER_KEYS.items()
+            if key in self.optimizer
+        }
         try:
-            return OptimizerOptions(
-                rng_seed=self.rng_seed,
-                **{
-                    name: convert(self.optimizer[key])
-                    for key, (name, convert) in _OPTIMIZER_KEYS.items()
-                    if key in self.optimizer
-                },
-            )
+            return OptimizerOptions(rng_seed=self.rng_seed, **fields)
         except (TypeError, ValueError) as exc:
             raise ValidationError(str(exc)) from exc
 
@@ -466,6 +479,7 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
     kind = ObjectiveKind(args.kind)
     default_threshold = 0.93 if kind is ObjectiveKind.PI else 0.98
     threshold = args.threshold if args.threshold is not None else default_threshold
+    opts = cfg.optimizer_options()
     writer = RunWriter(
         "design",
         out_dir,
@@ -480,7 +494,6 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
     if args.config:
         writer.note_input(args.config)
     _note_derived(writer, spec, basis)
-    opts = cfg.optimizer_options()
     result = design_sequence(
         kind,
         args.steps,
@@ -554,7 +567,9 @@ def _fringe_times(args, window: float) -> np.ndarray:
         if not (math.isfinite(value) and value > 0):
             raise ValidationError(f"--{name} must be positive and finite, got {value}")
     check_sampling(args.dt, window)
-    return np.arange(0.0, args.t_max, args.dt)
+    times = np.arange(0.0, args.t_max, args.dt)
+    check_span(times, window)
+    return times
 
 
 def _finish_coherence(

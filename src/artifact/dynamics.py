@@ -14,6 +14,7 @@ first within each step.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,8 +162,14 @@ def solve_bands(h: Hamiltonian) -> BandSolution:
     )
 
 
+#: Eigen-cache, least recently used entry first.  An entry of the default
+#: 121-wave basis holds a 121x121 complex matrix (about 234 KB).  A q needs
+#: one depth (six for a variable-depth pi), so 32 entries (about 7.5 MB) hold
+#: the working set of up to four pool threads.  It is a per-q memo: an
+#: ensemble grid cycles through it, and nothing is kept for the next call.
 _EIG_CACHE: dict = {}
-_EIG_CACHE_MAX = 256
+_EIG_CACHE_MAX = 32
+_EIG_LOCK = threading.Lock()
 
 
 def band_eig(
@@ -175,20 +182,25 @@ def band_eig(
 
     Pure accessor: results depend only on the arguments; the cache only
     avoids repeated eigensolves in quasi-momentum/duration scans.  Its key
-    is what enters H in E_r units: geometry, site set, q and depth.
+    is what enters H in E_r units: geometry, site set, q and depth.  Safe
+    to call from several threads; the eigensolve runs outside the lock.
     """
     d = spec.depth if depth is None else depth
     q = np.asarray(q, dtype=float)
     key = (spec.geometry, basis.site_key)
     key += tuple(round(float(x), 12) for x in (q[0], q[1], d))
-    hit = _EIG_CACHE.get(key)
-    if hit is not None:
-        return hit
+    with _EIG_LOCK:
+        hit = _EIG_CACHE.pop(key, None)
+        if hit is not None:
+            _EIG_CACHE[key] = hit
+            return hit
     sol = solve_bands(hamiltonian_on(basis, spec, q, d))
-    if len(_EIG_CACHE) >= _EIG_CACHE_MAX:
-        _EIG_CACHE.clear()
-    _EIG_CACHE[key] = (sol.energies, sol.states)
-    return _EIG_CACHE[key]
+    entry = (sol.energies, sol.states)
+    with _EIG_LOCK:
+        _EIG_CACHE[key] = entry
+        while len(_EIG_CACHE) > _EIG_CACHE_MAX:
+            del _EIG_CACHE[next(iter(_EIG_CACHE))]
+    return entry
 
 
 def bloch_state(

@@ -247,11 +247,13 @@ def _fringe_kernel(
     spec: LatticeSpec,
     basis: PlaneWaveBasis,
     n_echo: int,
-):
-    """Per-quasi-momentum fringe and phase-scan components.
+    phase_scan: bool = False,
+) -> tuple[np.ndarray, ...]:
+    """Per-quasi-momentum fringe or phase-scan components over times.
 
-    Returns (p_d, num, den) arrays over times: p_d is the D-band population;
-    the analysis-phase-scan contrast at this q is 2|num|/den.
+    Returns ``(p_d,)``, the D-band population, or with ``phase_scan``
+    ``(num, den)``, from which the analysis-phase-scan contrast at this q is
+    2|num|/den.  Only the requested components are computed.
     """
     w = angular_frequency_per_Er(spec)
     energies, states = band_eig(q, spec, basis)
@@ -259,8 +261,6 @@ def _fringe_kernel(
     r_half = _pulse_operator(pulses, ObjectiveKind.HALF_PI, q, spec, basis)
     psi1 = states.conj().T @ (r_half @ s)
     wvec = (states.conj().T @ (r_half.conj().T @ d)).conj()
-    rdd = complex(np.vdot(d, r_half @ d))
-    d_band = states.conj().T @ d  # D state in the band basis
 
     if kind is FringeKind.RAMSEY:
         chi = np.exp(-1j * np.outer(energies, w * times)) * psi1[:, None]
@@ -280,11 +280,14 @@ def _fringe_kernel(
         chi = ph_tau * chi
 
     amp = wvec @ chi
+    if not phase_scan:
+        return (np.abs(amp) ** 2,)
+    rdd = complex(np.vdot(d, r_half @ d))
+    d_band = states.conj().T @ d  # D state in the band basis
     b = (d_band.conj() @ chi) * rdd
-    p_d = np.abs(amp) ** 2
     num = np.conj(amp - b) * b
     den = np.abs(amp - b) ** 2 + np.abs(b) ** 2
-    return p_d, num, den
+    return num, den
 
 
 def _as_pulse_model(pulses, pi: PulseSequence | None = None) -> PulseModel:
@@ -298,7 +301,7 @@ def _as_pulse_model(pulses, pi: PulseSequence | None = None) -> PulseModel:
 def _single_q_pd(kind, model, t_hold, q, spec, basis, n_echo) -> float:
     if t_hold < 0:
         raise ValueError("t_hold must be >= 0")
-    p, _, _ = _fringe_kernel(kind, model, np.array([t_hold]), q, spec, basis, n_echo)
+    (p,) = _fringe_kernel(kind, model, np.array([t_hold]), q, spec, basis, n_echo)
     return float(p[0])
 
 
@@ -351,32 +354,10 @@ def _weights_for_sigma(xs: np.ndarray, ys: np.ndarray, sigma: float) -> np.ndarr
     return np.outer(wx, wy).ravel()
 
 
-def _ensemble_components(
-    kind: FringeKind,
-    pulses,
-    times: np.ndarray,
-    ens: EnsembleSpec,
-    spec: LatticeSpec,
-    basis: PlaneWaveBasis,
-    n_echo: int,
-    threads: int,
-):
-    """Per-q kernel results plus the (possibly time-dependent) weights."""
-    pulses = _as_pulse_model(pulses)
-    xs, ys = _grid_axes(ens, spec.geometry)
-    qs = [np.array([qx, qy]) for qx in xs for qy in ys]
-
-    def work(q):
-        return _fringe_kernel(kind, pulses, times, q, spec, basis, n_echo)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, qs))
-    else:
-        results = [work(q) for q in qs]
-
-    p_d, num, den = (np.array(part) for part in zip(*results))
-
+def _quadrature_weights(
+    xs: np.ndarray, ys: np.ndarray, ens: EnsembleSpec, times: np.ndarray
+) -> np.ndarray:
+    """Normalised weights, (nq, 1), or (nq, T) under a width schedule."""
     if ens.width_schedule:
         ts = np.array([p[0] for p in ens.width_schedule], dtype=float)
         ss = np.array([p[1] for p in ens.width_schedule], dtype=float)
@@ -385,8 +366,54 @@ def _ensemble_components(
         weights = np.stack(columns, axis=1)
     else:
         weights = _weights_for_sigma(xs, ys, ens.sigma_q)[:, None]
-    weights = weights / np.sum(weights, axis=0, keepdims=True)
-    return p_d, num, den, weights
+    return weights / np.sum(weights, axis=0, keepdims=True)
+
+
+def _weighted_sum(weights: np.ndarray, results) -> list[np.ndarray]:
+    """Fold each q's weighted components into running sums, in grid order.
+
+    Adding row after row is what an axis-0 ``np.sum`` of the stacked
+    (nq, T) products does, so the sums are the same to the bit while only
+    O(T) accumulators are held.
+    """
+    sums = None
+    for w, parts in zip(weights, results):
+        if sums is None:
+            sums = [w * part for part in parts]
+        else:
+            for acc, part in zip(sums, parts):
+                acc += w * part
+    return sums
+
+
+def _ensemble_sums(
+    kind: FringeKind,
+    pulses,
+    times: np.ndarray,
+    ens: EnsembleSpec,
+    spec: LatticeSpec,
+    basis: PlaneWaveBasis,
+    n_echo: int,
+    threads: int,
+    phase_scan: bool,
+) -> list[np.ndarray]:
+    """Quadrature sums of the per-q kernel components over the ensemble.
+
+    Results are consumed as they arrive, in grid order for every thread
+    count, so memory holds the work of the q in flight, not of the grid.
+    """
+    pulses = _as_pulse_model(pulses)
+    xs, ys = _grid_axes(ens, spec.geometry)
+    qs = [np.array([qx, qy]) for qx in xs for qy in ys]
+    weights = _quadrature_weights(xs, ys, ens, times)
+
+    def work(q):
+        return _fringe_kernel(kind, pulses, times, q, spec, basis, n_echo, phase_scan)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return _weighted_sum(weights, pool.map(work, qs))
+    return _weighted_sum(weights, map(work, qs))
 
 
 def ensemble_fringe(
@@ -402,16 +429,16 @@ def ensemble_fringe(
     """Quasi-momentum-ensemble-averaged fringe P_D(t).
 
     Pulse operators are recomputed at every grid point (quasi-momentum is
-    conserved by the lattice pulses).  The quadrature sum runs in fixed grid
-    order regardless of ``threads``, so results are bit-stable across thread
-    counts.
+    conserved by the lattice pulses).  The quadrature sum is streamed: each
+    q's weighted P_D is added as it arrives, in fixed grid order regardless
+    of ``threads``, so results are bit-stable across thread counts and
+    memory does not grow with the grid.
     """
     kind = FringeKind(kind)
     times = np.asarray(times, dtype=float)
-    p_d, _, _, weights = _ensemble_components(
-        kind, pulses, times, ens, spec, basis, n_echo, threads
+    (avg,) = _ensemble_sums(
+        kind, pulses, times, ens, spec, basis, n_echo, threads, phase_scan=False
     )
-    avg = np.sum(weights * p_d, axis=0)
     meta = {
         "kind": kind.value,
         "n_echo": n_echo if kind is FringeKind.ECHO else 0,
@@ -442,11 +469,10 @@ def phase_scan_contrast(
     """
     kind = FringeKind(kind)
     times = np.asarray(times, dtype=float)
-    _, num, den, weights = _ensemble_components(
-        kind, pulses, times, ens, spec, basis, n_echo, threads
+    num, bottom = _ensemble_sums(
+        kind, pulses, times, ens, spec, basis, n_echo, threads, phase_scan=True
     )
-    top = 2.0 * np.abs(np.sum(weights * num, axis=0))
-    bottom = np.sum(weights * den, axis=0)
+    top = 2.0 * np.abs(num)
     contrast = np.where(bottom > 0, top / np.maximum(bottom, 1e-300), 0.0)
     return ContrastCurve(times=times, contrast=np.clip(contrast, 0.0, 1.0))
 
@@ -464,15 +490,19 @@ def check_sampling(dt: float, window: float) -> None:
         )
 
 
+def check_span(times: np.ndarray, window: float) -> None:
+    """Require the hold times to span at least two contrast windows."""
+    if times[-1] - times[0] < 2.0 * window:
+        raise ValueError("fringe must span at least two periods")
+
+
 def contrast_curve(fringe: FringeCurve, period: float) -> ContrastCurve:
     """Per-period fringe contrast (max-min)/(max+min) in period windows."""
     t = fringe.times
     p = fringe.p_d
     if period <= 0:
         raise ValueError("period must be positive")
-    span = t[-1] - t[0]
-    if span < 2.0 * period:
-        raise ValueError("fringe must span at least two periods")
+    check_span(t, period)
     check_sampling(float(np.median(np.diff(t))), period)
     centers, values = [], []
     t0 = t[0]

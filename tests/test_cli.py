@@ -133,6 +133,37 @@ class TestConfig:
         assert "depth_Er" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("basis:\n  shell_radius: 2.9\n", "shell_radius"),
+            ("basis:\n  shell_radius: true\n", "shell_radius"),
+            ("ensemble:\n  quadrature: 21.5\n", "quadrature"),
+            ("rng_seed: 3.7\n", "rng_seed"),
+            ("rng_seed: .inf\n", "rng_seed"),
+            ("optimizer:\n  max_iters: 20.5\n", "max_iters"),
+            ("optimizer:\n  restarts: false\n", "restarts"),
+        ],
+    )
+    def test_non_integral_value_exits_2(self, tmp_path, capsys, text, key):
+        p = tmp_path / "c.yaml"
+        p.write_text(text)
+        code = main(["design", "--kind", "pi2", "--config", str(p),
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_VALIDATION
+        assert f"bad config value for {key}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_integral_values_load_unchanged(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        p.write_text("basis:\n  shell_radius: 3.0\nensemble:\n  quadrature: '9'\n"
+                     "rng_seed: 4\noptimizer:\n  max_iters: 7.0\n")
+        cfg = RunConfig.load(str(p))
+        assert (cfg.shell_radius, cfg.quadrature, cfg.rng_seed) == (3, 9, 4)
+        assert type(cfg.shell_radius) is int
+        assert cfg.optimizer_options().max_iters == 7
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -292,6 +323,20 @@ class TestFringeCommands:
         code = main(args + ["--dt", "11.2", "--out", str(tmp_path / "b")])
         assert code == EXIT_VALIDATION
         assert "dt" in capsys.readouterr().err
+
+    def test_short_span_exits_before_the_ensemble(self, tmp_path, capsys, monkeypatch):
+        from artifact import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("ensemble computed for a refused time grid")
+
+        monkeypatch.setattr(cli, "ensemble_fringe", never)
+        out = tmp_path / "x"
+        code = main(["ramsey", "--pi2", "reference:pi2", "--t-max", "150",
+                     "--dt", "8", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "two periods" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -1,8 +1,11 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from artifact import dynamics
 from artifact.dynamics import (
     PulseSequence,
     PulseStep,
@@ -84,6 +87,50 @@ class TestSolveBands:
         assert full.shape == (121, 121)
         assert energies.shape == (91,)
         assert states.shape == (91, 91)
+
+
+class TestEigenCache:
+    @pytest.fixture
+    def small_cache(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_EIG_CACHE", {})
+        monkeypatch.setattr(dynamics, "_EIG_CACHE_MAX", 2)
+
+    def test_threads_never_lose_an_entry(self, spec, small_cache):
+        basis = build_basis(spec, shell_radius=1)
+        qs = [np.array([0.01 * i, -0.007 * i]) for i in range(50)]
+
+        def solve(q):
+            energies, states = band_eig(q, spec, basis)
+            return energies.shape, states.shape
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to hit the race
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                shapes = list(pool.map(solve, qs * 40))
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(shapes) == {((9,), (9, 9))}
+        assert len(dynamics._EIG_CACHE) <= dynamics._EIG_CACHE_MAX
+
+    def test_least_recently_used_is_evicted(self, spec, small_cache, monkeypatch):
+        basis = build_basis(spec, shell_radius=2)
+        solved = []
+        solve = dynamics.solve_bands
+
+        def counting_solve(h):
+            solved.append(tuple(h.quasimomentum))
+            return solve(h)
+
+        monkeypatch.setattr(dynamics, "solve_bands", counting_solve)
+        old, recent, new = (np.array([x, 0.0]) for x in (0.1, 0.2, 0.3))
+        for q in (old, recent, old, new):  # the second `old` refreshes it
+            band_eig(q, spec, basis)
+        assert solved == [(0.1, 0.0), (0.2, 0.0), (0.3, 0.0)]
+        band_eig(old, spec, basis)  # still cached
+        band_eig(recent, spec, basis)  # evicted
+        assert solved[3:] == [(0.2, 0.0)]
+        assert len(dynamics._EIG_CACHE) == 2
 
 
 class TestBlochState:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from artifact.interferometer import (
+    _fringe_kernel,
     ContrastCurve,
     EnsembleSpec,
     FringeCurve,
@@ -11,6 +13,7 @@ from artifact.interferometer import (
     IdealPulses,
     SequencePulses,
     check_sampling,
+    check_span,
     coherence_time,
     contrast_curve,
     echo_pd,
@@ -27,7 +30,7 @@ from artifact.dynamics import (
     default_band_pair,
     sequence_operator,
 )
-from artifact.lattice import fringe_period_us, sd_gap
+from artifact.lattice import build_basis, fringe_period_us, sd_gap
 from artifact.sequences import REFERENCE_PI, REFERENCE_PI2
 from artifact.shortcut import (
     ObjectiveKind,
@@ -312,6 +315,66 @@ class TestEnsembleFringe:
         assert np.allclose(a, b, atol=1e-12)
 
 
+class TestStreamedSum:
+    """The streamed quadrature sum against a dense (nq, T) oracle."""
+
+    @staticmethod
+    def _dense_sums(kind, model, times, ens, spec, basis, phase_scan):
+        xs = np.linspace(-3 * ens.sigma_q, 3 * ens.sigma_q, ens.quadrature)
+        sigmas = [ens.sigma_q] * len(times)
+        if ens.width_schedule:
+            ts, ss = (np.array(col, dtype=float) for col in zip(*ens.width_schedule))
+            sigmas = np.interp(times, ts, ss)
+        columns = []
+        for sigma in sigmas:
+            wx = np.exp(-(xs**2) / (2.0 * float(sigma) ** 2))
+            columns.append(np.outer(wx, wx).ravel())
+        weights = np.stack(columns, axis=1)
+        if not ens.width_schedule:
+            weights = weights[:, :1]
+        weights = weights / np.sum(weights, axis=0, keepdims=True)
+        parts = [
+            _fringe_kernel(kind, model, times, np.array([qx, qy]), spec, basis, 2,
+                           phase_scan)
+            for qx in xs
+            for qy in xs
+        ]
+        return [np.sum(weights * np.array(col), axis=0) for col in zip(*parts)]
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("kind", [FringeKind.RAMSEY, FringeKind.ECHO])
+    @pytest.mark.parametrize("scheduled", [False, True])
+    def test_equals_dense_oracle(self, spec, kind, threads, scheduled):
+        basis = build_basis(spec, shell_radius=2)
+        model = SequencePulses(pi2=REFERENCE_PI2, pi=REFERENCE_PI)
+        times = np.linspace(0.0, 900.0, 13)
+        schedule = ((0.0, 0.2), (500.0, 0.35), (800.0, 0.3)) if scheduled else ()
+        ens = EnsembleSpec(sigma_q=0.25, quadrature=5, width_schedule=schedule)
+        args = (kind, model, times, ens, spec, basis)
+        (p_d,) = self._dense_sums(*args, phase_scan=False)
+        num, den = self._dense_sums(*args, phase_scan=True)
+        contrast = np.clip(np.where(den > 0, 2.0 * np.abs(num) / den, 0.0), 0.0, 1.0)
+        fringe = ensemble_fringe(*args, threads=threads)
+        scan = phase_scan_contrast(*args, threads=threads)
+        assert np.array_equal(fringe.p_d, p_d)
+        assert np.array_equal(scan.contrast, contrast)
+
+    def test_memory_does_not_grow_with_the_grid(self, spec):
+        basis = build_basis(spec, shell_radius=2)
+        times = np.arange(2000) * 4.0
+        ens = EnsembleSpec(sigma_q=0.3, quadrature=21)
+        nq = ens.quadrature**2
+        ensemble_fringe(FringeKind.RAMSEY, IdealPulses(), times[:3], ens, spec, basis)
+        tracemalloc.start()
+        try:
+            ensemble_fringe(FringeKind.RAMSEY, IdealPulses(), times, ens, spec, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Holding every q's P_D, as a stacked (nq, T) array, needs more.
+        assert peak < nq * len(times) * 8
+
+
 class TestPhaseScan:
     def test_ideal_ramsey_equals_dephasing_factor(self, spec, basis):
         # For ideal pulses the phase-scan contrast must equal the modulus of
@@ -367,6 +430,11 @@ class TestContrastCurve:
         p = np.full_like(t, 0.5)
         with pytest.raises(ValueError):
             contrast_curve(FringeCurve(times=t, p_d=p), period)
+
+    def test_span_rule_is_shared(self, period):
+        check_span(np.array([0.0, 2 * period]), period)
+        with pytest.raises(ValueError, match="two periods"):
+            check_span(np.array([0.0, 1.99 * period]), period)
 
     def test_eight_samples_per_window_accepted(self, period):
         t = np.arange(0.0, 10 * period, period / 8)

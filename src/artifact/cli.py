@@ -561,11 +561,17 @@ def cmd_eval(cfg: RunConfig, args, out_dir: Path) -> int:
     return EXIT_OK
 
 
+def _require_positive(name: str, value: float | None) -> None:
+    """Refuse a given ``--name`` value that is not positive and finite."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"--{name} must be positive and finite, got {value}")
+
+
 def _fringe_times(args, window: float) -> np.ndarray:
-    checks = (("dt", args.dt), ("t-max", args.t_max), ("contrast-window", window))
-    for name, value in checks:
-        if not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"--{name} must be positive and finite, got {value}")
+    _require_positive("dt", args.dt)
+    _require_positive("t-max", args.t_max)
+    _require_positive("period", args.period)
+    _require_positive("contrast-window", args.contrast_window)
     check_sampling(args.dt, window)
     times = np.arange(0.0, args.t_max, args.dt)
     check_span(times, window)
@@ -684,15 +690,15 @@ def cmd_coherence(cfg: RunConfig, args, out_dir: Path) -> int:
             p_d.append(float(v))
     if len(times) < 3:
         raise ValidationError("fringe CSV holds fewer than 3 samples")
+    _require_positive("period", args.period)
     fringe = FringeCurve(times=np.array(times), p_d=np.array(p_d))
+    contrast = contrast_curve(fringe, args.period)
+    coh = coherence_time(contrast)
     writer = RunWriter(
         "coherence", out_dir, cfg, {"fringe": args.fringe, "period": args.period}
     )
     writer.note_input(args.fringe)
-    contrast = contrast_curve(fringe, args.period)
-    _finish_coherence(
-        writer, contrast, coherence_time(contrast), args.period, "coherence: "
-    )
+    _finish_coherence(writer, contrast, coh, args.period, "coherence: ")
     return EXIT_OK
 
 

@@ -139,6 +139,8 @@ class FringeCurve:
     def __post_init__(self) -> None:
         if len(self.times) != len(self.p_d):
             raise ValueError("times and p_d lengths differ")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.p_d))):
+            raise ValueError("times and p_d must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly ascending")
 
@@ -153,6 +155,8 @@ class ContrastCurve:
     def __post_init__(self) -> None:
         if len(self.times) != len(self.contrast):
             raise ValueError("times and contrast lengths differ")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.contrast))):
+            raise ValueError("times and contrast must be finite")
         if np.any(self.contrast < -1e-9) or np.any(self.contrast > 1 + 1e-9):
             raise ValueError("contrast must lie in [0, 1]")
 
@@ -345,34 +349,51 @@ def _grid_axes(ens: EnsembleSpec, geometry: Geometry):
     return x, x
 
 
-def _weights_for_sigma(xs: np.ndarray, ys: np.ndarray, sigma: float) -> np.ndarray:
-    """Unnormalized Gaussian weights on the tensor grid, flattened."""
-    if sigma == 0:
-        return np.ones(len(xs) * len(ys))
-    wx = np.exp(-(xs**2) / (2.0 * sigma**2))
-    wy = np.exp(-(ys**2) / (2.0 * sigma**2)) if len(ys) > 1 else np.ones(len(ys))
-    return np.outer(wx, wy).ravel()
+def _axis_weights(axis: np.ndarray, sigma: float) -> np.ndarray:
+    """Unnormalized Gaussian weights along one grid axis; a one-point axis
+    (the y axis of the 1D geometry) and sigma = 0 weigh 1."""
+    if sigma == 0 or len(axis) == 1:
+        return np.ones(len(axis))
+    return np.exp(-(axis**2) / (2.0 * sigma**2))
 
 
 def _quadrature_weights(
     xs: np.ndarray, ys: np.ndarray, ens: EnsembleSpec, times: np.ndarray
-) -> np.ndarray:
-    """Normalised weights, (nq, 1), or (nq, T) under a width schedule."""
+):
+    """Normalised weights, one row per q in grid order.
+
+    With one width (no schedule, or a single hold time) the rows are one
+    (nq, 1) array.  Under a schedule each q's T-long row is formed when it is
+    needed from (T, n) tables of per-axis weights, and the normaliser adds
+    the rows in grid order, as an axis-0 sum of the stacked (nq, T) array
+    does; so memory stays O(T n) and the weights are the same to the bit.
+    """
+    sigmas = [ens.sigma_q]
     if ens.width_schedule:
         ts = np.array([p[0] for p in ens.width_schedule], dtype=float)
         ss = np.array([p[1] for p in ens.width_schedule], dtype=float)
-        sig_t = np.interp(times, ts, ss)
-        columns = [_weights_for_sigma(xs, ys, float(sg)) for sg in sig_t]
-        weights = np.stack(columns, axis=1)
-    else:
-        weights = _weights_for_sigma(xs, ys, ens.sigma_q)[:, None]
-    return weights / np.sum(weights, axis=0, keepdims=True)
+        sigmas = [float(sg) for sg in np.interp(times, ts, ss)]
+    if len(sigmas) == 1:
+        weights = np.outer(_axis_weights(xs, sigmas[0]), _axis_weights(ys, sigmas[0]))
+        weights = weights.reshape(-1, 1)
+        return weights / np.sum(weights, axis=0, keepdims=True)
+    wx = np.array([_axis_weights(xs, sg) for sg in sigmas])
+    wy = np.array([_axis_weights(ys, sg) for sg in sigmas])
+
+    def rows():
+        return (wx[:, i] * wy[:, j] for i in range(len(xs)) for j in range(len(ys)))
+
+    norm = None
+    for row in rows():
+        norm = row if norm is None else norm + row
+    return (row / norm for row in rows())
 
 
-def _weighted_sum(weights: np.ndarray, results) -> list[np.ndarray]:
+def _weighted_sum(weights, results) -> list[np.ndarray]:
     """Fold each q's weighted components into running sums, in grid order.
 
-    Adding row after row is what an axis-0 ``np.sum`` of the stacked
+    ``weights`` yields one row per q, as :func:`_quadrature_weights` returns
+    them.  Adding row after row is what an axis-0 ``np.sum`` of the stacked
     (nq, T) products does, so the sums are the same to the bit while only
     O(T) accumulators are held.
     """
@@ -500,8 +521,8 @@ def contrast_curve(fringe: FringeCurve, period: float) -> ContrastCurve:
     """Per-period fringe contrast (max-min)/(max+min) in period windows."""
     t = fringe.times
     p = fringe.p_d
-    if period <= 0:
-        raise ValueError("period must be positive")
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be positive and finite, got {period}")
     check_span(t, period)
     check_sampling(float(np.median(np.diff(t))), period)
     centers, values = [], []
@@ -522,8 +543,9 @@ def coherence_time(curve: ContrastCurve) -> CoherenceResult:
 
     The crossing is the first time the contrast falls through 1/e, linearly
     interpolated between curve samples; None when the curve never crosses
-    from above.  The fit is least-squares A exp(-t/tau) over the full curve,
-    seeded by log-linear regression; a non-decaying curve reports tau = inf.
+    from above.  The fit is least-squares A exp(-t/tau) over the full curve
+    (:func:`_fit_decay`), seeded by log-linear regression, and reports the
+    seed when it does not converge; a non-decaying curve reports tau = inf.
     """
     t = np.asarray(curve.times, dtype=float)
     c = np.asarray(curve.contrast, dtype=float)
@@ -546,14 +568,56 @@ def coherence_time(curve: ContrastCurve) -> CoherenceResult:
             fit_tau_us=math.inf,
             fit_amplitude=float(np.mean(c)),
         )
-    from scipy.optimize import curve_fit
-
-    p0 = [float(min(np.exp(intercept), 2.0)), float(-1.0 / slope)]
-    try:
-        popt, _ = curve_fit(
-            lambda tt, a, tau: a * np.exp(-tt / tau), t, c, p0=p0, maxfev=10000
-        )
-        amp, tau = float(popt[0]), float(popt[1])
-    except RuntimeError:
-        amp, tau = p0[0], p0[1]
+    seed = (float(min(np.exp(intercept), 2.0)), float(-1.0 / slope))
+    amp, tau = _fit_decay(t, c, *seed) or seed
     return CoherenceResult(crossing_us=crossing, fit_tau_us=tau, fit_amplitude=amp)
+
+
+#: Steps :func:`_fit_decay` may take before it gives up.
+_FIT_MAX_STEPS = 200
+
+
+def _fit_decay(
+    t: np.ndarray, c: np.ndarray, amp: float, tau: float
+) -> tuple[float, float] | None:
+    """Least-squares fit of A exp(-t/tau) to c by damped Gauss-Newton.
+
+    Starts from (amp, tau).  Each step solves the Gauss-Newton system of the
+    analytic Jacobian [e, A t e / tau^2], e = exp(-t/tau), with a Marquardt
+    damping term scaled by the column norms; the damping grows tenfold until
+    the step keeps tau > 0 and lowers the squared residual, and shrinks
+    tenfold after each accepted step.  Stops when a step changes both
+    parameters by at most 1e-12 relative, or when no step lowers the residual
+    (a minimum to rounding).  Returns None if neither happens within
+    ``_FIT_MAX_STEPS`` steps.
+    """
+
+    def residual(a: float, ta: float):
+        e = np.exp(-t / ta)
+        r = c - a * e
+        return e, r, float(r @ r)
+
+    e, r, cost = residual(amp, tau)
+    damping = 1e-3
+    for _ in range(_FIT_MAX_STEPS):
+        jac = np.column_stack([e, amp * t * e / tau**2])
+        scale = np.diag(np.linalg.norm(jac, axis=0))
+        while True:
+            system = np.vstack([jac, math.sqrt(damping) * scale])
+            step = np.linalg.lstsq(system, np.concatenate([r, [0.0, 0.0]]), rcond=None)[0]
+            new_amp, new_tau = amp + float(step[0]), tau + float(step[1])
+            if new_tau > 0:
+                new = residual(new_amp, new_tau)
+                if new[2] < cost:
+                    break
+            damping *= 10.0
+            if damping > 1e16:
+                return amp, tau
+        damping /= 10.0
+        small = (
+            abs(step[0]) <= 1e-12 * abs(new_amp) and abs(step[1]) <= 1e-12 * new_tau
+        )
+        amp, tau, (e, r, cost) = new_amp, new_tau, new
+        if small:
+            return amp, tau
+    return None

@@ -1,3 +1,11 @@
+import os
+
+# Pin BLAS to one thread before anything imports numpy: OpenBLAS's own
+# threads otherwise compete with the package's thread pool and slow the
+# suite severalfold.  A value already set in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 
 from artifact.lattice import Geometry, LatticeSpec, PlaneWaveBasis, build_basis

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -342,7 +345,7 @@ class TestFringeCommands:
         "flag, value",
         [("--dt", "0"), ("--dt", "-4"), ("--dt", "nan"),
          ("--t-max", "-400"), ("--t-max", "inf"), ("--contrast-window", "0"),
-         ("--contrast-window", "nan")],
+         ("--contrast-window", "nan"), ("--period", "nan"), ("--period", "0")],
     )
     def test_bad_time_grid_exits_2(self, tmp_path, capsys, flag, value):
         args = {"--t-max": "400", "--dt": "4", flag: value}
@@ -350,7 +353,17 @@ class TestFringeCommands:
                     + [token for item in args.items() for token in item]
                     + ["--out", str(tmp_path / "x")])
         assert code == EXIT_VALIDATION
-        assert flag in capsys.readouterr().err
+        assert f"{flag} must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_echo_names_the_period_flag(self, tmp_path, capsys):
+        code = main(["echo", "--pi2", "ideal", "--single-q", "--t-max", "400",
+                     "--dt", "4", "--period", "nan", "--out", str(tmp_path / "x")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--period must be positive and finite" in err
+        assert "contrast-window" not in err
+        assert not (tmp_path / "x").exists()
 
     def test_echo_zero_pulses_exits_2(self, tmp_path, capsys):
         code = main(["echo", "--pi2", "ideal", "--n-echo", "0", "--single-q",
@@ -407,6 +420,69 @@ class TestCoherenceCommand:
         code = main(["coherence", "--fringe", str(tmp_path / "no.csv"),
                      "--period", "88.8", "--out", str(tmp_path / "x")])
         assert code == EXIT_VALIDATION
+
+    @staticmethod
+    def _fringe_csv(path, nan_row=None):
+        t = np.arange(0.0, 1000.0, 4.0)
+        p = 0.5 + 0.5 * np.exp(-t / 400.0) * np.cos(2 * np.pi * t / 88.8)
+        if nan_row is not None:
+            p[nan_row] = np.nan
+        rows = "".join(f"{a},{b}\n" for a, b in zip(t.tolist(), p.tolist()))
+        path.write_text("t_us,p_d\n" + rows)
+        return path
+
+    @pytest.mark.parametrize(
+        "period, message",
+        [("nan", "--period must be positive and finite"),
+         ("inf", "--period must be positive and finite"),
+         ("0", "--period must be positive and finite"),
+         ("-5", "--period must be positive and finite"),
+         ("1e9", "two periods")],
+    )
+    def test_bad_period_exits_2_before_the_output(self, tmp_path, capsys, period,
+                                                  message):
+        fringe = self._fringe_csv(tmp_path / "f.csv")
+        out = tmp_path / "x"
+        code = main(["coherence", "--fringe", str(fringe), "--period", period,
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_fringe_exits_2(self, tmp_path, capsys):
+        fringe = self._fringe_csv(tmp_path / "f.csv", nan_row=17)
+        out = tmp_path / "x"
+        code = main(["coherence", "--fringe", str(fringe), "--period", "88.8",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_fringe_runs_never_import_scipy(tmp_path):
+    """ramsey, echo and coherence, the fit included, run without scipy."""
+    decay = TestCoherenceCommand._fringe_csv(tmp_path / "decay.csv")
+    script = f"""
+import json, sys
+from artifact.cli import main
+out = {str(tmp_path)!r}
+base = ["--pi2", "ideal", "--single-q", "--t-max", "400", "--dt", "4"]
+assert main(["ramsey", *base, "--out", out + "/r"]) == 0
+assert main(["echo", *base, "--out", out + "/e"]) == 0
+assert main(["coherence", "--fringe", out + "/r/fringe.csv", "--period", "88.8",
+             "--out", out + "/c"]) == 0
+assert main(["coherence", "--fringe", {str(decay)!r}, "--period", "88.8",
+             "--out", out + "/d"]) == 0
+assert json.load(open(out + "/d/coherence.json"))["fit_tau_us"] is not None
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestManifest:

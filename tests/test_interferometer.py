@@ -104,6 +104,21 @@ class TestCurveTypes:
         with pytest.raises(ValueError):
             ContrastCurve(times=np.array([0.0]), contrast=np.array([1.5]))
 
+    @pytest.mark.parametrize("field", ["times", "p_d"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_fringe_must_be_finite(self, field, bad):
+        values = {"times": np.array([0.0, 1.0, 2.0]), "p_d": np.array([0.5, 0.7, 0.2])}
+        values[field][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FringeCurve(**values)
+
+    def test_fringe_may_overshoot(self):
+        FringeCurve(times=np.array([0.0, 1.0]), p_d=np.array([-0.01, 1.02]))
+
+    def test_contrast_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            ContrastCurve(times=np.array([0.0, 1.0]), contrast=np.array([0.5, math.nan]))
+
 
 class TestIdealFringe:
     def test_quarter_points(self, spec, basis, period):
@@ -359,10 +374,11 @@ class TestStreamedSum:
         assert np.array_equal(fringe.p_d, p_d)
         assert np.array_equal(scan.contrast, contrast)
 
-    def test_memory_does_not_grow_with_the_grid(self, spec):
+    @staticmethod
+    def _peak_and_bound(spec, schedule=()):
         basis = build_basis(spec, shell_radius=2)
         times = np.arange(2000) * 4.0
-        ens = EnsembleSpec(sigma_q=0.3, quadrature=21)
+        ens = EnsembleSpec(sigma_q=0.3, quadrature=21, width_schedule=schedule)
         nq = ens.quadrature**2
         ensemble_fringe(FringeKind.RAMSEY, IdealPulses(), times[:3], ens, spec, basis)
         tracemalloc.start()
@@ -371,8 +387,16 @@ class TestStreamedSum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # Holding every q's P_D, as a stacked (nq, T) array, needs more.
-        assert peak < nq * len(times) * 8
+        # Holding every q's P_D or weights, as a stacked (nq, T) array, needs more.
+        return peak, nq * len(times) * 8
+
+    def test_memory_does_not_grow_with_the_grid(self, spec):
+        peak, bound = self._peak_and_bound(spec)
+        assert peak < bound
+
+    def test_memory_does_not_grow_with_a_width_schedule(self, spec):
+        peak, bound = self._peak_and_bound(spec, ((0.0, 0.3), (8000.0, 0.3)))
+        assert peak < bound
 
 
 class TestPhaseScan:
@@ -480,6 +504,59 @@ class TestCoherenceTime:
         )
         with pytest.raises(ValueError):
             coherence_time(curve)
+
+    @staticmethod
+    def _seed(t, c):
+        slope, intercept = np.polyfit(t, np.log(np.clip(c, 1e-12, None)), 1)
+        return [float(min(np.exp(intercept), 2.0)), float(-1.0 / slope)]
+
+    @staticmethod
+    def _synthetic(seed):
+        rng = np.random.default_rng(seed)
+        t = np.arange(0.0, 3000.0, 88.8) + 44.4
+        amp, tau = rng.uniform(0.5, 0.95), rng.uniform(400.0, 2000.0)
+        c = amp * np.exp(-t / tau) + rng.normal(0.0, 0.01, len(t))
+        return t, np.clip(c, 0.0, 1.0)
+
+    @staticmethod
+    def _ideal_ramsey(spec):
+        basis = build_basis(spec, shell_radius=2)
+        period = fringe_period_us(spec, basis)
+        ens = EnsembleSpec.from_width(0.72, reading="fwhm", quadrature=9)
+        times = np.arange(0.0, 1500.0, 4.0)
+        fringe = ensemble_fringe(FringeKind.RAMSEY, IdealPulses(), times, ens, spec, basis)
+        curve = contrast_curve(fringe, period)
+        return curve.times, curve.contrast
+
+    @pytest.mark.parametrize("source", [11, 12, 13, 14, "ideal-ramsey"])
+    def test_matches_curve_fit(self, spec, source):
+        from scipy.optimize import curve_fit
+
+        if source == "ideal-ramsey":
+            t, c = self._ideal_ramsey(spec)
+        else:
+            t, c = self._synthetic(source)
+        res = coherence_time(ContrastCurve(times=t, contrast=c))
+        popt, _ = curve_fit(
+            lambda tt, a, tau: a * np.exp(-tt / tau), t, c, p0=self._seed(t, c),
+            maxfev=10000,
+        )
+        assert res.fit_amplitude == pytest.approx(popt[0], rel=1e-5)
+        assert res.fit_tau_us == pytest.approx(popt[1], rel=1e-5)
+
+        def cost(amp, tau):
+            return float(np.sum((c - amp * np.exp(-t / tau)) ** 2))
+
+        assert cost(res.fit_amplitude, res.fit_tau_us) <= cost(*popt) * (1 + 1e-12)
+
+    def test_unconverged_fit_reports_the_seed(self, monkeypatch):
+        from artifact import interferometer
+
+        t, c = self._synthetic(11)
+        monkeypatch.setattr(interferometer, "_FIT_MAX_STEPS", 1)
+        assert interferometer._fit_decay(t, c, *self._seed(t, c)) is None
+        res = coherence_time(ContrastCurve(times=t, contrast=c))
+        assert [res.fit_amplitude, res.fit_tau_us] == self._seed(t, c)
 
 
 class TestSequenceEnsembleRegression:

@@ -4,7 +4,7 @@ A simulation and pulse-design toolkit for ultracold atoms in an optical
 lattice driven by shortcut (on/off) pulse sequences:
 
 * :mod:`artifact.lattice` — geometry, plane-wave basis, lattice Hamiltonians;
-* :mod:`artifact.dynamics` — band solutions, propagators, pulse sequences;
+* :mod:`artifact.dynamics` — band solutions, pulse sequences, evolution;
 * :mod:`artifact.shortcut` — rotation fidelity and sequence optimization;
 * :mod:`artifact.interferometer` — Ramsey / echo fringes, quasi-momentum
   ensembles, contrast and coherence extraction;
@@ -14,32 +14,23 @@ lattice driven by shortcut (on/off) pulse sequences:
 
 from .lattice import (
     Geometry,
-    Hamiltonian,
     LatticeSpec,
     PlaneWaveBasis,
     TRIANGULAR_FOURIER_COEF,
     angular_frequency_per_Er,
-    beam_wavevectors,
     build_basis,
     calibrate_fourier_coefficient,
-    fold_to_bz,
     fringe_period_us,
-    hamiltonian_off,
     hamiltonian_on,
     potential_fourier,
     recoil_energy,
     sd_gap,
 )
 from .dynamics import (
-    BandSolution,
     PulseSequence,
     PulseStep,
-    QuantumState,
-    apply_sequence,
-    band_populations,
     bloch_state,
     default_band_pair,
-    propagator,
     sequence_operator,
     solve_bands,
 )
@@ -66,7 +57,6 @@ from .interferometer import (
     contrast_curve,
     echo_pd,
     ensemble_fringe,
-    ideal_fringe,
     phase_scan_contrast,
     ramsey_pd,
 )
@@ -82,30 +72,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Geometry",
-    "Hamiltonian",
     "LatticeSpec",
     "PlaneWaveBasis",
     "TRIANGULAR_FOURIER_COEF",
     "angular_frequency_per_Er",
-    "beam_wavevectors",
     "build_basis",
     "calibrate_fourier_coefficient",
-    "fold_to_bz",
     "fringe_period_us",
-    "hamiltonian_off",
     "hamiltonian_on",
     "potential_fourier",
     "recoil_energy",
     "sd_gap",
-    "BandSolution",
     "PulseSequence",
     "PulseStep",
-    "QuantumState",
-    "apply_sequence",
-    "band_populations",
     "bloch_state",
     "default_band_pair",
-    "propagator",
     "sequence_operator",
     "solve_bands",
     "ObjectiveKind",
@@ -128,7 +109,6 @@ __all__ = [
     "contrast_curve",
     "echo_pd",
     "ensemble_fringe",
-    "ideal_fringe",
     "phase_scan_contrast",
     "ramsey_pd",
     "REFERENCE_LOAD",

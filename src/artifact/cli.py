@@ -49,7 +49,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +115,26 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _schedule(value) -> list:
+    """A width schedule as loaded, each point a (t_us, sigma) pair of
+    numbers; kept unconverted so that the run id sees the config's values."""
+    value = list(value)
+    for t, sigma in value:
+        float(t), float(sigma)  # raises on a point that is not two numbers
+    return value
+
+
+def _read_yaml(path: str, what: str):
+    """Load the YAML file at ``path``; ``what`` names it in the messages."""
+    if not Path(path).is_file():
+        raise ValidationError(f"{what} not found: {path}")
+    try:
+        with open(path) as f:
+            return yaml.safe_load(f)
+    except yaml.YAMLError as exc:
+        raise ValidationError(f"{what} {path} is not valid YAML: {exc}") from exc
+
+
 def _convert(key: str, convert, value):
     try:
         return convert(value)
@@ -134,7 +154,7 @@ _CONFIG_KEYS = (
     ("ensemble", "delta_q_hk", float),
     ("ensemble", "width_reading", str),
     ("ensemble", "quadrature", _integer),
-    ("ensemble", "width_schedule", list),
+    ("ensemble", "width_schedule", _schedule),
     (None, "optimizer", dict),
     (None, "rng_seed", _integer),
 )
@@ -191,11 +211,7 @@ class RunConfig:
     def load(cls, path: str | None, overrides: dict | None = None) -> "RunConfig":
         data: dict = {}
         if path:
-            p = Path(path)
-            if not p.is_file():
-                raise ValidationError(f"config file not found: {path}")
-            with open(p) as f:
-                data = yaml.safe_load(f) or {}
+            data = _read_yaml(path, "config file") or {}
         sections = ("lattice", "basis", "ensemble", "optimizer")
         if not isinstance(data, dict) or not all(
             isinstance(data.get(key, {}), dict) for key in sections
@@ -237,16 +253,8 @@ class RunConfig:
             ens = EnsembleSpec.from_width(
                 self.delta_q_hk, reading=self.width_reading, quadrature=self.quadrature
             )
-            if self.width_schedule:
-                ens = EnsembleSpec(
-                    distribution=ens.distribution,
-                    sigma_q=ens.sigma_q,
-                    quadrature=ens.quadrature,
-                    width_schedule=tuple(
-                        (float(t), float(s)) for t, s in self.width_schedule
-                    ),
-                )
-            return ens
+            schedule = tuple((float(t), float(s)) for t, s in self.width_schedule)
+            return replace(ens, width_schedule=schedule)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
 
@@ -312,6 +320,14 @@ class RunWriter:
             lines.append(f"# {k}: {v}")
         return lines
 
+    def _write(self, name: str, dump) -> Path:
+        """Write output ``name`` through ``dump(file)`` and record its hash."""
+        path = self.out_dir / name
+        with open(path, "w") as f:
+            dump(f)
+        self.outputs[name] = _sha256_file(path)
+        return path
+
     def write_csv(
         self,
         name: str,
@@ -319,30 +335,19 @@ class RunWriter:
         rows,
         extra_header: dict | None = None,
     ) -> Path:
-        path = self.out_dir / name
-        with open(path, "w") as f:
-            for line in self.header_lines(extra_header):
+        def dump(f):
+            for line in self.header_lines(extra_header) + [",".join(columns)]:
                 f.write(line + "\n")
-            f.write(",".join(columns) + "\n")
             for row in rows:
                 f.write(",".join(_fmt(v) for v in row) + "\n")
-        self.outputs[name] = _sha256_file(path)
-        return path
+
+        return self._write(name, dump)
 
     def write_yaml(self, name: str, data: dict) -> Path:
-        path = self.out_dir / name
-        with open(path, "w") as f:
-            yaml.safe_dump(data, f, sort_keys=False)
-        self.outputs[name] = _sha256_file(path)
-        return path
+        return self._write(name, lambda f: yaml.safe_dump(data, f, sort_keys=False))
 
     def write_json(self, name: str, data: dict) -> Path:
-        path = self.out_dir / name
-        with open(path, "w") as f:
-            json.dump(data, f, indent=2, sort_keys=True)
-            f.write("\n")
-        self.outputs[name] = _sha256_file(path)
-        return path
+        return self._write(name, lambda f: _dump_json(data, f))
 
     def finish(self) -> Path:
         manifest = {
@@ -359,9 +364,13 @@ class RunWriter:
         }
         path = self.out_dir / "manifest.json"
         with open(path, "w") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
+            _dump_json(manifest, f)
         return path
+
+
+def _dump_json(data: dict, f) -> None:
+    json.dump(data, f, indent=2, sort_keys=True)
+    f.write("\n")
 
 
 def _fmt(v) -> str:
@@ -371,16 +380,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _note_derived(writer: RunWriter, spec: LatticeSpec, basis) -> None:
-    _, f_hz = recoil_energy(spec)
-    gap = sd_gap(spec, basis)
-    writer.derived.update(
-        {
-            "recoil_frequency_Hz": f_hz,
-            "sd_gap_Er": gap,
-            "fringe_period_us": 1e6 / (gap * f_hz),
-        }
-    )
+def _start_run(command, cfg, out_dir, run_args, inputs, lattice=None) -> RunWriter:
+    """Create the run's writer and output directory, hash the ``inputs``
+    files (None skipped), and record the derived constants of ``lattice``,
+    a (spec, basis) pair."""
+    writer = RunWriter(command, out_dir, cfg, run_args)
+    for path in filter(None, inputs):
+        writer.note_input(path)
+    if lattice is not None:
+        _, f_hz = recoil_energy(lattice[0])
+        gap = sd_gap(*lattice)
+        writer.derived.update(
+            recoil_frequency_Hz=f_hz, sd_gap_Er=gap, fringe_period_us=1e6 / (gap * f_hz)
+        )
+    return writer
 
 
 # --------------------------------------------------------------------------
@@ -404,11 +417,7 @@ def load_sequence(token: str) -> PulseSequence:
                 f"unknown reference sequence {name!r}; have {sorted(REFERENCE_SEQUENCES)}"
             )
         return REFERENCE_SEQUENCES[name]
-    p = Path(token)
-    if not p.is_file():
-        raise ValidationError(f"sequence file not found: {token}")
-    with open(p) as f:
-        data = yaml.safe_load(f)
+    data = _read_yaml(token, "sequence file")
     try:
         return PulseSequence.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -443,29 +452,26 @@ def _waypoint(token: str, geometry: Geometry) -> np.ndarray:
 def cmd_bands(cfg: RunConfig, args, out_dir: Path) -> int:
     spec = cfg.lattice_spec()
     basis = build_basis(spec, cfg.shell_radius)
-    writer = RunWriter("bands", out_dir, cfg, {"path": args.path, "samples": args.samples})
-    if args.config:
-        writer.note_input(args.config)
-    _note_derived(writer, spec, basis)
     waypoints = [_waypoint(t, spec.geometry) for t in args.path.split(",")]
     if len(waypoints) < 2:
         raise ValidationError("path needs at least two waypoints")
-    rows = []
+    writer = _start_run(
+        "bands", cfg, out_dir, {"path": args.path, "samples": args.samples},
+        [args.config], (spec, basis),
+    )
+    points = []  # (path coordinate, q)
     coord = 0.0
-    n_bands = min(6, basis.size)
     for a, b in zip(waypoints[:-1], waypoints[1:]):
-        seg = np.linspace(0.0, 1.0, args.samples, endpoint=False)
-        for f in seg:
-            q = a + f * (b - a)
-            sol = solve_bands(hamiltonian_on(basis, spec, q))
-            rows.append(
-                [coord + f * float(np.linalg.norm(b - a)), q[0], q[1]]
-                + [float(e) for e in sol.energies[:n_bands]]
-            )
-        coord += float(np.linalg.norm(b - a))
-    q = waypoints[-1]
-    sol = solve_bands(hamiltonian_on(basis, spec, q))
-    rows.append([coord, q[0], q[1]] + [float(e) for e in sol.energies[:n_bands]])
+        length = float(np.linalg.norm(b - a))
+        for f in np.linspace(0.0, 1.0, args.samples, endpoint=False):
+            points.append((coord + f * length, a + f * (b - a)))
+        coord += length
+    points.append((coord, waypoints[-1]))
+    n_bands = min(6, basis.size)
+    rows = []
+    for x, q in points:
+        energies, _ = solve_bands(hamiltonian_on(basis, spec, q))
+        rows.append([x, q[0], q[1], *energies[:n_bands].tolist()])
     cols = ["path_coord", "q_x", "q_y"] + [f"E{i+1}_Er" for i in range(n_bands)]
     writer.write_csv("bands.csv", cols, rows)
     writer.finish()
@@ -480,20 +486,13 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
     default_threshold = 0.93 if kind is ObjectiveKind.PI else 0.98
     threshold = args.threshold if args.threshold is not None else default_threshold
     opts = cfg.optimizer_options()
-    writer = RunWriter(
-        "design",
-        out_dir,
-        cfg,
-        {
-            "kind": args.kind,
-            "steps": args.steps,
-            "variable_amplitude": args.variable_amplitude,
-            "threshold": threshold,
-        },
-    )
-    if args.config:
-        writer.note_input(args.config)
-    _note_derived(writer, spec, basis)
+    run_args = {
+        "kind": args.kind,
+        "steps": args.steps,
+        "variable_amplitude": args.variable_amplitude,
+        "threshold": threshold,
+    }
+    writer = _start_run("design", cfg, out_dir, run_args, [args.config], (spec, basis))
     result = design_sequence(
         kind,
         args.steps,
@@ -535,12 +534,10 @@ def cmd_eval(cfg: RunConfig, args, out_dir: Path) -> int:
     spec = cfg.lattice_spec()
     basis = build_basis(spec, cfg.shell_radius)
     seq = load_sequence(args.sequence)
-    writer = RunWriter("eval", out_dir, cfg, {"sequence": args.sequence, "kind": args.kind})
-    if args.config:
-        writer.note_input(args.config)
-    if not args.sequence.startswith("reference:"):
-        writer.note_input(args.sequence)
-    _note_derived(writer, spec, basis)
+    writer = _start_run(
+        "eval", cfg, out_dir, {"sequence": args.sequence, "kind": args.kind},
+        [args.config, *_sequence_files(args.sequence)], (spec, basis),
+    )
     obj = build_objective(ObjectiveKind(args.kind), spec, basis)
     report = fidelity_report(seq, obj)
     writer.write_json("report.json", report)
@@ -603,6 +600,11 @@ def _finish_coherence(
     print(f"{summary}1/e crossing = {cross}, fit tau = {tau}")
 
 
+def _sequence_files(*tokens) -> list:
+    """The file paths among ``--pi2``/``--pi``/``--sequence`` tokens."""
+    return [t for t in tokens if t and t != "ideal" and not t.startswith("reference:")]
+
+
 def _pulse_model(args, need_pi: bool):
     if args.pi2 == "ideal":
         return IdealPulses()
@@ -619,7 +621,8 @@ def _pulse_model(args, need_pi: bool):
     )
 
 
-def _run_fringe(kind: FringeKind, cfg: RunConfig, args, out_dir: Path) -> int:
+def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
+    kind = FringeKind(args.command)
     spec = cfg.lattice_spec()
     basis = build_basis(spec, cfg.shell_radius)
     period = args.period if args.period is not None else fringe_period_us(spec, basis)
@@ -630,26 +633,17 @@ def _run_fringe(kind: FringeKind, cfg: RunConfig, args, out_dir: Path) -> int:
     ens = cfg.ensemble_spec() if not args.single_q else EnsembleSpec(
         distribution="delta", sigma_q=0.0
     )
-    writer = RunWriter(
-        kind.value,
-        out_dir,
-        cfg,
-        {
-            "pi2": args.pi2,
-            "pi": getattr(args, "pi", None),
-            "t_max": args.t_max,
-            "dt": args.dt,
-            "n_echo": getattr(args, "n_echo", None),
-            "period": period,
-            "single_q": args.single_q,
-        },
-    )
-    if args.config:
-        writer.note_input(args.config)
-    for token in (args.pi2, getattr(args, "pi", None)):
-        if token and token != "ideal" and not token.startswith("reference:"):
-            writer.note_input(token)
-    _note_derived(writer, spec, basis)
+    run_args = {
+        "pi2": args.pi2,
+        "pi": getattr(args, "pi", None),
+        "t_max": args.t_max,
+        "dt": args.dt,
+        "n_echo": getattr(args, "n_echo", None),
+        "period": period,
+        "single_q": args.single_q,
+    }
+    inputs = [args.config, *_sequence_files(args.pi2, run_args["pi"])]
+    writer = _start_run(kind.value, cfg, out_dir, run_args, inputs, (spec, basis))
     fringe = ensemble_fringe(
         kind,
         model,
@@ -694,10 +688,10 @@ def cmd_coherence(cfg: RunConfig, args, out_dir: Path) -> int:
     fringe = FringeCurve(times=np.array(times), p_d=np.array(p_d))
     contrast = contrast_curve(fringe, args.period)
     coh = coherence_time(contrast)
-    writer = RunWriter(
-        "coherence", out_dir, cfg, {"fringe": args.fringe, "period": args.period}
+    writer = _start_run(
+        "coherence", cfg, out_dir, {"fringe": args.fringe, "period": args.period},
+        [args.fringe],
     )
-    writer.note_input(args.fringe)
     _finish_coherence(writer, contrast, coh, args.period, "coherence: ")
     return EXIT_OK
 
@@ -723,10 +717,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bands", help="band energies along a BZ path", parents=[common])
+    p.set_defaults(run=cmd_bands)
     p.add_argument("--path", default="G,M,K,G", help="comma list of G/M/K or qx:qy")
     p.add_argument("--samples", type=int, default=40, help="samples per segment")
 
     p = sub.add_parser("design", help="optimize a pulse sequence", parents=[common])
+    p.set_defaults(run=cmd_design)
     p.add_argument("--kind", choices=["pi2", "pi", "load"], required=True)
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--variable-amplitude", action="store_true")
@@ -735,11 +731,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None)
 
     p = sub.add_parser("eval", help="fidelity report for a sequence", parents=[common])
+    p.set_defaults(run=cmd_eval)
     p.add_argument("--sequence", required=True, help="YAML path or reference:<name>")
     p.add_argument("--kind", choices=["pi2", "pi", "load"], required=True)
 
     for name in ("ramsey", "echo"):
         p = sub.add_parser(name, help=f"ensemble {name} fringe", parents=[common])
+        p.set_defaults(run=_run_fringe)
         p.add_argument("--pi2", default="ideal", help="sequence file, reference:<name>, or 'ideal'")
         if name == "echo":
             p.add_argument("--pi", default=None, help="pi sequence file or reference:<name>")
@@ -757,6 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-phase-lock", action="store_true")
 
     p = sub.add_parser("coherence", help="re-analyze a fringe CSV", parents=[common])
+    p.set_defaults(run=cmd_coherence)
     p.add_argument("--fringe", required=True, help="fringe CSV path")
     p.add_argument("--period", type=float, required=True, help="window period (us)")
 
@@ -771,24 +770,8 @@ def main(argv: list[str] | None = None) -> int:
             args.config,
             overrides={"rng_seed": args.seed, "threads": args.threads},
         )
-        out_dir = Path(args.out)
-        if args.command == "bands":
-            return cmd_bands(cfg, args, out_dir)
-        if args.command == "design":
-            return cmd_design(cfg, args, out_dir)
-        if args.command == "eval":
-            return cmd_eval(cfg, args, out_dir)
-        if args.command == "ramsey":
-            return _run_fringe(FringeKind.RAMSEY, cfg, args, out_dir)
-        if args.command == "echo":
-            return _run_fringe(FringeKind.ECHO, cfg, args, out_dir)
-        if args.command == "coherence":
-            return cmd_coherence(cfg, args, out_dir)
-        raise ValidationError(f"unknown command {args.command!r}")
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+        return args.run(cfg, args, Path(args.out))
+    except ValueError as exc:  # ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ArithmeticError as exc:

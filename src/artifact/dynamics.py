@@ -1,8 +1,9 @@
-"""Band solutions, unitary propagators, and pulse-sequence evolution.
+"""Band solutions and pulse-sequence evolution.
 
-All evolution is exact within the truncated plane-wave basis: propagators are
-built by spectral decomposition of the (small, Hermitian) lattice
-Hamiltonians, U = V exp(-i E t) V^dagger, with energies in E_r and times in
+All evolution is exact within the truncated plane-wave basis: lattice-on
+intervals act by spectral decomposition of the (small, real symmetric)
+lattice Hamiltonian, U = V exp(-i E t) V^dagger, and lattice-off intervals
+are diagonal in the plane waves, with energies in E_r and times in
 microseconds (see :mod:`artifact.lattice` for the unit conventions).
 
 A pulse sequence is an ordered list of steps; each step applies the
@@ -15,14 +16,13 @@ first within each step.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import (
     TRIANGULAR_COUPLING_OFFSETS,
     Geometry,
-    Hamiltonian,
     LatticeSpec,
     PlaneWaveBasis,
     angular_frequency_per_Er,
@@ -44,32 +44,6 @@ def default_band_pair(geometry: Geometry) -> tuple[int, int]:
     if geometry is Geometry.TRIANGULAR_3BEAM:
         return 1, 4
     return 1, 3
-
-
-@dataclass(frozen=True)
-class QuantumState:
-    """Normalized state over the plane-wave basis at fixed quasi-momentum."""
-
-    quasimomentum: np.ndarray = field(repr=False, compare=False)
-    amplitudes: np.ndarray = field(repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        n = float(np.linalg.norm(self.amplitudes))
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError(f"state norm {n!r} deviates from 1 by > 1e-9")
-
-
-@dataclass(frozen=True)
-class BandSolution:
-    """Eigen-decomposition of a lattice Hamiltonian at one quasi-momentum.
-
-    Energies ascend; eigenvector phases are fixed deterministically (largest
-    magnitude component real and positive).
-    """
-
-    quasimomentum: np.ndarray = field(repr=False, compare=False)
-    energies: np.ndarray = field(repr=False, compare=False)
-    states: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -150,16 +124,20 @@ def _fix_phases(states: np.ndarray) -> np.ndarray:
     return states * (np.conj(piv) / np.abs(piv))
 
 
-def solve_bands(h: Hamiltonian) -> BandSolution:
-    """Full spectrum of a lattice Hamiltonian with deterministic phases."""
-    energies, states = np.linalg.eigh(h.matrix)
+def solve_bands(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectrum (energies, states) of a lattice Hamiltonian matrix.
+
+    Energies ascend; the eigenvector columns have deterministic phases
+    (largest-magnitude component real and positive).  The eigen-residual
+    check also refuses a non-Hermitian input, of which ``eigh`` reads one
+    triangle only.
+    """
+    energies, states = np.linalg.eigh(h)
     states = _fix_phases(states.astype(complex))
-    residual = h.matrix @ states - states * energies
+    residual = h @ states - states * energies
     if float(np.max(np.abs(residual))) > 1e-10:
         raise ArithmeticError("eigen-residual exceeds 1e-10")
-    return BandSolution(
-        quasimomentum=h.quasimomentum, energies=energies, states=states
-    )
+    return energies, states
 
 
 #: Eigen-cache, least recently used entry first.  An entry of the default
@@ -194,8 +172,7 @@ def band_eig(
         if hit is not None:
             _EIG_CACHE[key] = hit
             return hit
-    sol = solve_bands(hamiltonian_on(basis, spec, q, d))
-    entry = (sol.energies, sol.states)
+    entry = solve_bands(hamiltonian_on(basis, spec, q, d))
     with _EIG_LOCK:
         _EIG_CACHE[key] = entry
         while len(_EIG_CACHE) > _EIG_CACHE_MAX:
@@ -209,8 +186,9 @@ def bloch_state(
     spec: LatticeSpec,
     basis: PlaneWaveBasis,
     depth: float | None = None,
-) -> QuantumState:
-    """Energy-ordered band eigenstate (1-based index) at quasi-momentum q.
+) -> np.ndarray:
+    """Energy-ordered band eigenstate (1-based index) at quasi-momentum q,
+    as its plane-wave amplitudes.
 
     If the requested band is the D-band and sits in a (near-)degenerate
     cluster, the returned state is the cluster member maximizing overlap with
@@ -222,7 +200,6 @@ def bloch_state(
     if not (1 <= band_index <= basis.size):
         raise ValueError("band index out of range")
     energies, states = band_eig(q, spec, basis, depth)
-    q = np.asarray(q, float)
     i = band_index - 1
     if (
         spec.geometry is Geometry.TRIANGULAR_3BEAM
@@ -241,9 +218,8 @@ def bloch_state(
             vec = cluster @ (cluster.conj().T @ (w / np.linalg.norm(w)))
             n = np.linalg.norm(vec)
             if n > 1e-12:
-                v = _fix_phases((vec / n)[:, None])[:, 0]
-                return QuantumState(quasimomentum=q, amplitudes=v)
-    return QuantumState(quasimomentum=q, amplitudes=states[:, i].copy())
+                return _fix_phases((vec / n)[:, None])[:, 0]
+    return states[:, i].copy()
 
 
 def sd_frame(q: np.ndarray, spec: LatticeSpec, basis: PlaneWaveBasis) -> np.ndarray:
@@ -254,21 +230,11 @@ def sd_frame(q: np.ndarray, spec: LatticeSpec, basis: PlaneWaveBasis) -> np.ndar
     and objective is expressed in this frame.
     """
     bands = default_band_pair(spec.geometry)
-    return np.stack([bloch_state(b, q, spec, basis).amplitudes for b in bands], axis=1)
+    return np.stack([bloch_state(b, q, spec, basis) for b in bands], axis=1)
 
 
 # --------------------------------------------------------------------------
 # Propagation
-
-
-def propagator(h: Hamiltonian, t: float, spec: LatticeSpec) -> np.ndarray:
-    """Unitary U = exp(-i H t) via spectral decomposition (t in us)."""
-    if t < 0:
-        raise ValueError("propagation time must be non-negative")
-    w = angular_frequency_per_Er(spec)
-    energies, states = np.linalg.eigh(h.matrix)
-    phases = np.exp(-1j * energies * w * t)
-    return (states * phases) @ states.conj().T
 
 
 def evolve_columns(
@@ -301,19 +267,6 @@ def evolve_columns(
     return out[:, 0] if single else out
 
 
-def apply_sequence(
-    state: QuantumState,
-    seq: PulseSequence,
-    spec: LatticeSpec,
-    basis: PlaneWaveBasis,
-) -> QuantumState:
-    """Evolve a state through a pulse sequence (norm preserved to 1e-9)."""
-    if len(state.amplitudes) != basis.size:
-        raise ValueError("state dimension does not match basis size")
-    amps = evolve_columns(state.amplitudes, seq, state.quasimomentum, spec, basis)
-    return QuantumState(quasimomentum=state.quasimomentum, amplitudes=amps)
-
-
 def sequence_operator(
     seq: PulseSequence,
     q: np.ndarray,
@@ -322,17 +275,3 @@ def sequence_operator(
 ) -> np.ndarray:
     """Full unitary matrix of a pulse sequence at fixed quasi-momentum."""
     return evolve_columns(np.eye(basis.size, dtype=complex), seq, q, spec, basis)
-
-
-def band_populations(
-    state: QuantumState, solution: BandSolution, n_bands: int
-) -> np.ndarray:
-    """Populations p_i = |<band_i|state>|^2 for the first n_bands bands."""
-    if len(state.amplitudes) != solution.states.shape[0]:
-        raise ValueError("state and band solution dimensions differ")
-    if not np.allclose(state.quasimomentum, solution.quasimomentum, atol=1e-12):
-        raise ValueError("state and band solution quasi-momenta differ")
-    if not (1 <= n_bands <= solution.states.shape[1]):
-        raise ValueError("n_bands out of range for this solution")
-    proj = solution.states.conj().T @ state.amplitudes
-    return np.abs(proj[:n_bands]) ** 2

@@ -134,7 +134,6 @@ class FringeCurve:
 
     times: np.ndarray = field(repr=False, compare=False)
     p_d: np.ndarray = field(repr=False, compare=False)
-    metadata: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.times) != len(self.p_d):
@@ -174,16 +173,6 @@ class CoherenceResult:
     crossing_us: float | None
     fit_tau_us: float
     fit_amplitude: float
-
-
-def ideal_fringe(gap: float, times: np.ndarray, spec: LatticeSpec) -> FringeCurve:
-    """Analytic two-level Ramsey fringe (1 + cos(gap * t))/2 for a gap in E_r."""
-    if gap <= 0:
-        raise ValueError("gap must be positive")
-    w = angular_frequency_per_Er(spec)
-    times = np.asarray(times, dtype=float)
-    p = (1.0 + np.cos(gap * w * times)) / 2.0
-    return FringeCurve(times=times, p_d=p, metadata={"kind": "ideal"})
 
 
 # --------------------------------------------------------------------------
@@ -460,14 +449,7 @@ def ensemble_fringe(
     (avg,) = _ensemble_sums(
         kind, pulses, times, ens, spec, basis, n_echo, threads, phase_scan=False
     )
-    meta = {
-        "kind": kind.value,
-        "n_echo": n_echo if kind is FringeKind.ECHO else 0,
-        "sigma_q": ens.sigma_q,
-        "quadrature": ens.quadrature,
-        "distribution": ens.distribution,
-    }
-    return FringeCurve(times=times, p_d=avg, metadata=meta)
+    return FringeCurve(times=times, p_d=avg)
 
 
 def phase_scan_contrast(
@@ -544,7 +526,8 @@ def coherence_time(curve: ContrastCurve) -> CoherenceResult:
     The crossing is the first time the contrast falls through 1/e, linearly
     interpolated between curve samples; None when the curve never crosses
     from above.  The fit is least-squares A exp(-t/tau) over the full curve
-    (:func:`_fit_decay`), seeded by log-linear regression, and reports the
+    (:func:`_fit_decay`), seeded by log-linear regression on the samples
+    above 1e-12 (on all samples if fewer than two are), and reports the
     seed when it does not converge; a non-decaying curve reports tau = inf.
     """
     t = np.asarray(curve.times, dtype=float)
@@ -560,8 +543,10 @@ def coherence_time(curve: ContrastCurve) -> CoherenceResult:
             frac = (c[i - 1] - ONE_OVER_E) / (c[i - 1] - c[i])
             crossing = float(t[i - 1] + frac * (t[i] - t[i - 1]))
 
-    logc = np.log(np.clip(c, 1e-12, None))
-    slope, intercept = np.polyfit(t, logc, 1)
+    # Seed from the samples above the clip floor, where at least two are:
+    # a zero sample would enter the regression as log(1e-12) = -27.6.
+    keep = c > 1e-12 if np.count_nonzero(c > 1e-12) >= 2 else np.ones(len(c), bool)
+    slope, intercept = np.polyfit(t[keep], np.log(np.clip(c[keep], 1e-12, None)), 1)
     if slope >= -1e-15:
         return CoherenceResult(
             crossing_us=crossing,

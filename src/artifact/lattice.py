@@ -137,20 +137,6 @@ def angular_frequency_per_Er(spec: LatticeSpec) -> float:
     return 2.0 * math.pi * f_hz * 1e-6
 
 
-def beam_wavevectors(spec: LatticeSpec) -> np.ndarray:
-    """The three beam wavevectors in units of k, for the triangular lattice.
-
-    Returns a (3, 2) array: unit-magnitude vectors at mutual 120 degrees
-    summing to zero, the first along +x by convention.
-    """
-    if spec.geometry is not Geometry.TRIANGULAR_3BEAM:
-        raise GeometryMismatchError(
-            "beam_wavevectors is defined for the triangular geometry only"
-        )
-    h = math.sqrt(3.0) / 2.0
-    return np.array([[1.0, 0.0], [-0.5, h], [-0.5, -h]])
-
-
 def reciprocal_primitives(geometry: Geometry) -> np.ndarray:
     """Primitive reciprocal vectors in units of k, as a (2, 2) array of rows.
 
@@ -209,9 +195,6 @@ class PlaneWaveBasis:
     def size(self) -> int:
         return len(self.sites)
 
-    def site_index(self, site: tuple[int, int]) -> int:
-        return self.index[site]
-
     def kinetic(self, q: np.ndarray) -> np.ndarray:
         """Kinetic energies (q + G)^2 in E_r, one per site."""
         return np.sum((self.g_vectors + q) ** 2, axis=1)
@@ -267,20 +250,6 @@ def potential_fourier(spec: LatticeSpec, depth: float | None = None) -> dict:
     return comps
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
-    """Hermitian lattice Hamiltonian at fixed quasi-momentum, in E_r."""
-
-    matrix: np.ndarray = field(repr=False, compare=False)
-    quasimomentum: np.ndarray = field(repr=False, compare=False)
-    depth_used: float = 0.0
-
-    def __post_init__(self) -> None:
-        m = self.matrix
-        if not np.allclose(m, m.conj().T, atol=1e-12):
-            raise ValueError("Hamiltonian must be Hermitian to 1e-12")
-
-
 def _assemble(basis: PlaneWaveBasis, q: np.ndarray, fourier: dict) -> np.ndarray:
     """Kinetic diagonal (q+G)^2 plus Fourier components (offset -> E_r),
     placed through the basis's coupling table."""
@@ -296,8 +265,9 @@ def hamiltonian_on(
     spec: LatticeSpec,
     q: np.ndarray,
     depth: float | None = None,
-) -> Hamiltonian:
-    """Lattice-on Hamiltonian: kinetic diagonal (q+G)^2 plus the potential.
+) -> np.ndarray:
+    """Lattice-on Hamiltonian in E_r, an (n, n) real symmetric matrix:
+    kinetic diagonal (q+G)^2 plus the potential.
 
     ``q`` is a 2-vector in units of hbar*k; ``depth`` overrides the spec's
     depth (used by variable-amplitude pulse steps).
@@ -306,33 +276,7 @@ def hamiltonian_on(
         raise GeometryMismatchError("basis and spec geometries differ")
     d = spec.depth if depth is None else depth
     q = np.asarray(q, dtype=float)
-    h = _assemble(basis, q, potential_fourier(spec, d))
-    return Hamiltonian(matrix=h, quasimomentum=q, depth_used=d)
-
-
-def hamiltonian_off(basis: PlaneWaveBasis, q: np.ndarray) -> Hamiltonian:
-    """Free-particle (lattice-off) Hamiltonian: diagonal (q+G)^2."""
-    q = np.asarray(q, dtype=float)
-    return Hamiltonian(matrix=_assemble(basis, q, {}), quasimomentum=q, depth_used=0.0)
-
-
-def fold_to_bz(basis: PlaneWaveBasis, q: np.ndarray) -> np.ndarray:
-    """Fold a quasi-momentum into the first Brillouin zone.
-
-    Pure helper; no operation folds implicitly.  Minimizes |q - G| over
-    reciprocal vectors near q.
-    """
-    q = np.asarray(q, dtype=float)
-    prims = reciprocal_primitives(basis.geometry)
-    best = q.copy()
-    best_norm = float(np.dot(q, q))
-    for m1 in range(-2, 3):
-        for m2 in range(-2, 3):
-            cand = q - m1 * prims[0] - m2 * prims[1]
-            n = float(np.dot(cand, cand))
-            if n < best_norm - 1e-15:
-                best, best_norm = cand, n
-    return best
+    return _assemble(basis, q, potential_fourier(spec, d))
 
 
 def sd_gap(spec: LatticeSpec, basis: PlaneWaveBasis | None = None) -> float:

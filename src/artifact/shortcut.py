@@ -92,7 +92,7 @@ def build_objective(
     frame = sd_frame(q, spec, basis)
     if kind is ObjectiveKind.LOAD:
         plane = np.zeros(basis.size, dtype=complex)
-        plane[basis.site_index((0, 0))] = 1.0
+        plane[basis.index[(0, 0)]] = 1.0
         initial = plane[:, None]
         targets = frame[:, [0]]
     else:

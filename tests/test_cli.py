@@ -127,6 +127,29 @@ class TestConfig:
         assert code == EXIT_VALIDATION
         assert "on_range must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("lattice: {depth_Er: 5\n", "is not valid YAML"),
+            ("ensemble:\n  width_schedule: [[null, 0.3]]\n",
+             "bad config value for width_schedule"),
+            ("ensemble:\n  width_schedule: [1, 2]\n",
+             "bad config value for width_schedule"),
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
+        p = tmp_path / "c.yaml"
+        p.write_text(text)
+        out = tmp_path / "x"
+        code = main(["ramsey", "--t-max", "400", "--dt", "4", "--config", str(p),
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        if "YAML" in message:
+            assert f"config file {p}" in err
+        assert not out.exists()
+
     def test_bad_value_type_exits_2(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
         p.write_text("lattice:\n  depth_Er: [1, 2]\n")
@@ -175,18 +198,47 @@ def _readme_blocks(lang):
     return [b.split("\n", 1)[1] for b in text.split("```")[1::2] if b.startswith(lang)]
 
 
+def _readme_commands():
+    """Every ``artifact ...`` command of the README's sh blocks, as argv."""
+    return [
+        shlex.split(line)[1:]
+        for block in _readme_blocks("sh")
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("artifact ")
+    ]
+
+
 class TestReadme:
     def test_commands_parse(self):
-        commands = [
-            line
-            for block in _readme_blocks("sh")
-            for line in block.replace("\\\n", " ").splitlines()
-            if line.startswith("artifact ")
-        ]
+        commands = _readme_commands()
         assert len(commands) >= 7
         parser = build_parser()
-        for line in commands:
-            parser.parse_args(shlex.split(line)[1:])
+        for argv in commands:
+            parser.parse_args(argv)
+
+    def test_cheap_commands_run(self, tmp_path, monkeypatch, capsys):
+        # bands, eval, the single-q Ramsey and a re-analysis of that fringe
+        # (the README re-analyses the ensemble fringe, too slow to run here).
+        outputs = {
+            "bands": {"bands.csv"},
+            "eval": {"report.json"},
+            "ramsey": {"fringe.csv", "contrast.csv", "coherence.json"},
+            "coherence": {"contrast.csv", "coherence.json"},
+        }
+        cheap = [
+            argv for argv in _readme_commands()
+            if argv[0] in ("bands", "eval", "coherence") or "--single-q" in argv
+        ]
+        assert [argv[0] for argv in cheap] == ["bands", "eval", "ramsey", "coherence"]
+        single_q = cheap[2][cheap[2].index("--out") + 1]
+        cheap[3][cheap[3].index("--fringe") + 1] = f"{single_q}/fringe.csv"
+        monkeypatch.chdir(tmp_path)
+        for argv in cheap:
+            assert main(argv) == EXIT_OK, (argv, capsys.readouterr().err)
+            out = tmp_path / argv[argv.index("--out") + 1]
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert set(manifest["outputs"]) == outputs[argv[0]]
+            assert all((out / name).is_file() for name in outputs[argv[0]])
 
     def test_example_config_loads(self, tmp_path):
         (block,) = _readme_blocks("yaml")
@@ -209,6 +261,17 @@ class TestLoadSequence:
     def test_missing_file(self):
         with pytest.raises(ValueError):
             load_sequence("/nonexistent/seq.yaml")
+
+    def test_malformed_yaml_exits_2(self, tmp_path, capsys):
+        seq = tmp_path / "s.yaml"
+        seq.write_text("steps: [{t_on_us: 1.0\n")
+        out = tmp_path / "x"
+        code = main(["ramsey", "--pi2", str(seq), "--single-q", "--t-max", "400",
+                     "--dt", "4", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sequence file {seq} is not valid YAML")
+        assert not out.exists()
 
     def test_yaml_roundtrip(self, tmp_path):
         seq = PulseSequence.from_durations([(1.5, 2.0), (3.0, 4.5)], depths=[4.0, 5.0])
@@ -234,6 +297,7 @@ class TestBands:
     def test_bad_waypoint(self, tmp_path):
         code = main(["bands", "--out", str(tmp_path / "x"), "--path", "G,Q"])
         assert code == EXIT_VALIDATION
+        assert not (tmp_path / "x").exists()
 
     def test_coordinate_waypoints(self, tmp_path):
         out = tmp_path / "run"

@@ -9,13 +9,10 @@ from artifact import dynamics
 from artifact.dynamics import (
     PulseSequence,
     PulseStep,
-    QuantumState,
-    apply_sequence,
     band_eig,
-    band_populations,
     bloch_state,
     default_band_pair,
-    propagator,
+    evolve_columns,
     sd_frame,
     sequence_operator,
     solve_bands,
@@ -25,10 +22,36 @@ from artifact.lattice import (
     LatticeSpec,
     angular_frequency_per_Er,
     build_basis,
-    hamiltonian_off,
     hamiltonian_on,
 )
 from artifact.sequences import REFERENCE_PI2
+
+
+def _on_operator(t_us, q, spec, basis):
+    """The package's lattice-on propagator for t_us at q, through a pulse
+    sequence of one on-only step."""
+    return sequence_operator(PulseSequence.from_durations([(t_us, 0.0)]), q, spec, basis)
+
+
+def _taylor_expm(a):
+    """Independent matrix exponential: scaling and squaring of a 30-term
+    Taylor series."""
+    s = 8
+    term = np.eye(len(a), dtype=complex)
+    acc = np.eye(len(a), dtype=complex)
+    for k in range(1, 30):
+        term = term @ (a / 2**s) / k
+        acc = acc + term
+    for _ in range(s):
+        acc = acc @ acc
+    return acc
+
+
+def _free_propagator(t_us, q, spec, basis):
+    """exp(-i (q+G)^2 t) on the plane waves, written out from the kinetic
+    energies (q+G)^2 in E_r."""
+    kinetic = np.sum((basis.g_vectors + q) ** 2, axis=1)
+    return np.diag(np.exp(-1j * kinetic * angular_frequency_per_Er(spec) * t_us))
 
 
 class TestBandPair:
@@ -41,34 +64,41 @@ class TestBandPair:
 
 class TestSolveBands:
     def test_free_spectrum(self, spec, basis):
-        sol = solve_bands(hamiltonian_on(basis, spec, np.zeros(2), depth=0.0))
-        assert sol.energies[0] == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(sol.energies[1:7], 3.0, atol=1e-12)
-        assert sol.energies[7] == pytest.approx(9.0, abs=1e-12)
+        energies, _ = solve_bands(hamiltonian_on(basis, spec, np.zeros(2), depth=0.0))
+        assert energies[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(energies[1:7], 3.0, atol=1e-12)
+        assert energies[7] == pytest.approx(9.0, abs=1e-12)
 
     def test_orthonormal(self, spec, basis):
-        sol = solve_bands(hamiltonian_on(basis, spec, np.array([0.17, 0.05])))
-        overlap = sol.states.conj().T @ sol.states
+        _, states = solve_bands(hamiltonian_on(basis, spec, np.array([0.17, 0.05])))
+        overlap = states.conj().T @ states
         assert np.allclose(overlap, np.eye(basis.size), atol=1e-10)
 
     def test_eigen_residual(self, spec, basis):
         h = hamiltonian_on(basis, spec, np.array([0.1, -0.2]))
-        sol = solve_bands(h)
-        resid = h.matrix @ sol.states - sol.states * sol.energies
+        energies, states = solve_bands(h)
+        resid = h @ states - states * energies
         assert np.max(np.abs(resid)) < 1e-10
+
+    def test_non_hermitian_input_refused(self, spec, basis):
+        # eigh reads one triangle only, so the residual sees the other.
+        h = hamiltonian_on(basis, spec, np.array([0.1, -0.2]))
+        h[0, 5] += 1e-6
+        with pytest.raises(ArithmeticError, match="eigen-residual"):
+            solve_bands(h)
 
     def test_phases_equal_column_loop(self, spec, basis):
         h = hamiltonian_on(basis, spec, np.array([0.31, -0.02]))
-        _, states = np.linalg.eigh(h.matrix)
+        _, states = np.linalg.eigh(h)
         expected = states.astype(complex)
         for j in range(expected.shape[1]):
             piv = expected[np.argmax(np.abs(expected[:, j])), j]
             expected[:, j] = expected[:, j] * (np.conj(piv) / abs(piv))
-        assert np.array_equal(solve_bands(h).states, expected)
+        assert np.array_equal(solve_bands(h)[1], expected)
 
     def test_deterministic_phases(self, spec, basis):
-        sol = solve_bands(hamiltonian_on(basis, spec, np.array([0.07, 0.21])))
-        for col in sol.states.T:
+        _, states = solve_bands(hamiltonian_on(basis, spec, np.array([0.07, 0.21])))
+        for col in states.T:
             i = np.argmax(np.abs(col))
             assert col[i].real > 0
             assert abs(col[i].imag) < 1e-12
@@ -116,13 +146,13 @@ class TestEigenCache:
     def test_least_recently_used_is_evicted(self, spec, small_cache, monkeypatch):
         basis = build_basis(spec, shell_radius=2)
         solved = []
-        solve = dynamics.solve_bands
+        assemble = dynamics.hamiltonian_on
 
-        def counting_solve(h):
-            solved.append(tuple(h.quasimomentum))
-            return solve(h)
+        def recording_assemble(basis, spec, q, depth=None):
+            solved.append(tuple(q))
+            return assemble(basis, spec, q, depth)
 
-        monkeypatch.setattr(dynamics, "solve_bands", counting_solve)
+        monkeypatch.setattr(dynamics, "hamiltonian_on", recording_assemble)
         old, recent, new = (np.array([x, 0.0]) for x in (0.1, 0.2, 0.3))
         for q in (old, recent, old, new):  # the second `old` refreshes it
             band_eig(q, spec, basis)
@@ -135,8 +165,10 @@ class TestEigenCache:
 
 class TestBlochState:
     def test_normalized(self, spec, basis):
-        st = bloch_state(1, np.zeros(2), spec, basis)
-        assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        for band in (1, 4):
+            for q in (np.zeros(2), np.array([0.19, -0.07])):
+                st = bloch_state(band, q, spec, basis)
+                assert np.linalg.norm(st) == pytest.approx(1.0, abs=1e-12)
 
     def test_band_index_validated(self, spec, basis):
         with pytest.raises(ValueError):
@@ -146,8 +178,8 @@ class TestBlochState:
 
     def test_ground_band_dominated_by_g0(self, spec, basis):
         st = bloch_state(1, np.zeros(2), spec, basis)
-        i0 = basis.site_index((0, 0))
-        weights = np.abs(st.amplitudes) ** 2
+        i0 = basis.index[(0, 0)]
+        weights = np.abs(st) ** 2
         assert weights[i0] > 0.4
         assert i0 == np.argmax(weights)
 
@@ -161,50 +193,39 @@ class TestSdFrame:
         frame = sd_frame(q, spec, b)
         assert frame.shape == (b.size, 2)
         for col, band in zip(frame.T, default_band_pair(spec.geometry)):
-            assert np.array_equal(col, bloch_state(band, q, spec, b).amplitudes)
+            assert np.array_equal(col, bloch_state(band, q, spec, b))
 
 
 class TestPropagator:
+    """The lattice-on propagator, as one on-only pulse step applies it."""
+
     def test_zero_time_identity(self, spec, basis):
-        h = hamiltonian_on(basis, spec, np.zeros(2))
-        u = propagator(h, 0.0, spec)
+        u = _on_operator(0.0, np.array([0.11, 0.07]), spec, basis)
         assert np.allclose(u, np.eye(basis.size), atol=1e-12)
 
     def test_negative_time_rejected(self, spec, basis):
-        h = hamiltonian_on(basis, spec, np.zeros(2))
         with pytest.raises(ValueError):
-            propagator(h, -1.0, spec)
+            _on_operator(-1.0, np.zeros(2), spec, basis)
 
     def test_unitary(self, spec, basis):
-        h = hamiltonian_on(basis, spec, np.array([0.11, 0.07]))
-        u = propagator(h, 13.7, spec)
+        u = _on_operator(13.7, np.array([0.11, 0.07]), spec, basis)
         assert np.max(np.abs(u.conj().T @ u - np.eye(basis.size))) < 1e-10
 
     def test_semigroup(self, spec, basis):
-        h = hamiltonian_on(basis, spec, np.zeros(2))
-        u_ab = propagator(h, 9.0, spec)
-        u_a = propagator(h, 4.0, spec)
-        u_b = propagator(h, 5.0, spec)
+        q = np.zeros(2)
+        u_ab = _on_operator(9.0, q, spec, basis)
+        u_a = _on_operator(4.0, q, spec, basis)
+        u_b = _on_operator(5.0, q, spec, basis)
         assert np.allclose(u_ab, u_b @ u_a, atol=1e-9)
 
     def test_small_basis_taylor_oracle(self, spec):
-        # Independent matrix exponential: scaling-and-squaring Taylor series
-        # on the 9-wave basis, compared elementwise to the package product.
+        # On the 9-wave basis, compared elementwise to the package product.
         small = build_basis(spec, 1)
-        h = hamiltonian_on(small, spec, np.array([0.2, -0.1]))
+        q = np.array([0.2, -0.1])
         t_us = 7.3
-        w = angular_frequency_per_Er(spec)
-        a = -1j * w * t_us * h.matrix
-        s = 8
-        a_scaled = a / 2**s
-        term = np.eye(small.size, dtype=complex)
-        acc = np.eye(small.size, dtype=complex)
-        for k in range(1, 30):
-            term = term @ a_scaled / k
-            acc = acc + term
-        for _ in range(s):
-            acc = acc @ acc
-        u = propagator(h, t_us, spec)
+        h = hamiltonian_on(small, spec, q)
+        acc = _taylor_expm(-1j * angular_frequency_per_Er(spec) * t_us * h)
+        u = _on_operator(t_us, q, spec, small)
         assert np.max(np.abs(u - acc)) < 1e-9
 
 
@@ -249,8 +270,8 @@ class TestEvolution:
     def test_zero_duration_sequence_is_identity(self, spec, basis):
         st = bloch_state(1, np.zeros(2), spec, basis)
         seq = PulseSequence.from_durations([(0.0, 0.0)])
-        out = apply_sequence(st, seq, spec, basis)
-        assert np.allclose(out.amplitudes, st.amplitudes, atol=1e-12)
+        out = evolve_columns(st, seq, np.zeros(2), spec, basis)
+        assert np.allclose(out, st, atol=1e-12)
 
     def test_sequence_operator_unitary(self, spec, basis):
         op = sequence_operator(REFERENCE_PI2, np.zeros(2), spec, basis)
@@ -268,53 +289,51 @@ class TestEvolution:
 
     def test_norm_preserved(self, spec, basis):
         st = bloch_state(1, np.zeros(2), spec, basis)
-        out = apply_sequence(st, REFERENCE_PI2, spec, basis)
-        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-9)
+        out = evolve_columns(st, REFERENCE_PI2, np.zeros(2), spec, basis)
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
     def test_per_step_depth_override_changes_result(self, spec, basis):
         flat = PulseSequence.from_durations([(10.0, 5.0)])
         deep = PulseSequence.from_durations([(10.0, 5.0)], depths=[6.0])
         st = bloch_state(1, np.zeros(2), spec, basis)
-        out_flat = apply_sequence(st, flat, spec, basis)
-        out_deep = apply_sequence(st, deep, spec, basis)
-        assert not np.allclose(out_flat.amplitudes, out_deep.amplitudes, atol=1e-6)
+        out_flat = evolve_columns(st, flat, np.zeros(2), spec, basis)
+        out_deep = evolve_columns(st, deep, np.zeros(2), spec, basis)
+        assert not np.allclose(out_flat, out_deep, atol=1e-6)
 
     def test_off_segment_uses_free_hamiltonian(self, spec, basis):
         # A pure-off step must equal the free propagator.
         q = np.array([0.03, 0.01])
         seq = PulseSequence.from_durations([(0.0, 8.0)])
         u = sequence_operator(seq, q, spec, basis)
-        h = hamiltonian_off(basis, q)
-        assert np.allclose(u, propagator(h, 8.0, spec), atol=1e-10)
+        assert np.allclose(u, _free_propagator(8.0, q, spec, basis), atol=1e-10)
+
+
+def _band_populations(amplitudes, q, spec, basis, n_bands=6):
+    """|<band_i|state>|^2 for the lowest n_bands bands, from band_eig."""
+    _, states = band_eig(q, spec, basis)
+    return np.abs(states[:, :n_bands].conj().T @ amplitudes) ** 2
 
 
 class TestBandPopulations:
     def test_pure_band_state(self, spec, basis):
-        sol = solve_bands(hamiltonian_on(basis, spec, np.zeros(2)))
-        st = QuantumState(quasimomentum=np.zeros(2), amplitudes=sol.states[:, 3])
-        pops = band_populations(st, sol, 6)
+        # The D-band Bloch state is band 4 itself: the triangular D band is
+        # isolated at the package's gap convention.
+        st = bloch_state(4, np.zeros(2), spec, basis)
+        pops = _band_populations(st, np.zeros(2), spec, basis)
         assert pops[3] == pytest.approx(1.0, abs=1e-12)
         assert sum(pops) == pytest.approx(1.0, abs=1e-12)
 
     def test_populations_sum_below_one(self, spec, basis):
-        sol = solve_bands(hamiltonian_on(basis, spec, np.zeros(2)))
         st = bloch_state(1, np.zeros(2), spec, basis)
-        out = apply_sequence(st, REFERENCE_PI2, spec, basis)
-        pops = band_populations(out, sol, 6)
+        out = evolve_columns(st, REFERENCE_PI2, np.zeros(2), spec, basis)
+        pops = _band_populations(out, np.zeros(2), spec, basis)
         assert 0.0 <= sum(pops) <= 1.0 + 1e-9
-
-    def test_band_count_validated(self, spec, basis):
-        sol = solve_bands(hamiltonian_on(basis, spec, np.zeros(2)))
-        st = bloch_state(1, np.zeros(2), spec, basis)
-        with pytest.raises(ValueError):
-            band_populations(st, sol, basis.size + 1)
 
     def test_half_pi_leaves_mid_bands_empty(self, spec, basis):
         # The shipped half-pi sequence moves population S -> D with
         # negligible transfer into the symmetry-mismatched P bands.
-        sol = solve_bands(hamiltonian_on(basis, spec, np.zeros(2)))
         st = bloch_state(1, np.zeros(2), spec, basis)
-        out = apply_sequence(st, REFERENCE_PI2, spec, basis)
-        pops = band_populations(out, sol, 6)
+        out = evolve_columns(st, REFERENCE_PI2, np.zeros(2), spec, basis)
+        pops = _band_populations(out, np.zeros(2), spec, basis)
         assert pops[1] + pops[2] < 1e-8
         assert pops[0] + pops[3] > 0.96

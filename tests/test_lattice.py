@@ -8,12 +8,9 @@ from artifact.lattice import (
     GeometryMismatchError,
     LatticeSpec,
     TRIANGULAR_FOURIER_COEF,
-    beam_wavevectors,
     build_basis,
     calibrate_fourier_coefficient,
-    fold_to_bz,
     fringe_period_us,
-    hamiltonian_off,
     hamiltonian_on,
     potential_fourier,
     reciprocal_primitives,
@@ -64,26 +61,24 @@ class TestConstants:
             LatticeSpec(**{name: value})
 
 
-class TestBeamsAndReciprocal:
-    def test_three_beams_sum_to_zero(self, spec):
-        beams = beam_wavevectors(spec)
-        assert beams.shape == (3, 2)
-        assert np.allclose(beams.sum(axis=0), 0.0, atol=1e-12)
+def _beams(spec):
+    """The beam wavevectors k_1, k_2, k_3 that the reciprocal primitives
+    imply: b1 = k1 - k2, b2 = k2 - k3 and k1 + k2 + k3 = 0."""
+    b1, b2 = reciprocal_primitives(spec.geometry)
+    return np.array([2 * b1 + b2, b2 - b1, -b1 - 2 * b2]) / 3.0
 
+
+class TestBeamsAndReciprocal:
     def test_beams_at_120_degrees(self, spec):
-        beams = beam_wavevectors(spec)
+        beams = _beams(spec)
+        assert np.allclose(np.linalg.norm(beams, axis=1), 1.0, atol=1e-12)
         for i in range(3):
             a, b = beams[i], beams[(i + 1) % 3]
             cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
             assert cos == pytest.approx(-0.5, abs=1e-12)
 
     def test_first_beam_along_x(self, spec):
-        beams = beam_wavevectors(spec)
-        assert beams[0] == pytest.approx([1.0, 0.0], abs=1e-12)
-
-    def test_beams_unavailable_in_1d(self, spec_1d):
-        with pytest.raises(GeometryMismatchError):
-            beam_wavevectors(spec_1d)
+        assert _beams(spec)[0] == pytest.approx([1.0, 0.0], abs=1e-12)
 
     def test_reciprocal_primitives(self, spec):
         b1, b2 = reciprocal_primitives(spec.geometry)
@@ -115,7 +110,7 @@ class TestBasis:
 
     def test_site_index_roundtrip(self, basis):
         for i, s in enumerate(basis.sites):
-            assert basis.site_index(tuple(s)) == i
+            assert basis.index[tuple(s)] == i
 
     def test_g_vectors_match_sites(self, basis, spec):
         b1, b2 = reciprocal_primitives(spec.geometry)
@@ -170,33 +165,33 @@ class TestHamiltonian:
         b = build_basis(spec, 5)
         q = np.array(q)
         assert np.array_equal(
-            hamiltonian_on(b, spec, q).matrix, _loop_hamiltonian(b, spec, q)
+            hamiltonian_on(b, spec, q), _loop_hamiltonian(b, spec, q)
         )
 
     def test_hermitian(self, spec, basis):
         h = hamiltonian_on(basis, spec, np.array([0.13, -0.29]))
-        assert np.allclose(h.matrix, h.matrix.conj().T, atol=1e-12)
+        assert np.allclose(h, h.conj().T, atol=1e-12)
 
     def test_depth_recorded(self, spec, basis):
         h = hamiltonian_on(basis, spec, np.zeros(2), depth=3.3)
-        assert h.depth_used == 3.3
+        assert np.array_equal(h, hamiltonian_on(basis, LatticeSpec(depth=3.3), np.zeros(2)))
 
     def test_free_spectrum_at_gamma(self, spec, basis):
         h = hamiltonian_on(basis, spec, np.zeros(2), depth=0.0)
-        e = np.linalg.eigvalsh(h.matrix)
+        e = np.linalg.eigvalsh(h)
         assert e[0] == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(e[1:7], 3.0, atol=1e-12)
         assert e[7] == pytest.approx(9.0, abs=1e-12)
 
     def test_off_equals_zero_depth(self, spec, basis):
         q = np.array([0.2, 0.1])
-        h_off = hamiltonian_off(basis, q)
+        h_off = np.diag(np.sum((basis.g_vectors + q) ** 2, axis=1))
         h_zero = hamiltonian_on(basis, spec, q, depth=0.0)
-        assert np.allclose(h_off.matrix, h_zero.matrix, atol=1e-14)
+        assert np.allclose(h_off, h_zero, atol=1e-14)
 
     def test_gamma_spectrum_at_reference_depth(self, spec, basis):
         h = hamiltonian_on(basis, spec, np.zeros(2))
-        e = np.linalg.eigvalsh(h.matrix)
+        e = np.linalg.eigvalsh(h)
         rel = e - e[0]
         assert rel[1] == pytest.approx(3.9439, abs=2e-4)
         assert rel[2] == pytest.approx(3.9439, abs=2e-4)
@@ -206,9 +201,9 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("q", [(0.0, 0.0), (0.3, -0.11)])
     def test_hex_sub_basis_is_principal_submatrix(self, spec, basis, hex_basis, q):
-        ids = [basis.site_index(s) for s in hex_basis.sites]
-        full = hamiltonian_on(basis, spec, np.array(q)).matrix
-        sub = hamiltonian_on(hex_basis, spec, np.array(q)).matrix
+        ids = [basis.index[s] for s in hex_basis.sites]
+        full = hamiltonian_on(basis, spec, np.array(q))
+        sub = hamiltonian_on(hex_basis, spec, np.array(q))
         assert hex_basis.size == 91
         assert np.array_equal(sub, full[np.ix_(ids, ids)])
 
@@ -231,7 +226,7 @@ class TestHamiltonian:
             rotated = (-b, a - b)
             assert rotated in pos
             perm.append(pos[rotated])
-        h = hamiltonian_on(basis, spec, np.zeros(2)).matrix
+        h = hamiltonian_on(basis, spec, np.zeros(2))
         block = h[np.ix_(hex_ids, hex_ids)]
         rotated_block = block[np.ix_(perm, perm)]
         assert np.allclose(rotated_block, block, atol=1e-12)
@@ -273,17 +268,3 @@ class TestGapAndCalibration:
     def test_calibration_needs_triangular_geometry(self, spec_1d):
         with pytest.raises(GeometryMismatchError):
             calibrate_fourier_coefficient(spec=spec_1d)
-
-
-class TestFoldToBz:
-    def test_reciprocal_translation_invariance(self, spec, basis):
-        b1, _ = reciprocal_primitives(spec.geometry)
-        q = np.array([0.31, -0.12])
-        assert fold_to_bz(basis, q + np.asarray(b1)) == pytest.approx(
-            fold_to_bz(basis, q), abs=1e-12
-        )
-
-    def test_gamma_fixed_point(self, basis):
-        assert fold_to_bz(basis, np.zeros(2)) == pytest.approx(
-            [0.0, 0.0], abs=1e-12
-        )

@@ -229,6 +229,8 @@ class RunConfig:
         for key, value in (overrides or {}).items():
             if value is not None:
                 setattr(cfg, key, value)
+        if cfg.threads < 1:
+            raise ValidationError(f"threads must be >= 1, got {cfg.threads}")
         if cfg.geometry not in _GEOMETRY_NAMES:
             raise ValidationError(
                 f"geometry must be one of {sorted(_GEOMETRY_NAMES)}, got {cfg.geometry!r}"
@@ -400,14 +402,6 @@ def _start_run(command, cfg, out_dir, run_args, inputs, lattice=None) -> RunWrit
 # Sequence files
 
 
-def save_sequence(
-    writer: RunWriter, name: str, seq: PulseSequence, meta: dict
-) -> Path:
-    data = seq.to_dict()
-    data.update(meta)
-    return writer.write_yaml(name, data)
-
-
 def load_sequence(token: str) -> PulseSequence:
     """Load a sequence from a YAML file or a ``reference:<name>`` token."""
     if token.startswith("reference:"):
@@ -501,17 +495,13 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
         opts,
         (args.depth_min, args.depth_max) if args.variable_amplitude else None,
     )
-    save_sequence(
-        writer,
-        "sequence.yaml",
-        result.sequence,
-        {
-            "provenance": f"designed by artifact {__version__}, kind={args.kind}, "
-            f"seed={cfg.rng_seed}, restarts={opts.restarts}",
-            "fidelity": result.fidelity,
-            "fidelity_pre_rounding": result.fidelity_pre_rounding,
-        },
-    )
+    meta = {
+        "provenance": f"designed by artifact {__version__}, kind={args.kind}, "
+        f"seed={cfg.rng_seed}, restarts={opts.restarts}",
+        "fidelity": result.fidelity,
+        "fidelity_pre_rounding": result.fidelity_pre_rounding,
+    }
+    writer.write_yaml("sequence.yaml", {**result.sequence.to_dict(), **meta})
     writer.write_csv(
         "trace.csv",
         ["iteration", "fidelity"],
@@ -607,6 +597,8 @@ def _sequence_files(*tokens) -> list:
 
 def _pulse_model(args, need_pi: bool):
     if args.pi2 == "ideal":
+        if getattr(args, "pi", None) not in (None, "ideal"):
+            raise ValidationError("--pi2 ideal runs ideal pi pulses; drop --pi")
         return IdealPulses()
     pi_seq = None
     if need_pi:
@@ -690,7 +682,7 @@ def cmd_coherence(cfg: RunConfig, args, out_dir: Path) -> int:
     coh = coherence_time(contrast)
     writer = _start_run(
         "coherence", cfg, out_dir, {"fringe": args.fringe, "period": args.period},
-        [args.fringe],
+        [args.fringe, args.config],
     )
     _finish_coherence(writer, contrast, coh, args.period, "coherence: ")
     return EXIT_OK

@@ -243,27 +243,32 @@ def evolve_columns(
     q: np.ndarray,
     spec: LatticeSpec,
     basis: PlaneWaveBasis,
+    adjoint: bool = False,
 ) -> np.ndarray:
     """Apply a pulse sequence to one or more state columns at fixed q.
 
     Equivalent to multiplying by the sequence's time-ordered product of
     on/off propagators, but evaluated column-wise (fast path shared by
-    states, operators, and fidelity evaluations).
+    states, operators, and fidelity evaluations).  ``adjoint`` applies the
+    product's adjoint instead: the intervals in reverse order, each with
+    its phases conjugated.
     """
     w = angular_frequency_per_Er(spec)
     q = np.asarray(q, dtype=float)
     kin = basis.kinetic(q)
+    sign = 1j if adjoint else -1j
     out = np.asarray(cols, dtype=complex)
     single = out.ndim == 1
     if single:
         out = out[:, None]
-    for step in seq.steps:
-        if step.t_on > 0:
+    intervals = [(step, on) for step in seq.steps for on in (True, False)]
+    for step, on in reversed(intervals) if adjoint else intervals:
+        if on and step.t_on > 0:
             energies, states = band_eig(q, spec, basis, step.depth)
-            phases = np.exp(-1j * energies * w * step.t_on)
+            phases = np.exp(sign * energies * w * step.t_on)
             out = states @ (phases[:, None] * (states.conj().T @ out))
-        if step.t_off > 0:
-            out = np.exp(-1j * kin * w * step.t_off)[:, None] * out
+        elif not on and step.t_off > 0:
+            out = np.exp(sign * kin * w * step.t_off)[:, None] * out
     return out[:, 0] if single else out
 
 

@@ -10,16 +10,17 @@ Sequences (time order, left to right):
 
 The hold evolution uses the full multi-band lattice-on propagator.  Every
 pulse is built in the S/D frame F = [S D] of :func:`artifact.dynamics.sd_frame`
-at the pulse's quasi-momentum.  Pulses come in two models: ideal analytic
+at the pulse's quasi-momentum, and applied only to the columns the fringe
+reads (:func:`_pulse_operator`).  Pulses come in two models: ideal analytic
 rotations, 1 + F (R - 1) F^dagger with R the 2x2 target block, or real
-shortcut pulse sequences.  Sequence operators are phase-locked by default:
-each is dressed with the two per-band reference phases from the aligned
-fidelity frame (:func:`artifact.shortcut.aligned_fidelity_block`), which is
-what makes independently designed pulses compose consistently in a composite
+shortcut pulse sequences.  Sequences are phase-locked by default: each is
+dressed with the two per-band reference phases from the aligned fidelity
+frame (:func:`artifact.shortcut.aligned_fidelity_block`), which is what
+makes independently designed pulses compose consistently in a composite
 sequence — without it the inter-pulse phases are an artifact of the
 eigensolver's phase convention rather than of the pulse design.  The
 dressing only rephases the D column and row, so it is applied as two rank-1
-updates of the sequence operator.
+updates of the evolved columns.
 
 Dephasing arises from averaging fringes over a Gaussian quasi-momentum
 distribution: the S-D gap varies with q, so ensemble fringes decay.  Two
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import PulseSequence, band_eig, sd_frame, sequence_operator
+from .dynamics import PulseSequence, band_eig, evolve_columns, sd_frame
 from .lattice import (
     Geometry,
     LatticeSpec,
@@ -184,11 +185,8 @@ def ideal_pulse_operator(
 ) -> np.ndarray:
     """Exact S/D-subspace rotation ("pi2" or "pi"), identity elsewhere:
     1 + F (R - 1) F^dagger with F the S/D frame and R the kind's 2x2 block."""
-    frame = sd_frame(q, spec, basis)
-    rot = ROTATION_BLOCKS[ObjectiveKind(kind)] - np.identity(2)
-    op = frame @ rot @ frame.conj().T
-    op[np.diag_indices(basis.size)] += 1.0
-    return op
+    kind = ObjectiveKind(kind)
+    return _pulse_operator(IdealPulses(), kind, q, spec, basis, np.identity(basis.size))
 
 
 def locked_sequence_operator(
@@ -205,13 +203,8 @@ def locked_sequence_operator(
     the kind's target rotation.  A deterministic, unitary, per-q dressing,
     applied as two rank-1 updates of R.
     """
-    frame = sd_frame(q, spec, basis)
-    d = frame[:, 1]
-    r = sequence_operator(seq, q, spec, basis)
-    _, a, b = aligned_fidelity_block(frame.conj().T @ r @ frame, ROTATION_BLOCKS[kind])
-    r += np.outer((np.exp(1j * a) - 1.0) * (r @ d), d.conj())
-    r += np.outer(d, (np.exp(1j * b) - 1.0) * (d.conj() @ r))
-    return r
+    pulses = SequencePulses(seq, seq)
+    return _pulse_operator(pulses, kind, q, spec, basis, np.identity(basis.size))
 
 
 def _pulse_operator(
@@ -220,16 +213,33 @@ def _pulse_operator(
     q: np.ndarray,
     spec: LatticeSpec,
     basis: PlaneWaveBasis,
+    cols: np.ndarray,
+    adjoint: bool = False,
 ) -> np.ndarray:
-    """Full operator of the model's pulse of the given kind at q."""
+    """The model's pulse of the given kind at q (its adjoint with
+    ``adjoint``) applied to the (n, k) columns ``cols``.  A locked sequence
+    evolves [cols | F] and dresses the evolved columns by rank-1 updates."""
+    frame = sd_frame(q, spec, basis)
     if isinstance(pulses, IdealPulses):
-        return ideal_pulse_operator(kind.value, q, spec, basis)
+        rot = ROTATION_BLOCKS[kind] - np.identity(2)
+        return cols + frame @ ((rot.T if adjoint else rot) @ (frame.conj().T @ cols))
     seq = pulses.pi2 if kind is ObjectiveKind.HALF_PI else pulses.pi
     if seq is None:
         raise ValueError("echo requires a pi sequence")
-    if pulses.phase_locked:
-        return locked_sequence_operator(seq, kind, q, spec, basis)
-    return sequence_operator(seq, q, spec, basis)
+    if not pulses.phase_locked:
+        return evolve_columns(cols, seq, q, spec, basis, adjoint)
+    k = cols.shape[1]
+    out = evolve_columns(np.hstack([cols, frame]), seq, q, spec, basis, adjoint)
+    out, r_frame = out[:, :k], out[:, k:]
+    # The S/D block F^dagger R F, read from R F or, for the adjoint, R^dagger F.
+    block = r_frame.conj().T @ frame if adjoint else frame.conj().T @ r_frame
+    _, a, b = aligned_fidelity_block(block, ROTATION_BLOCKS[kind])
+    if adjoint:  # (Z_b R Z_a)^dagger = Z_(-a) R^dagger Z_(-b)
+        a, b = -b, -a
+    d = frame[:, 1]
+    out += np.outer(r_frame[:, 1], (np.exp(1j * a) - 1.0) * (d.conj() @ cols))
+    out += np.outer(d, (np.exp(1j * b) - 1.0) * (d.conj() @ out))
+    return out
 
 
 def _fringe_kernel(
@@ -246,14 +256,18 @@ def _fringe_kernel(
 
     Returns ``(p_d,)``, the D-band population, or with ``phase_scan``
     ``(num, den)``, from which the analysis-phase-scan contrast at this q is
-    2|num|/den.  Only the requested components are computed.
+    2|num|/den.  Only the requested components are computed, and pulses
+    act only on the columns read: R F and R^dagger D, and for echo R V.
     """
     w = angular_frequency_per_Er(spec)
     energies, states = band_eig(q, spec, basis)
-    s, d = sd_frame(q, spec, basis).T
-    r_half = _pulse_operator(pulses, ObjectiveKind.HALF_PI, q, spec, basis)
-    psi1 = states.conj().T @ (r_half @ s)
-    wvec = (states.conj().T @ (r_half.conj().T @ d)).conj()
+    frame = sd_frame(q, spec, basis)
+    d = frame[:, 1]
+    half = ObjectiveKind.HALF_PI
+    r_frame = _pulse_operator(pulses, half, q, spec, basis, frame)
+    r_adj_d = _pulse_operator(pulses, half, q, spec, basis, frame[:, 1:], adjoint=True)
+    psi1 = states.conj().T @ r_frame[:, 0]
+    wvec = (states.conj().T @ r_adj_d[:, 0]).conj()
 
     if kind is FringeKind.RAMSEY:
         chi = np.exp(-1j * np.outer(energies, w * times)) * psi1[:, None]
@@ -263,8 +277,8 @@ def _fringe_kernel(
         tau = times / (2.0 * n_echo)
         ph_tau = np.exp(-1j * np.outer(energies, w * tau))
         ph_2tau = ph_tau * ph_tau
-        r_pi = _pulse_operator(pulses, ObjectiveKind.PI, q, spec, basis)
-        phi = states.conj().T @ r_pi @ states
+        r_pi = _pulse_operator(pulses, ObjectiveKind.PI, q, spec, basis, states)
+        phi = states.conj().T @ r_pi
         chi = ph_tau * psi1[:, None]
         for j in range(1, n_echo + 1):
             chi = phi @ chi
@@ -275,7 +289,7 @@ def _fringe_kernel(
     amp = wvec @ chi
     if not phase_scan:
         return (np.abs(amp) ** 2,)
-    rdd = complex(np.vdot(d, r_half @ d))
+    rdd = complex(np.vdot(d, r_frame[:, 1]))
     d_band = states.conj().T @ d  # D state in the band basis
     b = (d_band.conj() @ chi) * rdd
     num = np.conj(amp - b) * b
@@ -412,6 +426,8 @@ def _ensemble_sums(
     Results are consumed as they arrive, in grid order for every thread
     count, so memory holds the work of the q in flight, not of the grid.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     pulses = _as_pulse_model(pulses)
     xs, ys = _grid_axes(ens, spec.geometry)
     qs = [np.array([qx, qy]) for qx in xs for qy in ys]

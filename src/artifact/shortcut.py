@@ -24,6 +24,7 @@ frozen or bounded for variable-amplitude design), and seeded multi-start.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -39,7 +40,11 @@ from .dynamics import (
 )
 from .lattice import LatticeSpec, PlaneWaveBasis, require_finite
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Phases b on which :func:`aligned_fidelity_block` brackets its maximum.
+_PHASE_GRID = np.linspace(-math.pi, math.pi, 720, endpoint=False)
+#: Newton steps that refine the grid's best b; from one grid spacing,
+#: quadratic convergence reaches rounding in about four.
+_NEWTON_STEPS = 8
 
 
 class ObjectiveKind(enum.Enum):
@@ -114,65 +119,52 @@ def build_objective(
 
 
 def aligned_fidelity_block(
-    block: np.ndarray, target_block: np.ndarray, n_grid: int = 720
+    block: np.ndarray, target_block: np.ndarray
 ) -> tuple[float, float, float]:
     """Fidelity of a 2x2 band-frame block against a target rotation,
     maximized over the two per-band reference phases.
 
     Maximizes |tr(target^dagger Z_b block Z_a)| / 2 over diagonal gauges
     Z_theta = diag(1, e^(i theta)).  The maximum over ``a`` is analytic
-    (align the two diagonal contributions), leaving a smooth 1-D problem in
-    ``b`` solved by a dense grid plus golden-section refinement.
+    (align the two diagonal contributions), leaving the smooth 1-D problem
+    max_b |c0(b)| + |c1(b)| with c_j = alpha_j + beta_j e^(ib).  The best
+    point of a :data:`_PHASE_GRID` scan is refined by Newton steps on the
+    analytic derivative, so b is solved to rounding and moves with the block
+    only as much as the maximizer itself does.
 
     Returns (fidelity, a, b) with the maximizing phases.
     """
     m, rt = block, target_block
-
-    def parts(b: float | np.ndarray):
-        eb = np.exp(1j * np.asarray(b))
-        c0 = np.conj(rt[0, 0]) * m[0, 0] + np.conj(rt[1, 0]) * eb * m[1, 0]
-        c1 = np.conj(rt[0, 1]) * m[0, 1] + np.conj(rt[1, 1]) * eb * m[1, 1]
-        return c0, c1
-
+    alpha, beta = np.conj(rt[0]) * m[0], np.conj(rt[1]) * m[1]
     if (rt[0, 0] == 0 and rt[1, 1] == 0) or (rt[0, 1] == 0 and rt[1, 0] == 0):
         # Anti-diagonal (a pi rotation) or diagonal target: |c0| and |c1|
         # are constant in b, so the maximization is degenerate along one
         # gauge direction.  Pick the canonical point that makes the overlap
         # of the column whose target has a D component real positive (c0
         # for anti-diagonal, c1 for diagonal); a then aligns the other.
-        j = 0 if rt[1, 0] != 0 else 1
-        b = float(-np.angle(np.conj(rt[1, j]) * m[1, j]))
-        c0, c1 = parts(b)
-        a = float(np.angle(c0) - np.angle(c1))
-        return float(abs(c0) + abs(c1)) / 2.0, a, b
-
-    bs = np.linspace(-math.pi, math.pi, n_grid, endpoint=False)
-    c0, c1 = parts(bs)
-    score = np.abs(c0) + np.abs(c1)
-    j = int(np.argmax(score))
-    lo = bs[j] - 2.0 * math.pi / n_grid
-    hi = bs[j] + 2.0 * math.pi / n_grid
-
-    def f(b: float) -> float:
-        c0, c1 = parts(b)
-        return float(abs(c0) + abs(c1))
-
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(60):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = f(x1)
-    b = 0.5 * (lo + hi)
-    c0, c1 = parts(b)
-    a = float(np.angle(c0) - np.angle(c1)) if abs(c1) > 0 else 0.0
-    return (abs(c0) + abs(c1)) / 2.0, a, b
+        b = float(-np.angle(beta[0 if rt[1, 0] != 0 else 1]))
+    else:
+        score = np.abs(alpha[:, None] + np.outer(beta, np.exp(1j * _PHASE_GRID)))
+        b = b0 = float(_PHASE_GRID[np.argmax(score.sum(axis=0))])
+        spacing = 2.0 * math.pi / len(_PHASE_GRID)
+        # With u_j = beta_j e^(ib) = -i dc_j/db: |c|' = -Im(c* u)/|c| and
+        # |c|'' = (|u|^2 - Re(c* u))/|c| - |c|'^2/|c|.
+        coef = list(zip(alpha.tolist(), beta.tolist()))
+        for _ in range(_NEWTON_STEPS):
+            eb, d1, d2 = cmath.exp(1j * b), 0.0, 0.0
+            for al, be in coef:
+                u = be * eb
+                c = al + u
+                r = abs(c)
+                if r > 0:
+                    p = c.conjugate() * u
+                    d1 -= p.imag / r
+                    d2 += (abs(u) ** 2 - p.real - (p.imag / r) ** 2) / r
+            if not d2 < 0:
+                break
+            b = min(max(b - d1 / d2, b0 - spacing), b0 + spacing)
+    c0, c1 = alpha + beta * np.exp(1j * b)
+    return float(abs(c0) + abs(c1)) / 2.0, float(np.angle(c0) - np.angle(c1)), b
 
 
 def rotation_block(seq: PulseSequence, obj: PulseObjective) -> np.ndarray:
@@ -195,10 +187,7 @@ def fidelity(seq: PulseSequence, obj: PulseObjective) -> float:
             obj.initial[:, 0], seq, obj.quasimomentum, obj.spec, obj.basis
         )
         return float(abs(np.vdot(obj.targets[:, 0], final)))
-    eta, _, _ = aligned_fidelity_block(
-        rotation_block(seq, obj), ROTATION_BLOCKS[obj.kind]
-    )
-    return float(eta)
+    return aligned_fidelity_block(rotation_block(seq, obj), ROTATION_BLOCKS[obj.kind])[0]
 
 
 def fidelity_report(seq: PulseSequence, obj: PulseObjective) -> dict:
@@ -219,15 +208,13 @@ def fidelity_report(seq: PulseSequence, obj: PulseObjective) -> dict:
         eta = float(abs(np.vdot(obj.targets[:, 0], final[:, 0])))
         overlaps = [np.vdot(obj.targets[:, 0], final[:, 0])]
     else:
-        block = rotation_block(seq, obj)
+        # For rotations the initial states are the band frame, so this is
+        # rotation_block's block without evolving the frame a second time.
+        block = obj.band_frame.conj().T @ final
         target = ROTATION_BLOCKS[obj.kind]
         eta, a, b = aligned_fidelity_block(block, target)
-        za = np.diag([1.0, np.exp(1j * a)])
-        zb = np.diag([1.0, np.exp(1j * b)])
-        aligned = zb @ block @ za
-        overlaps = [
-            complex(np.vdot(target[:, j], aligned[:, j])) for j in range(2)
-        ]
+        gauge = np.exp(1j * np.add.outer([0.0, b], [0.0, a]))  # e^(i(b_k + a_j))
+        overlaps = (target.conj() * block * gauge).sum(axis=0).tolist()
     mid = pops[s_idx : d_idx - 1, :].sum(axis=0)
     above = pops[d_idx:, :].sum(axis=0)
     return {

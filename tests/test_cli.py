@@ -450,6 +450,27 @@ class TestFringeCommands:
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("pi", ["reference:pi", "sequence file"])
+    def test_echo_rejects_a_pi_sequence_with_ideal_pi2(self, tmp_path, capsys, pi):
+        if pi == "sequence file":
+            pi = str(tmp_path / "p.yaml")
+            Path(pi).write_text(yaml.safe_dump(REFERENCE_SEQUENCES["pi"].to_dict()))
+        out = tmp_path / "x"
+        code = main(["echo", "--pi2", "ideal", "--pi", pi, "--t-max", "400",
+                     "--dt", "4", "--single-q", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "--pi" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        out = tmp_path / "x"
+        code = main(["ramsey", "--pi2", "ideal", "--single-q", "--t-max", "400",
+                     "--dt", "4", "--threads", threads, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns_and_thread_invariance(self, tmp_path):
         args = ["ramsey", "--pi2", "ideal", "--t-max", "300", "--dt", "4",
                 "--single-q"]
@@ -479,6 +500,19 @@ class TestCoherenceCommand:
         a = json.loads((run / "coherence.json").read_text())
         b = json.loads((re / "coherence.json").read_text())
         assert a == b
+
+    def test_config_is_hashed(self, tmp_path):
+        fringe = self._fringe_csv(tmp_path / "f.csv")
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text("lattice:\n  depth_Er: 5.0\n")
+        out = tmp_path / "re"
+        code = main(["coherence", "--fringe", str(fringe), "--period", "88.8",
+                     "--config", str(cfgp), "--out", str(out)])
+        assert code == EXIT_OK
+        hashes = json.loads((out / "manifest.json").read_text())["input_hashes"]
+        assert hashes == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (fringe, cfgp)
+        }
 
     def test_missing_fringe(self, tmp_path):
         code = main(["coherence", "--fringe", str(tmp_path / "no.csv"),

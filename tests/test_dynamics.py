@@ -24,7 +24,7 @@ from artifact.lattice import (
     build_basis,
     hamiltonian_on,
 )
-from artifact.sequences import REFERENCE_PI2
+from artifact.sequences import REFERENCE_PI2, REFERENCE_PI_VARIABLE
 
 
 def _on_operator(t_us, q, spec, basis):
@@ -299,6 +299,27 @@ class TestEvolution:
         out_flat = evolve_columns(st, flat, np.zeros(2), spec, basis)
         out_deep = evolve_columns(st, deep, np.zeros(2), spec, basis)
         assert not np.allclose(out_flat, out_deep, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            REFERENCE_PI_VARIABLE,
+            PulseSequence.from_durations(
+                [(3.0, 0.0), (0.0, 5.0), (2.5, 4.0)], [6.0, None, 4.0]
+            ),
+        ],
+        ids=["variable-depth pi", "zero-duration intervals"],
+    )
+    def test_adjoint_applies_the_operator_adjoint(self, spec, basis, seq):
+        q = np.array([0.13, -0.07])
+        rng = np.random.default_rng(2)
+        cols = rng.normal(size=(basis.size, 3)) + 1j * rng.normal(size=(basis.size, 3))
+        cols /= np.linalg.norm(cols, axis=0)
+        expected = sequence_operator(seq, q, spec, basis).conj().T @ cols
+        out = evolve_columns(cols, seq, q, spec, basis, adjoint=True)
+        assert np.max(np.abs(out - expected)) <= 1e-13
+        single = evolve_columns(cols[:, 0], seq, q, spec, basis, adjoint=True)
+        assert np.max(np.abs(single - expected[:, 0])) <= 1e-13
 
     def test_off_segment_uses_free_hamiltonian(self, spec, basis):
         # A pure-off step must equal the free propagator.

@@ -27,6 +27,7 @@ from artifact.dynamics import (
     band_eig,
     bloch_state,
     default_band_pair,
+    sd_frame,
     sequence_operator,
 )
 from artifact.lattice import (
@@ -212,6 +213,70 @@ class TestDenseOracles:
         assert np.max(np.abs(u - zb @ r @ za)) < 1e-13
 
 
+def _dense_kernel(kind, r_half, r_pi, times, q, spec, basis, n_echo):
+    """The kernel's (amplitude, scanned D part) per hold time, from dense
+    pulse operators applied state by state; the scanned part is the final
+    pulse's image of the D component, read out on D."""
+    energies, states = band_eig(q, spec, basis)
+    s, d = sd_frame(q, spec, basis).T
+    w = angular_frequency_per_Er(spec)
+
+    def hold(t):
+        return states @ (np.exp(-1j * energies * w * t)[:, None] * states.conj().T)
+
+    amps, parts = [], []
+    for t in times:
+        psi = r_half @ s
+        if kind is FringeKind.RAMSEY:
+            psi = hold(t) @ psi
+        else:
+            for _ in range(n_echo):
+                psi = hold(t / (2 * n_echo)) @ (r_pi @ (hold(t / (2 * n_echo)) @ psi))
+        amps.append(np.vdot(d, r_half @ psi))
+        parts.append(np.vdot(d, psi) * np.vdot(d, r_half @ d))
+    return np.array(amps), np.array(parts)
+
+
+class TestKernelOracle:
+    """The column-wise kernel against dense 121x121 pulse operators."""
+
+    Q = np.array([0.21, -0.08])
+    TIMES = np.array([0.0, 37.0, 150.0, 333.0])
+
+    @staticmethod
+    def _views(model, q, spec, basis):
+        if model == "ideal":
+            return IdealPulses(), [
+                ideal_pulse_operator(k, q, spec, basis) for k in ("pi2", "pi")
+            ]
+        locked = model == "locked"
+        pulses = SequencePulses(REFERENCE_PI2, REFERENCE_PI, phase_locked=locked)
+        pairs = ((REFERENCE_PI2, ObjectiveKind.HALF_PI), (REFERENCE_PI, ObjectiveKind.PI))
+        if locked:
+            ops = [locked_sequence_operator(sq, k, q, spec, basis) for sq, k in pairs]
+        else:
+            ops = [sequence_operator(sq, q, spec, basis) for sq, _ in pairs]
+        return pulses, ops
+
+    @pytest.mark.parametrize("phase_scan", [False, True])
+    @pytest.mark.parametrize("kind", [FringeKind.RAMSEY, FringeKind.ECHO])
+    @pytest.mark.parametrize("model", ["ideal", "locked", "unlocked"])
+    def test_matches_dense_operators(self, spec, basis, model, kind, phase_scan):
+        pulses, (r_half, r_pi) = self._views(model, self.Q, spec, basis)
+        t, q = self.TIMES, self.Q
+        amp, part = _dense_kernel(kind, r_half, r_pi, t, q, spec, basis, 2)
+        got = _fringe_kernel(kind, pulses, t, q, spec, basis, 2, phase_scan)
+        if phase_scan:
+            expected = (
+                np.conj(amp - part) * part,
+                np.abs(amp - part) ** 2 + np.abs(part) ** 2,
+            )
+        else:
+            expected = (np.abs(amp) ** 2,)
+        for g, e in zip(got, expected, strict=True):
+            assert np.max(np.abs(g - e)) <= 1e-12
+
+
 class TestLockedOperator:
     def test_unitary(self, spec, basis):
         u = locked_sequence_operator(
@@ -294,6 +359,14 @@ class TestEnsembleFringe:
             FringeKind.RAMSEY, IdealPulses(), times, ens, spec, basis, threads=4
         )
         assert np.array_equal(c1.p_d, c4.p_d)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    @pytest.mark.parametrize("run", [ensemble_fringe, phase_scan_contrast])
+    def test_threads_below_one_rejected(self, spec, basis, run, threads):
+        ens = EnsembleSpec(distribution="delta")
+        with pytest.raises(ValueError, match="threads"):
+            run("ramsey", IdealPulses(), np.array([0.0, 1.0]), ens, spec, basis,
+                threads=threads)
 
     def test_quadrature_refinement_converged(self, spec, basis):
         times = np.linspace(0.0, 2000.0, 9)
@@ -588,13 +661,13 @@ class TestGlobalPhaseInvariance:
     QS = (np.zeros(2), np.array([0.21, -0.13]))
     T_US = 300.0
 
-    def _shift(self, p_d, monkeypatch):
-        """Largest |change| of p_d(q) over QS when 0.7 E_r is added to the
-        potential.  The eigen-cache key does not see the potential, so the
-        shifted run gets a cache of its own."""
+    def _shift(self, p_d, monkeypatch, qs=QS):
+        """Largest |change| of p_d(q) over ``qs`` when 0.7 E_r is added to
+        the potential.  The eigen-cache key does not see the potential, so
+        the shifted run gets a cache of its own."""
         from artifact import dynamics, lattice
 
-        before = [p_d(q) for q in self.QS]
+        before = [p_d(q) for q in qs]
         base = lattice.potential_fourier
 
         def shifted(spec, depth=None):
@@ -604,7 +677,7 @@ class TestGlobalPhaseInvariance:
 
         monkeypatch.setattr(lattice, "potential_fourier", shifted)
         monkeypatch.setattr(dynamics, "_EIG_CACHE", {})
-        after = [p_d(q) for q in self.QS]
+        after = [p_d(q) for q in qs]
         return max(abs(a - b) for a, b in zip(after, before))
 
     def test_ramsey(self, spec, basis, monkeypatch):
@@ -612,6 +685,16 @@ class TestGlobalPhaseInvariance:
             return ramsey_pd(self.PULSES, self.T_US, q, spec, basis)
 
         assert self._shift(p_d, monkeypatch) <= 1e-8
+
+    def test_ramsey_to_rounding(self, spec, basis, monkeypatch):
+        # The pi/2 lock has an isolated maximizer, solved to rounding, so the
+        # offset moves Ramsey P_D only by rounding.
+        qs = (*self.QS, np.array([-0.09, 0.17]))
+
+        def p_d(q):
+            return ramsey_pd(self.PULSES, self.T_US, q, spec, basis)
+
+        assert self._shift(p_d, monkeypatch, qs) <= 1e-12
 
     @pytest.mark.xfail(
         strict=True,

@@ -133,6 +133,43 @@ class TestAlignedBlock:
         assert c0.imag == pytest.approx(0.0, abs=1e-12)
         assert c0.real > 0
 
+    @staticmethod
+    def _blocks(rng, n):
+        """n random blocks, then n near the half-pi target in random gauges."""
+        target = ROTATION_BLOCKS[ObjectiveKind.HALF_PI]
+        def gaussian():
+            return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+
+        blocks = [gaussian() for _ in range(n)]
+        for _ in range(n):
+            g, a, b = rng.uniform(-np.pi, np.pi, 3)
+            near = np.exp(1j * g) * np.diag([1, np.exp(1j * b)]) @ target
+            near = near @ np.diag([1, np.exp(1j * a)])
+            blocks.append(near + 10.0 ** rng.uniform(-8, -1) * gaussian())
+        return blocks
+
+    def test_phases_solved_to_rounding(self):
+        # The maximum is flat to second order, so a bracketing search moves
+        # (a, b) by about sqrt(eps) under a rounding-size change of the block.
+        rng = np.random.default_rng(5)
+        target = ROTATION_BLOCKS[ObjectiveKind.HALF_PI]
+        for m in self._blocks(rng, 100):
+            _, a0, b0 = aligned_fidelity_block(m, target)
+            nudged = m * (1.0 + 1e-15 * rng.normal(size=(2, 2)))
+            _, a1, b1 = aligned_fidelity_block(nudged, target)
+            assert abs(np.exp(1j * a1) - np.exp(1j * a0)) <= 1e-12
+            assert abs(np.exp(1j * b1) - np.exp(1j * b0)) <= 1e-12
+
+    def test_fidelity_is_the_maximum_over_b(self):
+        rng = np.random.default_rng(6)
+        target = ROTATION_BLOCKS[ObjectiveKind.HALF_PI]
+        eb = np.exp(1j * np.linspace(-np.pi, np.pi, 20000, endpoint=False))
+        for m in self._blocks(rng, 50):
+            f, _, _ = aligned_fidelity_block(m, target)
+            c = np.conj(target[0])[:, None] * m[0][:, None]
+            c = c + np.conj(target[1])[:, None] * m[1][:, None] * eb
+            assert f >= np.max(np.abs(c).sum(axis=0)) / 2.0 - 1e-12
+
     def test_global_phase_invariance(self):
         rng = np.random.default_rng(11)
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

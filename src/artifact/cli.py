@@ -42,9 +42,7 @@ Exit codes: 0 success, 2 validation error, 3 threshold not met,
 
 from __future__ import annotations
 
-import argparse
 import datetime
-import hashlib
 import json
 import math
 import os
@@ -53,8 +51,9 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
+# PyYAML, hashlib and argparse are imported where they are used: importing
+# this module for its API, as the library and the benchmark do, loads none.
 from . import __version__
 from .dynamics import PulseSequence, solve_bands
 from .interferometer import (
@@ -105,6 +104,14 @@ class ValidationError(ValueError):
     """Bad config, arguments, or input files."""
 
 
+def _real(value) -> float:
+    """A number or numeric string; refuses booleans instead of reading them
+    as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value) -> int:
     """An integral number or integer string; refuses booleans and fractions
     instead of truncating them."""
@@ -120,7 +127,7 @@ def _schedule(value) -> list:
     numbers; kept unconverted so that the run id sees the config's values."""
     value = list(value)
     for t, sigma in value:
-        float(t), float(sigma)  # raises on a point that is not two numbers
+        _real(t), _real(sigma)  # raises on a point that is not two numbers
     return value
 
 
@@ -128,6 +135,8 @@ def _read_yaml(path: str, what: str):
     """Load the YAML file at ``path``; ``what`` names it in the messages."""
     if not Path(path).is_file():
         raise ValidationError(f"{what} not found: {path}")
+    import yaml
+
     try:
         with open(path) as f:
             return yaml.safe_load(f)
@@ -138,7 +147,7 @@ def _read_yaml(path: str, what: str):
 def _convert(key: str, convert, value):
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad config value for {key}: {exc}") from exc
 
 
@@ -146,12 +155,12 @@ def _convert(key: str, convert, value):
 #: level.  Each key loads into the :class:`RunConfig` field of the same name.
 _CONFIG_KEYS = (
     ("lattice", "geometry", str),
-    ("lattice", "wavelength_nm", float),
-    ("lattice", "depth_Er", float),
-    ("lattice", "atom_mass_kg", float),
+    ("lattice", "wavelength_nm", _real),
+    ("lattice", "depth_Er", _real),
+    ("lattice", "atom_mass_kg", _real),
     ("basis", "shell_radius", _integer),
     ("ensemble", "distribution", str),
-    ("ensemble", "delta_q_hk", float),
+    ("ensemble", "delta_q_hk", _real),
     ("ensemble", "width_reading", str),
     ("ensemble", "quadrature", _integer),
     ("ensemble", "width_schedule", _schedule),
@@ -162,13 +171,13 @@ _CONFIG_KEYS = (
 #: ``optimizer`` section: key -> (OptimizerOptions field, converter).
 _OPTIMIZER_KEYS = {
     "max_iters": ("max_iters", _integer),
-    "fd_step_us": ("fd_step", float),
-    "learning_rate": ("learning_rate", float),
-    "grid_quantum_us": ("grid_quantum", float),
+    "fd_step_us": ("fd_step", _real),
+    "learning_rate": ("learning_rate", _real),
+    "grid_quantum_us": ("grid_quantum", _real),
     "restarts": ("restarts", _integer),
-    "convergence_tol": ("convergence_tol", float),
-    "on_max_us": ("on_range", lambda v: (0.0, float(v))),
-    "off_max_us": ("off_range", lambda v: (0.0, float(v))),
+    "convergence_tol": ("convergence_tol", _real),
+    "on_max_us": ("on_range", lambda v: (0.0, _real(v))),
+    "off_max_us": ("off_range", lambda v: (0.0, _real(v))),
 }
 
 
@@ -277,6 +286,8 @@ class RunConfig:
 
 
 def _sha256_file(path: Path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(65536), b""):
@@ -292,6 +303,8 @@ class RunWriter:
     """Collects outputs for one run and writes the manifest last."""
 
     def __init__(self, command: str, out_dir: Path, config: RunConfig, args: dict):
+        import hashlib
+
         self.command = command
         self.out_dir = out_dir
         self.config = config
@@ -346,6 +359,8 @@ class RunWriter:
         return self._write(name, dump)
 
     def write_yaml(self, name: str, data: dict) -> Path:
+        import yaml
+
         return self._write(name, lambda f: yaml.safe_dump(data, f, sort_keys=False))
 
     def write_json(self, name: str, data: dict) -> Path:
@@ -625,14 +640,19 @@ def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
     ens = cfg.ensemble_spec() if not args.single_q else EnsembleSpec(
         distribution="delta", sigma_q=0.0
     )
+    sequence_pulses = isinstance(model, SequencePulses)
+    # Every flag that changes the outputs enters the run id; a flag the
+    # pulse model ignores stays out (None values are dropped).
     run_args = {
         "pi2": args.pi2,
-        "pi": getattr(args, "pi", None),
+        "pi": getattr(args, "pi", None) if sequence_pulses else None,
         "t_max": args.t_max,
         "dt": args.dt,
         "n_echo": getattr(args, "n_echo", None),
         "period": period,
+        "contrast_window": args.contrast_window,
         "single_q": args.single_q,
+        "no_phase_lock": (args.no_phase_lock and sequence_pulses) or None,
     }
     inputs = [args.config, *_sequence_files(args.pi2, run_args["pi"])]
     writer = _start_run(kind.value, cfg, out_dir, run_args, inputs, (spec, basis))
@@ -693,6 +713,8 @@ def cmd_coherence(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="artifact",
         description="Bloch-band interferometry in a triangular optical lattice.",

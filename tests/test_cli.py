@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from artifact.cli import (
     EXIT_OK,
@@ -169,6 +171,14 @@ class TestConfig:
             ("rng_seed: .inf\n", "rng_seed"),
             ("optimizer:\n  max_iters: 20.5\n", "max_iters"),
             ("optimizer:\n  restarts: false\n", "restarts"),
+            # a real-valued key refuses booleans and numbers beyond a float
+            ("lattice:\n  depth_Er: true\n", "depth_Er"),
+            ("lattice:\n  wavelength_nm: false\n", "wavelength_nm"),
+            ("lattice:\n  depth_Er: 1" + "0" * 400 + "\n", "depth_Er"),
+            ("ensemble:\n  delta_q_hk: true\n", "delta_q_hk"),
+            ("ensemble:\n  width_schedule: [[true, 0.3]]\n", "width_schedule"),
+            ("optimizer:\n  learning_rate: true\n", "learning_rate"),
+            ("optimizer:\n  on_max_us: true\n", "on_max_us"),
         ],
     )
     def test_non_integral_value_exits_2(self, tmp_path, capsys, text, key):
@@ -188,6 +198,81 @@ class TestConfig:
         assert (cfg.shell_radius, cfg.quadrature, cfg.rng_seed) == (3, 9, 4)
         assert type(cfg.shell_radius) is int
         assert cfg.optimizer_options().max_iters == 7
+
+
+_SCHEMA = {
+    "lattice": ["geometry", "wavelength_nm", "depth_Er", "atom_mass_kg"],
+    "basis": ["shell_radius"],
+    "ensemble": ["distribution", "delta_q_hk", "width_reading", "quadrature",
+                 "width_schedule"],
+    "optimizer": ["max_iters", "fd_step_us", "learning_rate", "grid_quantum_us",
+                  "restarts", "convergence_tol", "on_max_us", "off_max_us"],
+}
+_VALID = {
+    "geometry": st.sampled_from(["triangular", "1d"]),
+    "distribution": st.sampled_from(["gaussian", "delta"]),
+    "width_reading": st.sampled_from(["fwhm", "two_sigma"]),
+    "width_schedule": st.lists(
+        st.tuples(st.floats(0, 1e4), st.floats(0, 1)).map(list), max_size=3
+    ),
+    **dict.fromkeys(["shell_radius", "quadrature", "max_iters", "restarts",
+                     "rng_seed"], st.integers(1, 31)),
+}
+_JUNK = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text("ab1.e-", max_size=6),
+    st.floats(),  # NaN, inf, negatives and huge values
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([-(10**400), 10**400]),  # too large for a float
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text("xyz", max_size=3), st.integers(), max_size=2),
+)
+
+
+def _value(key):
+    """A valid value for ``key`` three times in four, junk otherwise."""
+    valid = _VALID.get(key, st.floats(0.1, 100.0) | st.integers(1, 30))
+    return st.integers(0, 3).flatmap(lambda k: valid if k else _JUNK)
+
+
+@st.composite
+def _config_mappings(draw):
+    """A config mapping over the schema keys, valid values mixed with junk,
+    sometimes with an unknown key or a section that is not a mapping."""
+    data = {}
+    for section, keys in _SCHEMA.items():
+        if draw(st.booleans()):
+            continue
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True))
+        values = {key: draw(_value(key)) for key in chosen}
+        if draw(st.integers(0, 9)) == 0:
+            values["unknown_key"] = 1
+        data[section] = values if draw(st.integers(0, 9)) else draw(_JUNK)
+    if draw(st.booleans()):
+        data["rng_seed"] = draw(_value("rng_seed"))
+    if draw(st.integers(0, 9)) == 0:
+        data[draw(st.sampled_from(["threads", "seed", "depth_Er"]))] = 1
+    return data
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_config_mappings())
+def test_config_loading_raises_only_value_error(tmp_path, data):
+    """Any YAML mapping loads or raises ValueError, which main maps to
+    exit 2; no other exception type escapes."""
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump(data))
+    try:
+        cfg = RunConfig.load(str(p))
+    except ValueError:
+        return
+    for build in (cfg.lattice_spec, cfg.ensemble_spec, cfg.optimizer_options):
+        try:
+            build()
+        except ValueError:
+            pass
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -471,6 +556,50 @@ class TestFringeCommands:
         assert "threads must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def _manifest(args, out):
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_no_phase_lock_enters_the_run_id(self, tmp_path):
+        args = ["ramsey", "--pi2", "reference:pi2", "--single-q", "--t-max", "400",
+                "--dt", "4"]
+        locked = self._manifest(args, tmp_path / "a")
+        unlocked = self._manifest(args + ["--no-phase-lock"], tmp_path / "b")
+        assert ((tmp_path / "a/fringe.csv").read_bytes()
+                != (tmp_path / "b/fringe.csv").read_bytes())
+        assert unlocked["run_id"] != locked["run_id"]
+        assert unlocked["args"]["no_phase_lock"] is True
+        assert "no_phase_lock" not in locked["args"]
+        # Ideal pulses ignore the flag, so it stays out of their run id.
+        ideal = ["ramsey", "--pi2", "ideal", "--single-q", "--t-max", "400",
+                 "--dt", "4"]
+        plain = self._manifest(ideal, tmp_path / "c")
+        ignored = self._manifest(ideal + ["--no-phase-lock"], tmp_path / "d")
+        assert ignored["run_id"] == plain["run_id"]
+
+    def test_contrast_window_enters_the_run_id(self, tmp_path):
+        args = ["ramsey", "--pi2", "ideal", "--single-q", "--t-max", "800",
+                "--dt", "4"]
+        default = self._manifest(args, tmp_path / "a")
+        wide = self._manifest(args + ["--contrast-window", "177.6"], tmp_path / "b")
+        assert ((tmp_path / "a/contrast.csv").read_bytes()
+                != (tmp_path / "b/contrast.csv").read_bytes())
+        assert wide["run_id"] != default["run_id"]
+        assert wide["args"]["contrast_window"] == 177.6
+        assert "contrast_window" not in default["args"]
+
+    def test_ideal_pi_stays_out_of_the_run_id(self, tmp_path):
+        args = ["echo", "--pi2", "ideal", "--single-q", "--t-max", "400",
+                "--dt", "4"]
+        plain = self._manifest(args, tmp_path / "a")
+        with_pi = self._manifest(args + ["--pi", "ideal"], tmp_path / "b")
+        assert with_pi["run_id"] == plain["run_id"]
+        assert "pi" not in with_pi["args"]
+        for name in ("fringe.csv", "contrast.csv", "coherence.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
+
     def test_byte_identical_reruns_and_thread_invariance(self, tmp_path):
         args = ["ramsey", "--pi2", "ideal", "--t-max", "300", "--dt", "4",
                 "--single-q"]
@@ -557,6 +686,18 @@ class TestCoherenceCommand:
         assert not out.exists()
 
 
+def _run_python(script):
+    """Run ``script`` in a fresh interpreter that imports the package from
+    this checkout; return its standard output."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_fringe_runs_never_import_scipy(tmp_path):
     """ramsey, echo and coherence, the fit included, run without scipy."""
     decay = TestCoherenceCommand._fringe_csv(tmp_path / "decay.csv")
@@ -574,13 +715,29 @@ assert main(["coherence", "--fringe", {str(decay)!r}, "--period", "88.8",
 assert json.load(open(out + "/d/coherence.json"))["fit_tau_us"] is not None
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert _run_python(script).splitlines()[-1] == "[]"
+
+
+def test_importing_the_cli_loads_only_what_it_uses(tmp_path):
+    """Importing the package and its CLI loads none of PyYAML, hashlib,
+    argparse or SciPy; a run loads PyYAML only when it reads a YAML file."""
+    script = f"""
+import sys
+import artifact, artifact.cli
+lazy = ("yaml", "hashlib", "argparse", "scipy")
+seen = [sorted(name for name in lazy if name in sys.modules)]
+from artifact.cli import main
+out = {str(tmp_path)!r}
+base = ["--single-q", "--t-max", "400", "--dt", "4"]
+assert main(["ramsey", "--pi2", "reference:pi2", *base, "--out", out + "/r"]) == 0
+seen.append("yaml" in sys.modules)
+open(out + "/c.yaml", "w").write("lattice:\\n  depth_Er: 5.0\\n")
+assert main(["ramsey", "--pi2", "ideal", *base, "--config", out + "/c.yaml",
+             "--out", out + "/c"]) == 0
+seen.append("yaml" in sys.modules)
+print(seen)
+"""
+    assert _run_python(script).splitlines()[-1] == "[[], False, True]"
 
 
 class TestManifest:

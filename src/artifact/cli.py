@@ -16,25 +16,9 @@ artifact.  CSV files carry a ``#`` header block with the run id so plots
 stay traceable to configs.  Identical config + seed produce byte-identical
 CSVs regardless of thread count.
 
-Config files are YAML with explicit unit suffixes::
-
-    lattice:
-      geometry: triangular      # or "1d"
-      wavelength_nm: 1064.0
-      depth_Er: 5.0
-      atom_mass_kg: 1.4432e-25
-    basis:
-      shell_radius: 5
-    ensemble:
-      delta_q_hk: 0.72          # measured width ...
-      width_reading: fwhm       # ... read as FWHM (or "two_sigma")
-      quadrature: 21
-    optimizer:
-      max_iters: 200
-      restarts: 10
-    rng_seed: 0
-
-A key outside the schema tables below is refused (exit code 2).
+Config and sequence files are YAML, read only through the schema tables
+below, whose keys carry their units (``depth_Er``, ``t_on_us``); a key
+outside them is refused (exit code 2).  The README shows an example of each.
 
 Exit codes: 0 success, 2 validation error, 3 threshold not met,
 4 numerical failure.
@@ -55,7 +39,7 @@ import numpy as np
 # PyYAML, hashlib and argparse are imported where they are used: importing
 # this module for its API, as the library and the benchmark do, loads none.
 from . import __version__
-from .dynamics import PulseSequence, solve_bands
+from .dynamics import PulseSequence, PulseStep, solve_bands
 from .interferometer import (
     EnsembleSpec,
     FringeCurve,
@@ -122,6 +106,17 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _choice(*names: str):
+    """A converter that accepts one of ``names`` only."""
+
+    def convert(value):
+        if value not in names:
+            raise ValueError(f"expected one of {', '.join(names)}, got {value!r}")
+        return value
+
+    return convert
+
+
 def _schedule(value) -> list:
     """A width schedule as loaded, each point a (t_us, sigma) pair of
     numbers; kept unconverted so that the run id sees the config's values."""
@@ -144,22 +139,22 @@ def _read_yaml(path: str, what: str):
         raise ValidationError(f"{what} {path} is not valid YAML: {exc}") from exc
 
 
-def _convert(key: str, convert, value):
+def _convert(key: str, convert, value, what: str = "config"):
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"bad config value for {key}: {exc}") from exc
+        raise ValidationError(f"bad {what} value for {key}: {exc}") from exc
 
 
 #: Config schema: (section, key, converter); section ``None`` is the top
 #: level.  Each key loads into the :class:`RunConfig` field of the same name.
 _CONFIG_KEYS = (
-    ("lattice", "geometry", str),
+    ("lattice", "geometry", _choice(*_GEOMETRY_NAMES)),
     ("lattice", "wavelength_nm", _real),
     ("lattice", "depth_Er", _real),
     ("lattice", "atom_mass_kg", _real),
     ("basis", "shell_radius", _integer),
-    ("ensemble", "distribution", str),
+    ("ensemble", "distribution", _choice("gaussian", "delta")),
     ("ensemble", "delta_q_hk", _real),
     ("ensemble", "width_reading", str),
     ("ensemble", "quadrature", _integer),
@@ -181,21 +176,51 @@ _OPTIMIZER_KEYS = {
 }
 
 
-def _reject_unknown_keys(data: dict) -> None:
-    """Refuse any config key that the two schema tables do not name."""
-    known = {None: {sec or key for sec, key, _ in _CONFIG_KEYS}}
+#: Sequence-file schema: the top-level keys in file order, ``steps`` and then
+#: the metadata that ``design`` writes, which loading does not read; and each
+#: step's key -> (PulseStep field, converter), of which ``depth_Er`` is optional.
+_SEQUENCE_KEYS = ("steps", "provenance", "fidelity", "fidelity_pre_rounding")
+_STEP_KEYS = {
+    "t_on_us": ("t_on", _real),
+    "t_off_us": ("t_off", _real),
+    "depth_Er": ("depth", _real),
+}
+_REQUIRED_STEP_KEYS = ("t_on_us", "t_off_us")
+
+
+def _reject_unknown(data: dict, known, where: str, what: str = "config") -> None:
+    """Refuse any key of ``data`` outside ``known``, placed by ``where``."""
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ValidationError(
+            f"unknown {what} key(s) {', '.join(sorted(map(str, unknown)))} "
+            f"{where}; expected one of {', '.join(sorted(known))}"
+        )
+
+
+def _fields(values: dict, table: dict, where: str, what: str = "config") -> dict:
+    """``values`` read through ``table`` (key -> (field, converter)) as
+    field -> converted value; a key outside the table is refused."""
+    _reject_unknown(values, table, where, what)
+    return {name: _convert(f"{key} {where}", convert, values[key], what)
+            for key, (name, convert) in table.items() if key in values}
+
+
+def _check_config_keys(data) -> None:
+    """Refuse a config that is not a mapping of section mappings, or any key
+    that the two schema tables do not name."""
+    known = {"optimizer": _OPTIMIZER_KEYS}
     for sec, key, _ in _CONFIG_KEYS:
-        if sec is not None:
-            known.setdefault(sec, set()).add(key)
-    known["optimizer"] = set(_OPTIMIZER_KEYS)
+        known.setdefault(sec, set()).add(key)
+    sections = [sec for sec in known if sec]
+    if not isinstance(data, dict) or not all(
+        isinstance(data.get(sec, {}), dict) for sec in sections
+    ):
+        raise ValidationError("a config and each of its sections must be mappings")
+    known[None] |= set(sections)
     for section, keys in known.items():
-        unknown = set(data if section is None else data.get(section, {})) - keys
-        if unknown:
-            where = "at the top level" if section is None else f"in {section}"
-            raise ValidationError(
-                f"unknown config key(s) {', '.join(sorted(map(str, unknown)))} "
-                f"{where}; expected one of {', '.join(sorted(keys))}"
-            )
+        where = "at the top level" if section is None else f"in {section}"
+        _reject_unknown(data if section is None else data.get(section, {}), keys, where)
 
 
 @dataclass
@@ -221,15 +246,7 @@ class RunConfig:
         data: dict = {}
         if path:
             data = _read_yaml(path, "config file") or {}
-        sections = ("lattice", "basis", "ensemble", "optimizer")
-        if not isinstance(data, dict) or not all(
-            isinstance(data.get(key, {}), dict) for key in sections
-        ):
-            raise ValidationError(
-                f"config must be a mapping whose {', '.join(sections)} "
-                "sections are mappings"
-            )
-        _reject_unknown_keys(data)
+        _check_config_keys(data)
         cfg = cls()
         for section, key, convert in _CONFIG_KEYS:
             values = data if section is None else data.get(section, {})
@@ -240,45 +257,29 @@ class RunConfig:
                 setattr(cfg, key, value)
         if cfg.threads < 1:
             raise ValidationError(f"threads must be >= 1, got {cfg.threads}")
-        if cfg.geometry not in _GEOMETRY_NAMES:
-            raise ValidationError(
-                f"geometry must be one of {sorted(_GEOMETRY_NAMES)}, got {cfg.geometry!r}"
-            )
         return cfg
 
+    # The specs' own checks raise ValueError, which main reports as exit 2.
     def lattice_spec(self) -> LatticeSpec:
-        try:
-            return LatticeSpec(
-                geometry=_GEOMETRY_NAMES[self.geometry],
-                wavelength=self.wavelength_nm * 1e-9,
-                depth=self.depth_Er,
-                atom_mass=self.atom_mass_kg,
-            )
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        return LatticeSpec(
+            geometry=_GEOMETRY_NAMES[self.geometry],
+            wavelength=self.wavelength_nm * 1e-9,
+            depth=self.depth_Er,
+            atom_mass=self.atom_mass_kg,
+        )
 
     def ensemble_spec(self) -> EnsembleSpec:
-        try:
-            if self.distribution == "delta":
-                return EnsembleSpec(distribution="delta", sigma_q=0.0)
-            ens = EnsembleSpec.from_width(
-                self.delta_q_hk, reading=self.width_reading, quadrature=self.quadrature
-            )
-            schedule = tuple((float(t), float(s)) for t, s in self.width_schedule)
-            return replace(ens, width_schedule=schedule)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        if self.distribution == "delta":
+            return EnsembleSpec(sigma_q=0.0)
+        ens = EnsembleSpec.from_width(
+            self.delta_q_hk, reading=self.width_reading, quadrature=self.quadrature
+        )
+        schedule = tuple((float(t), float(s)) for t, s in self.width_schedule)
+        return replace(ens, width_schedule=schedule)
 
     def optimizer_options(self) -> OptimizerOptions:
-        fields = {
-            name: _convert(key, convert, self.optimizer[key])
-            for key, (name, convert) in _OPTIMIZER_KEYS.items()
-            if key in self.optimizer
-        }
-        try:
-            return OptimizerOptions(rng_seed=self.rng_seed, **fields)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(str(exc)) from exc
+        fields = _fields(self.optimizer, _OPTIMIZER_KEYS, "in optimizer")
+        return OptimizerOptions(rng_seed=self.rng_seed, **fields)
 
 
 # --------------------------------------------------------------------------
@@ -420,17 +421,42 @@ def _start_run(command, cfg, out_dir, run_args, inputs, lattice=None) -> RunWrit
 def load_sequence(token: str) -> PulseSequence:
     """Load a sequence from a YAML file or a ``reference:<name>`` token."""
     if token.startswith("reference:"):
-        name = token.split(":", 1)[1]
-        if name not in REFERENCE_SEQUENCES:
-            raise ValidationError(
-                f"unknown reference sequence {name!r}; have {sorted(REFERENCE_SEQUENCES)}"
-            )
+        choose = _choice(*REFERENCE_SEQUENCES)
+        name = _convert("reference:<name>", choose, token.split(":", 1)[1], "sequence")
         return REFERENCE_SEQUENCES[name]
     data = _read_yaml(token, "sequence file")
     try:
-        return PulseSequence.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+        return _parse_sequence(data)
+    except ValueError as exc:
         raise ValidationError(f"malformed sequence file {token}: {exc}") from exc
+
+
+def _parse_sequence(data) -> PulseSequence:
+    """A sequence from a loaded sequence file, through the schema tables."""
+    if not isinstance(data, dict) or not isinstance(data.get("steps"), list):
+        raise ValidationError("expected a mapping with a list of steps")
+    _reject_unknown(data, _SEQUENCE_KEYS, "at the top level", "sequence")
+    steps = []
+    for i, step in enumerate(data["steps"], 1):
+        if not isinstance(step, dict):
+            raise ValidationError(f"step {i} is not a mapping")
+        fields = _fields(step, _STEP_KEYS, f"in step {i}", "sequence")
+        missing = [key for key in _REQUIRED_STEP_KEYS if key not in step]
+        if missing:
+            raise ValidationError(f"missing sequence key {missing[0]} in step {i}")
+        steps.append(PulseStep(**fields))
+    return PulseSequence(tuple(steps))
+
+
+def _sequence_file(seq: PulseSequence, *meta) -> dict:
+    """A sequence file's mapping in schema order: ``seq``'s steps (a depth
+    only where a step has one), then the metadata values ``meta``."""
+    steps = [
+        {key: getattr(step, name) for key, (name, _) in _STEP_KEYS.items()
+         if getattr(step, name) is not None}
+        for step in seq.steps
+    ]
+    return dict(zip(_SEQUENCE_KEYS, (steps, *meta)))
 
 
 # --------------------------------------------------------------------------
@@ -510,13 +536,13 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
         opts,
         (args.depth_min, args.depth_max) if args.variable_amplitude else None,
     )
-    meta = {
-        "provenance": f"designed by artifact {__version__}, kind={args.kind}, "
-        f"seed={cfg.rng_seed}, restarts={opts.restarts}",
-        "fidelity": result.fidelity,
-        "fidelity_pre_rounding": result.fidelity_pre_rounding,
-    }
-    writer.write_yaml("sequence.yaml", {**result.sequence.to_dict(), **meta})
+    provenance = (
+        f"designed by artifact {__version__}, kind={args.kind}, "
+        f"seed={cfg.rng_seed}, restarts={opts.restarts}"
+    )
+    writer.write_yaml("sequence.yaml", _sequence_file(
+        result.sequence, provenance, result.fidelity, result.fidelity_pre_rounding
+    ))
     writer.write_csv(
         "trace.csv",
         ["iteration", "fidelity"],
@@ -637,9 +663,7 @@ def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
     times = _fringe_times(args, window)
     need_pi = kind is FringeKind.ECHO
     model = _pulse_model(args, need_pi)
-    ens = cfg.ensemble_spec() if not args.single_q else EnsembleSpec(
-        distribution="delta", sigma_q=0.0
-    )
+    ens = EnsembleSpec(sigma_q=0.0) if args.single_q else cfg.ensemble_spec()
     sequence_pulses = isinstance(model, SequencePulses)
     # Every flag that changes the outputs enters the run id; a flag the
     # pulse model ignores stays out (None values are dropped).

@@ -91,27 +91,6 @@ class PulseSequence:
         """Flat array [t_on_1, ..., t_on_K, t_off_1, ..., t_off_K]."""
         return np.array([s.t_on for s in self.steps] + [s.t_off for s in self.steps])
 
-    def to_dict(self) -> dict:
-        steps = []
-        for s in self.steps:
-            d = {"t_on_us": s.t_on, "t_off_us": s.t_off}
-            if s.depth is not None:
-                d["depth_Er"] = s.depth
-            steps.append(d)
-        return {"steps": steps}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PulseSequence":
-        steps = tuple(
-            PulseStep(
-                t_on=float(s["t_on_us"]),
-                t_off=float(s["t_off_us"]),
-                depth=(float(s["depth_Er"]) if "depth_Er" in s else None),
-            )
-            for s in data["steps"]
-        )
-        return cls(steps=steps)
-
 
 # --------------------------------------------------------------------------
 # Band solving
@@ -185,7 +164,6 @@ def bloch_state(
     q: np.ndarray,
     spec: LatticeSpec,
     basis: PlaneWaveBasis,
-    depth: float | None = None,
 ) -> np.ndarray:
     """Energy-ordered band eigenstate (1-based index) at quasi-momentum q,
     as its plane-wave amplitudes.
@@ -199,7 +177,7 @@ def bloch_state(
     """
     if not (1 <= band_index <= basis.size):
         raise ValueError("band index out of range")
-    energies, states = band_eig(q, spec, basis, depth)
+    energies, states = band_eig(q, spec, basis)
     i = band_index - 1
     if (
         spec.geometry is Geometry.TRIANGULAR_3BEAM

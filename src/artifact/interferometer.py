@@ -84,9 +84,9 @@ PulseModel = IdealPulses | SequencePulses
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Quasi-momentum distribution and quadrature for ensemble averages."""
+    """Gaussian quasi-momentum distribution and quadrature for ensemble
+    averages; ``sigma_q = 0`` (the default) is the single point q = 0."""
 
-    distribution: str = "gaussian"  # "delta" or "gaussian"
     sigma_q: float = 0.0
     quadrature: int = 21
     #: optional piecewise-linear width schedule [(t_us, sigma), ...].
@@ -94,13 +94,11 @@ class EnsembleSpec:
 
     def __post_init__(self) -> None:
         require_finite(self, "sigma_q", "width_schedule")
-        if self.distribution not in ("delta", "gaussian"):
-            raise ValueError("distribution must be 'delta' or 'gaussian'")
         if self.sigma_q < 0:
             raise ValueError("sigma_q must be >= 0")
         if self.quadrature % 2 == 0:
             raise ValueError("quadrature must be odd so q = 0 is a node")
-        if self.distribution == "gaussian" and self.sigma_q > 0 and self.quadrature < 5:
+        if self.sigma_q > 0 and self.quadrature < 5:
             raise ValueError("quadrature grid < 5 per axis is too coarse")
         if self.width_schedule:
             ts = [p[0] for p in self.width_schedule]
@@ -126,7 +124,7 @@ class EnsembleSpec:
             sigma = delta_q / 2.0
         else:
             raise ValueError("reading must be 'fwhm' or 'two_sigma'")
-        return cls(distribution="gaussian", sigma_q=sigma, quadrature=quadrature)
+        return cls(sigma_q=sigma, quadrature=quadrature)
 
 
 @dataclass(frozen=True)
@@ -344,7 +342,7 @@ def echo_pd(
 
 def _grid_axes(ens: EnsembleSpec, geometry: Geometry):
     """Per-axis quadrature positions (x, y); y is [0] for 1D geometry."""
-    if ens.distribution == "delta" or ens.sigma_q == 0:
+    if ens.sigma_q == 0:
         return np.array([0.0]), np.array([0.0])
     x = np.linspace(-3.0 * ens.sigma_q, 3.0 * ens.sigma_q, ens.quadrature)
     if geometry is Geometry.STANDING_WAVE_1D:

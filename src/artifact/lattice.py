@@ -161,7 +161,6 @@ class PlaneWaveBasis:
     """
 
     geometry: Geometry
-    shell_radius: int
     sites: tuple[tuple[int, int], ...]
     #: (n_sites, 2) array of G vectors in units of k.
     g_vectors: np.ndarray = field(init=False, repr=False, compare=False)
@@ -214,7 +213,7 @@ def build_basis(spec: LatticeSpec, shell_radius: int = 5) -> PlaneWaveBasis:
         )
     else:
         sites = tuple((n1, 0) for n1 in range(-n, n + 1))
-    return PlaneWaveBasis(geometry=spec.geometry, shell_radius=n, sites=sites)
+    return PlaneWaveBasis(geometry=spec.geometry, sites=sites)
 
 
 def potential_fourier(spec: LatticeSpec, depth: float | None = None) -> dict:
@@ -279,7 +278,7 @@ def hamiltonian_on(
     return _assemble(basis, q, potential_fourier(spec, d))
 
 
-def sd_gap(spec: LatticeSpec, basis: PlaneWaveBasis | None = None) -> float:
+def sd_gap(spec: LatticeSpec, basis: PlaneWaveBasis) -> float:
     """S-D band gap at the zone center, in E_r, at the spec's depth.
 
     Goes through the shared eigen-cache, so the q = 0 solve is reused by the
@@ -287,37 +286,33 @@ def sd_gap(spec: LatticeSpec, basis: PlaneWaveBasis | None = None) -> float:
     """
     from . import dynamics  # local import to avoid a cycle
 
-    if basis is None:
-        basis = build_basis(spec)
     energies, _ = dynamics.band_eig(np.zeros(2), spec, basis)
     s_idx, d_idx = dynamics.default_band_pair(spec.geometry)
     return float(energies[d_idx - 1] - energies[s_idx - 1])
 
 
-def fringe_period_us(spec: LatticeSpec, basis: PlaneWaveBasis | None = None) -> float:
+def fringe_period_us(spec: LatticeSpec, basis: PlaneWaveBasis) -> float:
     """Interferometer fringe period h / (S-D gap) in microseconds."""
     _, f_hz = recoil_energy(spec)
     return 1e6 / (sd_gap(spec, basis) * f_hz)
 
 
 def calibrate_fourier_coefficient(
-    depth: float = REFERENCE_DEPTH_ER,
+    spec: LatticeSpec | None = None,
     period_us: float = REFERENCE_FRINGE_PERIOD_US,
     shell_radius: int = 5,
-    spec: LatticeSpec | None = None,
 ) -> float:
     """Re-derive the triangular Fourier coefficient from its defining gap.
 
-    Solves for the per-depth coefficient c such that the S-D gap at the given
-    depth equals h / period_us.  This is the executable definition of
-    :data:`TRIANGULAR_FOURIER_COEF`.
+    Solves for the per-depth coefficient c such that the S-D gap at the
+    spec's depth (default: the reference spec) equals h / period_us.  This is
+    the executable definition of :data:`TRIANGULAR_FOURIER_COEF`.
     """
     from scipy.optimize import brentq
 
     from . import dynamics  # local import to avoid a cycle
 
-    if spec is None:
-        spec = LatticeSpec(geometry=Geometry.TRIANGULAR_3BEAM, depth=depth)
+    spec = LatticeSpec() if spec is None else spec
     if spec.geometry is not Geometry.TRIANGULAR_3BEAM:
         raise GeometryMismatchError("calibration needs the triangular geometry")
     basis = build_basis(spec, shell_radius)
@@ -326,7 +321,7 @@ def calibrate_fourier_coefficient(
     s_idx, d_idx = dynamics.default_band_pair(spec.geometry)
 
     def gap_minus_target(c: float) -> float:
-        shell = {offset: -c * depth for offset in TRIANGULAR_COUPLING_OFFSETS}
+        shell = {offset: -c * spec.depth for offset in TRIANGULAR_COUPLING_OFFSETS}
         e = np.linalg.eigvalsh(_assemble(basis, np.zeros(2), shell))
         return (e[d_idx - 1] - e[s_idx - 1]) - target_gap
 

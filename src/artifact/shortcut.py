@@ -45,6 +45,9 @@ _PHASE_GRID = np.linspace(-math.pi, math.pi, 720, endpoint=False)
 #: Newton steps that refine the grid's best b; from one grid spacing,
 #: quadratic convergence reaches rounding in about four.
 _NEWTON_STEPS = 8
+#: Iterations over which the fidelity must rise by ``convergence_tol`` for
+#: :func:`_ascend` to go on.
+_CONVERGENCE_WINDOW = 10
 
 
 class ObjectiveKind(enum.Enum):
@@ -244,7 +247,6 @@ class OptimizerOptions:
     restarts: int = 10
     rng_seed: int = 0
     convergence_tol: float = 1e-6
-    convergence_window: int = 10
     on_range: tuple[float, float] = (0.0, 30.0)
     off_range: tuple[float, float] = (0.0, 40.0)
 
@@ -315,7 +317,7 @@ def _ascend(x0, evaluate, project, opts: OptimizerOptions):
             trace.append(f)
             if not accepted:
                 lr = max(lr * 0.5, 1e-6)
-        w = opts.convergence_window
+        w = _CONVERGENCE_WINDOW
         if len(trace) > w and trace[-1] - trace[-1 - w] < opts.convergence_tol:
             break
     return x, f, trace

@@ -38,4 +38,4 @@ def hex_basis(basis):
     sites = tuple(
         (a, b) for a, b in basis.sites if max(abs(a), abs(b), abs(a - b)) <= 5
     )
-    return PlaneWaveBasis(basis.geometry, basis.shell_radius, sites)
+    return PlaneWaveBasis(basis.geometry, sites)

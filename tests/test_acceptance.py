@@ -101,7 +101,7 @@ class TestFringePeriod:
     def test_fringe_period_matches_gap(self, spec, basis):
         times = np.arange(0.0, 880.0, 2.0)
         model = SequencePulses(pi2=REFERENCE_PI2)
-        ens = EnsembleSpec(distribution="delta")
+        ens = EnsembleSpec()
         curve = ensemble_fringe(FringeKind.RAMSEY, model, times, ens, spec, basis)
 
         def cosine(t, a, b, period, phase):
@@ -204,7 +204,7 @@ class TestEchoExtendsCoherence:
         assert tau_echo == pytest.approx(5936.0, rel=0.10)
 
     def test_ideal_echo_contrast_dominates_ramsey(self, spec, basis):
-        ens = EnsembleSpec(distribution="gaussian", sigma_q=0.3, quadrature=9)
+        ens = EnsembleSpec(sigma_q=0.3, quadrature=9)
         times = np.linspace(0.0, 1500.0, 6)
         ramsey = phase_scan_contrast(
             FringeKind.RAMSEY, IdealPulses(), times, ens, spec, basis
@@ -261,7 +261,7 @@ class TestNumericalProperties:
 
     def test_zero_width_ensemble_equals_single_q(self, spec, basis):
         times = np.linspace(0.0, 200.0, 5)
-        ens = EnsembleSpec(distribution="delta")
+        ens = EnsembleSpec()
         curve = ensemble_fringe(
             FringeKind.RAMSEY, IdealPulses(), times, ens, spec, basis
         )
@@ -274,7 +274,7 @@ class TestNumericalProperties:
         times = np.linspace(0.0, 2000.0, 9)
         values = {}
         for n in (21, 31):
-            ens = EnsembleSpec(distribution="gaussian", sigma_q=0.3, quadrature=n)
+            ens = EnsembleSpec(sigma_q=0.3, quadrature=n)
             values[n] = ensemble_fringe(
                 FringeKind.RAMSEY, IdealPulses(), times, ens, spec, basis, threads=4
             ).p_d
@@ -282,7 +282,7 @@ class TestNumericalProperties:
 
     def test_thread_count_invariance(self, spec, basis):
         times = np.linspace(0.0, 500.0, 7)
-        ens = EnsembleSpec(distribution="gaussian", sigma_q=0.3, quadrature=7)
+        ens = EnsembleSpec(sigma_q=0.3, quadrature=7)
         results = [
             ensemble_fringe(
                 FringeKind.RAMSEY,

@@ -17,6 +17,8 @@ from artifact.cli import (
     EXIT_THRESHOLD,
     EXIT_VALIDATION,
     RunConfig,
+    _parse_sequence,
+    _sequence_file,
     build_parser,
     load_sequence,
     main,
@@ -190,6 +192,24 @@ class TestConfig:
         assert f"bad config value for {key}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("ensemble:\n  distribution: boxcar\n", "distribution"),
+            ("ensemble:\n  distribution: 3\n", "distribution"),
+            ("lattice:\n  geometry: true\n", "geometry"),
+        ],
+        ids=["distribution-boxcar", "distribution-3", "geometry-true"],
+    )
+    def test_bad_choice_exits_2(self, tmp_path, capsys, text, key):
+        p = tmp_path / "c.yaml"
+        p.write_text(text)
+        code = main(["ramsey", "--t-max", "400", "--dt", "4", "--config", str(p),
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_VALIDATION
+        assert f"bad config value for {key}: expected one of" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_integral_values_load_unchanged(self, tmp_path):
         p = tmp_path / "c.yaml"
         p.write_text("basis:\n  shell_radius: 3.0\nensemble:\n  quadrature: '9'\n"
@@ -326,12 +346,19 @@ class TestReadme:
             assert all((out / name).is_file() for name in outputs[argv[0]])
 
     def test_example_config_loads(self, tmp_path):
-        (block,) = _readme_blocks("yaml")
+        block, _ = _readme_blocks("yaml")
         p = tmp_path / "c.yaml"
         p.write_text(block)
         cfg = RunConfig.load(str(p))
         assert cfg.rng_seed == 7
         assert cfg.optimizer == {"max_iters": 200, "restarts": 10}
+
+    def test_example_sequence_loads(self, tmp_path):
+        _, block = _readme_blocks("yaml")
+        p = tmp_path / "s.yaml"
+        p.write_text(block)
+        expected = PulseSequence.from_durations([(2.7, 16.8), (21.9, 7.9)], [None, 4.5])
+        assert load_sequence(str(p)) == expected
 
 
 class TestLoadSequence:
@@ -362,8 +389,85 @@ class TestLoadSequence:
         seq = PulseSequence.from_durations([(1.5, 2.0), (3.0, 4.5)], depths=[4.0, 5.0])
         p = tmp_path / "seq.yaml"
         with open(p, "w") as f:
-            yaml.safe_dump(seq.to_dict(), f)
+            yaml.safe_dump(_sequence_file(seq), f)
         assert load_sequence(str(p)) == seq
+
+    def test_dict_roundtrip(self):
+        seq = PulseSequence.from_durations([(1.5, 2.5), (3.5, 0.0)], depths=[4.0, 5.5])
+        assert _parse_sequence(_sequence_file(seq, "by hand", 0.5)) == seq
+
+    def test_dict_roundtrip_without_depth(self):
+        seq = PulseSequence.from_durations([(1.5, 2.5)])
+        data = _sequence_file(seq)
+        assert list(data["steps"][0]) == ["t_on_us", "t_off_us"]
+        assert _parse_sequence(data) == seq
+
+    def test_hand_written_file(self, tmp_path):
+        p = tmp_path / "seq.yaml"
+        p.write_text("steps:\n  - {t_on_us: 2.7, t_off_us: 16.8}\n"
+                     "  - {t_on_us: '21.9', t_off_us: 7, depth_Er: 4.5}\n")
+        expected = PulseSequence.from_durations([(2.7, 16.8), (21.9, 7.0)], [None, 4.5])
+        assert load_sequence(str(p)) == expected
+
+    @pytest.mark.parametrize(
+        "step, key",
+        [
+            ("{t_on_us: true, t_off_us: true}", "bad sequence value for t_on_us"),
+            ("{t_on_us: 1" + "0" * 400 + ", t_off_us: 1.0}",
+             "bad sequence value for t_on_us"),
+            ("{t_on_us: 2.7, t_off_us: 16.8, depth_er: 3.0}",
+             "unknown sequence key(s) depth_er"),
+        ],
+        ids=["boolean", "beyond-a-float", "unknown-key"],
+    )
+    def test_bad_step_exits_2(self, tmp_path, capsys, step, key):
+        seq = tmp_path / "s.yaml"
+        seq.write_text(f"steps:\n  - {step}\n")
+        out = tmp_path / "x"
+        code = main(["eval", "--sequence", str(seq), "--kind", "pi2",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed sequence file {seq}: ") and key in err
+        assert not out.exists()
+
+
+_STEP_KEY_NAMES = ["t_on_us", "t_off_us", "depth_Er"]
+
+
+@st.composite
+def _sequence_mappings(draw):
+    """A sequence-file mapping whose step values mix valid numbers with junk,
+    sometimes with a missing or unknown key or a step that is not a mapping."""
+    steps = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 9)) == 0:
+            steps.append(draw(_JUNK))
+            continue
+        step = {key: draw(_value(key)) for key in _STEP_KEY_NAMES if draw(st.integers(0, 5))}
+        if draw(st.integers(0, 9)) == 0:
+            step[draw(st.sampled_from(["depth_er", "t_on", "unknown_key"]))] = 1.0
+        steps.append(step)
+    data = {"steps": steps if draw(st.integers(0, 9)) else draw(_JUNK)}
+    if draw(st.booleans()):
+        data["fidelity"] = draw(_value("fidelity"))
+    if draw(st.integers(0, 9)) == 0:
+        data[draw(st.sampled_from(["step", "depth_Er", "unknown_key"]))] = 1
+    return data
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_sequence_mappings())
+def test_sequence_loading_raises_only_value_error(tmp_path, data):
+    """Any YAML sequence mapping loads or raises ValueError, which main maps
+    to exit 2; no other exception type escapes."""
+    p = tmp_path / "s.yaml"
+    p.write_text(yaml.safe_dump(data))
+    try:
+        load_sequence(str(p))
+    except ValueError:
+        pass
 
 
 class TestBands:
@@ -539,7 +643,7 @@ class TestFringeCommands:
     def test_echo_rejects_a_pi_sequence_with_ideal_pi2(self, tmp_path, capsys, pi):
         if pi == "sequence file":
             pi = str(tmp_path / "p.yaml")
-            Path(pi).write_text(yaml.safe_dump(REFERENCE_SEQUENCES["pi"].to_dict()))
+            Path(pi).write_text(yaml.safe_dump(_sequence_file(REFERENCE_SEQUENCES["pi"])))
         out = tmp_path / "x"
         code = main(["echo", "--pi2", "ideal", "--pi", pi, "--t-max", "400",
                      "--dt", "4", "--single-q", "--out", str(out)])

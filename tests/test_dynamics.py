@@ -254,17 +254,6 @@ class TestPulseStructures:
         with pytest.raises(ValueError):
             PulseSequence.from_durations([(1.0, 2.0)], depths=[4.5, 5.0])
 
-    def test_dict_roundtrip(self):
-        seq = PulseSequence.from_durations([(1.5, 2.5), (3.5, 0.0)], depths=[4.0, 5.5])
-        back = PulseSequence.from_dict(seq.to_dict())
-        assert back == seq
-
-    def test_dict_roundtrip_without_depth(self):
-        seq = PulseSequence.from_durations([(1.5, 2.5)])
-        data = seq.to_dict()
-        assert "depth_Er" not in data["steps"][0]
-        assert PulseSequence.from_dict(data) == seq
-
 
 class TestEvolution:
     def test_zero_duration_sequence_is_identity(self, spec, basis):

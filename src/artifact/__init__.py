@@ -31,7 +31,6 @@ from .dynamics import (
     PulseStep,
     bloch_state,
     default_band_pair,
-    sequence_operator,
     solve_bands,
 )
 from .shortcut import (
@@ -87,7 +86,6 @@ __all__ = [
     "PulseStep",
     "bloch_state",
     "default_band_pair",
-    "sequence_operator",
     "solve_bands",
     "ObjectiveKind",
     "OptimizeResult",

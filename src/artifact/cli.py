@@ -106,6 +106,19 @@ def _integer(value) -> int:
     return int(value)
 
 
+#: Longest step duration (us) a sequence file may give: designed steps last
+#: tens of us, and at 1e300 us a step's phases have lost all precision.
+MAX_STEP_US = 1e6
+
+
+def _duration(value) -> float:
+    """A step duration in us, at most :data:`MAX_STEP_US`."""
+    value = _real(value)
+    if value > MAX_STEP_US:
+        raise ValueError(f"expected at most {MAX_STEP_US:g} us, got {value!r}")
+    return value
+
+
 def _choice(*names: str):
     """A converter that accepts one of ``names`` only."""
 
@@ -181,8 +194,8 @@ _OPTIMIZER_KEYS = {
 #: step's key -> (PulseStep field, converter), of which ``depth_Er`` is optional.
 _SEQUENCE_KEYS = ("steps", "provenance", "fidelity", "fidelity_pre_rounding")
 _STEP_KEYS = {
-    "t_on_us": ("t_on", _real),
-    "t_off_us": ("t_off", _real),
+    "t_on_us": ("t_on", _duration),
+    "t_off_us": ("t_off", _duration),
     "depth_Er": ("depth", _real),
 }
 _REQUIRED_STEP_KEYS = ("t_on_us", "t_off_us")
@@ -406,10 +419,10 @@ def _start_run(command, cfg, out_dir, run_args, inputs, lattice=None) -> RunWrit
     for path in filter(None, inputs):
         writer.note_input(path)
     if lattice is not None:
-        _, f_hz = recoil_energy(lattice[0])
-        gap = sd_gap(*lattice)
         writer.derived.update(
-            recoil_frequency_Hz=f_hz, sd_gap_Er=gap, fringe_period_us=1e6 / (gap * f_hz)
+            recoil_frequency_Hz=recoil_energy(lattice[0])[1],
+            sd_gap_Er=sd_gap(*lattice),
+            fringe_period_us=fringe_period_us(*lattice),
         )
     return writer
 

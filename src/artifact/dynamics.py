@@ -249,12 +249,3 @@ def evolve_columns(
             out = np.exp(sign * kin * w * step.t_off)[:, None] * out
     return out[:, 0] if single else out
 
-
-def sequence_operator(
-    seq: PulseSequence,
-    q: np.ndarray,
-    spec: LatticeSpec,
-    basis: PlaneWaveBasis,
-) -> np.ndarray:
-    """Full unitary matrix of a pulse sequence at fixed quasi-momentum."""
-    return evolve_columns(np.eye(basis.size, dtype=complex), seq, q, spec, basis)

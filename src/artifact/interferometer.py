@@ -8,19 +8,17 @@ Sequences (time order, left to right):
   then pi/2; the pi pulses rephase quasi-momentum-dependent phase
   accumulation.
 
-The hold evolution uses the full multi-band lattice-on propagator.  Every
-pulse is built in the S/D frame F = [S D] of :func:`artifact.dynamics.sd_frame`
-at the pulse's quasi-momentum, and applied only to the columns the fringe
-reads (:func:`_pulse_operator`).  Pulses come in two models: ideal analytic
-rotations, 1 + F (R - 1) F^dagger with R the 2x2 target block, or real
-shortcut pulse sequences.  Sequences are phase-locked by default: each is
-dressed with the two per-band reference phases from the aligned fidelity
-frame (:func:`artifact.shortcut.aligned_fidelity_block`), which is what
-makes independently designed pulses compose consistently in a composite
-sequence — without it the inter-pulse phases are an artifact of the
-eigensolver's phase convention rather than of the pulse design.  The
-dressing only rephases the D column and row, so it is applied as two rank-1
-updates of the evolved columns.
+The hold evolution uses the full multi-band lattice-on propagator.  Each
+pulse is built once per quasi-momentum in the S/D frame F = [S D] of
+:func:`artifact.dynamics.sd_frame` and applied only to the columns the fringe
+reads (:func:`_pulse`): an ideal rotation 1 + F (R - 1) F^dagger, R the 2x2
+target block, or a shortcut pulse sequence R.  Sequences are phase-locked by
+default, as Z_b R Z_a with Z_theta = 1 + (e^(i theta) - 1)|D><D| and (a, b)
+the per-band reference phases of the aligned fidelity frame
+(:func:`artifact.shortcut.aligned_fidelity_block`), solved once from
+F^dagger R F.  That makes independently designed pulses compose
+consistently; without it the inter-pulse phases are an artifact of the
+eigensolver's phase convention rather than of the pulse design.
 
 Dephasing arises from averaging fringes over a Gaussian quasi-momentum
 distribution: the S-D gap varies with q, so ensemble fringes decay.  Two
@@ -34,6 +32,7 @@ constant P_D (e.g. a perfect echo).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -183,8 +182,8 @@ def ideal_pulse_operator(
 ) -> np.ndarray:
     """Exact S/D-subspace rotation ("pi2" or "pi"), identity elsewhere:
     1 + F (R - 1) F^dagger with F the S/D frame and R the kind's 2x2 block."""
-    kind = ObjectiveKind(kind)
-    return _pulse_operator(IdealPulses(), kind, q, spec, basis, np.identity(basis.size))
+    frame = sd_frame(q, spec, basis)
+    return _pulse(IdealPulses(), ObjectiveKind(kind), q, spec, basis, frame)(np.eye(len(frame)))
 
 
 def locked_sequence_operator(
@@ -194,50 +193,48 @@ def locked_sequence_operator(
     spec: LatticeSpec,
     basis: PlaneWaveBasis,
 ) -> np.ndarray:
-    """Sequence operator dressed with its aligned-frame per-band phases.
-
-    Applies Z_b R Z_a with Z_theta = 1 + (e^(i theta) - 1)|D><D| and (a, b)
-    the phases that maximize the rotation fidelity of R's S/D block against
-    the kind's target rotation.  A deterministic, unitary, per-q dressing,
-    applied as two rank-1 updates of R.
-    """
-    pulses = SequencePulses(seq, seq)
-    return _pulse_operator(pulses, kind, q, spec, basis, np.identity(basis.size))
+    """Sequence operator R dressed as Z_b R Z_a, with
+    Z_theta = 1 + (e^(i theta) - 1)|D><D| and the per-band phases (a, b)
+    that maximize the fidelity of R's S/D block against the kind's target."""
+    frame = sd_frame(q, spec, basis)
+    return _pulse(SequencePulses(seq, seq), kind, q, spec, basis, frame)(np.eye(len(frame)))
 
 
-def _pulse_operator(
+def _pulse(
     pulses: PulseModel,
     kind: ObjectiveKind,
     q: np.ndarray,
     spec: LatticeSpec,
     basis: PlaneWaveBasis,
-    cols: np.ndarray,
-    adjoint: bool = False,
-) -> np.ndarray:
-    """The model's pulse of the given kind at q (its adjoint with
-    ``adjoint``) applied to the (n, k) columns ``cols``.  A locked sequence
-    evolves [cols | F] and dresses the evolved columns by rank-1 updates."""
-    frame = sd_frame(q, spec, basis)
+    frame: np.ndarray,
+):
+    """The model's pulse of the given kind at q, built in the S/D frame
+    ``frame`` as ``apply(cols, adjoint=False)``, which applies the pulse or
+    its adjoint to (n, k) columns.  A locked sequence solves (a, b) once, from
+    F^dagger R F, and applies Z_b R Z_a, or Z_(-a) R^dagger Z_(-b)."""
     if isinstance(pulses, IdealPulses):
         rot = ROTATION_BLOCKS[kind] - np.identity(2)
-        return cols + frame @ ((rot.T if adjoint else rot) @ (frame.conj().T @ cols))
+        return lambda cols, adjoint=False: cols + frame @ (
+            (rot.T if adjoint else rot) @ (frame.conj().T @ cols)
+        )
     seq = pulses.pi2 if kind is ObjectiveKind.HALF_PI else pulses.pi
     if seq is None:
         raise ValueError("echo requires a pi sequence")
+    evolve = functools.partial(evolve_columns, seq=seq, q=q, spec=spec, basis=basis)
     if not pulses.phase_locked:
-        return evolve_columns(cols, seq, q, spec, basis, adjoint)
-    k = cols.shape[1]
-    out = evolve_columns(np.hstack([cols, frame]), seq, q, spec, basis, adjoint)
-    out, r_frame = out[:, :k], out[:, k:]
-    # The S/D block F^dagger R F, read from R F or, for the adjoint, R^dagger F.
-    block = r_frame.conj().T @ frame if adjoint else frame.conj().T @ r_frame
-    _, a, b = aligned_fidelity_block(block, ROTATION_BLOCKS[kind])
-    if adjoint:  # (Z_b R Z_a)^dagger = Z_(-a) R^dagger Z_(-b)
-        a, b = -b, -a
+        return evolve
+    _, a, b = aligned_fidelity_block(frame.conj().T @ evolve(frame), ROTATION_BLOCKS[kind])
     d = frame[:, 1]
-    out += np.outer(r_frame[:, 1], (np.exp(1j * a) - 1.0) * (d.conj() @ cols))
-    out += np.outer(d, (np.exp(1j * b) - 1.0) * (d.conj() @ out))
-    return out
+
+    def dress(cols, theta):  # Z_theta applied to cols
+        return cols + np.outer(d, (np.exp(1j * theta) - 1.0) * (d.conj() @ cols))
+
+    def locked(cols, adjoint=False):
+        if adjoint:
+            return dress(evolve(dress(cols, -b), adjoint=True), -a)
+        return dress(evolve(dress(cols, a)), b)
+
+    return locked
 
 
 def _fringe_kernel(
@@ -261,9 +258,9 @@ def _fringe_kernel(
     energies, states = band_eig(q, spec, basis)
     frame = sd_frame(q, spec, basis)
     d = frame[:, 1]
-    half = ObjectiveKind.HALF_PI
-    r_frame = _pulse_operator(pulses, half, q, spec, basis, frame)
-    r_adj_d = _pulse_operator(pulses, half, q, spec, basis, frame[:, 1:], adjoint=True)
+    pi2 = _pulse(pulses, ObjectiveKind.HALF_PI, q, spec, basis, frame)
+    r_frame = pi2(frame)
+    r_adj_d = pi2(frame[:, 1:], adjoint=True)
     psi1 = states.conj().T @ r_frame[:, 0]
     wvec = (states.conj().T @ r_adj_d[:, 0]).conj()
 
@@ -275,7 +272,7 @@ def _fringe_kernel(
         tau = times / (2.0 * n_echo)
         ph_tau = np.exp(-1j * np.outer(energies, w * tau))
         ph_2tau = ph_tau * ph_tau
-        r_pi = _pulse_operator(pulses, ObjectiveKind.PI, q, spec, basis, states)
+        r_pi = _pulse(pulses, ObjectiveKind.PI, q, spec, basis, frame)(states)
         phi = states.conj().T @ r_pi
         chi = ph_tau * psi1[:, None]
         for j in range(1, n_echo + 1):

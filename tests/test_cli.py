@@ -415,10 +415,13 @@ class TestLoadSequence:
             ("{t_on_us: true, t_off_us: true}", "bad sequence value for t_on_us"),
             ("{t_on_us: 1" + "0" * 400 + ", t_off_us: 1.0}",
              "bad sequence value for t_on_us"),
+            ("{t_on_us: 1e308, t_off_us: 1e308}", "bad sequence value for t_on_us"),
+            ("{t_on_us: 2.7, t_off_us: 1e300}", "bad sequence value for t_off_us"),
             ("{t_on_us: 2.7, t_off_us: 16.8, depth_er: 3.0}",
              "unknown sequence key(s) depth_er"),
         ],
-        ids=["boolean", "beyond-a-float", "unknown-key"],
+        ids=["boolean", "beyond-a-float", "overflowing", "beyond-the-bound",
+             "unknown-key"],
     )
     def test_bad_step_exits_2(self, tmp_path, capsys, step, key):
         seq = tmp_path / "s.yaml"

@@ -14,7 +14,6 @@ from artifact.dynamics import (
     default_band_pair,
     evolve_columns,
     sd_frame,
-    sequence_operator,
     solve_bands,
 )
 from artifact.lattice import (
@@ -27,10 +26,16 @@ from artifact.lattice import (
 from artifact.sequences import REFERENCE_PI2, REFERENCE_PI_VARIABLE
 
 
+def _sequence_matrix(seq, q, spec, basis):
+    """A pulse sequence's full (n, n) matrix at q: every plane wave evolved
+    as one column."""
+    return evolve_columns(np.eye(basis.size), seq, q, spec, basis)
+
+
 def _on_operator(t_us, q, spec, basis):
     """The package's lattice-on propagator for t_us at q, through a pulse
     sequence of one on-only step."""
-    return sequence_operator(PulseSequence.from_durations([(t_us, 0.0)]), q, spec, basis)
+    return _sequence_matrix(PulseSequence.from_durations([(t_us, 0.0)]), q, spec, basis)
 
 
 def _taylor_expm(a):
@@ -263,7 +268,7 @@ class TestEvolution:
         assert np.allclose(out, st, atol=1e-12)
 
     def test_sequence_operator_unitary(self, spec, basis):
-        op = sequence_operator(REFERENCE_PI2, np.zeros(2), spec, basis)
+        op = _sequence_matrix(REFERENCE_PI2, np.zeros(2), spec, basis)
         assert np.max(np.abs(op.conj().T @ op - np.eye(basis.size))) < 1e-10
 
     def test_sequence_operator_composes(self, spec, basis):
@@ -271,9 +276,9 @@ class TestEvolution:
         s1 = PulseSequence.from_durations([(3.0, 4.0)])
         s2 = PulseSequence.from_durations([(5.0, 6.0)])
         both = PulseSequence(steps=s1.steps + s2.steps)
-        u1 = sequence_operator(s1, q, spec, basis)
-        u2 = sequence_operator(s2, q, spec, basis)
-        u = sequence_operator(both, q, spec, basis)
+        u1 = _sequence_matrix(s1, q, spec, basis)
+        u2 = _sequence_matrix(s2, q, spec, basis)
+        u = _sequence_matrix(both, q, spec, basis)
         assert np.allclose(u, u2 @ u1, atol=1e-10)
 
     def test_norm_preserved(self, spec, basis):
@@ -304,7 +309,7 @@ class TestEvolution:
         rng = np.random.default_rng(2)
         cols = rng.normal(size=(basis.size, 3)) + 1j * rng.normal(size=(basis.size, 3))
         cols /= np.linalg.norm(cols, axis=0)
-        expected = sequence_operator(seq, q, spec, basis).conj().T @ cols
+        expected = _sequence_matrix(seq, q, spec, basis).conj().T @ cols
         out = evolve_columns(cols, seq, q, spec, basis, adjoint=True)
         assert np.max(np.abs(out - expected)) <= 1e-13
         single = evolve_columns(cols[:, 0], seq, q, spec, basis, adjoint=True)
@@ -314,7 +319,7 @@ class TestEvolution:
         # A pure-off step must equal the free propagator.
         q = np.array([0.03, 0.01])
         seq = PulseSequence.from_durations([(0.0, 8.0)])
-        u = sequence_operator(seq, q, spec, basis)
+        u = _sequence_matrix(seq, q, spec, basis)
         assert np.allclose(u, _free_propagator(8.0, q, spec, basis), atol=1e-10)
 
 

@@ -27,8 +27,8 @@ from artifact.dynamics import (
     band_eig,
     bloch_state,
     default_band_pair,
+    evolve_columns,
     sd_frame,
-    sequence_operator,
 )
 from artifact.lattice import (
     angular_frequency_per_Er,
@@ -196,7 +196,7 @@ class TestDenseOracles:
     )
     def test_locked(self, spec, basis, seq, kind):
         s, d = self._frame(spec, basis)
-        r = sequence_operator(seq, self.Q, spec, basis)
+        r = evolve_columns(np.eye(basis.size), seq, self.Q, spec, basis)
         frame = np.stack([s, d], axis=1)
         _, a, b = aligned_fidelity_block(
             frame.conj().T @ r @ frame, ROTATION_BLOCKS[kind]
@@ -250,7 +250,8 @@ class TestKernelOracle:
         if locked:
             ops = [locked_sequence_operator(sq, k, q, spec, basis) for sq, k in pairs]
         else:
-            ops = [sequence_operator(sq, q, spec, basis) for sq, _ in pairs]
+            eye = np.eye(basis.size)
+            ops = [evolve_columns(eye, sq, q, spec, basis) for sq, _ in pairs]
         return pulses, ops
 
     @pytest.mark.parametrize("phase_scan", [False, True])
@@ -514,6 +515,77 @@ class TestPhaseScan:
         assert np.all(echo >= ramsey - 1e-9)
 
 
+class TestEffectiveMassLimit:
+    """Ideal-pulse Ramsey contrast against the effective-mass model
+    Delta(q) ~ Delta_0 + kappa |q|^2 / 2 of the S-D gap near q = 0.  A
+    Gaussian ensemble of width sigma then has the phasor 1/(1 + i w kappa
+    sigma^2 t), so C(t) = [1 + (w kappa sigma^2 t)^2]^(-1/2) and the 1/e
+    time is sqrt(e^2 - 1)/(w kappa sigma^2).  The model checks the ensemble
+    grid and weights, the kernel's hold phases and the contrast extraction
+    end to end, against physics that does not involve the pulse code."""
+
+    FWHMS = (0.20, 0.10, 0.05)
+    NODES = 15
+    H = 1e-3
+
+    @pytest.fixture(scope="class")
+    def hessian(self, spec, basis):
+        """Central differences of the band-4 - band-1 gap at q = 0:
+        (kappa_xx, kappa_yy, kappa_xy) in E_r per k^2."""
+        s_idx, d_idx = default_band_pair(spec.geometry)
+
+        def gap(qx, qy):
+            energies, _ = band_eig(np.array([qx, qy]), spec, basis)
+            return energies[d_idx - 1] - energies[s_idx - 1]
+
+        h = self.H
+        g0 = gap(0.0, 0.0)
+        return (
+            (gap(h, 0.0) - 2.0 * g0 + gap(-h, 0.0)) / h**2,
+            (gap(0.0, h) - 2.0 * g0 + gap(0.0, -h)) / h**2,
+            (gap(h, h) - gap(h, -h) - gap(-h, h) + gap(-h, -h)) / (4.0 * h**2),
+        )
+
+    @pytest.fixture(scope="class")
+    def scans(self, spec, basis, hessian):
+        """Per width: (tau_model, hold times, package contrast, contrast of
+        the model summed on the package's +-3 sigma grid and weights)."""
+        kappa = (hessian[0] + hessian[1]) / 2.0
+        w = angular_frequency_per_Er(spec)
+        out = []
+        for fwhm in self.FWHMS:
+            ens = EnsembleSpec.from_width(fwhm, quadrature=self.NODES)
+            sigma = ens.sigma_q
+            tau = math.sqrt(math.e**2 - 1.0) / (w * kappa * sigma**2)
+            times = tau * np.linspace(0.0, 2.0, 41)
+            got = phase_scan_contrast(
+                FringeKind.RAMSEY, IdealPulses(), times, ens, spec, basis
+            ).contrast
+            xs = np.linspace(-3.0 * sigma, 3.0 * sigma, self.NODES)
+            wx = np.exp(-(xs**2) / (2.0 * sigma**2))
+            axis = np.exp(-0.5j * kappa * w * np.outer(times, xs**2)) @ (wx / wx.sum())
+            out.append((tau, times, got, np.abs(axis) ** 2))
+        return out
+
+    def test_hessian_is_isotropic(self, hessian):
+        kxx, kyy, kxy = hessian
+        assert kxx == pytest.approx(6.125, abs=1e-3)
+        assert abs(kxx - kyy) < 1e-6
+        assert abs(kxy) < 1e-6
+
+    def test_error_falls_with_the_width_squared(self, scans):
+        # The anharmonic term is the only difference from the grid-matched
+        # model, so halving the width cuts it about 4x.
+        errors = [np.max(np.abs(got - model)) for _, _, got, model in scans]
+        for wide, narrow in zip(errors, errors[1:]):
+            assert narrow * 3.0 <= wide
+
+    def test_crossing_tends_to_the_model(self, scans):
+        tau, times, got, _ = scans[-1]
+        crossing = coherence_time(ContrastCurve(times=times, contrast=got)).crossing_us
+        assert crossing == pytest.approx(tau, rel=5e-3)
+
+
 class TestContrastCurve:
     def test_decaying_cosine_envelope(self, period):
         tau = 900.0
@@ -654,7 +726,8 @@ class TestCoherenceTime:
 class TestGlobalPhaseInvariance:
     """A constant added to the potential shifts every band energy alike, so
     it multiplies each pulse and hold operator by a global phase, which no
-    population may see (ROADMAP item 1)."""
+    population may see (ROADMAP, "A phase lock that a global phase cannot
+    move")."""
 
     PULSES = SequencePulses(REFERENCE_PI2, REFERENCE_PI)
     QS = (np.zeros(2), np.array([0.21, -0.13]))
@@ -698,9 +771,10 @@ class TestGlobalPhaseInvariance:
     @pytest.mark.xfail(
         strict=True,
         reason=(
-            "ROADMAP item 1: the pi pulse's phase lock fixes its free gauge "
-            "direction by making one overlap real, which moves with the "
-            "operator's global phase; echo P_D moves by 5.7e-2."
+            "ROADMAP, 'A phase lock that a global phase cannot move': the "
+            "pi pulse's phase lock fixes its free gauge direction by making "
+            "one overlap real, which moves with the operator's global phase; "
+            "echo P_D moves by 5.7e-2."
         ),
     )
     def test_echo(self, spec, basis, monkeypatch):

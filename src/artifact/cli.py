@@ -39,7 +39,7 @@ import numpy as np
 # PyYAML, hashlib and argparse are imported where they are used: importing
 # this module for its API, as the library and the benchmark do, loads none.
 from . import __version__
-from .dynamics import PulseSequence, PulseStep, solve_bands
+from .dynamics import MAX_STEP_US, PulseSequence, PulseStep, solve_bands
 from .interferometer import (
     EnsembleSpec,
     FringeCurve,
@@ -104,11 +104,6 @@ def _integer(value) -> int:
     ):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
-
-
-#: Longest step duration (us) a sequence file may give: designed steps last
-#: tens of us, and at 1e300 us a step's phases have lost all precision.
-MAX_STEP_US = 1e6
 
 
 def _duration(value) -> float:
@@ -538,6 +533,8 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
         "kind": args.kind,
         "steps": args.steps,
         "variable_amplitude": args.variable_amplitude,
+        "depth_min": args.depth_min if args.variable_amplitude else None,
+        "depth_max": args.depth_max if args.variable_amplitude else None,
         "threshold": threshold,
     }
     writer = _start_run("design", cfg, out_dir, run_args, [args.config], (spec, basis))

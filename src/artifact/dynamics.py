@@ -46,6 +46,12 @@ def default_band_pair(geometry: Geometry) -> tuple[int, int]:
     return 1, 3
 
 
+#: Longest step duration (us) that a sequence file or an optimizer range may
+#: give: designed steps last tens of us, and at 1e300 us a step's phases have
+#: lost all precision.
+MAX_STEP_US = 1e6
+
+
 @dataclass(frozen=True)
 class PulseStep:
     """One lattice-on / lattice-off interval pair, durations in us."""

@@ -103,6 +103,8 @@ class EnsembleSpec:
             ts = [p[0] for p in self.width_schedule]
             if sorted(ts) != ts:
                 raise ValueError("width_schedule times must ascend")
+            if any(p[1] <= 0 for p in self.width_schedule):
+                raise ValueError("width_schedule widths must be > 0")
 
     @classmethod
     def from_width(
@@ -183,7 +185,8 @@ def ideal_pulse_operator(
     """Exact S/D-subspace rotation ("pi2" or "pi"), identity elsewhere:
     1 + F (R - 1) F^dagger with F the S/D frame and R the kind's 2x2 block."""
     frame = sd_frame(q, spec, basis)
-    return _pulse(IdealPulses(), ObjectiveKind(kind), q, spec, basis, frame)(np.eye(len(frame)))
+    apply, _ = _pulse(IdealPulses(), ObjectiveKind(kind), q, spec, basis, frame)
+    return apply(np.eye(len(frame)))
 
 
 def locked_sequence_operator(
@@ -197,7 +200,8 @@ def locked_sequence_operator(
     Z_theta = 1 + (e^(i theta) - 1)|D><D| and the per-band phases (a, b)
     that maximize the fidelity of R's S/D block against the kind's target."""
     frame = sd_frame(q, spec, basis)
-    return _pulse(SequencePulses(seq, seq), kind, q, spec, basis, frame)(np.eye(len(frame)))
+    apply, _ = _pulse(SequencePulses(seq, seq), kind, q, spec, basis, frame)
+    return apply(np.eye(len(frame)))
 
 
 def _pulse(
@@ -209,21 +213,25 @@ def _pulse(
     frame: np.ndarray,
 ):
     """The model's pulse of the given kind at q, built in the S/D frame
-    ``frame`` as ``apply(cols, adjoint=False)``, which applies the pulse or
-    its adjoint to (n, k) columns.  A locked sequence solves (a, b) once, from
-    F^dagger R F, and applies Z_b R Z_a, or Z_(-a) R^dagger Z_(-b)."""
+    ``frame`` F, as the pair ``(apply, image)``: ``apply(cols, adjoint=False)``
+    applies the pulse or its adjoint to (n, k) columns, and ``image()`` returns
+    the pulse's image of F, on demand (the echo's pi pulse never needs it).
+    A locked sequence solves (a, b) once, from F^dagger R F, applies
+    Z_b R Z_a, or Z_(-a) R^dagger Z_(-b), and takes its image
+    Z_b [R S, e^(ia) R D] from the R F of that solve."""
     if isinstance(pulses, IdealPulses):
         rot = ROTATION_BLOCKS[kind] - np.identity(2)
-        return lambda cols, adjoint=False: cols + frame @ (
-            (rot.T if adjoint else rot) @ (frame.conj().T @ cols)
-        )
+        def ideal(cols, adjoint=False):
+            return cols + frame @ ((rot.T if adjoint else rot) @ (frame.conj().T @ cols))
+        return ideal, lambda: ideal(frame)
     seq = pulses.pi2 if kind is ObjectiveKind.HALF_PI else pulses.pi
     if seq is None:
         raise ValueError("echo requires a pi sequence")
     evolve = functools.partial(evolve_columns, seq=seq, q=q, spec=spec, basis=basis)
     if not pulses.phase_locked:
-        return evolve
-    _, a, b = aligned_fidelity_block(frame.conj().T @ evolve(frame), ROTATION_BLOCKS[kind])
+        return evolve, lambda: evolve(frame)
+    r_frame = evolve(frame)
+    _, a, b = aligned_fidelity_block(frame.conj().T @ r_frame, ROTATION_BLOCKS[kind])
     d = frame[:, 1]
 
     def dress(cols, theta):  # Z_theta applied to cols
@@ -234,7 +242,7 @@ def _pulse(
             return dress(evolve(dress(cols, -b), adjoint=True), -a)
         return dress(evolve(dress(cols, a)), b)
 
-    return locked
+    return locked, lambda: dress(r_frame * np.array([1.0, np.exp(1j * a)]), b)
 
 
 def _fringe_kernel(
@@ -252,14 +260,15 @@ def _fringe_kernel(
     Returns ``(p_d,)``, the D-band population, or with ``phase_scan``
     ``(num, den)``, from which the analysis-phase-scan contrast at this q is
     2|num|/den.  Only the requested components are computed, and pulses
-    act only on the columns read: R F and R^dagger D, and for echo R V.
+    act only on the columns read: R^dagger D, and for echo R V.  R F is the
+    pi/2's image of the frame from :func:`_pulse`.
     """
     w = angular_frequency_per_Er(spec)
     energies, states = band_eig(q, spec, basis)
     frame = sd_frame(q, spec, basis)
     d = frame[:, 1]
-    pi2 = _pulse(pulses, ObjectiveKind.HALF_PI, q, spec, basis, frame)
-    r_frame = pi2(frame)
+    pi2, pi2_image = _pulse(pulses, ObjectiveKind.HALF_PI, q, spec, basis, frame)
+    r_frame = pi2_image()
     r_adj_d = pi2(frame[:, 1:], adjoint=True)
     psi1 = states.conj().T @ r_frame[:, 0]
     wvec = (states.conj().T @ r_adj_d[:, 0]).conj()
@@ -272,8 +281,8 @@ def _fringe_kernel(
         tau = times / (2.0 * n_echo)
         ph_tau = np.exp(-1j * np.outer(energies, w * tau))
         ph_2tau = ph_tau * ph_tau
-        r_pi = _pulse(pulses, ObjectiveKind.PI, q, spec, basis, frame)(states)
-        phi = states.conj().T @ r_pi
+        pi, _ = _pulse(pulses, ObjectiveKind.PI, q, spec, basis, frame)
+        phi = states.conj().T @ pi(states)
         chi = ph_tau * psi1[:, None]
         for j in range(1, n_echo + 1):
             chi = phi @ chi
@@ -349,8 +358,8 @@ def _grid_axes(ens: EnsembleSpec, geometry: Geometry):
 
 def _axis_weights(axis: np.ndarray, sigma: float) -> np.ndarray:
     """Unnormalized Gaussian weights along one grid axis; a one-point axis
-    (the y axis of the 1D geometry) and sigma = 0 weigh 1."""
-    if sigma == 0 or len(axis) == 1:
+    (the single point q = 0, or the y axis of the 1D geometry) weighs 1."""
+    if len(axis) == 1:
         return np.ones(len(axis))
     return np.exp(-(axis**2) / (2.0 * sigma**2))
 

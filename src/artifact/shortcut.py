@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
+    MAX_STEP_US,
     PulseSequence,
     band_eig,
     default_band_pair,
@@ -66,7 +67,8 @@ ROTATION_BLOCKS = {
 
 @dataclass(frozen=True)
 class PulseObjective:
-    """Initial/target state pairs defining a pulse-design goal.
+    """Initial states and the S/D frame F of a pulse-design goal; the targets
+    are F times the kind's :data:`ROTATION_BLOCKS`, or for loading F's S column.
 
     half-pi: (S -> (S+D)/sqrt2) and (D -> (D-S)/sqrt2).
     pi:      (S -> D) and (D -> -S).
@@ -79,8 +81,6 @@ class PulseObjective:
     quasimomentum: np.ndarray = field(repr=False, compare=False)
     #: initial states as columns (n_basis, n_pairs).
     initial: np.ndarray = field(repr=False, compare=False)
-    #: target states as columns, same shape.
-    targets: np.ndarray = field(repr=False, compare=False)
     #: S/D columns used to express the sequence's rotation block.
     band_frame: np.ndarray = field(repr=False, compare=False)
 
@@ -98,23 +98,11 @@ def build_objective(
     """Construct the standard objective of the given kind at q (default 0)."""
     q = np.zeros(2) if q is None else np.asarray(q, dtype=float)
     frame = sd_frame(q, spec, basis)
+    initial = frame
     if kind is ObjectiveKind.LOAD:
-        plane = np.zeros(basis.size, dtype=complex)
-        plane[basis.index[(0, 0)]] = 1.0
-        initial = plane[:, None]
-        targets = frame[:, [0]]
-    else:
-        initial = frame
-        targets = frame @ ROTATION_BLOCKS[kind]
-    return PulseObjective(
-        kind=kind,
-        spec=spec,
-        basis=basis,
-        quasimomentum=q,
-        initial=initial,
-        targets=targets,
-        band_frame=frame,
-    )
+        initial = np.zeros((basis.size, 1), dtype=complex)
+        initial[basis.index[(0, 0)]] = 1.0
+    return PulseObjective(kind, spec, basis, q, initial, frame)
 
 
 # --------------------------------------------------------------------------
@@ -172,9 +160,7 @@ def aligned_fidelity_block(
 
 def rotation_block(seq: PulseSequence, obj: PulseObjective) -> np.ndarray:
     """2x2 S/D block of the sequence operator in the objective's band frame."""
-    evolved = evolve_columns(
-        obj.band_frame.astype(complex), seq, obj.quasimomentum, obj.spec, obj.basis
-    )
+    evolved = evolve_columns(obj.band_frame, seq, obj.quasimomentum, obj.spec, obj.basis)
     return obj.band_frame.conj().T @ evolved
 
 
@@ -186,10 +172,9 @@ def fidelity(seq: PulseSequence, obj: PulseObjective) -> float:
     single pair, so its fidelity is a plain modulus.
     """
     if obj.kind is ObjectiveKind.LOAD:
-        final = evolve_columns(
-            obj.initial[:, 0], seq, obj.quasimomentum, obj.spec, obj.basis
-        )
-        return float(abs(np.vdot(obj.targets[:, 0], final)))
+        final = evolve_columns(obj.initial[:, 0], seq, obj.quasimomentum, obj.spec, obj.basis)
+        # A contiguous S column: np.vdot rounds a strided view differently.
+        return float(abs(np.vdot(obj.band_frame[:, 0].copy(), final)))
     return aligned_fidelity_block(rotation_block(seq, obj), ROTATION_BLOCKS[obj.kind])[0]
 
 
@@ -200,16 +185,14 @@ def fidelity_report(seq: PulseSequence, obj: PulseObjective) -> dict:
     population outside the S/D pair: in the odd (P) bands between them and in
     all bands above the D band.
     """
-    final = evolve_columns(
-        obj.initial.astype(complex), seq, obj.quasimomentum, obj.spec, obj.basis
-    )
+    final = evolve_columns(obj.initial, seq, obj.quasimomentum, obj.spec, obj.basis)
     s_idx, d_idx = default_band_pair(obj.spec.geometry)
     energies, states = band_eig(obj.quasimomentum, obj.spec, obj.basis)
     pops = np.abs(states.conj().T @ final) ** 2  # (n_bands, n_pairs)
 
     if obj.kind is ObjectiveKind.LOAD:
-        eta = float(abs(np.vdot(obj.targets[:, 0], final[:, 0])))
-        overlaps = [np.vdot(obj.targets[:, 0], final[:, 0])]
+        overlaps = [np.vdot(obj.band_frame[:, 0].copy(), final[:, 0])]
+        eta = abs(overlaps[0])
     else:
         # For rotations the initial states are the band frame, so this is
         # rotation_block's block without evolving the frame a second time.
@@ -251,12 +234,18 @@ class OptimizerOptions:
     off_range: tuple[float, float] = (0.0, 40.0)
 
     def __post_init__(self) -> None:
-        require_finite(self, "fd_step", "learning_rate", "grid_quantum")
-        require_finite(self, "convergence_tol", "on_range", "off_range")
+        require_finite(self, "fd_step", "learning_rate", "grid_quantum", "convergence_tol")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
         if self.fd_step <= 0 or self.learning_rate <= 0:
             raise ValueError("fd_step and learning_rate must be positive")
+        for name in ("on_range", "off_range"):
+            low, high = getattr(self, name)
+            if not 0 <= low <= high <= MAX_STEP_US:
+                raise ValueError(
+                    f"{name} must be finite, with 0 <= low <= high <= "
+                    f"{MAX_STEP_US:g} us, got {(low, high)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -271,52 +260,34 @@ class OptimizeResult:
 
 
 def _ascend(x0, evaluate, project, opts: OptimizerOptions):
-    """Monotone projected gradient ascent from one start point; a parameter
-    frozen by the box (zero projected step) gets no gradient evaluations."""
+    """Monotone projected gradient ascent from one start point, with central
+    differences from one projected stencil ``project(x +- fd_step I)``; a
+    parameter frozen by the box (zero projected step) gets no evaluations."""
     x = project(np.asarray(x0, dtype=float))
     f = evaluate(x)
-    if not math.isfinite(f):
-        raise ArithmeticError(f"non-finite fidelity at start point {x!r}")
     trace = [f]
     lr = opts.learning_rate
-    n = len(x)
+    step = opts.fd_step * np.identity(len(x))
     for _ in range(opts.max_iters):
-        grad = np.zeros(n)
-        for k in range(n):
-            xp = x.copy()
-            xp[k] += opts.fd_step
-            xm = x.copy()
-            xm[k] -= opts.fd_step
-            xp, xm = project(xp), project(xm)
-            denom = xp[k] - xm[k]
-            if denom == 0:
-                continue
-            fp, fm = evaluate(xp), evaluate(xm)
-            if not (math.isfinite(fp) and math.isfinite(fm)):
-                raise ArithmeticError(
-                    f"non-finite fidelity in gradient at parameter {k}"
-                )
-            grad[k] = (fp - fm) / denom
+        plus, minus = project(x + step), project(x - step)
+        denom = np.diagonal(plus - minus)
+        grad = np.zeros(len(x))
+        for k in np.flatnonzero(denom):
+            grad[k] = (evaluate(plus[k]) - evaluate(minus[k])) / denom[k]
         gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-14:
-            trace.append(f)
-        else:
+        if gnorm >= 1e-14:
             lr_try = lr
-            accepted = False
             for _bt in range(30):
                 xn = project(x + lr_try * grad)
                 fn = evaluate(xn)
-                if not math.isfinite(fn):
-                    raise ArithmeticError("non-finite fidelity in line search")
                 if fn > f + 1e-4 * lr_try * gnorm**2:
                     x, f = xn, fn
                     lr = min(lr_try * 1.5, 1e4)
-                    accepted = True
                     break
                 lr_try *= 0.5
-            trace.append(f)
-            if not accepted:
+            else:
                 lr = max(lr * 0.5, 1e-6)
+        trace.append(f)
         w = _CONVERGENCE_WINDOW
         if len(trace) > w and trace[-1] - trace[-1 - w] < opts.convergence_tol:
             break
@@ -332,9 +303,9 @@ def optimize(
     """Optimize step durations and depths; multi-start, monotone trace.
 
     The parameters ``[t_on..., t_off..., depth...]`` are projected onto a box:
-    durations >= 0, depths in ``depth_bounds`` (which must contain the spec's
-    depth).  ``depth_bounds=None`` freezes each depth at its seed value
-    (lo == hi), so the seed depths come back unchanged, ``None`` included.
+    durations in [0, MAX_STEP_US], depths in ``depth_bounds`` (which must
+    contain the spec's depth).  ``depth_bounds=None`` freezes each depth at its
+    seed value (lo == hi), so the seed depths come back unchanged, ``None`` included.
 
     Start 0 is the seed; further starts (up to ``opts.restarts`` total) draw
     durations from the on/off ranges, and depths from a non-degenerate box,
@@ -356,7 +327,7 @@ def optimize(
         if not lo <= nominal <= hi:
             raise ValueError("depth_bounds must satisfy lo <= spec depth <= hi")
     lower = np.concatenate([np.zeros(2 * k), np.broadcast_to(lo, (k,))])
-    upper = np.concatenate([np.full(2 * k, np.inf), np.broadcast_to(hi, (k,))])
+    upper = np.concatenate([np.full(2 * k, MAX_STEP_US), np.broadcast_to(hi, (k,))])
 
     def to_seq(x: np.ndarray) -> PulseSequence:
         depths = seed_depths if depth_bounds is None else x[2 * k :].tolist()
@@ -364,7 +335,10 @@ def optimize(
         return PulseSequence.from_durations(list(pairs), depths)
 
     def evaluate(x: np.ndarray) -> float:
-        return fidelity(to_seq(x), obj)
+        f = fidelity(to_seq(x), obj)
+        if not math.isfinite(f):
+            raise ArithmeticError(f"non-finite fidelity {f} at parameters {x.tolist()}")
+        return f
 
     def project(x: np.ndarray) -> np.ndarray:
         return np.clip(x, lower, upper)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -12,10 +13,13 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from artifact import shortcut
 from artifact.cli import (
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_THRESHOLD,
     EXIT_VALIDATION,
+    MAX_STEP_US,
     RunConfig,
     _parse_sequence,
     _sequence_file,
@@ -123,6 +127,22 @@ class TestConfig:
         assert code == EXIT_VALIDATION
         assert "depth must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, name",
+        [("on_max_us: 1.0e9", "on_range"), ("off_max_us: -5", "off_range")],
+    )
+    def test_step_range_out_of_bounds_exits_2(self, tmp_path, capsys, text, name):
+        # A 1e9 us range once designed a step that eval refuses.
+        p = tmp_path / "c.yaml"
+        p.write_text(f"optimizer: {{{text}, restarts: 1, max_iters: 1}}\n")
+        out = tmp_path / "x"
+        code = main(["design", "--kind", "pi2", "--steps", "1", "--config", str(p),
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{name} must be finite, with 0 <= low <= high <= {MAX_STEP_US:g} us" in err
+        assert not out.exists()
+
     def test_non_finite_optimizer_value_exits_2(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
         p.write_text("optimizer:\n  on_max_us: .inf\n")
@@ -139,6 +159,8 @@ class TestConfig:
              "bad config value for width_schedule"),
             ("ensemble:\n  width_schedule: [1, 2]\n",
              "bad config value for width_schedule"),
+            ("ensemble:\n  width_schedule: [[0, 0.3], [100, 0.0]]\n",
+             "width_schedule widths must be > 0"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
@@ -537,6 +559,35 @@ class TestDesign:
                      "--config", str(cfgp), "--out", str(out),
                      "--threshold", "0.05"])
         assert code == EXIT_OK
+
+    def test_depth_box_enters_the_run_id(self, tmp_path):
+        cfgp = tmp_path / "tiny.yaml"
+        cfgp.write_text("optimizer:\n  max_iters: 1\n  restarts: 1\n")
+        args = ["design", "--kind", "pi", "--steps", "1", "--threshold", "0",
+                "--config", str(cfgp)]
+        manifests = {}
+        for name, extra in [("wide", ["--depth-min", "3", "--depth-max", "6"]),
+                            ("narrow", ["--depth-min", "4", "--depth-max", "5"]),
+                            ("fixed", ["--depth-min", "4", "--depth-max", "5"])]:
+            variable = ["--variable-amplitude"] if name != "fixed" else []
+            out = tmp_path / name
+            assert main(args + variable + extra + ["--out", str(out)]) == EXIT_OK
+            manifests[name] = json.loads((out / "manifest.json").read_text())
+        wide, narrow, fixed = manifests["wide"], manifests["narrow"], manifests["fixed"]
+        assert wide["run_id"] != narrow["run_id"]
+        assert (wide["args"]["depth_min"], wide["args"]["depth_max"]) == (3.0, 6.0)
+        assert (narrow["args"]["depth_min"], narrow["args"]["depth_max"]) == (4.0, 5.0)
+        # A fixed-depth design ignores the box, so it stays out of the run id.
+        assert "depth_min" not in fixed["args"] and "depth_max" not in fixed["args"]
+
+    def test_non_finite_fidelity_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(shortcut, "fidelity", lambda seq, obj: math.nan)
+        cfgp = tmp_path / "tiny.yaml"
+        cfgp.write_text("optimizer:\n  max_iters: 1\n  restarts: 1\n")
+        code = main(["design", "--kind", "pi2", "--steps", "1",
+                     "--config", str(cfgp), "--out", str(tmp_path / "run")])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure: non-finite fidelity" in capsys.readouterr().err
 
     def test_designed_sequence_evaluates(self, tmp_path):
         cfgp = tmp_path / "tiny.yaml"

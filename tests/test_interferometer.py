@@ -95,6 +95,17 @@ class TestEnsembleSpec:
                 width_schedule=((100.0, 0.3), (50.0, 0.4)),
             )
 
+    @pytest.mark.parametrize("width", [0.0, -0.3])
+    def test_width_schedule_widths_must_be_positive(self, width):
+        # A zero width once weighed every node by 1 (P_D 0.5137 at 100 us
+        # for ideal Ramsey, against 0.8510 for a width of 1e-9).
+        with pytest.raises(ValueError, match="width_schedule widths must be > 0"):
+            EnsembleSpec(
+                sigma_q=0.3,
+                quadrature=7,
+                width_schedule=((0.0, 0.3), (50.0, 0.3), (100.0, width)),
+            )
+
 
 class TestCurveTypes:
     def test_fringe_lengths_must_match(self):

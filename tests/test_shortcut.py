@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,12 @@ from artifact.sequences import (
     REFERENCE_PI2,
     REFERENCE_PI_VARIABLE,
 )
+from artifact import shortcut
 from artifact.shortcut import (
     ObjectiveKind,
     OptimizerOptions,
     ROTATION_BLOCKS,
+    _ascend,
     aligned_fidelity_block,
     build_objective,
     design_sequence,
@@ -235,12 +239,52 @@ class TestOptimize:
 
     @pytest.mark.parametrize(
         "name, value",
+        [("on_range", (0.0, 1e9)), ("off_range", (0.0, -5.0)),
+         ("on_range", (-1.0, 5.0)), ("off_range", (8.0, 4.0))],
+    )
+    def test_step_ranges_bounded(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, with 0 <= low"):
+            OptimizerOptions(**{name: value})
+
+    def test_non_finite_fidelity_raises(self, objectives, monkeypatch):
+        # optimize's evaluate is the one place that checks the fidelity.
+        monkeypatch.setattr(shortcut, "fidelity", lambda seq, obj: math.nan)
+        seed = PulseSequence.from_durations([(10.0, 10.0)])
+        with pytest.raises(ArithmeticError, match="non-finite fidelity"):
+            optimize(seed, objectives[ObjectiveKind.HALF_PI], TINY)
+
+    @pytest.mark.parametrize(
+        "name, value",
         [("fd_step", float("nan")), ("learning_rate", float("inf")),
          ("convergence_tol", float("nan")), ("on_range", (0.0, float("nan")))],
     )
     def test_non_finite_options_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             OptimizerOptions(**{name: value})
+
+
+class TestAscend:
+    def test_one_stencil_per_iteration(self):
+        # Three parameters, the last frozen by its box: one iteration makes
+        # the start evaluation, two per free parameter, then the line search.
+        lower, upper = np.array([0.0, 0.0, 5.0]), np.array([np.inf, np.inf, 5.0])
+        x0 = np.array([1.0, 2.0, 5.0])
+        points = []
+
+        def evaluate(x):
+            points.append(np.array(x))
+            return -float((x[0] - 3.0) ** 2 + (x[1] - 1.0) ** 2)
+
+        opts = OptimizerOptions(max_iters=1, fd_step=0.01, learning_rate=0.1)
+        x, f, trace = _ascend(x0, evaluate, lambda x: np.clip(x, lower, upper), opts)
+        assert np.array_equal(points[0], x0)
+        stencil, search = points[1:5], points[5:]
+        for k, (plus, minus) in enumerate([stencil[0:2], stencil[2:4]]):
+            assert np.array_equal(plus, x0 + 0.01 * np.eye(3)[k])
+            assert np.array_equal(minus, x0 - 0.01 * np.eye(3)[k])
+        assert len(search) >= 1
+        assert all(p[2] == 5.0 for p in points)
+        assert len(trace) == 2 and trace[1] == f > trace[0]
 
 
 class TestVariableAmplitude:
@@ -287,6 +331,34 @@ class TestDesignAndReport:
         )
         assert len(result.sequence.steps) == 2
         assert 0.0 <= result.fidelity <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize(
+        "depth_bounds, steps, eta, pre_rounding, trace",
+        [
+            (None, [(15.4, 6.9, None), (24.3, 37.7, None)],
+             0.8974910145957075, 0.897324003828954,
+             [0.8785979691288596, 0.8794460196068816, 0.8807057760304204,
+              0.8825881109578022, 0.8854488249474288, 0.8899437218341892,
+              0.897324003828954]),
+            ((4.0, 6.0), [(15.5, 7.300000000000001, 5.9), (27.6, 36.9, 4.0)],
+             0.9242786509920851, 0.9242244860746383,
+             [0.8785979691288596, 0.9200616374895279, 0.9204673946222948,
+              0.9209445859476801, 0.9216156149871562, 0.9226329186006377,
+              0.9242244860746383]),
+        ],
+    )
+    def test_design_pinned(self, spec, basis, depth_bounds, steps, eta, pre_rounding,
+                           trace):
+        # Recorded before the ascent was rewritten around one stencil.
+        opts = OptimizerOptions(max_iters=6, restarts=2, rng_seed=0)
+        result = design_sequence(
+            ObjectiveKind.HALF_PI, 2, spec, basis, opts, depth_bounds
+        )
+        assert [(s.t_on, s.t_off, s.depth) for s in result.sequence.steps] == steps
+        assert result.restart == 0
+        assert result.fidelity == pytest.approx(eta, abs=1e-12)
+        assert result.fidelity_pre_rounding == pytest.approx(pre_rounding, abs=1e-12)
+        assert list(result.trace) == pytest.approx(trace, abs=1e-12)
 
     def test_report_structure(self, objectives):
         report = fidelity_report(REFERENCE_PI2, objectives[ObjectiveKind.HALF_PI])

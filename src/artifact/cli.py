@@ -13,8 +13,9 @@ Every run writes a ``manifest.json`` into the output directory carrying the
 config snapshot, input-file hashes, derived constants (recoil frequency, S-D
 gap, fringe period), code version, timestamps, and the hash of every output
 artifact.  CSV files carry a ``#`` header block with the run id so plots
-stay traceable to configs.  Identical config + seed produce byte-identical
-CSVs regardless of thread count.
+stay traceable to configs; the run id hashes the command, the config, the
+arguments and the contents of the input files read.  Identical config +
+seed produce byte-identical CSVs regardless of thread count.
 
 Config and sequence files are YAML, read only through the schema tables
 below, whose keys carry their units (``depth_Er``, ``t_on_us``); a key
@@ -311,28 +312,33 @@ def _canonical_json(obj) -> str:
 class RunWriter:
     """Collects outputs for one run and writes the manifest last."""
 
-    def __init__(self, command: str, out_dir: Path, config: RunConfig, args: dict):
+    def __init__(
+        self, command: str, out_dir: Path, config: RunConfig, args: dict, inputs=()
+    ):
         import hashlib
 
         self.command = command
         self.out_dir = out_dir
         self.config = config
         self.args = {k: v for k, v in args.items() if v is not None}
-        self.inputs: dict[str, str] = {}
+        self.inputs = {str(p): _sha256_file(p) for p in map(Path, inputs) if p.is_file()}
         self.outputs: dict[str, str] = {}
         self.derived: dict[str, float] = {}
         # threads is an execution detail: results are thread-count
-        # invariant, so it must not perturb the run id.
+        # invariant, so it must not perturb the run id.  The contents of the
+        # files read do, so their hashes enter it when there are any.
         id_config = {k: v for k, v in asdict(config).items() if k != "threads"}
         snapshot = {"command": command, "config": id_config, "args": self.args}
+        if self.inputs:
+            snapshot["inputs"] = sorted(self.inputs.values())
         self.run_id = hashlib.sha256(_canonical_json(snapshot).encode()).hexdigest()[:16]
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    def note_input(self, path: str | Path) -> None:
-        p = Path(path)
-        if p.is_file():
-            self.inputs[str(p)] = _sha256_file(p)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(
+                f"--out {out_dir}: cannot create the output directory ({exc.strerror})"
+            ) from None
 
     def header_lines(self, extra: dict | None = None) -> list[str]:
         lines = [
@@ -408,11 +414,9 @@ def _fmt(v) -> str:
 
 def _start_run(command, cfg, out_dir, run_args, inputs, lattice=None) -> RunWriter:
     """Create the run's writer and output directory, hash the ``inputs``
-    files (None skipped), and record the derived constants of ``lattice``,
-    a (spec, basis) pair."""
-    writer = RunWriter(command, out_dir, cfg, run_args)
-    for path in filter(None, inputs):
-        writer.note_input(path)
+    files (None skipped) into the run id, and record the derived constants of
+    ``lattice``, a (spec, basis) pair."""
+    writer = RunWriter(command, out_dir, cfg, run_args, filter(None, inputs))
     if lattice is not None:
         writer.derived.update(
             recoil_frequency_Hz=recoil_energy(lattice[0])[1],

@@ -356,62 +356,13 @@ def _grid_axes(ens: EnsembleSpec, geometry: Geometry):
     return x, x
 
 
-def _axis_weights(axis: np.ndarray, sigma: float) -> np.ndarray:
-    """Unnormalized Gaussian weights along one grid axis; a one-point axis
-    (the single point q = 0, or the y axis of the 1D geometry) weighs 1."""
+def _axis_weights(axis: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Unnormalized Gaussian weights along one grid axis, one row per node and
+    one column per width; a one-point axis (the single point q = 0, or the y
+    axis of the 1D geometry) weighs 1."""
     if len(axis) == 1:
-        return np.ones(len(axis))
-    return np.exp(-(axis**2) / (2.0 * sigma**2))
-
-
-def _quadrature_weights(
-    xs: np.ndarray, ys: np.ndarray, ens: EnsembleSpec, times: np.ndarray
-):
-    """Normalised weights, one row per q in grid order.
-
-    With one width (no schedule, or a single hold time) the rows are one
-    (nq, 1) array.  Under a schedule each q's T-long row is formed when it is
-    needed from (T, n) tables of per-axis weights, and the normaliser adds
-    the rows in grid order, as an axis-0 sum of the stacked (nq, T) array
-    does; so memory stays O(T n) and the weights are the same to the bit.
-    """
-    sigmas = [ens.sigma_q]
-    if ens.width_schedule:
-        ts = np.array([p[0] for p in ens.width_schedule], dtype=float)
-        ss = np.array([p[1] for p in ens.width_schedule], dtype=float)
-        sigmas = [float(sg) for sg in np.interp(times, ts, ss)]
-    if len(sigmas) == 1:
-        weights = np.outer(_axis_weights(xs, sigmas[0]), _axis_weights(ys, sigmas[0]))
-        weights = weights.reshape(-1, 1)
-        return weights / np.sum(weights, axis=0, keepdims=True)
-    wx = np.array([_axis_weights(xs, sg) for sg in sigmas])
-    wy = np.array([_axis_weights(ys, sg) for sg in sigmas])
-
-    def rows():
-        return (wx[:, i] * wy[:, j] for i in range(len(xs)) for j in range(len(ys)))
-
-    norm = None
-    for row in rows():
-        norm = row if norm is None else norm + row
-    return (row / norm for row in rows())
-
-
-def _weighted_sum(weights, results) -> list[np.ndarray]:
-    """Fold each q's weighted components into running sums, in grid order.
-
-    ``weights`` yields one row per q, as :func:`_quadrature_weights` returns
-    them.  Adding row after row is what an axis-0 ``np.sum`` of the stacked
-    (nq, T) products does, so the sums are the same to the bit while only
-    O(T) accumulators are held.
-    """
-    sums = None
-    for w, parts in zip(weights, results):
-        if sums is None:
-            sums = [w * part for part in parts]
-        else:
-            for acc, part in zip(sums, parts):
-                acc += w * part
-    return sums
+        return np.ones((1, len(sigmas)))
+    return np.exp(-(axis[:, None] ** 2) / (2.0 * sigmas**2))
 
 
 def _ensemble_sums(
@@ -425,25 +376,41 @@ def _ensemble_sums(
     threads: int,
     phase_scan: bool,
 ) -> list[np.ndarray]:
-    """Quadrature sums of the per-q kernel components over the ensemble.
+    """Quadrature averages of the per-q kernel components over the ensemble.
 
-    Results are consumed as they arrive, in grid order for every thread
-    count, so memory holds the work of the q in flight, not of the grid.
+    Each q weighs wx * wy from per-axis tables: one value, or under a width
+    schedule a row over the hold times.  Results are consumed as they arrive,
+    in grid order for every thread count: w * components and w itself go into
+    running sums, and the sums are divided by the weight total once at the
+    end.  So memory holds O(T) sums and the work of the q in flight, not of
+    the grid, and the result is the same to the bit across thread counts.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     pulses = _as_pulse_model(pulses)
     xs, ys = _grid_axes(ens, spec.geometry)
     qs = [np.array([qx, qy]) for qx in xs for qy in ys]
-    weights = _quadrature_weights(xs, ys, ens, times)
+    sigmas = np.array([ens.sigma_q])
+    if ens.width_schedule:
+        ts, ss = (np.array(col, dtype=float) for col in zip(*ens.width_schedule))
+        sigmas = np.interp(times, ts, ss)
+    wx, wy = _axis_weights(xs, sigmas), _axis_weights(ys, sigmas)
 
     def work(q):
         return _fringe_kernel(kind, pulses, times, q, spec, basis, n_echo, phase_scan)
 
+    def average(results):
+        sums = None
+        for w, parts in zip((a * b for a in wx for b in wy), results):
+            terms = [w * part for part in parts] + [w]
+            sums = terms if sums is None else [s + t for s, t in zip(sums, terms)]
+        *weighted, total = sums
+        return [s / total for s in weighted]
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return _weighted_sum(weights, pool.map(work, qs))
-    return _weighted_sum(weights, map(work, qs))
+            return average(pool.map(work, qs))
+    return average(map(work, qs))
 
 
 def ensemble_fringe(

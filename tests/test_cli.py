@@ -520,6 +520,16 @@ class TestBands:
         )
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_out_on_a_file_exits_2(self, tmp_path, capsys, under):
+        blocker = tmp_path / "f"
+        blocker.write_text("kept\n")
+        out = blocker / under if under else blocker
+        code = main(["bands", "--samples", "2", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert f"--out {out}: cannot create the output directory" in capsys.readouterr().err
+        assert blocker.read_text() == "kept\n"
+
 
 class TestEval:
     def test_reference_pi2(self, tmp_path, capsys):
@@ -801,6 +811,19 @@ class TestCoherenceCommand:
             str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (fringe, cfgp)
         }
 
+    def test_fringe_contents_enter_the_run_id(self, tmp_path):
+        fringe = self._fringe_csv(tmp_path / "f.csv")
+        ids = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            code = main(["coherence", "--fringe", str(fringe), "--period", "88.8",
+                         "--out", str(out)])
+            assert code == EXIT_OK
+            ids.append(json.loads((out / "manifest.json").read_text())["run_id"])
+            # Same path, first sample edited in place.
+            fringe.write_text(fringe.read_text().replace("p_d\n0.0,1.0\n", "p_d\n0.0,0.9\n"))
+        assert ids[0] != ids[1]
+
     def test_missing_fringe(self, tmp_path):
         code = main(["coherence", "--fringe", str(tmp_path / "no.csv"),
                      "--period", "88.8", "--out", str(tmp_path / "x")])
@@ -912,6 +935,38 @@ class TestManifest:
         assert derived["sd_gap_Er"] == pytest.approx(5.5535, abs=2e-4)
         assert derived["fringe_period_us"] == pytest.approx(88.8, abs=0.02)
         assert manifest["run_id"] in (out / "fringe.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["eval", "--kind", "pi2", "--sequence"],
+         ["ramsey", "--single-q", "--t-max", "400", "--dt", "4", "--pi2"]],
+    )
+    def test_sequence_contents_enter_the_run_id(self, tmp_path, args):
+        seq = tmp_path / "s.yaml"
+        ids = []
+        for t_off in (16.8, 10.0):
+            seq.write_text(f"steps:\n  - {{t_on_us: 2.7, t_off_us: {t_off}}}\n")
+            out = tmp_path / str(t_off)
+            assert main(args + [str(seq), "--out", str(out)]) == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["input_hashes"] == {
+                str(seq): hashlib.sha256(seq.read_bytes()).hexdigest()
+            }
+            ids.append(manifest["run_id"])
+        assert ids[0] != ids[1]
+
+    @pytest.mark.parametrize(
+        "args, run_id",
+        [(["ramsey", "--pi2", "ideal"], "7df2418f1f2d91b7"),
+         (["ramsey", "--pi2", "reference:pi2"], "e109e3e958c6caf3")],
+    )
+    def test_runs_that_read_no_file_keep_their_ids(self, tmp_path, args, run_id):
+        # Input hashes enter the id only when a file was read, so these ids
+        # are the ones such runs had before file contents entered it.
+        out = tmp_path / "run"
+        assert main(args + ["--single-q", "--t-max", "400", "--dt", "4",
+                            "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["run_id"] == run_id
 
     def test_config_depth_changes_results(self, tmp_path):
         cfgp = tmp_path / "c.yaml"

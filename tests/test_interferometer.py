@@ -400,25 +400,23 @@ class TestEnsembleFringe:
             ).contrast[0]
         assert c[0.3] < c[0.1]
 
-    def test_static_width_schedule_matches_plain(self, spec, basis, period):
-        times = np.linspace(0.0, 2 * period, 9)
-        plain = EnsembleSpec(sigma_q=0.25, quadrature=7)
-        scheduled = EnsembleSpec(
-            sigma_q=0.25,
-            quadrature=7,
-            width_schedule=((0.0, 0.25), (times[-1], 0.25)),
-        )
-        a = ensemble_fringe(
-            FringeKind.RAMSEY, IdealPulses(), times, plain, spec, basis
-        ).p_d
-        b = ensemble_fringe(
-            FringeKind.RAMSEY, IdealPulses(), times, scheduled, spec, basis
-        ).p_d
-        assert np.allclose(a, b, atol=1e-12)
+    @pytest.mark.parametrize("fwhm", [0.72, 0.56, 0.20])
+    def test_constant_schedule_is_no_schedule(self, spec, fwhm):
+        # A schedule that holds the width constant weighs every hold time as
+        # the plain width does, through the same weight path.
+        basis = build_basis(spec, shell_radius=2)
+        times = np.linspace(0.0, 900.0, 13)
+        plain = EnsembleSpec.from_width(fwhm)
+        sigma = plain.sigma_q
+        scheduled = EnsembleSpec(sigma_q=sigma, width_schedule=((0.0, sigma), (900.0, sigma)))
+        a = ensemble_fringe(FringeKind.RAMSEY, IdealPulses(), times, plain, spec, basis)
+        b = ensemble_fringe(FringeKind.RAMSEY, IdealPulses(), times, scheduled, spec, basis)
+        assert np.array_equal(a.p_d, b.p_d)
 
 
 class TestStreamedSum:
-    """The streamed quadrature sum against a dense (nq, T) oracle."""
+    """The streamed quadrature sum against a dense (nq, T) oracle,
+    sum_q w_q c_q / sum_q w_q."""
 
     @staticmethod
     def _dense_sums(kind, model, times, ens, spec, basis, phase_scan):
@@ -432,16 +430,14 @@ class TestStreamedSum:
             wx = np.exp(-(xs**2) / (2.0 * float(sigma) ** 2))
             columns.append(np.outer(wx, wx).ravel())
         weights = np.stack(columns, axis=1)
-        if not ens.width_schedule:
-            weights = weights[:, :1]
-        weights = weights / np.sum(weights, axis=0, keepdims=True)
         parts = [
             _fringe_kernel(kind, model, times, np.array([qx, qy]), spec, basis, 2,
                            phase_scan)
             for qx in xs
             for qy in xs
         ]
-        return [np.sum(weights * np.array(col), axis=0) for col in zip(*parts)]
+        total = np.sum(weights, axis=0)
+        return [np.sum(weights * np.array(col), axis=0) / total for col in zip(*parts)]
 
     @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("kind", [FringeKind.RAMSEY, FringeKind.ECHO])

@@ -126,6 +126,14 @@ def _choice(*names: str):
     return convert
 
 
+def _count(value) -> int:
+    """An integer of at least 1."""
+    value = _integer(value)
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {value!r}")
+    return value
+
+
 def _schedule(value) -> list:
     """A width schedule as loaded, each point a (t_us, sigma) pair of
     numbers; kept unconverted so that the run id sees the config's values."""
@@ -155,24 +163,23 @@ def _convert(key: str, convert, value, what: str = "config"):
         raise ValidationError(f"bad {what} value for {key}: {exc}") from exc
 
 
-#: Config schema: (section, key, converter); section ``None`` is the top
-#: level.  Each key loads into the :class:`RunConfig` field of the same name.
-_CONFIG_KEYS = (
-    ("lattice", "geometry", _choice(*_GEOMETRY_NAMES)),
-    ("lattice", "wavelength_nm", _real),
-    ("lattice", "depth_Er", _real),
-    ("lattice", "atom_mass_kg", _real),
-    ("basis", "shell_radius", _integer),
-    ("ensemble", "distribution", _choice("gaussian", "delta")),
-    ("ensemble", "delta_q_hk", _real),
-    ("ensemble", "width_reading", str),
-    ("ensemble", "quadrature", _integer),
-    ("ensemble", "width_schedule", _schedule),
-    (None, "optimizer", dict),
-    (None, "rng_seed", _integer),
-)
+def _named(**converters) -> dict:
+    """A schema table whose keys load into the fields of the same name."""
+    return {key: (key, convert) for key, convert in converters.items()}
 
-#: ``optimizer`` section: key -> (OptimizerOptions field, converter).
+
+#: Config schema: one table per section, key -> (field, converter).  The keys
+#: of ``lattice``, ``basis`` and ``ensemble`` load into the :class:`RunConfig`
+#: fields of the same name; ``optimizer`` is kept as written, and its keys load
+#: into :class:`OptimizerOptions` fields.
+_SECTION_KEYS = {
+    "lattice": _named(geometry=_choice(*_GEOMETRY_NAMES), wavelength_nm=_real,
+                      depth_Er=_real, atom_mass_kg=_real),
+    "basis": _named(shell_radius=_count),
+    "ensemble": _named(distribution=_choice("gaussian", "delta"), delta_q_hk=_real,
+                       width_reading=_choice("fwhm", "two_sigma"),
+                       quadrature=_integer, width_schedule=_schedule),
+}
 _OPTIMIZER_KEYS = {
     "max_iters": ("max_iters", _integer),
     "fd_step_us": ("fd_step", _real),
@@ -182,6 +189,11 @@ _OPTIMIZER_KEYS = {
     "convergence_tol": ("convergence_tol", _real),
     "on_max_us": ("on_range", lambda v: (0.0, _real(v))),
     "off_max_us": ("off_range", lambda v: (0.0, _real(v))),
+}
+#: Top level: the sections, passed on as written to their tables, and the seed.
+_TOP_KEYS = {
+    **_named(**dict.fromkeys([*_SECTION_KEYS, "optimizer"], lambda v: v)),
+    "rng_seed": ("rng_seed", _integer),
 }
 
 
@@ -207,34 +219,23 @@ def _reject_unknown(data: dict, known, where: str, what: str = "config") -> None
         )
 
 
-def _fields(values: dict, table: dict, where: str, what: str = "config") -> dict:
+def _fields(values, table: dict, where: str, what: str = "config") -> dict:
     """``values`` read through ``table`` (key -> (field, converter)) as
-    field -> converted value; a key outside the table is refused."""
+    field -> converted value; a non-mapping or a key outside the table is
+    refused.  A bad config value is named by its key, which is unique in the
+    schema, and a bad sequence value also by ``where``, its step."""
+    if not isinstance(values, dict):
+        raise ValidationError(f"a {what} and each of its sections must be mappings")
     _reject_unknown(values, table, where, what)
-    return {name: _convert(f"{key} {where}", convert, values[key], what)
+    return {name: _convert(key if what == "config" else f"{key} {where}", convert,
+                           values[key], what)
             for key, (name, convert) in table.items() if key in values}
-
-
-def _check_config_keys(data) -> None:
-    """Refuse a config that is not a mapping of section mappings, or any key
-    that the two schema tables do not name."""
-    known = {"optimizer": _OPTIMIZER_KEYS}
-    for sec, key, _ in _CONFIG_KEYS:
-        known.setdefault(sec, set()).add(key)
-    sections = [sec for sec in known if sec]
-    if not isinstance(data, dict) or not all(
-        isinstance(data.get(sec, {}), dict) for sec in sections
-    ):
-        raise ValidationError("a config and each of its sections must be mappings")
-    known[None] |= set(sections)
-    for section, keys in known.items():
-        where = "at the top level" if section is None else f"in {section}"
-        _reject_unknown(data if section is None else data.get(section, {}), keys, where)
 
 
 @dataclass
 class RunConfig:
-    """Validated run configuration with explicit units."""
+    """Validated run configuration with explicit units.  :meth:`load` builds
+    the specs once, so a bad value exits 2 whatever the subcommand."""
 
     geometry: str = "triangular"
     wavelength_nm: float = 1064.0
@@ -250,22 +251,24 @@ class RunConfig:
     rng_seed: int = 0
     threads: int = 1
 
+    #: The specs built by :meth:`load`; not fields, so not in the run id.
+    lattice = ensemble = options = None
+
     @classmethod
     def load(cls, path: str | None, overrides: dict | None = None) -> "RunConfig":
-        data: dict = {}
-        if path:
-            data = _read_yaml(path, "config file") or {}
-        _check_config_keys(data)
-        cfg = cls()
-        for section, key, convert in _CONFIG_KEYS:
-            values = data if section is None else data.get(section, {})
-            if key in values:
-                setattr(cfg, key, _convert(key, convert, values[key]))
+        data = _read_yaml(path, "config file") if path else None
+        values = _fields({} if data is None else data, _TOP_KEYS, "at the top level")
+        for section, table in _SECTION_KEYS.items():
+            values.update(_fields(values.pop(section, {}), table, f"in {section}"))
+        cfg = cls(**values)
         for key, value in (overrides or {}).items():
             if value is not None:
                 setattr(cfg, key, value)
         if cfg.threads < 1:
             raise ValidationError(f"threads must be >= 1, got {cfg.threads}")
+        cfg.lattice = cfg.lattice_spec()
+        cfg.ensemble = cfg.ensemble_spec()
+        cfg.options = cfg.optimizer_options()
         return cfg
 
     # The specs' own checks raise ValueError, which main reports as exit 2.
@@ -278,13 +281,12 @@ class RunConfig:
         )
 
     def ensemble_spec(self) -> EnsembleSpec:
-        if self.distribution == "delta":
-            return EnsembleSpec(sigma_q=0.0)
-        ens = EnsembleSpec.from_width(
-            self.delta_q_hk, reading=self.width_reading, quadrature=self.quadrature
-        )
         schedule = tuple((float(t), float(s)) for t, s in self.width_schedule)
-        return replace(ens, width_schedule=schedule)
+        ens = EnsembleSpec.from_width(self.delta_q_hk, reading=self.width_reading)
+        ens = replace(ens, width_schedule=schedule)
+        if self.distribution == "delta":  # q = 0 alone: the width keys go unused
+            return EnsembleSpec(sigma_q=0.0, quadrature=self.quadrature)
+        return replace(ens, quadrature=self.quadrature)
 
     def optimizer_options(self) -> OptimizerOptions:
         fields = _fields(self.optimizer, _OPTIMIZER_KEYS, "in optimizer")
@@ -358,13 +360,8 @@ class RunWriter:
         self.outputs[name] = _sha256_file(path)
         return path
 
-    def write_csv(
-        self,
-        name: str,
-        columns: list[str],
-        rows,
-        extra_header: dict | None = None,
-    ) -> Path:
+    def write_csv(self, name: str, columns: list[str], rows,
+                  extra_header: dict | None = None) -> Path:
         def dump(f):
             for line in self.header_lines(extra_header) + [",".join(columns)]:
                 f.write(line + "\n")
@@ -497,7 +494,7 @@ def _waypoint(token: str, geometry: Geometry) -> np.ndarray:
 
 
 def cmd_bands(cfg: RunConfig, args, out_dir: Path) -> int:
-    spec = cfg.lattice_spec()
+    spec = cfg.lattice
     basis = build_basis(spec, cfg.shell_radius)
     waypoints = [_waypoint(t, spec.geometry) for t in args.path.split(",")]
     if len(waypoints) < 2:
@@ -527,32 +524,32 @@ def cmd_bands(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
-    spec = cfg.lattice_spec()
+    spec = cfg.lattice
     basis = build_basis(spec, cfg.shell_radius)
     kind = ObjectiveKind(args.kind)
     default_threshold = 0.93 if kind is ObjectiveKind.PI else 0.98
     threshold = args.threshold if args.threshold is not None else default_threshold
-    opts = cfg.optimizer_options()
+    if not math.isfinite(threshold):
+        raise ValidationError(f"--threshold must be finite, got {threshold}")
+    box = (args.depth_min, args.depth_max) if args.variable_amplitude else None
+    if box and not 0 <= box[0] <= spec.depth <= box[1] < math.inf:
+        raise ValidationError(
+            f"--depth-min and --depth-max must be finite, with 0 <= --depth-min "
+            f"<= depth_Er {spec.depth:g} <= --depth-max, got {box[0]:g} and {box[1]:g}"
+        )
     run_args = {
         "kind": args.kind,
         "steps": args.steps,
         "variable_amplitude": args.variable_amplitude,
-        "depth_min": args.depth_min if args.variable_amplitude else None,
-        "depth_max": args.depth_max if args.variable_amplitude else None,
+        "depth_min": box[0] if box else None,
+        "depth_max": box[1] if box else None,
         "threshold": threshold,
     }
     writer = _start_run("design", cfg, out_dir, run_args, [args.config], (spec, basis))
-    result = design_sequence(
-        kind,
-        args.steps,
-        spec,
-        basis,
-        opts,
-        (args.depth_min, args.depth_max) if args.variable_amplitude else None,
-    )
+    result = design_sequence(kind, args.steps, spec, basis, cfg.options, box)
     provenance = (
         f"designed by artifact {__version__}, kind={args.kind}, "
-        f"seed={cfg.rng_seed}, restarts={opts.restarts}"
+        f"seed={cfg.rng_seed}, restarts={cfg.options.restarts}"
     )
     writer.write_yaml("sequence.yaml", _sequence_file(
         result.sequence, provenance, result.fidelity, result.fidelity_pre_rounding
@@ -576,7 +573,7 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args, out_dir: Path) -> int:
-    spec = cfg.lattice_spec()
+    spec = cfg.lattice
     basis = build_basis(spec, cfg.shell_radius)
     seq = load_sequence(args.sequence)
     writer = _start_run(
@@ -594,12 +591,9 @@ def cmd_eval(cfg: RunConfig, args, out_dir: Path) -> int:
             f"pair {i + 1}: |overlap| = {o['magnitude']:.4f}, "
             f"phase = {o['phase_rad']:+.4f} rad"
         )
-    for i, (mid, above) in enumerate(
-        zip(report["leakage_mid_bands"], report["leakage_above_d"])
-    ):
-        print(
-            f"state {i + 1} leakage: mid-bands {mid:.4f}, above-D {above:.4f}"
-        )
+    leakage = zip(report["leakage_mid_bands"], report["leakage_above_d"])
+    for i, (mid, above) in enumerate(leakage, 1):
+        print(f"state {i} leakage: mid-bands {mid:.4f}, above-D {above:.4f}")
     return EXIT_OK
 
 
@@ -612,7 +606,6 @@ def _require_positive(name: str, value: float | None) -> None:
 def _fringe_times(args, window: float) -> np.ndarray:
     _require_positive("dt", args.dt)
     _require_positive("t-max", args.t_max)
-    _require_positive("period", args.period)
     _require_positive("contrast-window", args.contrast_window)
     check_sampling(args.dt, window)
     times = np.arange(0.0, args.t_max, args.dt)
@@ -670,14 +663,13 @@ def _pulse_model(args, need_pi: bool):
 
 def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
     kind = FringeKind(args.command)
-    spec = cfg.lattice_spec()
+    spec = cfg.lattice
     basis = build_basis(spec, cfg.shell_radius)
-    period = args.period if args.period is not None else fringe_period_us(spec, basis)
+    period = fringe_period_us(spec, basis)
     window = period if args.contrast_window is None else args.contrast_window
     times = _fringe_times(args, window)
-    need_pi = kind is FringeKind.ECHO
-    model = _pulse_model(args, need_pi)
-    ens = EnsembleSpec(sigma_q=0.0) if args.single_q else cfg.ensemble_spec()
+    model = _pulse_model(args, kind is FringeKind.ECHO)
+    ens = EnsembleSpec(sigma_q=0.0) if args.single_q else cfg.ensemble
     sequence_pulses = isinstance(model, SequencePulses)
     # Every flag that changes the outputs enters the run id; a flag the
     # pulse model ignores stays out (None values are dropped).
@@ -694,16 +686,8 @@ def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
     }
     inputs = [args.config, *_sequence_files(args.pi2, run_args["pi"])]
     writer = _start_run(kind.value, cfg, out_dir, run_args, inputs, (spec, basis))
-    fringe = ensemble_fringe(
-        kind,
-        model,
-        times,
-        ens,
-        spec,
-        basis,
-        n_echo=getattr(args, "n_echo", 2),
-        threads=cfg.threads,
-    )
+    fringe = ensemble_fringe(kind, model, times, ens, spec, basis,
+                             n_echo=getattr(args, "n_echo", 2), threads=cfg.threads)
     contrast = contrast_curve(fringe, window)
     coh = coherence_time(contrast)
     writer.write_csv(
@@ -797,13 +781,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-max", type=float, required=True, help="max hold time (us)")
         p.add_argument("--dt", type=float, required=True, help="hold-time step (us)")
         p.add_argument("--single-q", action="store_true", help="no ensemble, q = 0 only")
-        p.add_argument("--period", type=float, default=None, help="fringe period hint (us)")
-        p.add_argument(
-            "--contrast-window",
-            type=float,
-            default=None,
-            help="contrast window (us, default = period)",
-        )
+        p.add_argument("--contrast-window", type=float, default=None,
+                       help="contrast window (us, default = the fringe period)")
         p.add_argument("--no-phase-lock", action="store_true")
 
     p = sub.add_parser("coherence", help="re-analyze a fringe CSV", parents=[common])

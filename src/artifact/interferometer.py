@@ -303,6 +303,8 @@ def _fringe_kernel(
 
 def _as_pulse_model(pulses, pi: PulseSequence | None = None) -> PulseModel:
     if isinstance(pulses, (IdealPulses, SequencePulses)):
+        if pi is not None:
+            raise ValueError("a pulse model carries its own pi pulse; pass seq_pi=None")
         return pulses
     if isinstance(pulses, PulseSequence):
         return SequencePulses(pi2=pulses, pi=pi)
@@ -337,7 +339,8 @@ def echo_pd(
     spec: LatticeSpec,
     basis: PlaneWaveBasis,
 ) -> float:
-    """D-band population after the n-echo sequence at one quasi-momentum."""
+    """D-band population after the n-echo sequence at one quasi-momentum;
+    ``seq_pi`` goes with a bare ``seq_pi2`` sequence, not a pulse model."""
     model = _as_pulse_model(seq_pi2, seq_pi)
     return _single_q_pd(FringeKind.ECHO, model, t_hold, q, spec, basis, n_echo)
 

@@ -239,6 +239,8 @@ class OptimizerOptions:
             raise ValueError("max_iters and restarts must be >= 1")
         if self.fd_step <= 0 or self.learning_rate <= 0:
             raise ValueError("fd_step and learning_rate must be positive")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         for name in ("on_range", "off_range"):
             low, high = getattr(self, name)
             if not 0 <= low <= high <= MAX_STEP_US:
@@ -324,8 +326,8 @@ def optimize(
         lo = hi = x_seed[2 * k :]
     else:
         lo, hi = depth_bounds
-        if not lo <= nominal <= hi:
-            raise ValueError("depth_bounds must satisfy lo <= spec depth <= hi")
+        if not 0 <= lo <= nominal <= hi:
+            raise ValueError("depth_bounds must satisfy 0 <= lo <= spec depth <= hi")
     lower = np.concatenate([np.zeros(2 * k), np.broadcast_to(lo, (k,))])
     upper = np.concatenate([np.full(2 * k, MAX_STEP_US), np.broadcast_to(hi, (k,))])
 

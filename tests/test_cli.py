@@ -232,6 +232,51 @@ class TestConfig:
         assert f"bad config value for {key}: expected one of" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_load_builds_the_specs(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        p.write_text("lattice:\n  depth_Er: 4.0\nensemble:\n  distribution: delta\n"
+                     "  quadrature: 9\noptimizer:\n  restarts: 2\n")
+        cfg = RunConfig.load(str(p), overrides={"rng_seed": 5})
+        assert cfg.lattice == cfg.lattice_spec() and cfg.lattice.depth == 4.0
+        assert cfg.ensemble == cfg.ensemble_spec()
+        assert (cfg.ensemble.sigma_q, cfg.ensemble.quadrature) == (0.0, 9)
+        assert cfg.options == cfg.optimizer_options()
+        assert (cfg.options.restarts, cfg.options.rng_seed) == (2, 5)
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("optimizer: {max_iters: abc, fd_step_us: -1}", "max_iters"),
+            ("optimizer: {on_max_us: -5}", "on_range"),
+            ("ensemble: {quadrature: 4}", "quadrature"),
+            ("ensemble: {width_reading: bogus, distribution: delta}", "width_reading"),
+            ("ensemble: {delta_q_hk: .nan, distribution: delta}", "sigma_q must be finite"),
+            ("lattice: {depth_Er: -1}", "depth must be non-negative"),
+            ("basis: {shell_radius: 0}", "shell_radius"),
+            ("rng_seed: -1", "rng_seed"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["bands", "--samples", "2"],
+         ["eval", "--sequence", "reference:pi2", "--kind", "pi2"],
+         ["coherence", "--period", "88.8", "--fringe"],
+         ["ramsey", "--single-q", "--t-max", "400", "--dt", "4"],
+         ["ramsey", "--t-max", "400", "--dt", "4"]],
+        ids=["bands", "eval", "coherence", "ramsey-single-q", "ramsey"],
+    )
+    def test_bad_value_exits_2_whatever_the_subcommand(self, tmp_path, capsys,
+                                                        text, name, command):
+        p = tmp_path / "c.yaml"
+        p.write_text(text + "\n")
+        if command[0] == "coherence":
+            command = command + [str(TestCoherenceCommand._fringe_csv(tmp_path / "f.csv"))]
+        out = tmp_path / "x"
+        code = main(command + ["--config", str(p), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_values_load_unchanged(self, tmp_path):
         p = tmp_path / "c.yaml"
         p.write_text("basis:\n  shell_radius: 3.0\nensemble:\n  quadrature: '9'\n"
@@ -303,7 +348,8 @@ def _config_mappings(draw):
 @given(data=_config_mappings())
 def test_config_loading_raises_only_value_error(tmp_path, data):
     """Any YAML mapping loads or raises ValueError, which main maps to
-    exit 2; no other exception type escapes."""
+    exit 2; no other exception type escapes.  Every value is checked at
+    load, so once a config loads, each of its specs builds."""
     p = tmp_path / "c.yaml"
     p.write_text(yaml.safe_dump(data))
     try:
@@ -311,10 +357,7 @@ def test_config_loading_raises_only_value_error(tmp_path, data):
     except ValueError:
         return
     for build in (cfg.lattice_spec, cfg.ensemble_spec, cfg.optimizer_options):
-        try:
-            build()
-        except ValueError:
-            pass
+        build()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -590,6 +633,30 @@ class TestDesign:
         # A fixed-depth design ignores the box, so it stays out of the run id.
         assert "depth_min" not in fixed["args"] and "depth_max" not in fixed["args"]
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(["--threshold", "nan"], "--threshold must be finite"),
+         (["--threshold", "inf"], "--threshold must be finite"),
+         (["--variable-amplitude", "--depth-min", "-3", "--depth-max", "6"],
+          "--depth-min and --depth-max must be finite, with 0 <= --depth-min"),
+         (["--variable-amplitude", "--depth-min", "6", "--depth-max", "3"],
+          "--depth-min and --depth-max must be finite, with 0 <= --depth-min"),
+         (["--variable-amplitude", "--depth-min", "3", "--depth-max", "nan"],
+          "--depth-min and --depth-max must be finite, with 0 <= --depth-min")],
+        ids=["threshold-nan", "threshold-inf", "negative-depth-min",
+             "depth-box-reversed", "depth-max-nan"],
+    )
+    def test_bad_design_flag_exits_2_before_the_output(self, tmp_path, capsys,
+                                                       extra, message):
+        cfgp = tmp_path / "tiny.yaml"
+        cfgp.write_text("optimizer:\n  max_iters: 1\n  restarts: 1\n")
+        out = tmp_path / "run"
+        code = main(["design", "--kind", "pi2", "--steps", "1", "--config", str(cfgp),
+                     "--out", str(out)] + extra)
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_fidelity_exits_4(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(shortcut, "fidelity", lambda seq, obj: math.nan)
         cfgp = tmp_path / "tiny.yaml"
@@ -638,7 +705,7 @@ class TestFringeCommands:
 
     def test_eight_samples_per_window_accepted(self, tmp_path, capsys):
         args = ["ramsey", "--pi2", "ideal", "--single-q", "--t-max", "400",
-                "--period", "88.8"]
+                "--contrast-window", "88.8"]
         assert main(args + ["--dt", "11.1", "--out", str(tmp_path / "a")]) == EXIT_OK
         code = main(args + ["--dt", "11.2", "--out", str(tmp_path / "b")])
         assert code == EXIT_VALIDATION
@@ -662,7 +729,7 @@ class TestFringeCommands:
         "flag, value",
         [("--dt", "0"), ("--dt", "-4"), ("--dt", "nan"),
          ("--t-max", "-400"), ("--t-max", "inf"), ("--contrast-window", "0"),
-         ("--contrast-window", "nan"), ("--period", "nan"), ("--period", "0")],
+         ("--contrast-window", "nan")],
     )
     def test_bad_time_grid_exits_2(self, tmp_path, capsys, flag, value):
         args = {"--t-max": "400", "--dt": "4", flag: value}
@@ -671,15 +738,6 @@ class TestFringeCommands:
                     + ["--out", str(tmp_path / "x")])
         assert code == EXIT_VALIDATION
         assert f"{flag} must be positive and finite" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
-
-    def test_echo_names_the_period_flag(self, tmp_path, capsys):
-        code = main(["echo", "--pi2", "ideal", "--single-q", "--t-max", "400",
-                     "--dt", "4", "--period", "nan", "--out", str(tmp_path / "x")])
-        assert code == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "--period must be positive and finite" in err
-        assert "contrast-window" not in err
         assert not (tmp_path / "x").exists()
 
     def test_echo_zero_pulses_exits_2(self, tmp_path, capsys):
@@ -966,6 +1024,23 @@ class TestManifest:
         out = tmp_path / "run"
         assert main(args + ["--single-q", "--t-max", "400", "--dt", "4",
                             "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["run_id"] == run_id
+
+    @pytest.mark.parametrize(
+        "args, run_id",
+        [(["ramsey", "--pi2", "ideal", "--single-q", "--t-max", "400", "--dt", "4"],
+          "c328e0560a76f7f8"),
+         (["bands", "--samples", "2"], "3c27dc7498ae7198")],
+    )
+    def test_runs_with_a_config_keep_their_ids(self, tmp_path, args, run_id):
+        # The config's loaded values, and so the id, are the ones these runs
+        # had before every spec was built at load.
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text("lattice:\n  depth_Er: 5.0\nensemble:\n  delta_q_hk: 0.56\n"
+                        "  quadrature: 9\nrng_seed: 3\noptimizer:\n  max_iters: 7.0\n"
+                        "  restarts: \"2\"\n")
+        out = tmp_path / "run"
+        assert main(args + ["--config", str(cfgp), "--out", str(out)]) == EXIT_OK
         assert json.loads((out / "manifest.json").read_text())["run_id"] == run_id
 
     def test_config_depth_changes_results(self, tmp_path):

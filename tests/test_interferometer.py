@@ -36,7 +36,7 @@ from artifact.lattice import (
     fringe_period_us,
     sd_gap,
 )
-from artifact.sequences import REFERENCE_PI, REFERENCE_PI2
+from artifact.sequences import REFERENCE_PI, REFERENCE_PI2, REFERENCE_PI_VARIABLE
 from artifact.shortcut import (
     ObjectiveKind,
     ROTATION_BLOCKS,
@@ -337,6 +337,15 @@ class TestPointwiseFringes:
         model = SequencePulses(pi2=REFERENCE_PI2)
         with pytest.raises(ValueError):
             echo_pd(model, None, 2, 10.0, np.zeros(2), spec, basis)
+
+    @pytest.mark.parametrize("pi", [None, REFERENCE_PI])
+    def test_echo_refuses_a_pi_beside_a_model(self, spec, basis, pi):
+        # The pi inside the model was used and the one beside it ignored.
+        model = SequencePulses(pi2=REFERENCE_PI2, pi=pi)
+        with pytest.raises(ValueError, match="carries its own pi pulse"):
+            echo_pd(model, REFERENCE_PI_VARIABLE, 2, 100.0, np.zeros(2), spec, basis)
+        with pytest.raises(ValueError, match="carries its own pi pulse"):
+            echo_pd(IdealPulses(), REFERENCE_PI, 2, 100.0, np.zeros(2), spec, basis)
 
     def test_locked_echo_composite_at_gamma(self, spec, basis):
         model = SequencePulses(pi2=REFERENCE_PI2, pi=REFERENCE_PI)

@@ -313,6 +313,12 @@ class TestVariableAmplitude:
         with pytest.raises(ValueError):
             optimize(seed, obj, TINY, depth_bounds=(6.0, 5.0))
 
+    def test_box_refuses_negative_depths(self, objectives):
+        obj = objectives[ObjectiveKind.HALF_PI]
+        seed = PulseSequence.from_durations([(10.0, 10.0)])
+        with pytest.raises(ValueError, match="0 <= lo"):
+            optimize(seed, obj, TINY, depth_bounds=(-3.0, 6.0))
+
     def test_frozen_seed_depths_come_back_exactly(self, objectives):
         obj = objectives[ObjectiveKind.HALF_PI]
         seed = PulseSequence.from_durations(

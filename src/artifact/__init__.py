@@ -10,109 +10,9 @@ lattice driven by shortcut (on/off) pulse sequences:
   ensembles, contrast and coherence extraction;
 * :mod:`artifact.sequences` — reference pulse sequences;
 * :mod:`artifact.cli` — reproducible command-line runs.
+
+Import each name from its module; the package namespace holds only
+``__version__``, which every run stamps into its outputs.
 """
 
-from .lattice import (
-    Geometry,
-    LatticeSpec,
-    PlaneWaveBasis,
-    TRIANGULAR_FOURIER_COEF,
-    angular_frequency_per_Er,
-    build_basis,
-    calibrate_fourier_coefficient,
-    fringe_period_us,
-    hamiltonian_on,
-    potential_fourier,
-    recoil_energy,
-    sd_gap,
-)
-from .dynamics import (
-    PulseSequence,
-    PulseStep,
-    bloch_state,
-    default_band_pair,
-    solve_bands,
-)
-from .shortcut import (
-    ObjectiveKind,
-    OptimizeResult,
-    OptimizerOptions,
-    PulseObjective,
-    build_objective,
-    design_sequence,
-    fidelity,
-    fidelity_report,
-    optimize,
-)
-from .interferometer import (
-    ContrastCurve,
-    CoherenceResult,
-    EnsembleSpec,
-    FringeCurve,
-    FringeKind,
-    IdealPulses,
-    SequencePulses,
-    coherence_time,
-    contrast_curve,
-    echo_pd,
-    ensemble_fringe,
-    phase_scan_contrast,
-    ramsey_pd,
-)
-from .sequences import (
-    REFERENCE_LOAD,
-    REFERENCE_PI,
-    REFERENCE_PI2,
-    REFERENCE_PI_VARIABLE,
-    REFERENCE_SEQUENCES,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Geometry",
-    "LatticeSpec",
-    "PlaneWaveBasis",
-    "TRIANGULAR_FOURIER_COEF",
-    "angular_frequency_per_Er",
-    "build_basis",
-    "calibrate_fourier_coefficient",
-    "fringe_period_us",
-    "hamiltonian_on",
-    "potential_fourier",
-    "recoil_energy",
-    "sd_gap",
-    "PulseSequence",
-    "PulseStep",
-    "bloch_state",
-    "default_band_pair",
-    "solve_bands",
-    "ObjectiveKind",
-    "OptimizeResult",
-    "OptimizerOptions",
-    "PulseObjective",
-    "build_objective",
-    "design_sequence",
-    "fidelity",
-    "fidelity_report",
-    "optimize",
-    "ContrastCurve",
-    "CoherenceResult",
-    "EnsembleSpec",
-    "FringeCurve",
-    "FringeKind",
-    "IdealPulses",
-    "SequencePulses",
-    "coherence_time",
-    "contrast_curve",
-    "echo_pd",
-    "ensemble_fringe",
-    "phase_scan_contrast",
-    "ramsey_pd",
-    "REFERENCE_LOAD",
-    "REFERENCE_PI",
-    "REFERENCE_PI2",
-    "REFERENCE_PI_VARIABLE",
-    "REFERENCE_SEQUENCES",
-    "__version__",
-]

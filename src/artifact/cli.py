@@ -499,6 +499,7 @@ def cmd_bands(cfg: RunConfig, args, out_dir: Path) -> int:
     waypoints = [_waypoint(t, spec.geometry) for t in args.path.split(",")]
     if len(waypoints) < 2:
         raise ValidationError("path needs at least two waypoints")
+    _require_positive("samples", args.samples)
     writer = _start_run(
         "bands", cfg, out_dir, {"path": args.path, "samples": args.samples},
         [args.config], (spec, basis),
@@ -531,6 +532,7 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
     threshold = args.threshold if args.threshold is not None else default_threshold
     if not math.isfinite(threshold):
         raise ValidationError(f"--threshold must be finite, got {threshold}")
+    _require_positive("steps", args.steps)
     box = (args.depth_min, args.depth_max) if args.variable_amplitude else None
     if box and not 0 <= box[0] <= spec.depth <= box[1] < math.inf:
         raise ValidationError(
@@ -598,8 +600,10 @@ def cmd_eval(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def _require_positive(name: str, value: float | None) -> None:
-    """Refuse a given ``--name`` value that is not positive and finite."""
-    if value is not None and not (math.isfinite(value) and value > 0):
+    """Refuse a given ``--name`` value that is not positive and finite.  It
+    compares rather than calls ``math.isfinite``, which raises OverflowError on
+    an integer count too large for a float."""
+    if value is not None and not 0 < value < math.inf:
         raise ValidationError(f"--{name} must be positive and finite, got {value}")
 
 
@@ -668,6 +672,7 @@ def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
     period = fringe_period_us(spec, basis)
     window = period if args.contrast_window is None else args.contrast_window
     times = _fringe_times(args, window)
+    _require_positive("n-echo", getattr(args, "n_echo", None))
     model = _pulse_model(args, kind is FringeKind.ECHO)
     ens = EnsembleSpec(sigma_q=0.0) if args.single_q else cfg.ensemble
     sequence_pulses = isinstance(model, SequencePulses)

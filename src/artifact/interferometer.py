@@ -95,6 +95,8 @@ class EnsembleSpec:
         require_finite(self, "sigma_q", "width_schedule")
         if self.sigma_q < 0:
             raise ValueError("sigma_q must be >= 0")
+        if self.quadrature < 1:
+            raise ValueError(f"quadrature must be >= 1, got {self.quadrature}")
         if self.quadrature % 2 == 0:
             raise ValueError("quadrature must be odd so q = 0 is a node")
         if self.sigma_q > 0 and self.quadrature < 5:

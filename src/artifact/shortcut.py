@@ -14,7 +14,7 @@ invariant under any eigensolver phase convention while keeping the sum
 coherent (two phases cannot align the four overlap terms of a half-pi
 rotation independently).  The aligned phases are also what makes separately
 designed pulses compose consistently in interferometer sequences (see
-:func:`artifact.interferometer.locked_sequence_operator`).
+:func:`artifact.interferometer._pulse`).
 
 Optimization is projected gradient ascent: central finite-difference
 gradients, Armijo backtracking line search (guaranteeing a monotone fidelity

@@ -249,6 +249,7 @@ class TestConfig:
             ("optimizer: {max_iters: abc, fd_step_us: -1}", "max_iters"),
             ("optimizer: {on_max_us: -5}", "on_range"),
             ("ensemble: {quadrature: 4}", "quadrature"),
+            ("ensemble: {delta_q_hk: 0, quadrature: -3}", "quadrature must be >= 1"),
             ("ensemble: {width_reading: bogus, distribution: delta}", "width_reading"),
             ("ensemble: {delta_q_hk: .nan, distribution: delta}", "sigma_q must be finite"),
             ("lattice: {depth_Er: -1}", "depth must be non-negative"),
@@ -744,7 +745,26 @@ class TestFringeCommands:
         code = main(["echo", "--pi2", "ideal", "--n-echo", "0", "--single-q",
                      "--t-max", "400", "--dt", "4", "--out", str(tmp_path / "x")])
         assert code == EXIT_VALIDATION
-        assert "n_echo" in capsys.readouterr().err
+        assert "--n-echo must be positive and finite, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [(["echo", "--pi2", "ideal", "--single-q", "--t-max", "400", "--dt", "4"],
+          "--n-echo", "-2"),
+         (["design", "--kind", "pi2"], "--steps", "0"),
+         (["bands"], "--samples", "0"),
+         (["bands"], "--samples", "-1")],
+        ids=["echo-n-echo-negative", "design-steps-0", "bands-samples-0",
+             "bands-samples-negative"],
+    )
+    def test_count_below_one_exits_2_before_the_output(self, tmp_path, capsys,
+                                                       command, flag, value):
+        out = tmp_path / "x"
+        code = main(command + [flag, value, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert f"{flag} must be positive and finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_echo_runs_with_references(self, tmp_path):
         out = tmp_path / "run"
@@ -977,6 +997,19 @@ seen.append("yaml" in sys.modules)
 print(seen)
 """
     assert _run_python(script).splitlines()[-1] == "[[], False, True]"
+
+
+def test_importing_a_module_loads_only_that_module():
+    """The package namespace holds only ``__version__``: importing
+    ``artifact.lattice`` loads no other module of the package, nor the thread
+    pool that ``artifact.interferometer`` imports."""
+    script = """
+import sys
+import artifact.lattice
+print(sorted(name for name in sys.modules if name.split(".")[0] == "artifact"),
+      "concurrent.futures" in sys.modules)
+"""
+    assert _run_python(script).splitlines()[-1] == "['artifact', 'artifact.lattice'] False"
 
 
 class TestManifest:

@@ -65,6 +65,11 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError):
             EnsembleSpec(sigma_q=0.3, quadrature=3)
 
+    @pytest.mark.parametrize("quadrature", [-3, -1])
+    def test_quadrature_must_be_positive_at_every_width(self, quadrature):
+        with pytest.raises(ValueError, match="quadrature must be >= 1"):
+            EnsembleSpec(sigma_q=0.0, quadrature=quadrature)
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             EnsembleSpec(sigma_q=-0.1)

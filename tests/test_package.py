@@ -1,13 +1,16 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import artifact
 from artifact.cli import RunWriter
 
 
-def test_every_export_resolves():
-    missing = [name for name in artifact.__all__ if not hasattr(artifact, name)]
-    assert missing == []
+def test_version_matches_pyproject():
+    """``artifact.__version__``, stamped into every CSV header and manifest,
+    is the version the package is built with."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', text, re.M)[1] == artifact.__version__
 
 
 def test_benchmark_traced_names_resolve():

@@ -74,6 +74,11 @@ from .shortcut import (
 
 CONFIG_ENV_VAR = "ARTIFACT_CONFIG"
 
+#: The largest ``--samples``, ``--steps`` or ``--n-echo`` a run accepts.  A
+#: count too large to allocate, or to convert to a float, would otherwise fail
+#: only after the output directory exists.
+MAX_COUNT = 10**6
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_THRESHOLD = 3
@@ -499,7 +504,7 @@ def cmd_bands(cfg: RunConfig, args, out_dir: Path) -> int:
     waypoints = [_waypoint(t, spec.geometry) for t in args.path.split(",")]
     if len(waypoints) < 2:
         raise ValidationError("path needs at least two waypoints")
-    _require_positive("samples", args.samples)
+    _require_positive("samples", args.samples, MAX_COUNT)
     writer = _start_run(
         "bands", cfg, out_dir, {"path": args.path, "samples": args.samples},
         [args.config], (spec, basis),
@@ -532,7 +537,7 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
     threshold = args.threshold if args.threshold is not None else default_threshold
     if not math.isfinite(threshold):
         raise ValidationError(f"--threshold must be finite, got {threshold}")
-    _require_positive("steps", args.steps)
+    _require_positive("steps", args.steps, MAX_COUNT)
     box = (args.depth_min, args.depth_max) if args.variable_amplitude else None
     if box and not 0 <= box[0] <= spec.depth <= box[1] < math.inf:
         raise ValidationError(
@@ -599,12 +604,17 @@ def cmd_eval(cfg: RunConfig, args, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _require_positive(name: str, value: float | None) -> None:
-    """Refuse a given ``--name`` value that is not positive and finite.  It
-    compares rather than calls ``math.isfinite``, which raises OverflowError on
-    an integer count too large for a float."""
-    if value is not None and not 0 < value < math.inf:
+def _require_positive(name: str, value: float | None, most: float = math.inf) -> None:
+    """Refuse a given ``--name`` value that is not positive and finite, or that
+    is above ``most`` (:data:`MAX_COUNT` for a count).  It compares rather than
+    calls ``math.isfinite``, which raises OverflowError on an integer count too
+    large for a float."""
+    if value is None:
+        return
+    if not 0 < value < math.inf:
         raise ValidationError(f"--{name} must be positive and finite, got {value}")
+    if value > most:
+        raise ValidationError(f"--{name} must be at most {most}, got {value}")
 
 
 def _fringe_times(args, window: float) -> np.ndarray:
@@ -672,7 +682,7 @@ def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
     period = fringe_period_us(spec, basis)
     window = period if args.contrast_window is None else args.contrast_window
     times = _fringe_times(args, window)
-    _require_positive("n-echo", getattr(args, "n_echo", None))
+    _require_positive("n-echo", getattr(args, "n_echo", None), MAX_COUNT)
     model = _pulse_model(args, kind is FringeKind.ECHO)
     ens = EnsembleSpec(sigma_q=0.0) if args.single_q else cfg.ensemble
     sequence_pulses = isinstance(model, SequencePulses)

@@ -306,10 +306,11 @@ def calibrate_fourier_coefficient(
 
     Solves for the per-depth coefficient c such that the S-D gap at the
     spec's depth (default: the reference spec) equals h / period_us.  This is
-    the executable definition of :data:`TRIANGULAR_FOURIER_COEF`.
+    the executable definition of :data:`TRIANGULAR_FOURIER_COEF`.  The root
+    is bisected on (0.05, 0.45), across which the reference gap rises
+    monotonically, down to an interval of 1e-12; a bracket whose ends have
+    the same sign raises ValueError.
     """
-    from scipy.optimize import brentq
-
     from . import dynamics  # local import to avoid a cycle
 
     spec = LatticeSpec() if spec is None else spec
@@ -325,4 +326,17 @@ def calibrate_fourier_coefficient(
         e = np.linalg.eigvalsh(_assemble(basis, np.zeros(2), shell))
         return (e[d_idx - 1] - e[s_idx - 1]) - target_gap
 
-    return float(brentq(gap_minus_target, 0.05, 0.45, xtol=1e-12))
+    lo, hi = 0.05, 0.45
+    f_lo = gap_minus_target(lo)
+    if f_lo * gap_minus_target(hi) > 0:
+        raise ValueError(
+            f"the S-D gap equals h / {period_us:g} us for no c in ({lo}, {hi})"
+        )
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        f_mid = gap_minus_target(mid)
+        if f_mid * f_lo > 0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

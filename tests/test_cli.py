@@ -19,6 +19,7 @@ from artifact.cli import (
     EXIT_OK,
     EXIT_THRESHOLD,
     EXIT_VALIDATION,
+    MAX_COUNT,
     MAX_STEP_US,
     RunConfig,
     _parse_sequence,
@@ -766,6 +767,25 @@ class TestFringeCommands:
         assert f"{flag} must be positive and finite, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(["echo", "--pi2", "ideal", "--single-q", "--t-max", "400", "--dt", "4"],
+          "--n-echo"),
+         (["design", "--kind", "pi2"], "--steps"),
+         (["bands"], "--samples")],
+        ids=["echo-n-echo", "design-steps", "bands-samples"],
+    )
+    @pytest.mark.parametrize("value", [MAX_COUNT + 1, 10**400],
+                             ids=["max-plus-1", "1e400"])
+    def test_count_above_max_count_exits_2_before_the_output(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        out = tmp_path / "x"
+        code = main(command + [flag, str(value), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert f"{flag} must be at most {MAX_COUNT}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_echo_runs_with_references(self, tmp_path):
         out = tmp_path / "run"
         code = main(["echo", "--pi2", "reference:pi2", "--pi", "reference:pi",
@@ -957,13 +977,21 @@ def _run_python(script):
     return done.stdout
 
 
-def test_fringe_runs_never_import_scipy(tmp_path):
-    """ramsey, echo and coherence, the fit included, run without scipy."""
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    """bands, eval, design, ramsey, echo and coherence, the fit included, run
+    without importing SciPy, which only the tests need."""
     decay = TestCoherenceCommand._fringe_csv(tmp_path / "decay.csv")
+    quick = tmp_path / "quick.yaml"
+    quick.write_text("optimizer:\n  max_iters: 1\n  restarts: 1\n")
     script = f"""
 import json, sys
 from artifact.cli import main
 out = {str(tmp_path)!r}
+assert main(["bands", "--samples", "2", "--out", out + "/b"]) == 0
+assert main(["eval", "--sequence", "reference:pi2", "--kind", "pi2",
+             "--out", out + "/v"]) == 0
+assert main(["design", "--kind", "pi2", "--steps", "1", "--threshold", "0",
+             "--config", {str(quick)!r}, "--out", out + "/g"]) == 0
 base = ["--pi2", "ideal", "--single-q", "--t-max", "400", "--dt", "4"]
 assert main(["ramsey", *base, "--out", out + "/r"]) == 0
 assert main(["echo", *base, "--out", out + "/e"]) == 0

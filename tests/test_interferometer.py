@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from artifact.interferometer import (
+    _ensemble_sums,
     _fringe_kernel,
     ContrastCurve,
     EnsembleSpec,
@@ -803,6 +804,85 @@ class TestGlobalPhaseInvariance:
             return echo_pd(self.PULSES, None, 2, self.T_US, q, spec, basis)
 
         assert self._shift(p_d, monkeypatch) <= 1e-8
+
+
+_KINDS = [FringeKind.RAMSEY, FringeKind.ECHO]
+_INVARIANCE_TIMES = np.arange(0.0, 5000.0, 50.0)
+
+
+def _max_change(before, after):
+    """Largest |difference| between two tuples of kernel components."""
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(before, after, strict=True))
+
+
+class TestInversionInvariance:
+    """The rhombus site set is closed under n -> -n and the potential's
+    Fourier components are equal at +-G, so H(-q) = P H(q) P with P a
+    permutation of the plane waves: the per-q fringe and phase-scan
+    components are even in q (largest change 9.7e-13 at these q)."""
+
+    QS = np.random.default_rng(3).uniform(-0.9, 0.9, size=(3, 2))
+
+    @pytest.mark.parametrize("kind", _KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "pulses",
+        [IdealPulses(), SequencePulses(REFERENCE_PI2, REFERENCE_PI)],
+        ids=["ideal", "reference"],
+    )
+    def test_fringe_is_invariant_under_q_inversion(self, spec, basis, kind, pulses):
+        for q in self.QS:
+            for phase_scan in (False, True):  # (P_D,), then (num, den)
+                at_q, at_minus_q = (
+                    _fringe_kernel(kind, pulses, _INVARIANCE_TIMES, k, spec, basis,
+                                   2, phase_scan)
+                    for k in (q, -q)
+                )
+                assert _max_change(at_q, at_minus_q) <= 1e-11
+
+
+class TestEigenvectorGaugeInvariance:
+    """Every pulse and hold is built from projectors and band phases, so no
+    output may see the phase of an eigenvector column.  Random per-band
+    phases in place of the package's convention move P_D and the ensemble's
+    phase-scan num and den by at most 1.1e-14.  The per-q ratio 2|num|/den is
+    not compared: at q = (0.9, 0) the reference pulses leave den as small as
+    2.9e-13 at these times, and there the gauge moves the ratio by 1.5e-9."""
+
+    QS = (np.zeros(2), np.array([0.21, -0.13]), np.array([-0.5, 0.4]),
+          np.array([0.9, 0.0]))
+    ENS = EnsembleSpec(sigma_q=0.3, quadrature=5)  # q axes reach +-0.9
+
+    def _outputs(self, kind, pulses, spec, basis):
+        p_d = [_fringe_kernel(kind, pulses, _INVARIANCE_TIMES, q, spec, basis, 2)[0]
+               for q in self.QS]
+        num, den = _ensemble_sums(kind, pulses, _INVARIANCE_TIMES, self.ENS, spec,
+                                  basis, 2, 1, phase_scan=True)
+        return (*p_d, num, den)
+
+    @pytest.mark.parametrize("kind", _KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "pulses",
+        [IdealPulses(),
+         SequencePulses(REFERENCE_PI2, REFERENCE_PI),
+         SequencePulses(REFERENCE_PI2, REFERENCE_PI_VARIABLE),
+         SequencePulses(REFERENCE_PI2, REFERENCE_PI, phase_locked=False)],
+        ids=["ideal", "locked", "locked-variable-pi", "unlocked"],
+    )
+    def test_fringe_is_invariant_under_eigenvector_gauge(
+        self, spec, basis, monkeypatch, kind, pulses
+    ):
+        from artifact import dynamics
+
+        before = self._outputs(kind, pulses, spec, basis)
+        rng = np.random.default_rng(11)
+
+        def random_gauge(states):
+            return states * np.exp(2j * np.pi * rng.random(states.shape[1]))
+
+        monkeypatch.setattr(dynamics, "_fix_phases", random_gauge)
+        monkeypatch.setattr(dynamics, "_EIG_CACHE", {})
+        after = self._outputs(kind, pulses, spec, basis)
+        assert _max_change(before, after) <= 1e-13
 
 
 class TestSequenceEnsembleRegression:

@@ -268,3 +268,13 @@ class TestGapAndCalibration:
     def test_calibration_needs_triangular_geometry(self, spec_1d):
         with pytest.raises(GeometryMismatchError):
             calibrate_fourier_coefficient(spec=spec_1d)
+
+    def test_calibration_lands_within_1e_12_of_the_root(self):
+        # The root as SciPy's brentq finds it with xtol=1e-12; the bisection
+        # lands 3.8e-14 from it.
+        assert abs(calibrate_fourier_coefficient() - 0.2420392873417238) <= 1e-12
+
+    @pytest.mark.parametrize("period_us", [1.0, 1e9])
+    def test_calibration_refuses_a_bracket_without_a_root(self, period_us):
+        with pytest.raises(ValueError, match="for no c in"):
+            calibrate_fourier_coefficient(period_us=period_us)

@@ -79,6 +79,13 @@ CONFIG_ENV_VAR = "ARTIFACT_CONFIG"
 #: only after the output directory exists.
 MAX_COUNT = 10**6
 
+#: The largest ``basis.shell_radius`` and ``ensemble.quadrature`` a config
+#: accepts: a basis holds (2N+1)^2 plane waves and an ensemble quadrature^2
+#: q-points, so a huge value would exhaust memory.  401 is the largest grid
+#: whose convergence was measured.
+MAX_SHELL_RADIUS = 10
+MAX_QUADRATURE = 401
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_THRESHOLD = 3
@@ -112,12 +119,17 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _duration(value) -> float:
-    """A step duration in us, at most :data:`MAX_STEP_US`."""
-    value = _real(value)
-    if value > MAX_STEP_US:
-        raise ValueError(f"expected at most {MAX_STEP_US:g} us, got {value!r}")
-    return value
+def _at_most(most, convert=_integer):
+    """``convert`` that also refuses a result above ``most``; a value below the
+    minimum is left to ``convert`` or to the spec that takes it."""
+
+    def bounded(value):
+        value = convert(value)
+        if value > most:
+            raise ValueError(f"expected at most {most:g}, got {value!r}")
+        return value
+
+    return bounded
 
 
 def _choice(*names: str):
@@ -180,17 +192,17 @@ def _named(**converters) -> dict:
 _SECTION_KEYS = {
     "lattice": _named(geometry=_choice(*_GEOMETRY_NAMES), wavelength_nm=_real,
                       depth_Er=_real, atom_mass_kg=_real),
-    "basis": _named(shell_radius=_count),
+    "basis": _named(shell_radius=_at_most(MAX_SHELL_RADIUS, _count)),
     "ensemble": _named(distribution=_choice("gaussian", "delta"), delta_q_hk=_real,
                        width_reading=_choice("fwhm", "two_sigma"),
-                       quadrature=_integer, width_schedule=_schedule),
+                       quadrature=_at_most(MAX_QUADRATURE), width_schedule=_schedule),
 }
 _OPTIMIZER_KEYS = {
-    "max_iters": ("max_iters", _integer),
+    "max_iters": ("max_iters", _at_most(MAX_COUNT)),
     "fd_step_us": ("fd_step", _real),
     "learning_rate": ("learning_rate", _real),
     "grid_quantum_us": ("grid_quantum", _real),
-    "restarts": ("restarts", _integer),
+    "restarts": ("restarts", _at_most(MAX_COUNT)),
     "convergence_tol": ("convergence_tol", _real),
     "on_max_us": ("on_range", lambda v: (0.0, _real(v))),
     "off_max_us": ("off_range", lambda v: (0.0, _real(v))),
@@ -207,8 +219,8 @@ _TOP_KEYS = {
 #: step's key -> (PulseStep field, converter), of which ``depth_Er`` is optional.
 _SEQUENCE_KEYS = ("steps", "provenance", "fidelity", "fidelity_pre_rounding")
 _STEP_KEYS = {
-    "t_on_us": ("t_on", _duration),
-    "t_off_us": ("t_off", _duration),
+    "t_on_us": ("t_on", _at_most(MAX_STEP_US, _real)),
+    "t_off_us": ("t_off", _at_most(MAX_STEP_US, _real)),
     "depth_Er": ("depth", _real),
 }
 _REQUIRED_STEP_KEYS = ("t_on_us", "t_off_us")

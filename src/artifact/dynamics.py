@@ -15,7 +15,7 @@ first within each step.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,14 +125,14 @@ def solve_bands(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return energies, states
 
 
-#: Eigen-cache, least recently used entry first.  An entry of the default
-#: 121-wave basis holds a 121x121 complex matrix (about 234 KB).  A q needs
-#: one depth (six for a variable-depth pi), so 32 entries (about 7.5 MB) hold
-#: the working set of up to four pool threads.  It is a per-q memo: an
-#: ensemble grid cycles through it, and nothing is kept for the next call.
-_EIG_CACHE: dict = {}
-_EIG_CACHE_MAX = 32
-_EIG_LOCK = threading.Lock()
+# An entry of the default 121-wave basis holds a 121x121 complex matrix (about
+# 234 KB).  A q needs one depth (six for a variable-depth pi), so 32 entries
+# (about 7.5 MB) hold the working set of up to four pool threads.  It is a
+# per-q memo: an ensemble grid cycles through it, and nothing is kept for the
+# next call.
+@functools.lru_cache(maxsize=32)
+def _cached_bands(spec, basis, qx, qy, depth):
+    return solve_bands(hamiltonian_on(basis, spec, np.array([qx, qy]), depth))
 
 
 def band_eig(
@@ -145,24 +145,11 @@ def band_eig(
 
     Pure accessor: results depend only on the arguments; the cache only
     avoids repeated eigensolves in quasi-momentum/duration scans.  Its key
-    is what enters H in E_r units: geometry, site set, q and depth.  Safe
-    to call from several threads; the eigensolve runs outside the lock.
+    is (spec, basis, q, depth), compared exactly.  Safe to call from several
+    threads.
     """
     d = spec.depth if depth is None else depth
-    q = np.asarray(q, dtype=float)
-    key = (spec.geometry, basis.site_key)
-    key += tuple(round(float(x), 12) for x in (q[0], q[1], d))
-    with _EIG_LOCK:
-        hit = _EIG_CACHE.pop(key, None)
-        if hit is not None:
-            _EIG_CACHE[key] = hit
-            return hit
-    entry = solve_bands(hamiltonian_on(basis, spec, q, d))
-    with _EIG_LOCK:
-        _EIG_CACHE[key] = entry
-        while len(_EIG_CACHE) > _EIG_CACHE_MAX:
-            del _EIG_CACHE[next(iter(_EIG_CACHE))]
-    return entry
+    return _cached_bands(spec, basis, float(q[0]), float(q[1]), float(d))
 
 
 def bloch_state(

@@ -170,8 +170,6 @@ class PlaneWaveBasis:
     #: ``cols[k]`` shifted by the offset being site ``rows[k]``; the offsets
     #: are (0, 0) (the diagonal) and the geometry's COUPLING_OFFSETS.
     couplings: dict = field(init=False, repr=False, compare=False)
-    #: the site set as bytes (hash computed once): the eigen-cache key.
-    site_key: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         prims = reciprocal_primitives(self.geometry)
@@ -185,8 +183,7 @@ class PlaneWaveBasis:
                 if (n1 + o1, n2 + o2) in index
             ]
             couplings[(o1, o2)] = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        key = np.array(self.sites, dtype=np.int64).tobytes()
-        derived = {"g_vectors": g, "index": index, "couplings": couplings, "site_key": key}
+        derived = {"g_vectors": g, "index": index, "couplings": couplings}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -281,8 +278,8 @@ def hamiltonian_on(
 def sd_gap(spec: LatticeSpec, basis: PlaneWaveBasis) -> float:
     """S-D band gap at the zone center, in E_r, at the spec's depth.
 
-    Goes through the shared eigen-cache, so the q = 0 solve is reused by the
-    objectives and pulse operators built afterwards.
+    Goes through :func:`artifact.dynamics.band_eig`, whose cache keeps the
+    q = 0 solve for the objectives and pulse operators built afterwards.
     """
     from . import dynamics  # local import to avoid a cycle
 

@@ -20,6 +20,8 @@ from artifact.cli import (
     EXIT_THRESHOLD,
     EXIT_VALIDATION,
     MAX_COUNT,
+    MAX_QUADRATURE,
+    MAX_SHELL_RADIUS,
     MAX_STEP_US,
     RunConfig,
     _parse_sequence,
@@ -256,6 +258,15 @@ class TestConfig:
             ("lattice: {depth_Er: -1}", "depth must be non-negative"),
             ("basis: {shell_radius: 0}", "shell_radius"),
             ("rng_seed: -1", "rng_seed"),
+            # counts whose run would exhaust memory or time
+            (f"basis: {{shell_radius: {MAX_SHELL_RADIUS + 1}}}",
+             "shell_radius: expected at most"),
+            (f"ensemble: {{quadrature: {MAX_QUADRATURE + 2}}}",
+             "quadrature: expected at most"),
+            (f"optimizer: {{restarts: {MAX_COUNT + 1}}}",
+             "restarts: expected at most"),
+            (f"optimizer: {{max_iters: {MAX_COUNT + 1}}}",
+             "max_iters: expected at most"),
         ],
     )
     @pytest.mark.parametrize(
@@ -304,8 +315,9 @@ _VALID = {
     "width_schedule": st.lists(
         st.tuples(st.floats(0, 1e4), st.floats(0, 1)).map(list), max_size=3
     ),
-    **dict.fromkeys(["shell_radius", "quadrature", "max_iters", "restarts",
-                     "rng_seed"], st.integers(1, 31)),
+    **dict.fromkeys(["quadrature", "max_iters", "restarts", "rng_seed"],
+                    st.integers(1, 31)),
+    "shell_radius": st.integers(1, MAX_SHELL_RADIUS),
 }
 _JUNK = st.one_of(
     st.booleans(),

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -127,8 +128,8 @@ class TestSolveBands:
 class TestEigenCache:
     @pytest.fixture
     def small_cache(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_EIG_CACHE", {})
-        monkeypatch.setattr(dynamics, "_EIG_CACHE_MAX", 2)
+        fresh = functools.lru_cache(maxsize=2)(dynamics._cached_bands.__wrapped__)
+        monkeypatch.setattr(dynamics, "_cached_bands", fresh)
 
     def test_threads_never_lose_an_entry(self, spec, small_cache):
         basis = build_basis(spec, shell_radius=1)
@@ -146,7 +147,7 @@ class TestEigenCache:
         finally:
             sys.setswitchinterval(interval)
         assert set(shapes) == {((9,), (9, 9))}
-        assert len(dynamics._EIG_CACHE) <= dynamics._EIG_CACHE_MAX
+        assert dynamics._cached_bands.cache_info().currsize <= 2
 
     def test_least_recently_used_is_evicted(self, spec, small_cache, monkeypatch):
         basis = build_basis(spec, shell_radius=2)
@@ -165,7 +166,7 @@ class TestEigenCache:
         band_eig(old, spec, basis)  # still cached
         band_eig(recent, spec, basis)  # evicted
         assert solved[3:] == [(0.2, 0.0)]
-        assert len(dynamics._EIG_CACHE) == 2
+        assert dynamics._cached_bands.cache_info().currsize == 2
 
 
 class TestBlochState:

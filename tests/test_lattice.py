@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -251,7 +252,8 @@ class TestGapAndCalibration:
             return solve(h)
 
         monkeypatch.setattr(dynamics, "solve_bands", counting_solve)
-        monkeypatch.setattr(dynamics, "_EIG_CACHE", {})
+        fresh = functools.lru_cache(maxsize=32)(dynamics._cached_bands.__wrapped__)
+        monkeypatch.setattr(dynamics, "_cached_bands", fresh)
         fringe_period_us(spec, basis)
         build_objective(ObjectiveKind.HALF_PI, spec, basis)
         assert len(calls) == 1

@@ -40,7 +40,7 @@ import numpy as np
 # PyYAML, hashlib and argparse are imported where they are used: importing
 # this module for its API, as the library and the benchmark do, loads none.
 from . import __version__
-from .dynamics import MAX_STEP_US, PulseSequence, PulseStep, solve_bands
+from .dynamics import PulseSequence, PulseStep, solve_bands
 from .interferometer import (
     EnsembleSpec,
     FringeCurve,
@@ -65,6 +65,7 @@ from .lattice import (
 )
 from .sequences import REFERENCE_SEQUENCES
 from .shortcut import (
+    MAX_COUNT,
     ObjectiveKind,
     OptimizerOptions,
     build_objective,
@@ -74,17 +75,9 @@ from .shortcut import (
 
 CONFIG_ENV_VAR = "ARTIFACT_CONFIG"
 
-#: The largest ``--samples``, ``--steps`` or ``--n-echo`` a run accepts.  A
-#: count too large to allocate, or to convert to a float, would otherwise fail
-#: only after the output directory exists.
-MAX_COUNT = 10**6
-
-#: The largest ``basis.shell_radius`` and ``ensemble.quadrature`` a config
-#: accepts: a basis holds (2N+1)^2 plane waves and an ensemble quadrature^2
-#: q-points, so a huge value would exhaust memory.  401 is the largest grid
-#: whose convergence was measured.
-MAX_SHELL_RADIUS = 10
-MAX_QUADRATURE = 401
+#: The most hold times ``ramsey`` and ``echo`` accept (``--t-max``/``--dt``):
+#: the per-q kernel holds several (basis size, hold times) complex arrays.
+MAX_HOLD_TIMES = 10**5
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -119,19 +112,6 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _at_most(most, convert=_integer):
-    """``convert`` that also refuses a result above ``most``; a value below the
-    minimum is left to ``convert`` or to the spec that takes it."""
-
-    def bounded(value):
-        value = convert(value)
-        if value > most:
-            raise ValueError(f"expected at most {most:g}, got {value!r}")
-        return value
-
-    return bounded
-
-
 def _choice(*names: str):
     """A converter that accepts one of ``names`` only."""
 
@@ -141,14 +121,6 @@ def _choice(*names: str):
         return value
 
     return convert
-
-
-def _count(value) -> int:
-    """An integer of at least 1."""
-    value = _integer(value)
-    if value < 1:
-        raise ValueError(f"expected an integer >= 1, got {value!r}")
-    return value
 
 
 def _schedule(value) -> list:
@@ -192,17 +164,17 @@ def _named(**converters) -> dict:
 _SECTION_KEYS = {
     "lattice": _named(geometry=_choice(*_GEOMETRY_NAMES), wavelength_nm=_real,
                       depth_Er=_real, atom_mass_kg=_real),
-    "basis": _named(shell_radius=_at_most(MAX_SHELL_RADIUS, _count)),
+    "basis": _named(shell_radius=_integer),
     "ensemble": _named(distribution=_choice("gaussian", "delta"), delta_q_hk=_real,
                        width_reading=_choice("fwhm", "two_sigma"),
-                       quadrature=_at_most(MAX_QUADRATURE), width_schedule=_schedule),
+                       quadrature=_integer, width_schedule=_schedule),
 }
 _OPTIMIZER_KEYS = {
-    "max_iters": ("max_iters", _at_most(MAX_COUNT)),
+    "max_iters": ("max_iters", _integer),
     "fd_step_us": ("fd_step", _real),
     "learning_rate": ("learning_rate", _real),
     "grid_quantum_us": ("grid_quantum", _real),
-    "restarts": ("restarts", _at_most(MAX_COUNT)),
+    "restarts": ("restarts", _integer),
     "convergence_tol": ("convergence_tol", _real),
     "on_max_us": ("on_range", lambda v: (0.0, _real(v))),
     "off_max_us": ("off_range", lambda v: (0.0, _real(v))),
@@ -219,8 +191,8 @@ _TOP_KEYS = {
 #: step's key -> (PulseStep field, converter), of which ``depth_Er`` is optional.
 _SEQUENCE_KEYS = ("steps", "provenance", "fidelity", "fidelity_pre_rounding")
 _STEP_KEYS = {
-    "t_on_us": ("t_on", _at_most(MAX_STEP_US, _real)),
-    "t_off_us": ("t_off", _at_most(MAX_STEP_US, _real)),
+    "t_on_us": ("t_on", _real),
+    "t_off_us": ("t_off", _real),
     "depth_Er": ("depth", _real),
 }
 _REQUIRED_STEP_KEYS = ("t_on_us", "t_off_us")
@@ -251,8 +223,9 @@ def _fields(values, table: dict, where: str, what: str = "config") -> dict:
 
 @dataclass
 class RunConfig:
-    """Validated run configuration with explicit units.  :meth:`load` builds
-    the specs once, so a bad value exits 2 whatever the subcommand."""
+    """Validated run configuration with explicit units.  Construction builds
+    the run's specs and basis once, so a bad value exits 2 whatever the
+    subcommand: their own checks raise ValueError, which main reports."""
 
     geometry: str = "triangular"
     wavelength_nm: float = 1064.0
@@ -268,46 +241,38 @@ class RunConfig:
     rng_seed: int = 0
     threads: int = 1
 
-    #: The specs built by :meth:`load`; not fields, so not in the run id.
-    lattice = ensemble = options = None
+    #: Built on construction; not fields, so not in the run id.
+    lattice = basis = ensemble = options = None
 
-    @classmethod
-    def load(cls, path: str | None, overrides: dict | None = None) -> "RunConfig":
-        data = _read_yaml(path, "config file") if path else None
-        values = _fields({} if data is None else data, _TOP_KEYS, "at the top level")
-        for section, table in _SECTION_KEYS.items():
-            values.update(_fields(values.pop(section, {}), table, f"in {section}"))
-        cfg = cls(**values)
-        for key, value in (overrides or {}).items():
-            if value is not None:
-                setattr(cfg, key, value)
-        if cfg.threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {cfg.threads}")
-        cfg.lattice = cfg.lattice_spec()
-        cfg.ensemble = cfg.ensemble_spec()
-        cfg.options = cfg.optimizer_options()
-        return cfg
-
-    # The specs' own checks raise ValueError, which main reports as exit 2.
-    def lattice_spec(self) -> LatticeSpec:
-        return LatticeSpec(
+    def __post_init__(self) -> None:
+        if self.threads < 1:
+            raise ValidationError(f"threads must be >= 1, got {self.threads}")
+        self.lattice = LatticeSpec(
             geometry=_GEOMETRY_NAMES[self.geometry],
             wavelength=self.wavelength_nm * 1e-9,
             depth=self.depth_Er,
             atom_mass=self.atom_mass_kg,
         )
-
-    def ensemble_spec(self) -> EnsembleSpec:
+        self.basis = build_basis(self.lattice, self.shell_radius)
         schedule = tuple((float(t), float(s)) for t, s in self.width_schedule)
         ens = EnsembleSpec.from_width(self.delta_q_hk, reading=self.width_reading)
         ens = replace(ens, width_schedule=schedule)
         if self.distribution == "delta":  # q = 0 alone: the width keys go unused
-            return EnsembleSpec(sigma_q=0.0, quadrature=self.quadrature)
-        return replace(ens, quadrature=self.quadrature)
-
-    def optimizer_options(self) -> OptimizerOptions:
+            ens = EnsembleSpec()
+        self.ensemble = replace(ens, quadrature=self.quadrature)
         fields = _fields(self.optimizer, _OPTIMIZER_KEYS, "in optimizer")
-        return OptimizerOptions(rng_seed=self.rng_seed, **fields)
+        self.options = OptimizerOptions(rng_seed=self.rng_seed, **fields)
+
+    @classmethod
+    def load(cls, path: str | None, overrides: dict | None = None) -> "RunConfig":
+        """The config file at ``path`` (defaults when None), with the non-None
+        ``overrides`` (field -> value) applied."""
+        data = _read_yaml(path, "config file") if path else None
+        values = _fields({} if data is None else data, _TOP_KEYS, "at the top level")
+        for section, table in _SECTION_KEYS.items():
+            values.update(_fields(values.pop(section, {}), table, f"in {section}"))
+        values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+        return cls(**values)
 
 
 # --------------------------------------------------------------------------
@@ -426,16 +391,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _start_run(command, cfg, out_dir, run_args, inputs, lattice=None) -> RunWriter:
+def _start_run(command, cfg, out_dir, run_args, inputs, derive=True) -> RunWriter:
     """Create the run's writer and output directory, hash the ``inputs``
-    files (None skipped) into the run id, and record the derived constants of
-    ``lattice``, a (spec, basis) pair."""
+    files (None skipped) into the run id, and, if ``derive``, record the
+    derived constants of the config's lattice and basis."""
     writer = RunWriter(command, out_dir, cfg, run_args, filter(None, inputs))
-    if lattice is not None:
+    if derive:
         writer.derived.update(
-            recoil_frequency_Hz=recoil_energy(lattice[0])[1],
-            sd_gap_Er=sd_gap(*lattice),
-            fringe_period_us=fringe_period_us(*lattice),
+            recoil_frequency_Hz=recoil_energy(cfg.lattice)[1],
+            sd_gap_Er=sd_gap(cfg.lattice, cfg.basis),
+            fringe_period_us=fringe_period_us(cfg.lattice, cfg.basis),
         )
     return writer
 
@@ -470,7 +435,10 @@ def _parse_sequence(data) -> PulseSequence:
         missing = [key for key in _REQUIRED_STEP_KEYS if key not in step]
         if missing:
             raise ValidationError(f"missing sequence key {missing[0]} in step {i}")
-        steps.append(PulseStep(**fields))
+        try:
+            steps.append(PulseStep(**fields))
+        except ValueError as exc:
+            raise ValidationError(f"bad sequence value in step {i}: {exc}") from exc
     return PulseSequence(tuple(steps))
 
 
@@ -511,15 +479,14 @@ def _waypoint(token: str, geometry: Geometry) -> np.ndarray:
 
 
 def cmd_bands(cfg: RunConfig, args, out_dir: Path) -> int:
-    spec = cfg.lattice
-    basis = build_basis(spec, cfg.shell_radius)
+    spec, basis = cfg.lattice, cfg.basis
     waypoints = [_waypoint(t, spec.geometry) for t in args.path.split(",")]
     if len(waypoints) < 2:
         raise ValidationError("path needs at least two waypoints")
     _require_positive("samples", args.samples, MAX_COUNT)
     writer = _start_run(
         "bands", cfg, out_dir, {"path": args.path, "samples": args.samples},
-        [args.config], (spec, basis),
+        [args.config],
     )
     points = []  # (path coordinate, q)
     coord = 0.0
@@ -543,7 +510,6 @@ def cmd_bands(cfg: RunConfig, args, out_dir: Path) -> int:
 
 def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
     spec = cfg.lattice
-    basis = build_basis(spec, cfg.shell_radius)
     kind = ObjectiveKind(args.kind)
     default_threshold = 0.93 if kind is ObjectiveKind.PI else 0.98
     threshold = args.threshold if args.threshold is not None else default_threshold
@@ -564,8 +530,8 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
         "depth_max": box[1] if box else None,
         "threshold": threshold,
     }
-    writer = _start_run("design", cfg, out_dir, run_args, [args.config], (spec, basis))
-    result = design_sequence(kind, args.steps, spec, basis, cfg.options, box)
+    writer = _start_run("design", cfg, out_dir, run_args, [args.config])
+    result = design_sequence(kind, args.steps, spec, cfg.basis, cfg.options, box)
     provenance = (
         f"designed by artifact {__version__}, kind={args.kind}, "
         f"seed={cfg.rng_seed}, restarts={cfg.options.restarts}"
@@ -592,14 +558,12 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args, out_dir: Path) -> int:
-    spec = cfg.lattice
-    basis = build_basis(spec, cfg.shell_radius)
     seq = load_sequence(args.sequence)
     writer = _start_run(
         "eval", cfg, out_dir, {"sequence": args.sequence, "kind": args.kind},
-        [args.config, *_sequence_files(args.sequence)], (spec, basis),
+        [args.config, *_sequence_files(args.sequence)],
     )
-    obj = build_objective(ObjectiveKind(args.kind), spec, basis)
+    obj = build_objective(ObjectiveKind(args.kind), cfg.lattice, cfg.basis)
     report = fidelity_report(seq, obj)
     writer.write_json("report.json", report)
     writer.finish()
@@ -634,6 +598,9 @@ def _fringe_times(args, window: float) -> np.ndarray:
     _require_positive("t-max", args.t_max)
     _require_positive("contrast-window", args.contrast_window)
     check_sampling(args.dt, window)
+    if args.t_max / args.dt > MAX_HOLD_TIMES:
+        raise ValidationError(f"--t-max / --dt must give at most {MAX_HOLD_TIMES} "
+                              f"hold times, got {args.t_max:g} / {args.dt:g}")
     times = np.arange(0.0, args.t_max, args.dt)
     check_span(times, window)
     return times
@@ -689,8 +656,7 @@ def _pulse_model(args, need_pi: bool):
 
 def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
     kind = FringeKind(args.command)
-    spec = cfg.lattice
-    basis = build_basis(spec, cfg.shell_radius)
+    spec, basis = cfg.lattice, cfg.basis
     period = fringe_period_us(spec, basis)
     window = period if args.contrast_window is None else args.contrast_window
     times = _fringe_times(args, window)
@@ -712,7 +678,7 @@ def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
         "no_phase_lock": (args.no_phase_lock and sequence_pulses) or None,
     }
     inputs = [args.config, *_sequence_files(args.pi2, run_args["pi"])]
-    writer = _start_run(kind.value, cfg, out_dir, run_args, inputs, (spec, basis))
+    writer = _start_run(kind.value, cfg, out_dir, run_args, inputs)
     fringe = ensemble_fringe(kind, model, times, ens, spec, basis,
                              n_echo=getattr(args, "n_echo", 2), threads=cfg.threads)
     contrast = contrast_curve(fringe, window)
@@ -736,13 +702,16 @@ def cmd_coherence(cfg: RunConfig, args, out_dir: Path) -> int:
         raise ValidationError(f"fringe CSV not found: {args.fringe}")
     times, p_d = [], []
     with open(p) as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("t_us"):
                 continue
-            t, v = line.split(",")
-            times.append(float(t))
-            p_d.append(float(v))
+            try:
+                t, v = map(float, line.split(","))
+            except ValueError as exc:
+                raise ValidationError(f"fringe CSV {args.fringe} line {n}: {exc}") from None
+            times.append(t)
+            p_d.append(v)
     if len(times) < 3:
         raise ValidationError("fringe CSV holds fewer than 3 samples")
     _require_positive("period", args.period)
@@ -751,7 +720,7 @@ def cmd_coherence(cfg: RunConfig, args, out_dir: Path) -> int:
     coh = coherence_time(contrast)
     writer = _start_run(
         "coherence", cfg, out_dir, {"fringe": args.fringe, "period": args.period},
-        [args.fringe, args.config],
+        [args.fringe, args.config], derive=False,
     )
     _finish_coherence(writer, contrast, coh, args.period, "coherence: ")
     return EXIT_OK

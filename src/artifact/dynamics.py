@@ -46,9 +46,9 @@ def default_band_pair(geometry: Geometry) -> tuple[int, int]:
     return 1, 3
 
 
-#: Longest step duration (us) that a sequence file or an optimizer range may
-#: give: designed steps last tens of us, and at 1e300 us a step's phases have
-#: lost all precision.
+#: Longest step duration (us) that a :class:`PulseStep` or an optimizer range
+#: accepts: designed steps last tens of us, and at 1e300 us a step's phases
+#: have lost all precision.
 MAX_STEP_US = 1e6
 
 
@@ -62,10 +62,13 @@ class PulseStep:
 
     def __post_init__(self) -> None:
         require_finite(self, "t_on", "t_off", "depth")
-        if self.t_on < 0 or self.t_off < 0:
-            raise ValueError("pulse durations must be non-negative")
+        for name, value in (("t_on", self.t_on), ("t_off", self.t_off)):
+            if value < 0:
+                raise ValueError(f"pulse durations must be non-negative, got {name}={value!r}")
+            if value > MAX_STEP_US:
+                raise ValueError(f"{name} must be at most {MAX_STEP_US:g} us, got {value!r}")
         if self.depth is not None and self.depth < 0:
-            raise ValueError("pulse depth must be non-negative")
+            raise ValueError(f"pulse depth must be non-negative, got depth={self.depth!r}")
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -50,6 +51,9 @@ from .lattice import (
 from .shortcut import ROTATION_BLOCKS, ObjectiveKind, aligned_fidelity_block
 
 ONE_OVER_E = 1.0 / math.e
+#: The largest :class:`EnsembleSpec` quadrature: an ensemble holds quadrature^2
+#: q-points, and 401 is the largest grid whose convergence was measured.
+MAX_QUADRATURE = 401
 
 
 class FringeKind(enum.Enum):
@@ -97,6 +101,9 @@ class EnsembleSpec:
             raise ValueError("sigma_q must be >= 0")
         if self.quadrature < 1:
             raise ValueError(f"quadrature must be >= 1, got {self.quadrature}")
+        if self.quadrature > MAX_QUADRATURE:
+            raise ValueError(f"quadrature must be at most {MAX_QUADRATURE}, "
+                             f"got {self.quadrature}")
         if self.quadrature % 2 == 0:
             raise ValueError("quadrature must be odd so q = 0 is a node")
         if self.sigma_q > 0 and self.quadrature < 5:
@@ -389,6 +396,7 @@ def _ensemble_sums(
     running sums, and the sums are divided by the weight total once at the
     end.  So memory holds O(T) sums and the work of the q in flight, not of
     the grid, and the result is the same to the bit across thread counts.
+    The pool starts at most one thread per q and per CPU, whatever ``threads``.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -412,8 +420,10 @@ def _ensemble_sums(
         *weighted, total = sums
         return [s / total for s in weighted]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, len(qs), cpus or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return average(pool.map(work, qs))
     return average(map(work, qs))
 

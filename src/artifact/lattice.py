@@ -45,6 +45,10 @@ TRIANGULAR_FOURIER_COEF = 0.2420392
 REFERENCE_DEPTH_ER = 5.0
 REFERENCE_FRINGE_PERIOD_US = 88.8
 
+#: The largest shell radius N of :func:`build_basis`: an eigensolve costs
+#: (2N+1)^6, and a huge radius would exhaust memory.
+MAX_SHELL_RADIUS = 10
+
 #: First-shell index offsets (n1, n2) whose reciprocal vectors carry the six
 #: triangular Fourier components: +-b1, +-b2, +-(b1 + b2).
 TRIANGULAR_COUPLING_OFFSETS = (
@@ -203,6 +207,9 @@ def build_basis(spec: LatticeSpec, shell_radius: int = 5) -> PlaneWaveBasis:
     """
     if shell_radius < 1:
         raise ValueError("shell_radius must be >= 1")
+    if shell_radius > MAX_SHELL_RADIUS:
+        raise ValueError(f"shell_radius must be at most {MAX_SHELL_RADIUS}, "
+                         f"got {shell_radius}")
     n = shell_radius
     if spec.geometry is Geometry.TRIANGULAR_3BEAM:
         sites = tuple(

@@ -49,6 +49,9 @@ _NEWTON_STEPS = 8
 #: Iterations over which the fidelity must rise by ``convergence_tol`` for
 #: :func:`_ascend` to go on.
 _CONVERGENCE_WINDOW = 10
+#: The largest :class:`OptimizerOptions` ``max_iters`` or ``restarts``, and of
+#: each count the CLI takes: a larger one would exhaust memory or time.
+MAX_COUNT = 10**6
 
 
 class ObjectiveKind(enum.Enum):
@@ -237,6 +240,9 @@ class OptimizerOptions:
         require_finite(self, "fd_step", "learning_rate", "grid_quantum", "convergence_tol")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
+        for name, value in (("max_iters", self.max_iters), ("restarts", self.restarts)):
+            if value > MAX_COUNT:
+                raise ValueError(f"{name} must be at most {MAX_COUNT}, got {value}")
         if self.fd_step <= 0 or self.learning_rate <= 0:
             raise ValueError("fd_step and learning_rate must be positive")
         if self.rng_seed < 0:

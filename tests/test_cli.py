@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -19,10 +21,7 @@ from artifact.cli import (
     EXIT_OK,
     EXIT_THRESHOLD,
     EXIT_VALIDATION,
-    MAX_COUNT,
-    MAX_QUADRATURE,
-    MAX_SHELL_RADIUS,
-    MAX_STEP_US,
+    MAX_HOLD_TIMES,
     RunConfig,
     _parse_sequence,
     _sequence_file,
@@ -30,8 +29,11 @@ from artifact.cli import (
     load_sequence,
     main,
 )
-from artifact.dynamics import PulseSequence
+from artifact.dynamics import MAX_STEP_US, PulseSequence
+from artifact.interferometer import MAX_QUADRATURE
+from artifact.lattice import MAX_SHELL_RADIUS
 from artifact.sequences import REFERENCE_SEQUENCES
+from artifact.shortcut import MAX_COUNT
 
 
 def read_csv(path):
@@ -116,7 +118,7 @@ class TestConfig:
             "  grid_quantum_us: 0.2\n  restarts: 2\n  convergence_tol: 1e-5\n"
             "  on_max_us: 12\n  off_max_us: 13\n"
         )
-        opts = RunConfig.load(str(p)).optimizer_options()
+        opts = RunConfig.load(str(p)).options
         assert (opts.max_iters, opts.restarts) == (7, 2)
         assert (opts.fd_step, opts.learning_rate, opts.grid_quantum) == (0.02, 9.0, 0.2)
         assert opts.convergence_tol == 1e-5
@@ -240,10 +242,8 @@ class TestConfig:
         p.write_text("lattice:\n  depth_Er: 4.0\nensemble:\n  distribution: delta\n"
                      "  quadrature: 9\noptimizer:\n  restarts: 2\n")
         cfg = RunConfig.load(str(p), overrides={"rng_seed": 5})
-        assert cfg.lattice == cfg.lattice_spec() and cfg.lattice.depth == 4.0
-        assert cfg.ensemble == cfg.ensemble_spec()
+        assert cfg.lattice.depth == 4.0 and cfg.basis.size == (2 * 5 + 1) ** 2
         assert (cfg.ensemble.sigma_q, cfg.ensemble.quadrature) == (0.0, 9)
-        assert cfg.options == cfg.optimizer_options()
         assert (cfg.options.restarts, cfg.options.rng_seed) == (2, 5)
 
     @pytest.mark.parametrize(
@@ -260,13 +260,13 @@ class TestConfig:
             ("rng_seed: -1", "rng_seed"),
             # counts whose run would exhaust memory or time
             (f"basis: {{shell_radius: {MAX_SHELL_RADIUS + 1}}}",
-             "shell_radius: expected at most"),
+             f"shell_radius must be at most {MAX_SHELL_RADIUS}"),
             (f"ensemble: {{quadrature: {MAX_QUADRATURE + 2}}}",
-             "quadrature: expected at most"),
+             f"quadrature must be at most {MAX_QUADRATURE}"),
             (f"optimizer: {{restarts: {MAX_COUNT + 1}}}",
-             "restarts: expected at most"),
+             f"restarts must be at most {MAX_COUNT}"),
             (f"optimizer: {{max_iters: {MAX_COUNT + 1}}}",
-             "max_iters: expected at most"),
+             f"max_iters must be at most {MAX_COUNT}"),
         ],
     )
     @pytest.mark.parametrize(
@@ -297,7 +297,7 @@ class TestConfig:
         cfg = RunConfig.load(str(p))
         assert (cfg.shell_radius, cfg.quadrature, cfg.rng_seed) == (3, 9, 4)
         assert type(cfg.shell_radius) is int
-        assert cfg.optimizer_options().max_iters == 7
+        assert cfg.options.max_iters == 7
 
 
 _SCHEMA = {
@@ -363,15 +363,18 @@ def _config_mappings(draw):
 def test_config_loading_raises_only_value_error(tmp_path, data):
     """Any YAML mapping loads or raises ValueError, which main maps to
     exit 2; no other exception type escapes.  Every value is checked at
-    load, so once a config loads, each of its specs builds."""
+    load, so once a config loads, its specs and basis are built."""
     p = tmp_path / "c.yaml"
     p.write_text(yaml.safe_dump(data))
     try:
         cfg = RunConfig.load(str(p))
     except ValueError:
         return
-    for build in (cfg.lattice_spec, cfg.ensemble_spec, cfg.optimizer_options):
-        build()
+    assert cfg.lattice.depth == cfg.depth_Er
+    assert cfg.basis.size == (2 * cfg.shell_radius + 1) ** (
+        2 if cfg.geometry == "triangular" else 1)
+    assert cfg.ensemble.quadrature == cfg.quadrature
+    assert cfg.options.rng_seed == cfg.rng_seed
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -423,6 +426,18 @@ class TestReadme:
             manifest = json.loads((out / "manifest.json").read_text())
             assert set(manifest["outputs"]) == outputs[argv[0]]
             assert all((out / name).is_file() for name in outputs[argv[0]])
+
+    def test_python_examples_import(self):
+        names = [
+            (node.module, alias.name)
+            for block in _readme_blocks("python")
+            for node in ast.walk(ast.parse(block))
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("artifact.")
+            for alias in node.names
+        ]
+        assert names
+        for module, name in names:
+            assert hasattr(importlib.import_module(module), name), (module, name)
 
     def test_example_config_loads(self, tmp_path):
         block, _ = _readme_blocks("yaml")
@@ -494,13 +509,19 @@ class TestLoadSequence:
             ("{t_on_us: true, t_off_us: true}", "bad sequence value for t_on_us"),
             ("{t_on_us: 1" + "0" * 400 + ", t_off_us: 1.0}",
              "bad sequence value for t_on_us"),
-            ("{t_on_us: 1e308, t_off_us: 1e308}", "bad sequence value for t_on_us"),
-            ("{t_on_us: 2.7, t_off_us: 1e300}", "bad sequence value for t_off_us"),
+            ("{t_on_us: 1e308, t_off_us: 1e308}",
+             f"bad sequence value in step 1: t_on must be at most {MAX_STEP_US:g} us"),
+            ("{t_on_us: 2.7, t_off_us: 1e300}",
+             f"bad sequence value in step 1: t_off must be at most {MAX_STEP_US:g} us"),
+            ("{t_on_us: 1.0, t_off_us: -1}", "bad sequence value in step 1: "
+             "pulse durations must be non-negative, got t_off=-1.0"),
+            ("{t_on_us: 1.0, t_off_us: 1.0, depth_Er: -2}", "bad sequence value in step 1: "
+             "pulse depth must be non-negative, got depth=-2.0"),
             ("{t_on_us: 2.7, t_off_us: 16.8, depth_er: 3.0}",
              "unknown sequence key(s) depth_er"),
         ],
         ids=["boolean", "beyond-a-float", "overflowing", "beyond-the-bound",
-             "unknown-key"],
+             "negative", "negative-depth", "unknown-key"],
     )
     def test_bad_step_exits_2(self, tmp_path, capsys, step, key):
         seq = tmp_path / "s.yaml"
@@ -834,6 +855,16 @@ class TestFringeCommands:
         assert "threads must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_many_hold_times_exit_2(self, tmp_path, capsys):
+        # 1.25e16 hold times would need petabytes: refused before arange.
+        out = tmp_path / "x"
+        code = main(["ramsey", "--pi2", "ideal", "--single-q", "--t-max", "1e17",
+                     "--dt", "8", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"--t-max / --dt must give at most {MAX_HOLD_TIMES} hold times" in err
+        assert not out.exists()
+
     @staticmethod
     def _manifest(args, out):
         assert main(args + ["--out", str(out)]) == EXIT_OK
@@ -933,6 +964,19 @@ class TestCoherenceCommand:
             # Same path, first sample edited in place.
             fringe.write_text(fringe.read_text().replace("p_d\n0.0,1.0\n", "p_d\n0.0,0.9\n"))
         assert ids[0] != ids[1]
+
+    @pytest.mark.parametrize("row", ["16,abc", "16,0.5,0.5", "16"],
+                             ids=["not-a-number", "three-columns", "one-column"])
+    def test_bad_row_exits_2_naming_the_file_and_line(self, tmp_path, capsys, row):
+        fringe = self._fringe_csv(tmp_path / "f.csv")
+        lines = fringe.read_text().splitlines()
+        fringe.write_text("\n".join(lines[:3] + [row] + lines[3:]) + "\n")
+        out = tmp_path / "x"
+        code = main(["coherence", "--fringe", str(fringe), "--period", "88.8",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert f"fringe CSV {fringe} line 4: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_fringe(self, tmp_path):
         code = main(["coherence", "--fringe", str(tmp_path / "no.csv"),

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,6 +9,7 @@ import pytest
 
 from artifact import dynamics
 from artifact.dynamics import (
+    MAX_STEP_US,
     PulseSequence,
     PulseStep,
     band_eig,
@@ -241,6 +243,15 @@ class TestPulseStructures:
             PulseStep(-1.0, 0.0)
         with pytest.raises(ValueError):
             PulseStep(0.0, -0.5)
+
+    @pytest.mark.parametrize("name", ["t_on", "t_off"])
+    def test_durations_above_the_bound_rejected(self, name):
+        # A 1e308 us step once gave a NaN fidelity instead of an error.
+        fields = {"t_on": 1.0, "t_off": 1.0, name: 2 * MAX_STEP_US}
+        message = re.escape(f"{name} must be at most {MAX_STEP_US:g} us")
+        with pytest.raises(ValueError, match=message):
+            PulseStep(**fields)
+        PulseStep(**{**fields, name: MAX_STEP_US})
 
     @pytest.mark.parametrize("name", ["t_on", "t_off", "depth"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

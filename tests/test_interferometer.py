@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from artifact import interferometer
 from artifact.interferometer import (
+    MAX_QUADRATURE,
     _ensemble_sums,
     _fringe_kernel,
     ContrastCurve,
@@ -71,6 +73,10 @@ class TestEnsembleSpec:
     def test_quadrature_must_be_positive_at_every_width(self, quadrature):
         with pytest.raises(ValueError, match="quadrature must be >= 1"):
             EnsembleSpec(sigma_q=0.0, quadrature=quadrature)
+
+    def test_quadrature_bounded_above(self):
+        with pytest.raises(ValueError, match=f"quadrature must be at most {MAX_QUADRATURE}"):
+            EnsembleSpec(sigma_q=0.1, quadrature=MAX_QUADRATURE + 2)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -390,6 +396,28 @@ class TestEnsembleFringe:
         with pytest.raises(ValueError, match="threads"):
             run("ramsey", IdealPulses(), np.array([0.0, 1.0]), ens, spec, basis,
                 threads=threads)
+
+    @pytest.mark.parametrize("run", [ensemble_fringe, phase_scan_contrast])
+    def test_threads_above_the_cpus_are_capped(self, spec, basis, run, monkeypatch):
+        # A caller may pass its machine's CPU count, or more: the pool starts at
+        # most one thread per CPU and per q, and the result does not change.
+        pools = []
+
+        class Pool(interferometer.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(interferometer, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(interferometer.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        monkeypatch.setattr(interferometer.os, "cpu_count", lambda: 3)
+        args = ("ramsey", IdealPulses(), np.array([0.0, 40.0]),
+                EnsembleSpec(sigma_q=0.3, quadrature=5), spec, basis)
+        values = "p_d" if run is ensemble_fringe else "contrast"
+        capped, serial = run(*args, threads=1000), run(*args, threads=1)
+        assert pools == [3]
+        assert np.array_equal(getattr(capped, values), getattr(serial, values))
 
     def test_quadrature_refinement_converged(self, spec, basis):
         # Ideal Ramsey at the reference width on the CLI's 2.5 ms grid.  P_D(q, t)

@@ -8,6 +8,7 @@ from artifact.lattice import (
     Geometry,
     GeometryMismatchError,
     LatticeSpec,
+    MAX_SHELL_RADIUS,
     TRIANGULAR_FOURIER_COEF,
     build_basis,
     calibrate_fourier_coefficient,
@@ -98,8 +99,10 @@ class TestBasis:
         assert build_basis(spec_1d, 5).size == 11
 
     def test_shell_radius_validated(self, spec):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shell_radius must be >= 1"):
             build_basis(spec, 0)
+        with pytest.raises(ValueError, match=f"shell_radius must be at most {MAX_SHELL_RADIUS}"):
+            build_basis(spec, MAX_SHELL_RADIUS + 1)
 
     def test_sites_lexicographic(self, basis):
         sites = [tuple(s) for s in basis.sites]

@@ -14,6 +14,7 @@ from artifact.sequences import (
 )
 from artifact import shortcut
 from artifact.shortcut import (
+    MAX_COUNT,
     ObjectiveKind,
     OptimizerOptions,
     ROTATION_BLOCKS,
@@ -236,6 +237,11 @@ class TestOptimize:
             OptimizerOptions(max_iters=0)
         with pytest.raises(ValueError):
             OptimizerOptions(fd_step=0.0)
+
+    @pytest.mark.parametrize("name", ["max_iters", "restarts"])
+    def test_counts_bounded_above(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be at most {MAX_COUNT}"):
+            OptimizerOptions(**{name: MAX_COUNT + 1})
 
     @pytest.mark.parametrize(
         "name, value",

@@ -40,7 +40,7 @@ import numpy as np
 # PyYAML, hashlib and argparse are imported where they are used: importing
 # this module for its API, as the library and the benchmark do, loads none.
 from . import __version__
-from .dynamics import PulseSequence, PulseStep, solve_bands
+from .dynamics import MAX_STEP_US, PulseSequence, PulseStep, solve_bands
 from .interferometer import (
     EnsembleSpec,
     FringeCurve,
@@ -152,22 +152,23 @@ def _convert(key: str, convert, value, what: str = "config"):
         raise ValidationError(f"bad {what} value for {key}: {exc}") from exc
 
 
-def _named(**converters) -> dict:
-    """A schema table whose keys load into the fields of the same name."""
-    return {key: (key, convert) for key, convert in converters.items()}
-
-
-#: Config schema: one table per section, key -> (field, converter).  The keys
-#: of ``lattice``, ``basis`` and ``ensemble`` load into the :class:`RunConfig`
-#: fields of the same name; ``optimizer`` is kept as written, and its keys load
-#: into :class:`OptimizerOptions` fields.
+#: Config schema: each section's keys, each the :class:`RunConfig` field of the
+#: same name, with the converter that RunConfig applies to it.  ``optimizer``
+#: is kept as written, and its keys load into :class:`OptimizerOptions` fields.
 _SECTION_KEYS = {
-    "lattice": _named(geometry=_choice(*_GEOMETRY_NAMES), wavelength_nm=_real,
-                      depth_Er=_real, atom_mass_kg=_real),
-    "basis": _named(shell_radius=_integer),
-    "ensemble": _named(distribution=_choice("gaussian", "delta"), delta_q_hk=_real,
-                       width_reading=_choice("fwhm", "two_sigma"),
-                       quadrature=_integer, width_schedule=_schedule),
+    "lattice": dict(geometry=_choice(*_GEOMETRY_NAMES), wavelength_nm=_real,
+                    depth_Er=_real, atom_mass_kg=_real),
+    "basis": dict(shell_radius=_integer),
+    "ensemble": dict(distribution=_choice("gaussian", "delta"), delta_q_hk=_real,
+                     width_reading=_choice("fwhm", "two_sigma"),
+                     quadrature=_integer, width_schedule=_schedule),
+}
+#: The top-level keys of a config file.
+_TOP_KEYS = (*_SECTION_KEYS, "optimizer", "rng_seed")
+#: The converter of every RunConfig field but ``optimizer`` and ``threads``.
+_FIELD_CONVERTERS = {
+    **{key: convert for table in _SECTION_KEYS.values() for key, convert in table.items()},
+    "rng_seed": _integer,
 }
 _OPTIMIZER_KEYS = {
     "max_iters": ("max_iters", _integer),
@@ -178,11 +179,6 @@ _OPTIMIZER_KEYS = {
     "convergence_tol": ("convergence_tol", _real),
     "on_max_us": ("on_range", lambda v: (0.0, _real(v))),
     "off_max_us": ("off_range", lambda v: (0.0, _real(v))),
-}
-#: Top level: the sections, passed on as written to their tables, and the seed.
-_TOP_KEYS = {
-    **_named(**dict.fromkeys([*_SECTION_KEYS, "optimizer"], lambda v: v)),
-    "rng_seed": ("rng_seed", _integer),
 }
 
 
@@ -198,24 +194,26 @@ _STEP_KEYS = {
 _REQUIRED_STEP_KEYS = ("t_on_us", "t_off_us")
 
 
-def _reject_unknown(data: dict, known, where: str, what: str = "config") -> None:
-    """Refuse any key of ``data`` outside ``known``, placed by ``where``."""
+def _mapping(data, known, where: str, what: str = "config") -> dict:
+    """``data`` as a dict, refusing a non-mapping or any key outside
+    ``known``, placed by ``where``."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"a {what} and each of its sections must be mappings")
     unknown = set(data) - set(known)
     if unknown:
         raise ValidationError(
             f"unknown {what} key(s) {', '.join(sorted(map(str, unknown)))} "
             f"{where}; expected one of {', '.join(sorted(known))}"
         )
+    return dict(data)
 
 
 def _fields(values, table: dict, where: str, what: str = "config") -> dict:
     """``values`` read through ``table`` (key -> (field, converter)) as
-    field -> converted value; a non-mapping or a key outside the table is
-    refused.  A bad config value is named by its key, which is unique in the
-    schema, and a bad sequence value also by ``where``, its step."""
-    if not isinstance(values, dict):
-        raise ValidationError(f"a {what} and each of its sections must be mappings")
-    _reject_unknown(values, table, where, what)
+    field -> converted value, refused as :func:`_mapping` refuses.  A bad
+    config value is named by its key, which is unique in the schema, and a
+    bad sequence value also by ``where``, its step."""
+    _mapping(values, table, where, what)
     return {name: _convert(key if what == "config" else f"{key} {where}", convert,
                            values[key], what)
             for key, (name, convert) in table.items() if key in values}
@@ -223,9 +221,10 @@ def _fields(values, table: dict, where: str, what: str = "config") -> dict:
 
 @dataclass
 class RunConfig:
-    """Validated run configuration with explicit units.  Construction builds
-    the run's specs and basis once, so a bad value exits 2 whatever the
-    subcommand: their own checks raise ValueError, which main reports."""
+    """Validated run configuration with explicit units.  Construction passes
+    each field through its schema converter and builds the run's specs and
+    basis once, so a bad value exits 2 whatever the subcommand or raises
+    ValueError for a library caller; ``load`` only places a file's keys."""
 
     geometry: str = "triangular"
     wavelength_nm: float = 1064.0
@@ -247,6 +246,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.threads < 1:
             raise ValidationError(f"threads must be >= 1, got {self.threads}")
+        for key, convert in _FIELD_CONVERTERS.items():
+            setattr(self, key, _convert(key, convert, getattr(self, key)))
         self.lattice = LatticeSpec(
             geometry=_GEOMETRY_NAMES[self.geometry],
             wavelength=self.wavelength_nm * 1e-9,
@@ -268,9 +269,9 @@ class RunConfig:
         """The config file at ``path`` (defaults when None), with the non-None
         ``overrides`` (field -> value) applied."""
         data = _read_yaml(path, "config file") if path else None
-        values = _fields({} if data is None else data, _TOP_KEYS, "at the top level")
+        values = _mapping({} if data is None else data, _TOP_KEYS, "at the top level")
         for section, table in _SECTION_KEYS.items():
-            values.update(_fields(values.pop(section, {}), table, f"in {section}"))
+            values.update(_mapping(values.pop(section, {}), table, f"in {section}"))
         values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
         return cls(**values)
 
@@ -426,7 +427,7 @@ def _parse_sequence(data) -> PulseSequence:
     """A sequence from a loaded sequence file, through the schema tables."""
     if not isinstance(data, dict) or not isinstance(data.get("steps"), list):
         raise ValidationError("expected a mapping with a list of steps")
-    _reject_unknown(data, _SEQUENCE_KEYS, "at the top level", "sequence")
+    _mapping(data, _SEQUENCE_KEYS, "at the top level", "sequence")
     steps = []
     for i, step in enumerate(data["steps"], 1):
         if not isinstance(step, dict):
@@ -473,9 +474,12 @@ def _waypoint(token: str, geometry: Geometry) -> np.ndarray:
             f"waypoint {token!r} is neither G/M/K nor 'qx:qy' coordinates"
         )
     try:
-        return np.array([float(parts[0]), float(parts[1])])
+        q = np.array([float(parts[0]), float(parts[1])])
     except ValueError as exc:
         raise ValidationError(f"bad waypoint coordinates {token!r}") from exc
+    if not np.all(np.isfinite(q)):
+        raise ValidationError(f"waypoint coordinates must be finite, got {token!r}")
+    return q
 
 
 def cmd_bands(cfg: RunConfig, args, out_dir: Path) -> int:
@@ -595,7 +599,7 @@ def _require_positive(name: str, value: float | None, most: float = math.inf) ->
 
 def _fringe_times(args, window: float) -> np.ndarray:
     _require_positive("dt", args.dt)
-    _require_positive("t-max", args.t_max)
+    _require_positive("t-max", args.t_max, MAX_STEP_US)
     _require_positive("contrast-window", args.contrast_window)
     check_sampling(args.dt, window)
     if args.t_max / args.dt > MAX_HOLD_TIMES:

@@ -116,14 +116,16 @@ def solve_bands(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full spectrum (energies, states) of a lattice Hamiltonian matrix.
 
     Energies ascend; the eigenvector columns have deterministic phases
-    (largest-magnitude component real and positive).  The eigen-residual
-    check also refuses a non-Hermitian input, of which ``eigh`` reads one
-    triangle only.
+    (largest-magnitude component real and positive).  A non-finite input
+    raises ArithmeticError; the eigen-residual check also refuses a
+    non-Hermitian input, of which ``eigh`` reads one triangle only.
     """
+    if not np.all(np.isfinite(h)):
+        raise ArithmeticError("the Hamiltonian is not finite")
     energies, states = np.linalg.eigh(h)
     states = _fix_phases(states.astype(complex))
     residual = h @ states - states * energies
-    if float(np.max(np.abs(residual))) > 1e-10:
+    if not float(np.max(np.abs(residual))) <= 1e-10:
         raise ArithmeticError("eigen-residual exceeds 1e-10")
     return energies, states
 

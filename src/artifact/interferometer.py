@@ -40,15 +40,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import PulseSequence, band_eig, evolve_columns, sd_frame
+from .dynamics import MAX_STEP_US, PulseSequence, band_eig, evolve_columns, sd_frame
 from .lattice import (
     Geometry,
     LatticeSpec,
     PlaneWaveBasis,
     angular_frequency_per_Er,
+    bisect_root,
     require_finite,
 )
-from .shortcut import ROTATION_BLOCKS, ObjectiveKind, aligned_fidelity_block
+from .shortcut import MAX_COUNT, ROTATION_BLOCKS, ObjectiveKind, aligned_fidelity_block
 
 ONE_OVER_E = 1.0 / math.e
 #: The largest :class:`EnsembleSpec` quadrature: an ensemble holds quadrature^2
@@ -234,8 +235,6 @@ def _pulse(
             return cols + frame @ ((rot.T if adjoint else rot) @ (frame.conj().T @ cols))
         return ideal, lambda: ideal(frame)
     seq = pulses.pi2 if kind is ObjectiveKind.HALF_PI else pulses.pi
-    if seq is None:
-        raise ValueError("echo requires a pi sequence")
     evolve = functools.partial(evolve_columns, seq=seq, q=q, spec=spec, basis=basis)
     if not pulses.phase_locked:
         return evolve, lambda: evolve(frame)
@@ -285,8 +284,6 @@ def _fringe_kernel(
     if kind is FringeKind.RAMSEY:
         chi = np.exp(-1j * np.outer(energies, w * times)) * psi1[:, None]
     else:
-        if n_echo < 1:
-            raise ValueError("n_echo must be >= 1")
         tau = times / (2.0 * n_echo)
         ph_tau = np.exp(-1j * np.outer(energies, w * tau))
         ph_2tau = ph_tau * ph_tau
@@ -320,10 +317,25 @@ def _as_pulse_model(pulses, pi: PulseSequence | None = None) -> PulseModel:
     raise TypeError("pulses must be a PulseModel or a PulseSequence")
 
 
+def _check_run(
+    kind: FringeKind, model: PulseModel, times: np.ndarray, n_echo: int
+) -> None:
+    """Refuse a fringe's run-level arguments before any q is solved: a hold
+    time outside [0, MAX_STEP_US] (NaN included), and for echo an ``n_echo``
+    outside 1 ... MAX_COUNT or a pulse model without a pi pulse."""
+    if not np.all((times >= 0.0) & (times <= MAX_STEP_US)):
+        raise ValueError(f"hold times must lie in [0, {MAX_STEP_US:g}] us")
+    if kind is FringeKind.ECHO:
+        if not 1 <= n_echo <= MAX_COUNT:
+            raise ValueError(f"n_echo must lie in 1 ... {MAX_COUNT}, got {n_echo}")
+        if isinstance(model, SequencePulses) and model.pi is None:
+            raise ValueError("echo requires a pi sequence")
+
+
 def _single_q_pd(kind, model, t_hold, q, spec, basis, n_echo) -> float:
-    if t_hold < 0:
-        raise ValueError("t_hold must be >= 0")
-    (p,) = _fringe_kernel(kind, model, np.array([t_hold]), q, spec, basis, n_echo)
+    times = np.array([t_hold], dtype=float)
+    _check_run(kind, model, times, n_echo)
+    (p,) = _fringe_kernel(kind, model, times, q, spec, basis, n_echo)
     return float(p[0])
 
 
@@ -401,6 +413,7 @@ def _ensemble_sums(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     pulses = _as_pulse_model(pulses)
+    _check_run(kind, pulses, times, n_echo)
     xs, ys = _grid_axes(ens, spec.geometry)
     qs = [np.array([qx, qy]) for qx in xs for qy in ys]
     sigmas = np.array([ens.sigma_q])
@@ -528,9 +541,9 @@ def coherence_time(curve: ContrastCurve) -> CoherenceResult:
     The crossing is the first time the contrast falls through 1/e, linearly
     interpolated between curve samples; None when the curve never crosses
     from above.  The fit is least-squares A exp(-t/tau) over the full curve
-    (:func:`_fit_decay`), seeded by log-linear regression on the samples
-    above 1e-12 (on all samples if fewer than two are), and reports the
-    seed when it does not converge; a non-decaying curve reports tau = inf.
+    (:func:`_fit_decay`), started from a log-linear regression on the samples
+    above 1e-12 (on all samples if fewer than two are), and reports that
+    regression when it finds no minimum; a non-decaying curve reports tau = inf.
     """
     t = np.asarray(curve.times, dtype=float)
     c = np.asarray(curve.contrast, dtype=float)
@@ -556,55 +569,39 @@ def coherence_time(curve: ContrastCurve) -> CoherenceResult:
             fit_amplitude=float(np.mean(c)),
         )
     seed = (float(min(np.exp(intercept), 2.0)), float(-1.0 / slope))
-    amp, tau = _fit_decay(t, c, *seed) or seed
+    amp, tau = _fit_decay(t, c, seed[1]) or seed
     return CoherenceResult(crossing_us=crossing, fit_tau_us=tau, fit_amplitude=amp)
 
 
-#: Steps :func:`_fit_decay` may take before it gives up.
-_FIT_MAX_STEPS = 200
+def _fit_decay(t: np.ndarray, c: np.ndarray, tau: float) -> tuple[float, float] | None:
+    """Least-squares (A, tau) of A exp(-t/tau) to c, from the start ``tau``.
 
-
-def _fit_decay(
-    t: np.ndarray, c: np.ndarray, amp: float, tau: float
-) -> tuple[float, float] | None:
-    """Least-squares fit of A exp(-t/tau) to c by damped Gauss-Newton.
-
-    Starts from (amp, tau).  Each step solves the Gauss-Newton system of the
-    analytic Jacobian [e, A t e / tau^2], e = exp(-t/tau), with a Marquardt
-    damping term scaled by the column norms; the damping grows tenfold until
-    the step keeps tau > 0 and lowers the squared residual, and shrinks
-    tenfold after each accepted step.  Stops when a step changes both
-    parameters by at most 1e-12 relative, or when no step lowers the residual
-    (a minimum to rounding).  Returns None if neither happens within
-    ``_FIT_MAX_STEPS`` steps.
+    At a rate u = 1/tau the best A is (c.e)/(e.e), e = exp(-u t), and the
+    squared residual falls with u while h(u) = (c.te)(e.e) - (c.e)(e.te) < 0
+    and rises while h > 0 (variable projection; c >= 0).  Times count from
+    t[0], which scales h by a positive factor.  u doubles or halves downhill
+    until h changes sign, then :func:`bisect_root` solves h = 0 to 1e-13
+    relative.  A residual that still falls after 60 halvings falls to u = 0:
+    tau = inf, A = mean(c).  Returns None after 60 doublings, or if A
+    overflows.
     """
+    s = t - t[0]
 
-    def residual(a: float, ta: float):
-        e = np.exp(-t / ta)
-        r = c - a * e
-        return e, r, float(r @ r)
+    def h(u: float) -> float:
+        e = np.exp(-u * s)
+        return float((c @ (s * e)) * (e @ e) - (c @ e) * (e @ (s * e)))
 
-    e, r, cost = residual(amp, tau)
-    damping = 1e-3
-    for _ in range(_FIT_MAX_STEPS):
-        jac = np.column_stack([e, amp * t * e / tau**2])
-        scale = np.diag(np.linalg.norm(jac, axis=0))
-        while True:
-            system = np.vstack([jac, math.sqrt(damping) * scale])
-            step = np.linalg.lstsq(system, np.concatenate([r, [0.0, 0.0]]), rcond=None)[0]
-            new_amp, new_tau = amp + float(step[0]), tau + float(step[1])
-            if new_tau > 0:
-                new = residual(new_amp, new_tau)
-                if new[2] < cost:
-                    break
-            damping *= 10.0
-            if damping > 1e16:
-                return amp, tau
-        damping /= 10.0
-        small = (
-            abs(step[0]) <= 1e-12 * abs(new_amp) and abs(step[1]) <= 1e-12 * new_tau
-        )
-        amp, tau, (e, r, cost) = new_amp, new_tau, new
-        if small:
-            return amp, tau
-    return None
+    u = 1.0 / tau
+    rising = h(u) > 0
+    factor = 0.5 if rising else 2.0
+    for _ in range(60):
+        v = u * factor
+        if (h(v) > 0) != rising:
+            u = bisect_root(h, min(u, v), max(u, v), 1e-13 * min(u, v))
+            e = np.exp(-u * s)
+            try:  # A overflows when the decay ends long before t[0]
+                return float(c @ e / (e @ e)) * math.exp(u * t[0]), 1.0 / u
+            except OverflowError:
+                return None
+        u = v
+    return (float(np.mean(c)), math.inf) if rising else None

@@ -311,9 +311,9 @@ def calibrate_fourier_coefficient(
     Solves for the per-depth coefficient c such that the S-D gap at the
     spec's depth (default: the reference spec) equals h / period_us.  This is
     the executable definition of :data:`TRIANGULAR_FOURIER_COEF`.  The root
-    is bisected on (0.05, 0.45), across which the reference gap rises
-    monotonically, down to an interval of 1e-12; a bracket whose ends have
-    the same sign raises ValueError.
+    is found by :func:`bisect_root` on (0.05, 0.45), across which the
+    reference gap rises monotonically, down to an interval of 1e-12; a
+    bracket whose ends have the same sign raises ValueError.
     """
     from . import dynamics  # local import to avoid a cycle
 
@@ -331,14 +331,23 @@ def calibrate_fourier_coefficient(
         return (e[d_idx - 1] - e[s_idx - 1]) - target_gap
 
     lo, hi = 0.05, 0.45
-    f_lo = gap_minus_target(lo)
-    if f_lo * gap_minus_target(hi) > 0:
+    root = bisect_root(gap_minus_target, lo, hi, 1e-12)
+    if root is None:
         raise ValueError(
             f"the S-D gap equals h / {period_us:g} us for no c in ({lo}, {hi})"
         )
-    while hi - lo > 1e-12:
+    return root
+
+
+def bisect_root(f, lo: float, hi: float, xtol: float) -> float | None:
+    """A root of ``f`` in (lo, hi), bisected down to an interval of ``xtol``;
+    None when ``f`` has the same sign at both ends."""
+    f_lo = f(lo)
+    if f_lo * f(hi) > 0:
+        return None
+    while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
-        f_mid = gap_minus_target(mid)
+        f_mid = f(mid)
         if f_mid * f_lo > 0:
             lo, f_lo = mid, f_mid
         else:

@@ -111,6 +111,14 @@ class TestConfig:
         assert f"unknown config key(s) {key}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("distribution", "boxcar"), ("geometry", "cubic"), ("shell_radius", 2.9)],
+    )
+    def test_fields_are_checked_on_construction(self, key, value):
+        with pytest.raises(ValueError, match=f"bad config value for {key}"):
+            RunConfig(**{key: value})
+
     def test_optimizer_keys_load(self, tmp_path):
         p = tmp_path / "c.yaml"
         p.write_text(
@@ -591,6 +599,23 @@ class TestBands:
         assert code == EXIT_VALIDATION
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("path", ["G,nan:0", "G,inf:0", "G,0.5:nan"])
+    def test_non_finite_waypoint_exits_2(self, tmp_path, capsys, path):
+        code = main(["bands", "--out", str(tmp_path / "x"), "--path", path,
+                     "--samples", "2"])
+        assert code == EXIT_VALIDATION
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_overflowing_kinetic_energy_exits_4(self, tmp_path):
+        # (1e200)^2 overflows, with warnings: the Hamiltonian is refused
+        # before eigh, where its NaN energies used to be written out.
+        with pytest.warns(RuntimeWarning):
+            code = main(["bands", "--out", str(tmp_path / "x"), "--path",
+                         "G,1e200:0", "--samples", "2"])
+        assert code == EXIT_NUMERICAL
+        assert not (tmp_path / "x" / "bands.csv").exists()
+
     def test_coordinate_waypoints(self, tmp_path):
         out = tmp_path / "run"
         code = main(
@@ -855,10 +880,19 @@ class TestFringeCommands:
         assert "threads must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_too_many_hold_times_exit_2(self, tmp_path, capsys):
-        # 1.25e16 hold times would need petabytes: refused before arange.
+    def test_hold_above_the_step_bound_exits_2(self, tmp_path, capsys):
+        # Holds of 1e306 us used to run and lose every phase to rounding.
         out = tmp_path / "x"
-        code = main(["ramsey", "--pi2", "ideal", "--single-q", "--t-max", "1e17",
+        code = main(["ramsey", "--pi2", "ideal", "--single-q", "--t-max", "1e306",
+                     "--dt", "1e303", "--contrast-window", "1e304", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert f"--t-max must be at most {MAX_STEP_US}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_many_hold_times_exit_2(self, tmp_path, capsys):
+        # 125,000 hold times at the largest --t-max: refused before arange.
+        out = tmp_path / "x"
+        code = main(["ramsey", "--pi2", "ideal", "--single-q", "--t-max", "1e6",
                      "--dt", "8", "--out", str(out)])
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err

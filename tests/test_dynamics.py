@@ -95,6 +95,13 @@ class TestSolveBands:
         with pytest.raises(ArithmeticError, match="eigen-residual"):
             solve_bands(h)
 
+    @pytest.mark.parametrize(
+        "h", [np.diag([1.0, np.inf, 2.0]), np.full((3, 3), np.nan)], ids=["inf", "nan"]
+    )
+    def test_non_finite_input_refused(self, h):
+        with pytest.raises(ArithmeticError, match="not finite"):
+            solve_bands(h)
+
     def test_phases_equal_column_loop(self, spec, basis):
         h = hamiltonian_on(basis, spec, np.array([0.31, -0.02]))
         _, states = np.linalg.eigh(h)

@@ -28,6 +28,7 @@ from artifact.interferometer import (
     ramsey_pd,
 )
 from artifact.dynamics import (
+    MAX_STEP_US,
     band_eig,
     bloch_state,
     default_band_pair,
@@ -42,6 +43,7 @@ from artifact.lattice import (
 )
 from artifact.sequences import REFERENCE_PI, REFERENCE_PI2, REFERENCE_PI_VARIABLE
 from artifact.shortcut import (
+    MAX_COUNT,
     ObjectiveKind,
     ROTATION_BLOCKS,
     aligned_fidelity_block,
@@ -364,6 +366,49 @@ class TestPointwiseFringes:
         model = SequencePulses(pi2=REFERENCE_PI2, pi=REFERENCE_PI)
         p = echo_pd(model, None, 2, 0.0, np.zeros(2), spec, basis)
         assert p == pytest.approx(0.675, abs=5e-3)
+
+
+class TestRunArguments:
+    """A fringe's run-level arguments are refused before any eigensolve or
+    thread starts."""
+
+    ENSEMBLE_CASES = [
+        ("echo", IdealPulses(), [0.0, 10.0], 0, "n_echo"),
+        ("echo", IdealPulses(), [0.0, 10.0], MAX_COUNT + 1, "n_echo"),
+        ("echo", SequencePulses(REFERENCE_PI2), [0.0, 10.0], 2, "pi sequence"),
+        ("ramsey", IdealPulses(), [-50.0, 0.0], 2, "hold times"),
+        ("ramsey", IdealPulses(), [0.0, math.nan], 2, "hold times"),
+        ("ramsey", IdealPulses(), [0.0, 2.0 * MAX_STEP_US], 2, "hold times"),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the arguments were checked")
+
+        for name in ("ThreadPoolExecutor", "band_eig", "sd_frame"):
+            monkeypatch.setattr(interferometer, name, fail)
+
+    @pytest.mark.parametrize("kind, pulses, times, n_echo, message", ENSEMBLE_CASES)
+    @pytest.mark.parametrize("run", [ensemble_fringe, phase_scan_contrast])
+    def test_ensemble(self, spec, basis, run, kind, pulses, times, n_echo, message):
+        ens = EnsembleSpec(sigma_q=0.1, quadrature=5)
+        with pytest.raises(ValueError, match=message):
+            run(kind, pulses, np.array(times), ens, spec, basis, n_echo=n_echo, threads=2)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda q, s, b: ramsey_pd(IdealPulses(), -50.0, q, s, b), "hold times"),
+            (lambda q, s, b: ramsey_pd(IdealPulses(), math.nan, q, s, b), "hold times"),
+            (lambda q, s, b: ramsey_pd(IdealPulses(), 2e6, q, s, b), "hold times"),
+            (lambda q, s, b: echo_pd(IdealPulses(), None, 0, 10.0, q, s, b), "n_echo"),
+            (lambda q, s, b: echo_pd(REFERENCE_PI2, None, 2, 10.0, q, s, b), "pi sequence"),
+        ],
+    )
+    def test_single_q(self, spec, basis, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(np.zeros(2), spec, basis)
 
 
 class TestEnsembleFringe:
@@ -726,12 +771,24 @@ class TestCoherenceTime:
         curve = contrast_curve(fringe, period)
         return curve.times, curve.contrast
 
-    @pytest.mark.parametrize("source", [11, 12, 13, 14, "ideal-ramsey"])
+    @staticmethod
+    def _zero_tail():
+        # A = 0.82, tau = 417 us with noise 0.01; the last three windows read
+        # exactly 0.
+        rng = np.random.default_rng(2)
+        t = np.arange(0.0, 1200.0, 44.4) + 22.2
+        c = np.clip(0.82 * np.exp(-t / 417.0) + rng.normal(0.0, 0.01, len(t)), 0, 1)
+        c[-3:] = 0.0
+        return t, c
+
+    @pytest.mark.parametrize("source", [11, 12, 13, 14, "ideal-ramsey", "zero-tail"])
     def test_matches_curve_fit(self, spec, source):
         from scipy.optimize import curve_fit
 
         if source == "ideal-ramsey":
             t, c = self._ideal_ramsey(spec)
+        elif source == "zero-tail":
+            t, c = self._zero_tail()
         else:
             t, c = self._synthetic(source)
         res = coherence_time(ContrastCurve(times=t, contrast=c))
@@ -747,31 +804,40 @@ class TestCoherenceTime:
 
         assert cost(res.fit_amplitude, res.fit_tau_us) <= cost(*popt) * (1 + 1e-12)
 
-    def test_unconverged_fit_reports_the_seed(self, monkeypatch):
-        from artifact import interferometer
-
-        t, c = self._synthetic(11)
-        monkeypatch.setattr(interferometer, "_FIT_MAX_STEPS", 1)
-        assert interferometer._fit_decay(t, c, *self._seed(t, c)) is None
+    def test_fit_without_a_minimum_reports_the_seed(self):
+        # One window of contrast and zeros after it: the residual falls all
+        # the way to an infinite rate, so the fit finds no minimum.
+        t = 44.4 + 88.8 * np.arange(28)
+        c = np.zeros(len(t))
+        c[0] = 1.0
+        seed = self._seed(t, c)
+        assert interferometer._fit_decay(t, c, seed[1]) is None
         res = coherence_time(ContrastCurve(times=t, contrast=c))
-        assert [res.fit_amplitude, res.fit_tau_us] == self._seed(t, c)
+        assert [res.fit_amplitude, res.fit_tau_us] == seed
 
     def test_zero_samples_do_not_spoil_the_seed(self, monkeypatch):
-        # A = 0.82, tau = 417 us with noise 0.01; the last three windows read
-        # exactly 0.  Regressed on log(clip(c, 1e-12)) the seed would be
-        # A = 2.0 (clamped), tau = 73 us; the samples above the floor give
-        # tau = 414 us against the least-squares 409 us.
-        from artifact import interferometer
-
-        rng = np.random.default_rng(2)
-        t = np.arange(0.0, 1200.0, 44.4) + 22.2
-        c = np.clip(0.82 * np.exp(-t / 417.0) + rng.normal(0.0, 0.01, len(t)), 0, 1)
-        c[-3:] = 0.0
-        curve = ContrastCurve(times=t, contrast=c)
+        # Regressed on log(clip(c, 1e-12)) the seed would be A = 2.0
+        # (clamped), tau = 73 us; the samples above the floor give tau = 414 us
+        # against the least-squares 409 us.
+        curve = ContrastCurve(*self._zero_tail())
         best = coherence_time(curve).fit_tau_us
-        monkeypatch.setattr(interferometer, "_FIT_MAX_STEPS", 0)
+        monkeypatch.setattr(interferometer, "_fit_decay", lambda *args: None)
         seeded = coherence_time(curve).fit_tau_us
         assert seeded == pytest.approx(best, rel=0.2)
+
+    def test_noise_with_a_falling_log_slope_does_not_decay(self):
+        # Uniform noise whose log-linear regression falls: the residual is
+        # lowest at rate 0, where the best amplitude is the mean.
+        t = 44.4 + 88.8 * np.arange(28)
+        c = np.random.default_rng(17).uniform(0.0, 1.0, len(t))
+        assert np.polyfit(t, np.log(c), 1)[0] < 0
+        res = coherence_time(ContrastCurve(times=t, contrast=c))
+        assert res.fit_tau_us == math.inf
+        assert res.fit_amplitude == pytest.approx(np.mean(c), rel=1e-15)
+        for tau in np.geomspace(1e2, 1e12, 41):
+            e = np.exp(-t / tau)
+            amp = (c @ e) / (e @ e)
+            assert np.sum((c - amp * e) ** 2) >= np.sum((c - np.mean(c)) ** 2)
 
 
 class TestGlobalPhaseInvariance:

@@ -10,6 +10,7 @@ from artifact.lattice import (
     LatticeSpec,
     MAX_SHELL_RADIUS,
     TRIANGULAR_FOURIER_COEF,
+    bisect_root,
     build_basis,
     calibrate_fourier_coefficient,
     fringe_period_us,
@@ -278,6 +279,14 @@ class TestGapAndCalibration:
         # The root as SciPy's brentq finds it with xtol=1e-12; the bisection
         # lands 3.8e-14 from it.
         assert abs(calibrate_fourier_coefficient() - 0.2420392873417238) <= 1e-12
+
+    def test_calibration_is_pinned_to_the_bit(self):
+        assert calibrate_fourier_coefficient() == 0.2420392873416859
+
+    def test_bisect_root(self):
+        root = bisect_root(lambda x: x * x - 2.0, 1.0, 2.0, 1e-12)
+        assert abs(root - math.sqrt(2.0)) <= 1e-12
+        assert bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12) is None
 
     @pytest.mark.parametrize("period_us", [1.0, 1e9])
     def test_calibration_refuses_a_bracket_without_a_root(self, period_us):

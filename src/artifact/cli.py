@@ -335,31 +335,29 @@ class RunWriter:
             lines.append(f"# {k}: {v}")
         return lines
 
-    def _write(self, name: str, dump) -> Path:
-        """Write output ``name`` through ``dump(file)`` and record its hash."""
+    def _write(self, name: str, text: str) -> Path:
+        """Write output ``name`` as ``text`` and record the hash of its bytes."""
+        import hashlib
+
+        data = text.encode()
         path = self.out_dir / name
-        with open(path, "w") as f:
-            dump(f)
-        self.outputs[name] = _sha256_file(path)
+        path.write_bytes(data)
+        self.outputs[name] = hashlib.sha256(data).hexdigest()
         return path
 
     def write_csv(self, name: str, columns: list[str], rows,
                   extra_header: dict | None = None) -> Path:
-        def dump(f):
-            for line in self.header_lines(extra_header) + [",".join(columns)]:
-                f.write(line + "\n")
-            for row in rows:
-                f.write(",".join(_fmt(v) for v in row) + "\n")
-
-        return self._write(name, dump)
+        lines = self.header_lines(extra_header) + [",".join(columns)]
+        lines += (",".join(_fmt(v) for v in row) for row in rows)
+        return self._write(name, "\n".join(lines) + "\n")
 
     def write_yaml(self, name: str, data: dict) -> Path:
         import yaml
 
-        return self._write(name, lambda f: yaml.safe_dump(data, f, sort_keys=False))
+        return self._write(name, yaml.safe_dump(data, sort_keys=False))
 
     def write_json(self, name: str, data: dict) -> Path:
-        return self._write(name, lambda f: _dump_json(data, f))
+        return self._write(name, _json_text(data))
 
     def finish(self) -> Path:
         manifest = {
@@ -375,14 +373,12 @@ class RunWriter:
             "outputs": self.outputs,
         }
         path = self.out_dir / "manifest.json"
-        with open(path, "w") as f:
-            _dump_json(manifest, f)
+        path.write_text(_json_text(manifest))
         return path
 
 
-def _dump_json(data: dict, f) -> None:
-    json.dump(data, f, indent=2, sort_keys=True)
-    f.write("\n")
+def _json_text(data: dict) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def _fmt(v) -> str:
@@ -458,8 +454,10 @@ def _sequence_file(seq: PulseSequence, *meta) -> dict:
 # Subcommands
 
 
-def _waypoint(token: str, geometry: Geometry) -> np.ndarray:
-    prims = reciprocal_primitives(geometry)
+def _waypoint(token: str, basis) -> np.ndarray:
+    """The quasi-momentum that ``token`` names, refused beyond the basis's
+    largest |G|, where the lowest eigenvalues are no longer Bloch bands."""
+    prims = reciprocal_primitives(basis.geometry)
     named = {
         "G": np.zeros(2),
         "M": prims[0] / 2.0,
@@ -479,12 +477,17 @@ def _waypoint(token: str, geometry: Geometry) -> np.ndarray:
         raise ValidationError(f"bad waypoint coordinates {token!r}") from exc
     if not np.all(np.isfinite(q)):
         raise ValidationError(f"waypoint coordinates must be finite, got {token!r}")
+    reach = float(np.max(np.linalg.norm(basis.g_vectors, axis=1)))
+    if math.hypot(*q) > reach * (1.0 + 1e-9):  # hypot: no overflow on 1e200
+        raise ValidationError(
+            f"waypoint {token!r} lies beyond the basis's largest |G| = {reach:.6g} k"
+        )
     return q
 
 
 def cmd_bands(cfg: RunConfig, args, out_dir: Path) -> int:
     spec, basis = cfg.lattice, cfg.basis
-    waypoints = [_waypoint(t, spec.geometry) for t in args.path.split(",")]
+    waypoints = [_waypoint(t, basis) for t in args.path.split(",")]
     if len(waypoints) < 2:
         raise ValidationError("path needs at least two waypoints")
     _require_positive("samples", args.samples, MAX_COUNT)

@@ -568,7 +568,9 @@ def coherence_time(curve: ContrastCurve) -> CoherenceResult:
             fit_tau_us=math.inf,
             fit_amplitude=float(np.mean(c)),
         )
-    seed = (float(min(np.exp(intercept), 2.0)), float(-1.0 / slope))
+    # exp(1) > 2, so clamping the exponent first changes no start but keeps
+    # an intercept past ~709 from overflowing.
+    seed = (float(min(np.exp(min(intercept, 1.0)), 2.0)), float(-1.0 / slope))
     amp, tau = _fit_decay(t, c, seed[1]) or seed
     return CoherenceResult(crossing_us=crossing, fit_tau_us=tau, fit_amplitude=amp)
 

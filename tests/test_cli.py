@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -607,14 +608,39 @@ class TestBands:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    def test_overflowing_kinetic_energy_exits_4(self, tmp_path):
-        # (1e200)^2 overflows, with warnings: the Hamiltonian is refused
-        # before eigh, where its NaN energies used to be written out.
-        with pytest.warns(RuntimeWarning):
-            code = main(["bands", "--out", str(tmp_path / "x"), "--path",
-                         "G,1e200:0", "--samples", "2"])
-        assert code == EXIT_NUMERICAL
-        assert not (tmp_path / "x" / "bands.csv").exists()
+    @pytest.mark.parametrize(
+        "path, config, reach",
+        [("G,1e200:0", "", "15"), ("G,300:0", "", "15"), ("G,16:0", "", "15"),
+         ("G,11:0", "lattice:\n  geometry: 1d\n", "10")],
+        ids=["overflowing", "far", "just-beyond", "1d"],
+    )
+    def test_waypoint_beyond_the_basis_exits_2(self, tmp_path, capsys, path, config,
+                                               reach):
+        # Beyond the largest |G| of the basis the lowest eigenvalues are not
+        # Bloch bands, and (1e200)^2 would overflow the kinetic energy.
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bands", "--out", str(tmp_path / "x"), "--path", path,
+                         "--samples", "2", "--config", str(cfgp)])
+        assert code == EXIT_VALIDATION
+        waypoint = path.split(",")[1]
+        assert (f"waypoint {waypoint!r} lies beyond the basis's largest |G| = {reach} k"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [("G,1:x", "bad waypoint coordinates '1:x'"),
+         ("G", "path needs at least two waypoints")],
+        ids=["not-two-numbers", "one-waypoint"],
+    )
+    def test_malformed_path_exits_2(self, tmp_path, capsys, path, message):
+        code = main(["bands", "--out", str(tmp_path / "x"), "--path", path])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_coordinate_waypoints(self, tmp_path):
         out = tmp_path / "run"
@@ -644,6 +670,17 @@ class TestEval:
         assert "fidelity: 0.9832" in stdout
         report = json.loads((out / "report.json").read_text())
         assert report["fidelity"] == pytest.approx(0.9832, abs=5e-4)
+
+    def test_reference_load(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["eval", "--sequence", "reference:load", "--kind", "load",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert "fidelity: 0.9946" in capsys.readouterr().out
+        report = json.loads((out / "report.json").read_text())
+        assert report["fidelity"] == pytest.approx(0.99456, abs=5e-6)
+        assert report["leakage_above_d"] == [pytest.approx(0.00453, abs=5e-6)]
+        assert report["pair_overlaps"][0]["magnitude"] == report["fidelity"]
 
     def test_missing_sequence_file(self, tmp_path):
         code = main(["eval", "--sequence", str(tmp_path / "no.yaml"),
@@ -1010,6 +1047,16 @@ class TestCoherenceCommand:
                      "--out", str(out)])
         assert code == EXIT_VALIDATION
         assert f"fringe CSV {fringe} line 4: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fewer_than_3_samples_exits_2(self, tmp_path, capsys):
+        fringe = tmp_path / "f.csv"
+        fringe.write_text("t_us,p_d\n0.0,1.0\n4.0,0.5\n")
+        out = tmp_path / "x"
+        code = main(["coherence", "--fringe", str(fringe), "--period", "88.8",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "fewer than 3 samples" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_fringe(self, tmp_path):

@@ -22,6 +22,7 @@ from artifact.dynamics import (
 from artifact.lattice import (
     Geometry,
     LatticeSpec,
+    TRIANGULAR_COUPLING_OFFSETS,
     angular_frequency_per_Er,
     build_basis,
     hamiltonian_on,
@@ -197,6 +198,20 @@ class TestBlochState:
         weights = np.abs(st) ** 2
         assert weights[i0] > 0.4
         assert i0 == np.argmax(weights)
+
+    def test_degenerate_d_band_is_the_symmetric_first_shell_state(self, basis):
+        # At depth 0 and q = 0 bands 2-7 are the six first-shell plane waves,
+        # degenerate at 3 E_r; of them the rule returns the equal-weight
+        # combination, the one state the S band couples to.
+        spec = LatticeSpec(depth=0.0)
+        q = np.zeros(2)
+        energies, states = band_eig(q, spec, basis)
+        assert energies[1:7] == pytest.approx([3.0] * 6, abs=1e-12)
+        w = np.zeros(basis.size)
+        w[[basis.index[off] for off in TRIANGULAR_COUPLING_OFFSETS]] = 1.0 / math.sqrt(6)
+        assert abs(np.vdot(w, states[:, 3])) < 0.5  # the rule is what aligns it
+        assert abs(np.vdot(w, bloch_state(4, q, spec, basis))) == pytest.approx(
+            1.0, abs=1e-12)
 
 
 class TestSdFrame:

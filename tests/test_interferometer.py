@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,10 @@ class TestCurveTypes:
 
     def test_fringe_may_overshoot(self):
         FringeCurve(times=np.array([0.0, 1.0]), p_d=np.array([-0.01, 1.02]))
+
+    def test_contrast_lengths_must_match(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            ContrastCurve(times=np.array([0.0, 1.0]), contrast=np.array([1.0]))
 
     def test_contrast_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -410,6 +415,10 @@ class TestRunArguments:
         with pytest.raises(ValueError, match=message):
             call(np.zeros(2), spec, basis)
 
+    def test_pulses_must_be_a_model_or_a_sequence(self, spec, basis):
+        with pytest.raises(TypeError, match="PulseModel or a PulseSequence"):
+            ramsey_pd("ideal", 10.0, np.zeros(2), spec, basis)
+
 
 class TestEnsembleFringe:
     def test_zero_width_equals_single_q(self, spec, basis, period):
@@ -422,6 +431,21 @@ class TestEnsembleFringe:
             assert p == pytest.approx(
                 ramsey_pd(IdealPulses(), t, np.zeros(2), spec, basis), abs=1e-12
             )
+
+    def test_1d_grid_spans_qx_only(self, spec_1d, basis_1d):
+        # The standing wave's ensemble is a line of q along its lattice axis:
+        # the Gaussian-weighted mean of the single-q fringes on that line.
+        times = np.linspace(0.0, 400.0, 9)
+        ens = EnsembleSpec(sigma_q=0.2, quadrature=5)
+        curve = ensemble_fringe(
+            FringeKind.RAMSEY, IdealPulses(), times, ens, spec_1d, basis_1d
+        )
+        xs = np.linspace(-0.6, 0.6, 5)
+        w = np.exp(-(xs**2) / (2 * 0.2**2))
+        for t, p in zip(times, curve.p_d):
+            pds = [ramsey_pd(IdealPulses(), t, np.array([x, 0.0]), spec_1d, basis_1d)
+                   for x in xs]
+            assert p == pytest.approx(w @ pds / w.sum(), abs=1e-12)
 
     def test_thread_count_invariant(self, spec, basis, period):
         times = np.linspace(0.0, 2 * period, 11)
@@ -711,6 +735,13 @@ class TestContrastCurve:
         with pytest.raises(ValueError, match="dt"):
             check_sampling(period / 7.9, period)
 
+    @pytest.mark.parametrize("bad", [0.0, math.nan])
+    def test_period_must_be_positive_and_finite(self, period, bad):
+        t = np.arange(0.0, 10 * period, period / 24)
+        p = np.full_like(t, 0.5)
+        with pytest.raises(ValueError, match="positive and finite"):
+            contrast_curve(FringeCurve(times=t, p_d=p), bad)
+
     def test_sampling_validated(self, period):
         t = np.arange(0.0, 10 * period, period / 3)
         p = np.full_like(t, 0.5)
@@ -814,6 +845,21 @@ class TestCoherenceTime:
         assert interferometer._fit_decay(t, c, seed[1]) is None
         res = coherence_time(ContrastCurve(times=t, contrast=c))
         assert [res.fit_amplitude, res.fit_tau_us] == seed
+
+    def test_overflowing_start_is_clamped(self):
+        # Contrast that falls a thousandfold within one window, 10 ms after
+        # t = 0: the log-linear intercept, about 783, would overflow exp.
+        # The fit's amplitude overflows too, so the clamped start is reported,
+        # with no warning.
+        t = 10044.4 + 88.8 * np.arange(28)
+        c = np.zeros(len(t))
+        c[:2] = 1.0, 1e-3
+        curve = ContrastCurve(times=t, contrast=c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert interferometer._fit_decay(t, c, 12.8551166643363) is None
+            res = coherence_time(curve)
+        assert (res.fit_amplitude, res.fit_tau_us) == (2.0, 12.8551166643363)
 
     def test_zero_samples_do_not_spoil_the_seed(self, monkeypatch):
         # Regressed on log(clip(c, 1e-12)) the seed would be A = 2.0

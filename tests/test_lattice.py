@@ -173,6 +173,10 @@ class TestHamiltonian:
             hamiltonian_on(b, spec, q), _loop_hamiltonian(b, spec, q)
         )
 
+    def test_geometry_mismatch_refused(self, spec, basis_1d):
+        with pytest.raises(GeometryMismatchError, match="geometries differ"):
+            hamiltonian_on(basis_1d, spec, np.zeros(2))
+
     def test_hermitian(self, spec, basis):
         h = hamiltonian_on(basis, spec, np.array([0.13, -0.29]))
         assert np.allclose(h, h.conj().T, atol=1e-12)

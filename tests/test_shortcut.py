@@ -293,6 +293,25 @@ class TestAscend:
         assert len(trace) == 2 and trace[1] == f > trace[0]
 
 
+    def test_failed_line_search_halves_the_rate(self):
+        # At a kink whose central difference reads +1, every step uphill of
+        # the start falls: all 30 trials fail, x stays, and the next
+        # iteration's search starts from half the rate.
+        points = []
+
+        def evaluate(x):
+            points.append(float(x[0]))
+            return -max(float(x[0]), -3.0 * float(x[0]))
+
+        opts = OptimizerOptions(max_iters=2, fd_step=0.01, learning_rate=50.0)
+        x, f, trace = _ascend(np.zeros(1), evaluate, lambda x: x, opts)
+        assert x.tolist() == [0.0] and f == 0.0 and trace == [0.0, 0.0, 0.0]
+        assert len(points) == 1 + 2 * (2 + 30)
+        rates = 50.0 * 0.5 ** np.arange(30)
+        assert points[3:33] == pytest.approx(rates, rel=1e-12)
+        assert points[35:] == pytest.approx(rates / 2, rel=1e-12)
+
+
 class TestVariableAmplitude:
     def test_pinned_box_equals_fixed_depth(self, objectives, spec):
         obj = objectives[ObjectiveKind.HALF_PI]

@@ -42,11 +42,13 @@ import numpy as np
 from . import __version__
 from .dynamics import MAX_STEP_US, PulseSequence, PulseStep, solve_bands
 from .interferometer import (
+    MAX_HOLD_TIMES,
     EnsembleSpec,
     FringeCurve,
     FringeKind,
     IdealPulses,
     SequencePulses,
+    check_reach,
     check_sampling,
     check_span,
     coherence_time,
@@ -74,10 +76,6 @@ from .shortcut import (
 )
 
 CONFIG_ENV_VAR = "ARTIFACT_CONFIG"
-
-#: The most hold times ``ramsey`` and ``echo`` accept (``--t-max``/``--dt``):
-#: the per-q kernel holds several (basis size, hold times) complex arrays.
-MAX_HOLD_TIMES = 10**5
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -475,13 +473,7 @@ def _waypoint(token: str, basis) -> np.ndarray:
         q = np.array([float(parts[0]), float(parts[1])])
     except ValueError as exc:
         raise ValidationError(f"bad waypoint coordinates {token!r}") from exc
-    if not np.all(np.isfinite(q)):
-        raise ValidationError(f"waypoint coordinates must be finite, got {token!r}")
-    reach = float(np.max(np.linalg.norm(basis.g_vectors, axis=1)))
-    if math.hypot(*q) > reach * (1.0 + 1e-9):  # hypot: no overflow on 1e200
-        raise ValidationError(
-            f"waypoint {token!r} lies beyond the basis's largest |G| = {reach:.6g} k"
-        )
+    basis.check_reach(math.hypot(*q), f"waypoint {token!r}")  # hypot: no overflow
     return q
 
 
@@ -670,6 +662,7 @@ def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
     _require_positive("n-echo", getattr(args, "n_echo", None), MAX_COUNT)
     model = _pulse_model(args, kind is FringeKind.ECHO)
     ens = EnsembleSpec(sigma_q=0.0) if args.single_q else cfg.ensemble
+    check_reach(ens, basis)
     sequence_pulses = isinstance(model, SequencePulses)
     # Every flag that changes the outputs enters the run id; a flag the
     # pulse model ignores stays out (None values are dropped).

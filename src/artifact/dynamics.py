@@ -16,6 +16,7 @@ first within each step.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ from .lattice import (
     PlaneWaveBasis,
     angular_frequency_per_Er,
     hamiltonian_on,
-    require_finite,
 )
 
 #: Near-degeneracy threshold (E_r) for the D-band selection rule.
@@ -61,14 +61,13 @@ class PulseStep:
     depth: float | None = None  # E_r; None = use the spec's depth
 
     def __post_init__(self) -> None:
-        require_finite(self, "t_on", "t_off", "depth")
+        # Each range is one comparison, which NaN and +-inf fail by themselves.
         for name, value in (("t_on", self.t_on), ("t_off", self.t_off)):
-            if value < 0:
-                raise ValueError(f"pulse durations must be non-negative, got {name}={value!r}")
-            if value > MAX_STEP_US:
-                raise ValueError(f"{name} must be at most {MAX_STEP_US:g} us, got {value!r}")
-        if self.depth is not None and self.depth < 0:
-            raise ValueError(f"pulse depth must be non-negative, got depth={self.depth!r}")
+            if not 0 <= value <= MAX_STEP_US:
+                raise ValueError(f"{name} must be finite, with 0 <= {name} <= "
+                                 f"{MAX_STEP_US:g} us, got {value}")
+        if self.depth is not None and not 0 <= self.depth < math.inf:
+            raise ValueError(f"depth must be finite, with depth >= 0, got {self.depth}")
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ target block, or a shortcut pulse sequence R.  Sequences are phase-locked by
 default, as Z_b R Z_a with Z_theta = 1 + (e^(i theta) - 1)|D><D| and (a, b)
 the per-band reference phases of the aligned fidelity frame
 (:func:`artifact.shortcut.aligned_fidelity_block`), solved once from
-F^dagger R F.  That makes independently designed pulses compose
-consistently; without it the inter-pulse phases are an artifact of the
-eigensolver's phase convention rather than of the pulse design.
+F^dagger R F.  The lock dresses each pulse with its aligned-frame phases,
+so that separately designed pulses compose as the ideal rotations they
+approximate; unlocked, the raw operators R compose as they are.  Both models
+are independent of the eigensolver's phase convention.
 
 Dephasing arises from averaging fringes over a Gaussian quasi-momentum
 distribution: the S-D gap varies with q, so ensemble fringes decay.  Two
@@ -47,7 +48,6 @@ from .lattice import (
     PlaneWaveBasis,
     angular_frequency_per_Er,
     bisect_root,
-    require_finite,
 )
 from .shortcut import MAX_COUNT, ROTATION_BLOCKS, ObjectiveKind, aligned_fidelity_block
 
@@ -55,6 +55,9 @@ ONE_OVER_E = 1.0 / math.e
 #: The largest :class:`EnsembleSpec` quadrature: an ensemble holds quadrature^2
 #: q-points, and 401 is the largest grid whose convergence was measured.
 MAX_QUADRATURE = 401
+#: The most hold times a fringe accepts: the per-q kernel holds several
+#: (basis size, hold times) complex arrays.
+MAX_HOLD_TIMES = 10**5
 
 
 class FringeKind(enum.Enum):
@@ -74,8 +77,8 @@ class SequencePulses:
     ``phase_locked`` dresses each sequence operator with its aligned-frame
     phases (recomputed at every quasi-momentum), making the plain overlap
     fidelity equal the aligned fidelity and letting separately designed
-    pulses compose.  Disable to use raw operators under the deterministic
-    eigenvector phase convention.
+    pulses compose.  Disable to use the raw sequence operators; fringes are
+    independent of the eigenvector phase convention either way.
     """
 
     pi2: PulseSequence
@@ -97,9 +100,8 @@ class EnsembleSpec:
     width_schedule: tuple = ()
 
     def __post_init__(self) -> None:
-        require_finite(self, "sigma_q", "width_schedule")
-        if self.sigma_q < 0:
-            raise ValueError("sigma_q must be >= 0")
+        if not 0 <= self.sigma_q < math.inf:
+            raise ValueError(f"sigma_q must be finite, with sigma_q >= 0, got {self.sigma_q}")
         if self.quadrature < 1:
             raise ValueError(f"quadrature must be >= 1, got {self.quadrature}")
         if self.quadrature > MAX_QUADRATURE:
@@ -109,12 +111,14 @@ class EnsembleSpec:
             raise ValueError("quadrature must be odd so q = 0 is a node")
         if self.sigma_q > 0 and self.quadrature < 5:
             raise ValueError("quadrature grid < 5 per axis is too coarse")
-        if self.width_schedule:
-            ts = [p[0] for p in self.width_schedule]
-            if sorted(ts) != ts:
+        last = -math.inf
+        for t, width in self.width_schedule:
+            if not (-math.inf < t < math.inf and 0 < width < math.inf):
+                raise ValueError("width_schedule must be finite, with widths > 0, "
+                                 f"got {(t, width)}")
+            if t < last:
                 raise ValueError("width_schedule times must ascend")
-            if any(p[1] <= 0 for p in self.width_schedule):
-                raise ValueError("width_schedule widths must be > 0")
+            last = t
 
     @classmethod
     def from_width(
@@ -320,9 +324,13 @@ def _as_pulse_model(pulses, pi: PulseSequence | None = None) -> PulseModel:
 def _check_run(
     kind: FringeKind, model: PulseModel, times: np.ndarray, n_echo: int
 ) -> None:
-    """Refuse a fringe's run-level arguments before any q is solved: a hold
-    time outside [0, MAX_STEP_US] (NaN included), and for echo an ``n_echo``
-    outside 1 ... MAX_COUNT or a pulse model without a pi pulse."""
+    """Refuse a fringe's run-level arguments before any q is solved: more
+    than MAX_HOLD_TIMES hold times or one outside [0, MAX_STEP_US] (NaN
+    included), and for echo an ``n_echo`` outside 1 ... MAX_COUNT or a pulse
+    model without a pi pulse."""
+    if len(times) > MAX_HOLD_TIMES:
+        raise ValueError(f"a fringe takes at most {MAX_HOLD_TIMES} hold times, "
+                         f"got {len(times)}")
     if not np.all((times >= 0.0) & (times <= MAX_STEP_US)):
         raise ValueError(f"hold times must lie in [0, {MAX_STEP_US:g}] us")
     if kind is FringeKind.ECHO:
@@ -370,6 +378,15 @@ def echo_pd(
 # Ensembles
 
 
+def check_reach(ens: EnsembleSpec, basis: PlaneWaveBasis) -> None:
+    """Refuse an ensemble whose farthest quadrature node, 3 sigma_q out on
+    each axis of :func:`_grid_axes` (so 3 sqrt(2) sigma_q on the 2-D grid),
+    lies beyond the basis's largest |G|."""
+    axes = 1 if basis.geometry is Geometry.STANDING_WAVE_1D else 2
+    farthest = 3.0 * math.sqrt(axes) * float(ens.sigma_q)
+    basis.check_reach(farthest, "the ensemble's farthest quadrature node")
+
+
 def _grid_axes(ens: EnsembleSpec, geometry: Geometry):
     """Per-axis quadrature positions (x, y); y is [0] for 1D geometry."""
     if ens.sigma_q == 0:
@@ -414,6 +431,7 @@ def _ensemble_sums(
         raise ValueError(f"threads must be >= 1, got {threads}")
     pulses = _as_pulse_model(pulses)
     _check_run(kind, pulses, times, n_echo)
+    check_reach(ens, basis)
     xs, ys = _grid_axes(ens, spec.geometry)
     qs = [np.array([qx, qy]) for qx in xs for qy in ys]
     sigmas = np.array([ens.sigma_q])

@@ -74,14 +74,6 @@ class GeometryMismatchError(ValueError):
     """An operation was asked for a geometry it does not support."""
 
 
-def require_finite(obj, *names: str) -> None:
-    """Reject NaN and +-inf in the named attributes (numbers, tuples or None)."""
-    for name in names:
-        value = getattr(obj, name)
-        if value is not None and not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """Physical description of the optical lattice.
@@ -104,13 +96,11 @@ class LatticeSpec:
     atom_mass: float = MASS_RB87
 
     def __post_init__(self) -> None:
-        require_finite(self, "wavelength", "depth", "atom_mass")
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
-        if self.depth < 0:
-            raise ValueError("depth must be non-negative")
-        if self.atom_mass <= 0:
-            raise ValueError("atom_mass must be positive")
+        for name, value in (("wavelength", self.wavelength), ("atom_mass", self.atom_mass)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite, with {name} > 0, got {value}")
+        if not 0 <= self.depth < math.inf:
+            raise ValueError(f"depth must be finite, with depth >= 0, got {self.depth}")
 
 
 def wavenumber(spec: LatticeSpec) -> float:
@@ -198,6 +188,17 @@ class PlaneWaveBasis:
     def kinetic(self, q: np.ndarray) -> np.ndarray:
         """Kinetic energies (q + G)^2 in E_r, one per site."""
         return np.sum((self.g_vectors + q) ** 2, axis=1)
+
+    def check_reach(self, q_norm: float, what: str) -> None:
+        """Refuse a quasi-momentum of norm ``q_norm`` (in k), described by
+        ``what``, that is not finite or lies beyond the largest |G| of the
+        basis, where the lowest eigenvalues are no longer Bloch bands.  The
+        comparison allows 1e-9 relative, as the default basis's 15 k comes
+        out as 14.999999999999998."""
+        reach = float(np.max(np.linalg.norm(self.g_vectors, axis=1)))
+        if not q_norm <= reach * (1.0 + 1e-9):
+            raise ValueError(f"{what} must be finite, with |q| <= the basis's largest "
+                             f"|G| = {reach:.6g} k, got |q| = {q_norm:.6g} k")
 
 
 def build_basis(spec: LatticeSpec, shell_radius: int = 5) -> PlaneWaveBasis:

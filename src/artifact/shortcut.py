@@ -39,7 +39,7 @@ from .dynamics import (
     evolve_columns,
     sd_frame,
 )
-from .lattice import LatticeSpec, PlaneWaveBasis, require_finite
+from .lattice import LatticeSpec, PlaneWaveBasis
 
 #: Phases b on which :func:`aligned_fidelity_block` brackets its maximum.
 _PHASE_GRID = np.linspace(-math.pi, math.pi, 720, endpoint=False)
@@ -237,14 +237,18 @@ class OptimizerOptions:
     off_range: tuple[float, float] = (0.0, 40.0)
 
     def __post_init__(self) -> None:
-        require_finite(self, "fd_step", "learning_rate", "grid_quantum", "convergence_tol")
+        for name, value in (("fd_step", self.fd_step), ("learning_rate", self.learning_rate)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite, with {name} > 0, got {value}")
+        for name, value in (("grid_quantum", self.grid_quantum),
+                            ("convergence_tol", self.convergence_tol)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite, with {name} >= 0, got {value}")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
         for name, value in (("max_iters", self.max_iters), ("restarts", self.restarts)):
             if value > MAX_COUNT:
                 raise ValueError(f"{name} must be at most {MAX_COUNT}, got {value}")
-        if self.fd_step <= 0 or self.learning_rate <= 0:
-            raise ValueError("fd_step and learning_rate must be positive")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         for name in ("on_range", "off_range"):

@@ -174,7 +174,7 @@ class TestConfig:
             ("ensemble:\n  width_schedule: [1, 2]\n",
              "bad config value for width_schedule"),
             ("ensemble:\n  width_schedule: [[0, 0.3], [100, 0.0]]\n",
-             "width_schedule widths must be > 0"),
+             "width_schedule must be finite, with widths > 0, got (100.0, 0.0)"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
@@ -264,7 +264,7 @@ class TestConfig:
             ("ensemble: {delta_q_hk: 0, quadrature: -3}", "quadrature must be >= 1"),
             ("ensemble: {width_reading: bogus, distribution: delta}", "width_reading"),
             ("ensemble: {delta_q_hk: .nan, distribution: delta}", "sigma_q must be finite"),
-            ("lattice: {depth_Er: -1}", "depth must be non-negative"),
+            ("lattice: {depth_Er: -1}", "depth must be finite, with depth >= 0, got -1.0"),
             ("basis: {shell_radius: 0}", "shell_radius"),
             ("rng_seed: -1", "rng_seed"),
             # counts whose run would exhaust memory or time
@@ -519,13 +519,15 @@ class TestLoadSequence:
             ("{t_on_us: 1" + "0" * 400 + ", t_off_us: 1.0}",
              "bad sequence value for t_on_us"),
             ("{t_on_us: 1e308, t_off_us: 1e308}",
-             f"bad sequence value in step 1: t_on must be at most {MAX_STEP_US:g} us"),
+             "bad sequence value in step 1: t_on must be finite, with "
+             f"0 <= t_on <= {MAX_STEP_US:g} us, got 1e+308"),
             ("{t_on_us: 2.7, t_off_us: 1e300}",
-             f"bad sequence value in step 1: t_off must be at most {MAX_STEP_US:g} us"),
+             "bad sequence value in step 1: t_off must be finite, with "
+             f"0 <= t_off <= {MAX_STEP_US:g} us, got 1e+300"),
             ("{t_on_us: 1.0, t_off_us: -1}", "bad sequence value in step 1: "
-             "pulse durations must be non-negative, got t_off=-1.0"),
+             f"t_off must be finite, with 0 <= t_off <= {MAX_STEP_US:g} us, got -1.0"),
             ("{t_on_us: 1.0, t_off_us: 1.0, depth_Er: -2}", "bad sequence value in step 1: "
-             "pulse depth must be non-negative, got depth=-2.0"),
+             "depth must be finite, with depth >= 0, got -2.0"),
             ("{t_on_us: 2.7, t_off_us: 16.8, depth_er: 3.0}",
              "unknown sequence key(s) depth_er"),
         ],
@@ -626,8 +628,8 @@ class TestBands:
                          "--samples", "2", "--config", str(cfgp)])
         assert code == EXIT_VALIDATION
         waypoint = path.split(",")[1]
-        assert (f"waypoint {waypoint!r} lies beyond the basis's largest |G| = {reach} k"
-                in capsys.readouterr().err)
+        assert (f"waypoint {waypoint!r} must be finite, with |q| <= the basis's largest "
+                f"|G| = {reach} k" in capsys.readouterr().err)
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
@@ -935,6 +937,35 @@ class TestFringeCommands:
         err = capsys.readouterr().err
         assert f"--t-max / --dt must give at most {MAX_HOLD_TIMES} hold times" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fwhm, farthest", [("23", "41.4387"), ("1e300", "1.80168e+300")])
+    def test_ensemble_beyond_the_basis_exits_2(self, tmp_path, capsys, fwhm, farthest):
+        # The default basis reaches 15 k; the 2-D grid's farthest node lies
+        # at 3 sqrt(2) sigma.  FWHM 23 once ran to a coherence time of 900 us,
+        # and 1e300 overflowed the Hamiltonian after --out existed.
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(f"ensemble: {{delta_q_hk: {fwhm}, quadrature: 5}}\n")
+        out = tmp_path / "x"
+        code = main(["ramsey", "--pi2", "ideal", "--t-max", "400", "--dt", "4",
+                     "--config", str(cfgp), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert ("the ensemble's farthest quadrature node must be finite, with |q| <= "
+                f"the basis's largest |G| = 15 k, got |q| = {farthest} k"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "ensemble, flags",
+        [("{delta_q_hk: 23, quadrature: 5}", ["--single-q"]),
+         ("{delta_q_hk: 23, quadrature: 5, distribution: delta}", [])],
+        ids=["single-q", "delta"],
+    )
+    def test_wide_ensemble_unused_at_q_0_runs(self, tmp_path, ensemble, flags):
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(f"ensemble: {ensemble}\n")
+        code = main(["ramsey", "--pi2", "ideal", "--t-max", "400", "--dt", "4", *flags,
+                     "--config", str(cfgp), "--out", str(tmp_path / "x")])
+        assert code == EXIT_OK
 
     @staticmethod
     def _manifest(args, out):

@@ -270,14 +270,19 @@ class TestPulseStructures:
     def test_durations_above_the_bound_rejected(self, name):
         # A 1e308 us step once gave a NaN fidelity instead of an error.
         fields = {"t_on": 1.0, "t_off": 1.0, name: 2 * MAX_STEP_US}
-        message = re.escape(f"{name} must be at most {MAX_STEP_US:g} us")
+        message = re.escape(f"{name} must be finite, with 0 <= {name} <= {MAX_STEP_US:g} us")
         with pytest.raises(ValueError, match=message):
             PulseStep(**fields)
         PulseStep(**{**fields, name: MAX_STEP_US})
 
-    @pytest.mark.parametrize("name", ["t_on", "t_off", "depth"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name, value",
+        [(name, value) for name in ("t_on", "t_off", "depth")
+         for value in (math.nan, math.inf, -math.inf, -math.ulp(0.0))]
+        + [(name, math.nextafter(MAX_STEP_US, math.inf)) for name in ("t_on", "t_off")],
+    )
     def test_non_finite_rejected(self, name, value):
+        # NaN, +-inf and the floats just outside each bound.
         fields = {"t_on": 1.0, "t_off": 1.0, "depth": 4.0, name: value}
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             PulseStep(**fields)

@@ -8,6 +8,7 @@ import pytest
 
 from artifact import interferometer
 from artifact.interferometer import (
+    MAX_HOLD_TIMES,
     MAX_QUADRATURE,
     _ensemble_sums,
     _fringe_kernel,
@@ -17,6 +18,7 @@ from artifact.interferometer import (
     FringeKind,
     IdealPulses,
     SequencePulses,
+    check_reach,
     check_sampling,
     check_span,
     coherence_time,
@@ -97,12 +99,19 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError):
             EnsembleSpec.from_width(0.5, reading="hwhm")
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_width_rejected(self, value):
-        with pytest.raises(ValueError, match="sigma_q must be finite"):
-            EnsembleSpec(sigma_q=value)
-        with pytest.raises(ValueError, match="width_schedule must be finite"):
-            EnsembleSpec(sigma_q=0.3, width_schedule=((0.0, 0.3), (100.0, value)))
+    @pytest.mark.parametrize(
+        "fields",
+        [{"sigma_q": value} for value in (math.nan, math.inf, -math.inf, -math.ulp(0.0))]
+        + [{"width_schedule": ((0.0, 0.3), point)}
+           for point in [(100.0, width) for width in (math.nan, math.inf, -math.inf, 0.0)]
+           + [(t, 0.3) for t in (math.nan, math.inf, -math.inf)]],
+    )
+    def test_non_finite_width_rejected(self, fields):
+        # NaN, +-inf and the floats just outside each bound; a schedule time
+        # has no finite bound.
+        (name,) = fields
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            EnsembleSpec(**{"sigma_q": 0.3, **fields})
 
     def test_width_schedule_times_must_ascend(self):
         with pytest.raises(ValueError):
@@ -115,7 +124,7 @@ class TestEnsembleSpec:
     def test_width_schedule_widths_must_be_positive(self, width):
         # A zero width once weighed every node by 1 (P_D 0.5137 at 100 us
         # for ideal Ramsey, against 0.8510 for a width of 1e-9).
-        with pytest.raises(ValueError, match="width_schedule widths must be > 0"):
+        with pytest.raises(ValueError, match="width_schedule must be finite, with widths > 0"):
             EnsembleSpec(
                 sigma_q=0.3,
                 quadrature=7,
@@ -415,9 +424,50 @@ class TestRunArguments:
         with pytest.raises(ValueError, match=message):
             call(np.zeros(2), spec, basis)
 
+    @pytest.mark.parametrize("run", [ensemble_fringe, phase_scan_contrast])
+    def test_too_many_hold_times(self, spec, basis, run):
+        # One (basis size, hold times) complex table per q: 10^7 times would
+        # ask for about 19 GB.
+        times = np.zeros(MAX_HOLD_TIMES + 1)
+        with pytest.raises(ValueError, match=f"at most {MAX_HOLD_TIMES} hold times"):
+            run("ramsey", IdealPulses(), times, EnsembleSpec(), spec, basis)
+
+    @pytest.mark.parametrize("fwhm", [23.0, 1e300])
+    @pytest.mark.parametrize("run", [ensemble_fringe, phase_scan_contrast])
+    def test_grid_beyond_the_basis(self, spec, basis, run, fwhm):
+        # A FWHM of 23 hbar k puts the farthest node at 3 sqrt(2) sigma =
+        # 41.4 k, past the default basis's 15 k.
+        ens = EnsembleSpec.from_width(fwhm, quadrature=5)
+        with pytest.raises(ValueError, match=r"the basis's largest \|G\| = 15 k"):
+            run("ramsey", IdealPulses(), np.zeros(3), ens, spec, basis)
+
     def test_pulses_must_be_a_model_or_a_sequence(self, spec, basis):
         with pytest.raises(TypeError, match="PulseModel or a PulseSequence"):
             ramsey_pd("ideal", 10.0, np.zeros(2), spec, basis)
+
+
+class TestCheckReach:
+    """An ensemble's farthest node, 3 sigma_q out on each grid axis, may
+    reach the basis's largest |G| but not pass it."""
+
+    @pytest.mark.parametrize(
+        "ens",
+        [EnsembleSpec(), EnsembleSpec(sigma_q=0.3, quadrature=9),
+         *(EnsembleSpec.from_width(fwhm) for fwhm in (0.20, 0.56, 0.72))],
+        ids=["q=0", "sigma=0.3", "fwhm=0.20", "fwhm=0.56", "fwhm=0.72"],
+    )
+    def test_acceptance_widths_pass(self, basis, ens):
+        check_reach(ens, basis)
+
+    @pytest.mark.parametrize(
+        "basis_name, axes, reach", [("basis", 2, 15.0), ("basis_1d", 1, 10.0)]
+    )
+    def test_edge(self, request, basis_name, axes, reach):
+        edge = reach / (3.0 * math.sqrt(axes))
+        grid_basis = request.getfixturevalue(basis_name)
+        check_reach(EnsembleSpec(sigma_q=edge), grid_basis)
+        with pytest.raises(ValueError, match="farthest quadrature node must be finite"):
+            check_reach(EnsembleSpec(sigma_q=edge * (1.0 + 1e-6)), grid_basis)
 
 
 class TestEnsembleFringe:

@@ -57,9 +57,14 @@ class TestConstants:
         with pytest.raises(ValueError):
             LatticeSpec(atom_mass=-1e-25)
 
-    @pytest.mark.parametrize("name", ["wavelength", "depth", "atom_mass"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name, value",
+        [(name, value) for name in ("wavelength", "depth", "atom_mass")
+         for value in (math.nan, math.inf, -math.inf)]
+        + [("wavelength", 0.0), ("depth", -math.ulp(0.0)), ("atom_mass", 0.0)],
+    )
     def test_spec_rejects_non_finite(self, name, value):
+        # NaN, +-inf and the floats just outside each bound.
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             LatticeSpec(**{name: value})
 

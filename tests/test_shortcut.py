@@ -261,10 +261,17 @@ class TestOptimize:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("fd_step", float("nan")), ("learning_rate", float("inf")),
-         ("convergence_tol", float("nan")), ("on_range", (0.0, float("nan")))],
+        [(name, value)
+         for name in ("fd_step", "learning_rate", "grid_quantum", "convergence_tol")
+         for value in (math.nan, math.inf, -math.inf)]
+        + [("fd_step", 0.0), ("learning_rate", 0.0),
+           ("grid_quantum", -math.ulp(0.0)), ("convergence_tol", -math.ulp(0.0))]
+        + [(name, pair) for name in ("on_range", "off_range")
+           for pair in ((0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0))],
     )
     def test_non_finite_options_rejected(self, name, value):
+        # NaN, +-inf and the floats just outside each bound; the step ranges'
+        # finite bounds are test_step_ranges_bounded's.
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             OptimizerOptions(**{name: value})
 

@@ -242,8 +242,9 @@ class RunConfig:
     lattice = basis = ensemble = options = None
 
     def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {self.threads}")
+        if not 1 <= self.threads < math.inf:
+            raise ValidationError(f"threads must be finite, with threads >= 1, "
+                                  f"got {self.threads}")
         for key, convert in _FIELD_CONVERTERS.items():
             setattr(self, key, _convert(key, convert, getattr(self, key)))
         self.lattice = LatticeSpec(
@@ -580,16 +581,14 @@ def cmd_eval(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def _require_positive(name: str, value: float | None, most: float = math.inf) -> None:
-    """Refuse a given ``--name`` value that is not positive and finite, or that
-    is above ``most`` (:data:`MAX_COUNT` for a count).  It compares rather than
-    calls ``math.isfinite``, which raises OverflowError on an integer count too
-    large for a float."""
-    if value is None:
-        return
-    if not 0 < value < math.inf:
-        raise ValidationError(f"--{name} must be positive and finite, got {value}")
-    if value > most:
-        raise ValidationError(f"--{name} must be at most {most}, got {value}")
+    """Refuse a given ``--name`` value outside (0, ``most``] (:data:`MAX_COUNT`
+    for a count), or not finite: capping ``most`` at the largest float refuses
+    inf when ``most`` is inf.  It compares rather than calls ``math.isfinite``,
+    which raises OverflowError on an integer count too large for a float."""
+    if value is not None and not 0 < value <= min(most, sys.float_info.max):
+        bound = "" if most == math.inf else f" <= {most:g}"
+        raise ValidationError(f"--{name} must be finite, with 0 < --{name}{bound}, "
+                              f"got {value}")
 
 
 def _fringe_times(args, window: float) -> np.ndarray:
@@ -714,7 +713,6 @@ def cmd_coherence(cfg: RunConfig, args, out_dir: Path) -> int:
             p_d.append(v)
     if len(times) < 3:
         raise ValidationError("fringe CSV holds fewer than 3 samples")
-    _require_positive("period", args.period)
     fringe = FringeCurve(times=np.array(times), p_d=np.array(p_d))
     contrast = contrast_curve(fringe, args.period)
     coh = coherence_time(contrast)

@@ -102,11 +102,9 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if not 0 <= self.sigma_q < math.inf:
             raise ValueError(f"sigma_q must be finite, with sigma_q >= 0, got {self.sigma_q}")
-        if self.quadrature < 1:
-            raise ValueError(f"quadrature must be >= 1, got {self.quadrature}")
-        if self.quadrature > MAX_QUADRATURE:
-            raise ValueError(f"quadrature must be at most {MAX_QUADRATURE}, "
-                             f"got {self.quadrature}")
+        if not 1 <= self.quadrature <= MAX_QUADRATURE:
+            raise ValueError(f"quadrature must be finite, with 1 <= quadrature <= "
+                             f"{MAX_QUADRATURE}, got {self.quadrature}")
         if self.quadrature % 2 == 0:
             raise ValueError("quadrature must be odd so q = 0 is a node")
         if self.sigma_q > 0 and self.quadrature < 5:
@@ -335,7 +333,8 @@ def _check_run(
         raise ValueError(f"hold times must lie in [0, {MAX_STEP_US:g}] us")
     if kind is FringeKind.ECHO:
         if not 1 <= n_echo <= MAX_COUNT:
-            raise ValueError(f"n_echo must lie in 1 ... {MAX_COUNT}, got {n_echo}")
+            raise ValueError(f"n_echo must be finite, with 1 <= n_echo <= {MAX_COUNT}, "
+                             f"got {n_echo}")
         if isinstance(model, SequencePulses) and model.pi is None:
             raise ValueError("echo requires a pi sequence")
 
@@ -427,8 +426,8 @@ def _ensemble_sums(
     the grid, and the result is the same to the bit across thread counts.
     The pool starts at most one thread per q and per CPU, whatever ``threads``.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    if not 1 <= threads < math.inf:
+        raise ValueError(f"threads must be finite, with threads >= 1, got {threads}")
     pulses = _as_pulse_model(pulses)
     _check_run(kind, pulses, times, n_echo)
     check_reach(ens, basis)
@@ -536,8 +535,8 @@ def contrast_curve(fringe: FringeCurve, period: float) -> ContrastCurve:
     """Per-period fringe contrast (max-min)/(max+min) in period windows."""
     t = fringe.times
     p = fringe.p_d
-    if not (math.isfinite(period) and period > 0):
-        raise ValueError(f"period must be positive and finite, got {period}")
+    if not 0 < period < math.inf:
+        raise ValueError(f"period must be finite, with period > 0, got {period}")
     check_span(t, period)
     check_sampling(float(np.median(np.diff(t))), period)
     centers, values = [], []

@@ -206,11 +206,9 @@ def build_basis(spec: LatticeSpec, shell_radius: int = 5) -> PlaneWaveBasis:
 
     Size is (2N+1)^2 for the triangular lattice and 2N+1 for the 1D one.
     """
-    if shell_radius < 1:
-        raise ValueError("shell_radius must be >= 1")
-    if shell_radius > MAX_SHELL_RADIUS:
-        raise ValueError(f"shell_radius must be at most {MAX_SHELL_RADIUS}, "
-                         f"got {shell_radius}")
+    if not 1 <= shell_radius <= MAX_SHELL_RADIUS:
+        raise ValueError(f"shell_radius must be finite, with 1 <= shell_radius <= "
+                         f"{MAX_SHELL_RADIUS}, got {shell_radius}")
     n = shell_radius
     if spec.geometry is Geometry.TRIANGULAR_3BEAM:
         sites = tuple(

@@ -241,16 +241,14 @@ class OptimizerOptions:
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite, with {name} > 0, got {value}")
         for name, value in (("grid_quantum", self.grid_quantum),
-                            ("convergence_tol", self.convergence_tol)):
+                            ("convergence_tol", self.convergence_tol),
+                            ("rng_seed", self.rng_seed)):
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite, with {name} >= 0, got {value}")
-        if self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("max_iters and restarts must be >= 1")
         for name, value in (("max_iters", self.max_iters), ("restarts", self.restarts)):
-            if value > MAX_COUNT:
-                raise ValueError(f"{name} must be at most {MAX_COUNT}, got {value}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+            if not 1 <= value <= MAX_COUNT:
+                raise ValueError(f"{name} must be finite, with 1 <= {name} <= {MAX_COUNT}, "
+                                 f"got {value}")
         for name in ("on_range", "off_range"):
             low, high = getattr(self, name)
             if not 0 <= low <= high <= MAX_STEP_US:
@@ -315,8 +313,8 @@ def optimize(
     """Optimize step durations and depths; multi-start, monotone trace.
 
     The parameters ``[t_on..., t_off..., depth...]`` are projected onto a box:
-    durations in [0, MAX_STEP_US], depths in ``depth_bounds`` (which must
-    contain the spec's depth).  ``depth_bounds=None`` freezes each depth at its
+    durations in [0, MAX_STEP_US], depths in ``depth_bounds`` (which must be
+    finite and contain the spec's depth).  ``depth_bounds=None`` freezes each depth at its
     seed value (lo == hi), so the seed depths come back unchanged, ``None`` included.
 
     Start 0 is the seed; further starts (up to ``opts.restarts`` total) draw
@@ -336,8 +334,9 @@ def optimize(
         lo = hi = x_seed[2 * k :]
     else:
         lo, hi = depth_bounds
-        if not 0 <= lo <= nominal <= hi:
-            raise ValueError("depth_bounds must satisfy 0 <= lo <= spec depth <= hi")
+        if not 0 <= lo <= nominal <= hi < math.inf:
+            raise ValueError(f"depth_bounds must be finite, with 0 <= lo <= spec depth "
+                             f"{nominal:g} <= hi, got {(lo, hi)}")
     lower = np.concatenate([np.zeros(2 * k), np.broadcast_to(lo, (k,))])
     upper = np.concatenate([np.full(2 * k, MAX_STEP_US), np.broadcast_to(hi, (k,))])
 

@@ -114,10 +114,12 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("distribution", "boxcar"), ("geometry", "cubic"), ("shell_radius", 2.9)],
+        [("distribution", "boxcar"), ("geometry", "cubic"), ("shell_radius", 2.9),
+         ("threads", math.nan)],
     )
     def test_fields_are_checked_on_construction(self, key, value):
-        with pytest.raises(ValueError, match=f"bad config value for {key}"):
+        # threads has no converter: its bound refuses it.
+        with pytest.raises(ValueError, match=f"bad config value for {key}|{key} must be finite"):
             RunConfig(**{key: value})
 
     def test_optimizer_keys_load(self, tmp_path):
@@ -261,7 +263,8 @@ class TestConfig:
             ("optimizer: {max_iters: abc, fd_step_us: -1}", "max_iters"),
             ("optimizer: {on_max_us: -5}", "on_range"),
             ("ensemble: {quadrature: 4}", "quadrature"),
-            ("ensemble: {delta_q_hk: 0, quadrature: -3}", "quadrature must be >= 1"),
+            ("ensemble: {delta_q_hk: 0, quadrature: -3}",
+             f"quadrature must be finite, with 1 <= quadrature <= {MAX_QUADRATURE}, got -3"),
             ("ensemble: {width_reading: bogus, distribution: delta}", "width_reading"),
             ("ensemble: {delta_q_hk: .nan, distribution: delta}", "sigma_q must be finite"),
             ("lattice: {depth_Er: -1}", "depth must be finite, with depth >= 0, got -1.0"),
@@ -269,13 +272,16 @@ class TestConfig:
             ("rng_seed: -1", "rng_seed"),
             # counts whose run would exhaust memory or time
             (f"basis: {{shell_radius: {MAX_SHELL_RADIUS + 1}}}",
-             f"shell_radius must be at most {MAX_SHELL_RADIUS}"),
+             f"shell_radius must be finite, with 1 <= shell_radius <= {MAX_SHELL_RADIUS}, "
+             f"got {MAX_SHELL_RADIUS + 1}"),
             (f"ensemble: {{quadrature: {MAX_QUADRATURE + 2}}}",
-             f"quadrature must be at most {MAX_QUADRATURE}"),
+             f"quadrature must be finite, with 1 <= quadrature <= {MAX_QUADRATURE}, "
+             f"got {MAX_QUADRATURE + 2}"),
             (f"optimizer: {{restarts: {MAX_COUNT + 1}}}",
-             f"restarts must be at most {MAX_COUNT}"),
+             f"restarts must be finite, with 1 <= restarts <= {MAX_COUNT}, got {MAX_COUNT + 1}"),
             (f"optimizer: {{max_iters: {MAX_COUNT + 1}}}",
-             f"max_iters must be at most {MAX_COUNT}"),
+             f"max_iters must be finite, with 1 <= max_iters <= {MAX_COUNT}, "
+             f"got {MAX_COUNT + 1}"),
         ],
     )
     @pytest.mark.parametrize(
@@ -836,14 +842,15 @@ class TestFringeCommands:
                     + [token for item in args.items() for token in item]
                     + ["--out", str(tmp_path / "x")])
         assert code == EXIT_VALIDATION
-        assert f"{flag} must be positive and finite" in capsys.readouterr().err
+        assert f"{flag} must be finite, with 0 < {flag}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_echo_zero_pulses_exits_2(self, tmp_path, capsys):
         code = main(["echo", "--pi2", "ideal", "--n-echo", "0", "--single-q",
                      "--t-max", "400", "--dt", "4", "--out", str(tmp_path / "x")])
         assert code == EXIT_VALIDATION
-        assert "--n-echo must be positive and finite, got 0" in capsys.readouterr().err
+        assert (f"--n-echo must be finite, with 0 < --n-echo <= {MAX_COUNT:g}, got 0"
+                in capsys.readouterr().err)
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
@@ -861,7 +868,8 @@ class TestFringeCommands:
         out = tmp_path / "x"
         code = main(command + [flag, value, "--out", str(out)])
         assert code == EXIT_VALIDATION
-        assert f"{flag} must be positive and finite, got {value}" in capsys.readouterr().err
+        assert (f"{flag} must be finite, with 0 < {flag} <= {MAX_COUNT:g}, got {value}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -880,7 +888,8 @@ class TestFringeCommands:
         out = tmp_path / "x"
         code = main(command + [flag, str(value), "--out", str(out)])
         assert code == EXIT_VALIDATION
-        assert f"{flag} must be at most {MAX_COUNT}" in capsys.readouterr().err
+        assert (f"{flag} must be finite, with 0 < {flag} <= {MAX_COUNT:g}, got {value}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_echo_runs_with_references(self, tmp_path):
@@ -916,7 +925,7 @@ class TestFringeCommands:
         code = main(["ramsey", "--pi2", "ideal", "--single-q", "--t-max", "400",
                      "--dt", "4", "--threads", threads, "--out", str(out)])
         assert code == EXIT_VALIDATION
-        assert "threads must be >= 1" in capsys.readouterr().err
+        assert f"threads must be finite, with threads >= 1, got {threads}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_hold_above_the_step_bound_exits_2(self, tmp_path, capsys):
@@ -925,7 +934,8 @@ class TestFringeCommands:
         code = main(["ramsey", "--pi2", "ideal", "--single-q", "--t-max", "1e306",
                      "--dt", "1e303", "--contrast-window", "1e304", "--out", str(out)])
         assert code == EXIT_VALIDATION
-        assert f"--t-max must be at most {MAX_STEP_US}" in capsys.readouterr().err
+        assert (f"--t-max must be finite, with 0 < --t-max <= {MAX_STEP_US:g}, got 1e+306"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_too_many_hold_times_exit_2(self, tmp_path, capsys):
@@ -1107,10 +1117,10 @@ class TestCoherenceCommand:
 
     @pytest.mark.parametrize(
         "period, message",
-        [("nan", "--period must be positive and finite"),
-         ("inf", "--period must be positive and finite"),
-         ("0", "--period must be positive and finite"),
-         ("-5", "--period must be positive and finite"),
+        [("nan", "period must be finite, with period > 0, got nan"),
+         ("inf", "period must be finite, with period > 0, got inf"),
+         ("0", "period must be finite, with period > 0, got 0.0"),
+         ("-5", "period must be finite, with period > 0, got -5.0"),
          ("1e9", "two periods")],
     )
     def test_bad_period_exits_2_before_the_output(self, tmp_path, capsys, period,

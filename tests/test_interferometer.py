@@ -74,13 +74,15 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError):
             EnsembleSpec(sigma_q=0.3, quadrature=3)
 
-    @pytest.mark.parametrize("quadrature", [-3, -1])
+    @pytest.mark.parametrize("quadrature", [-3, -1, math.nan])
     def test_quadrature_must_be_positive_at_every_width(self, quadrature):
-        with pytest.raises(ValueError, match="quadrature must be >= 1"):
+        with pytest.raises(ValueError, match=f"quadrature must be finite, with 1 <= "
+                                             f"quadrature <= {MAX_QUADRATURE}, got {quadrature}"):
             EnsembleSpec(sigma_q=0.0, quadrature=quadrature)
 
     def test_quadrature_bounded_above(self):
-        with pytest.raises(ValueError, match=f"quadrature must be at most {MAX_QUADRATURE}"):
+        with pytest.raises(ValueError, match=f"quadrature <= {MAX_QUADRATURE}, "
+                                             f"got {MAX_QUADRATURE + 2}"):
             EnsembleSpec(sigma_q=0.1, quadrature=MAX_QUADRATURE + 2)
 
     def test_negative_sigma_rejected(self):
@@ -508,11 +510,12 @@ class TestEnsembleFringe:
         )
         assert np.array_equal(c1.p_d, c4.p_d)
 
-    @pytest.mark.parametrize("threads", [0, -1])
+    @pytest.mark.parametrize("threads", [0, -1, math.nan])
     @pytest.mark.parametrize("run", [ensemble_fringe, phase_scan_contrast])
     def test_threads_below_one_rejected(self, spec, basis, run, threads):
         ens = EnsembleSpec()
-        with pytest.raises(ValueError, match="threads"):
+        with pytest.raises(ValueError, match=f"threads must be finite, with threads >= 1, "
+                                             f"got {threads}"):
             run("ramsey", IdealPulses(), np.array([0.0, 1.0]), ens, spec, basis,
                 threads=threads)
 
@@ -785,11 +788,11 @@ class TestContrastCurve:
         with pytest.raises(ValueError, match="dt"):
             check_sampling(period / 7.9, period)
 
-    @pytest.mark.parametrize("bad", [0.0, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
     def test_period_must_be_positive_and_finite(self, period, bad):
         t = np.arange(0.0, 10 * period, period / 24)
         p = np.full_like(t, 0.5)
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=f"period must be finite, with period > 0, got {bad}"):
             contrast_curve(FringeCurve(times=t, p_d=p), bad)
 
     def test_sampling_validated(self, period):

@@ -105,10 +105,10 @@ class TestBasis:
         assert build_basis(spec_1d, 5).size == 11
 
     def test_shell_radius_validated(self, spec):
-        with pytest.raises(ValueError, match="shell_radius must be >= 1"):
-            build_basis(spec, 0)
-        with pytest.raises(ValueError, match=f"shell_radius must be at most {MAX_SHELL_RADIUS}"):
-            build_basis(spec, MAX_SHELL_RADIUS + 1)
+        for radius in (0, MAX_SHELL_RADIUS + 1, math.nan):
+            with pytest.raises(ValueError, match=f"shell_radius must be finite, with 1 <= "
+                                                 f"shell_radius <= {MAX_SHELL_RADIUS}, got {radius}"):
+                build_basis(spec, radius)
 
     def test_sites_lexicographic(self, basis):
         sites = [tuple(s) for s in basis.sites]

@@ -240,7 +240,8 @@ class TestOptimize:
 
     @pytest.mark.parametrize("name", ["max_iters", "restarts"])
     def test_counts_bounded_above(self, name):
-        with pytest.raises(ValueError, match=f"{name} must be at most {MAX_COUNT}"):
+        with pytest.raises(ValueError, match=f"{name} must be finite, with 1 <= {name} <= "
+                                             f"{MAX_COUNT}, got {MAX_COUNT + 1}"):
             OptimizerOptions(**{name: MAX_COUNT + 1})
 
     @pytest.mark.parametrize(
@@ -267,11 +268,15 @@ class TestOptimize:
         + [("fd_step", 0.0), ("learning_rate", 0.0),
            ("grid_quantum", -math.ulp(0.0)), ("convergence_tol", -math.ulp(0.0))]
         + [(name, pair) for name in ("on_range", "off_range")
-           for pair in ((0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0))],
+           for pair in ((0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0))]
+        + [(name, value) for name in ("max_iters", "restarts", "rng_seed")
+           for value in (math.nan, math.inf, -math.inf)]
+        + [("max_iters", 0), ("restarts", 0), ("rng_seed", -1)],
     )
     def test_non_finite_options_rejected(self, name, value):
-        # NaN, +-inf and the floats just outside each bound; the step ranges'
-        # finite bounds are test_step_ranges_bounded's.
+        # NaN, +-inf and the values just outside each bound; the step ranges'
+        # finite bounds are test_step_ranges_bounded's, and the counts' upper
+        # bound test_counts_bounded_above's.
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             OptimizerOptions(**{name: value})
 
@@ -340,10 +345,11 @@ class TestVariableAmplitude:
     def test_box_must_contain_spec_depth(self, objectives):
         obj = objectives[ObjectiveKind.HALF_PI]
         seed = PulseSequence.from_durations([(10.0, 10.0)])
-        with pytest.raises(ValueError):
-            optimize(seed, obj, TINY, depth_bounds=(6.0, 7.0))
-        with pytest.raises(ValueError):
-            optimize(seed, obj, TINY, depth_bounds=(6.0, 5.0))
+        # and be finite: a random start would call rng.uniform(lo, inf).
+        for bounds in ((6.0, 7.0), (6.0, 5.0), (4.0, math.inf), (4.0, math.nan)):
+            with pytest.raises(ValueError, match="depth_bounds must be finite, with 0 <= lo "
+                                                 "<= spec depth 5 <= hi"):
+                optimize(seed, obj, TINY, depth_bounds=bounds)
 
     def test_box_refuses_negative_depths(self, objectives):
         obj = objectives[ObjectiveKind.HALF_PI]

@@ -82,12 +82,6 @@ EXIT_VALIDATION = 2
 EXIT_THRESHOLD = 3
 EXIT_NUMERICAL = 4
 
-_GEOMETRY_NAMES = {
-    "triangular": Geometry.TRIANGULAR_3BEAM,
-    "1d": Geometry.STANDING_WAVE_1D,
-}
-
-
 class ValidationError(ValueError):
     """Bad config, arguments, or input files."""
 
@@ -154,7 +148,7 @@ def _convert(key: str, convert, value, what: str = "config"):
 #: same name, with the converter that RunConfig applies to it.  ``optimizer``
 #: is kept as written, and its keys load into :class:`OptimizerOptions` fields.
 _SECTION_KEYS = {
-    "lattice": dict(geometry=_choice(*_GEOMETRY_NAMES), wavelength_nm=_real,
+    "lattice": dict(geometry=_choice(*(g.value for g in Geometry)), wavelength_nm=_real,
                     depth_Er=_real, atom_mass_kg=_real),
     "basis": dict(shell_radius=_integer),
     "ensemble": dict(distribution=_choice("gaussian", "delta"), delta_q_hk=_real,
@@ -175,8 +169,8 @@ _OPTIMIZER_KEYS = {
     "grid_quantum_us": ("grid_quantum", _real),
     "restarts": ("restarts", _integer),
     "convergence_tol": ("convergence_tol", _real),
-    "on_max_us": ("on_range", lambda v: (0.0, _real(v))),
-    "off_max_us": ("off_range", lambda v: (0.0, _real(v))),
+    "on_max_us": ("on_max", _real),
+    "off_max_us": ("off_max", _real),
 }
 
 
@@ -248,7 +242,7 @@ class RunConfig:
         for key, convert in _FIELD_CONVERTERS.items():
             setattr(self, key, _convert(key, convert, getattr(self, key)))
         self.lattice = LatticeSpec(
-            geometry=_GEOMETRY_NAMES[self.geometry],
+            geometry=Geometry(self.geometry),
             wavelength=self.wavelength_nm * 1e-9,
             depth=self.depth_Er,
             atom_mass=self.atom_mass_kg,
@@ -279,16 +273,6 @@ class RunConfig:
 # Output helpers
 
 
-def _sha256_file(path: Path) -> str:
-    import hashlib
-
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -305,7 +289,8 @@ class RunWriter:
         self.out_dir = out_dir
         self.config = config
         self.args = {k: v for k, v in args.items() if v is not None}
-        self.inputs = {str(p): _sha256_file(p) for p in map(Path, inputs) if p.is_file()}
+        self.inputs = {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in map(Path, inputs) if p.is_file()}
         self.outputs: dict[str, str] = {}
         self.derived: dict[str, float] = {}
         # threads is an execution detail: results are thread-count

@@ -46,7 +46,7 @@ def default_band_pair(geometry: Geometry) -> tuple[int, int]:
     return 1, 3
 
 
-#: Longest step duration (us) that a :class:`PulseStep` or an optimizer range
+#: Longest step duration (us) that a :class:`PulseStep` or an optimizer maximum
 #: accepts: designed steps last tens of us, and at 1e300 us a step's phases
 #: have lost all precision.
 MAX_STEP_US = 1e6
@@ -220,7 +220,7 @@ def evolve_columns(
     basis: PlaneWaveBasis,
     adjoint: bool = False,
 ) -> np.ndarray:
-    """Apply a pulse sequence to one or more state columns at fixed q.
+    """Apply a pulse sequence to (n, k) state columns at fixed q.
 
     Equivalent to multiplying by the sequence's time-ordered product of
     on/off propagators, but evaluated column-wise (fast path shared by
@@ -233,9 +233,8 @@ def evolve_columns(
     kin = basis.kinetic(q)
     sign = 1j if adjoint else -1j
     out = np.asarray(cols, dtype=complex)
-    single = out.ndim == 1
-    if single:
-        out = out[:, None]
+    if out.ndim != 2:
+        raise ValueError(f"cols must be (n, k) state columns, got shape {out.shape}")
     intervals = [(step, on) for step in seq.steps for on in (True, False)]
     for step, on in reversed(intervals) if adjoint else intervals:
         if on and step.t_on > 0:
@@ -244,5 +243,5 @@ def evolve_columns(
             out = states @ (phases[:, None] * (states.conj().T @ out))
         elif not on and step.t_off > 0:
             out = np.exp(sign * kin * w * step.t_off)[:, None] * out
-    return out[:, 0] if single else out
+    return out
 

@@ -48,6 +48,7 @@ from .lattice import (
     PlaneWaveBasis,
     angular_frequency_per_Er,
     bisect_root,
+    require_integer,
 )
 from .shortcut import MAX_COUNT, ROTATION_BLOCKS, ObjectiveKind, aligned_fidelity_block
 
@@ -105,6 +106,7 @@ class EnsembleSpec:
         if not 1 <= self.quadrature <= MAX_QUADRATURE:
             raise ValueError(f"quadrature must be finite, with 1 <= quadrature <= "
                              f"{MAX_QUADRATURE}, got {self.quadrature}")
+        require_integer("quadrature", self.quadrature)
         if self.quadrature % 2 == 0:
             raise ValueError("quadrature must be odd so q = 0 is a node")
         if self.sigma_q > 0 and self.quadrature < 5:
@@ -324,8 +326,8 @@ def _check_run(
 ) -> None:
     """Refuse a fringe's run-level arguments before any q is solved: more
     than MAX_HOLD_TIMES hold times or one outside [0, MAX_STEP_US] (NaN
-    included), and for echo an ``n_echo`` outside 1 ... MAX_COUNT or a pulse
-    model without a pi pulse."""
+    included), and for echo an ``n_echo`` that is not an integer in
+    1 ... MAX_COUNT or a pulse model without a pi pulse."""
     if len(times) > MAX_HOLD_TIMES:
         raise ValueError(f"a fringe takes at most {MAX_HOLD_TIMES} hold times, "
                          f"got {len(times)}")
@@ -335,6 +337,7 @@ def _check_run(
         if not 1 <= n_echo <= MAX_COUNT:
             raise ValueError(f"n_echo must be finite, with 1 <= n_echo <= {MAX_COUNT}, "
                              f"got {n_echo}")
+        require_integer("n_echo", n_echo)
         if isinstance(model, SequencePulses) and model.pi is None:
             raise ValueError("echo requires a pi sequence")
 
@@ -428,9 +431,12 @@ def _ensemble_sums(
     """
     if not 1 <= threads < math.inf:
         raise ValueError(f"threads must be finite, with threads >= 1, got {threads}")
+    require_integer("threads", threads)
     pulses = _as_pulse_model(pulses)
     _check_run(kind, pulses, times, n_echo)
     check_reach(ens, basis)
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("hold times must be strictly ascending")
     xs, ys = _grid_axes(ens, spec.geometry)
     qs = [np.array([qx, qy]) for qx in xs for qy in ys]
     sigmas = np.array([ens.sigma_q])

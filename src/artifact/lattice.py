@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +60,8 @@ TRIANGULAR_COUPLING_OFFSETS = (
 class Geometry(enum.Enum):
     """Lattice geometry selector."""
 
-    TRIANGULAR_3BEAM = "triangular_3beam"
-    STANDING_WAVE_1D = "standing_wave_1d"
+    TRIANGULAR_3BEAM = "triangular"
+    STANDING_WAVE_1D = "1d"
 
 
 #: Non-zero Fourier offsets of each geometry's potential (besides (0, 0)).
@@ -201,6 +202,13 @@ class PlaneWaveBasis:
                              f"|G| = {reach:.6g} k, got |q| = {q_norm:.6g} k")
 
 
+def require_integer(name: str, value) -> None:
+    """Refuse a count or seed ``value`` that is not an integer: a float, even
+    a whole one, would fail later in ``range`` or the RNG with TypeError."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+
+
 def build_basis(spec: LatticeSpec, shell_radius: int = 5) -> PlaneWaveBasis:
     """Build the truncated plane-wave basis for the spec's geometry.
 
@@ -209,6 +217,7 @@ def build_basis(spec: LatticeSpec, shell_radius: int = 5) -> PlaneWaveBasis:
     if not 1 <= shell_radius <= MAX_SHELL_RADIUS:
         raise ValueError(f"shell_radius must be finite, with 1 <= shell_radius <= "
                          f"{MAX_SHELL_RADIUS}, got {shell_radius}")
+    require_integer("shell_radius", shell_radius)
     n = shell_radius
     if spec.geometry is Geometry.TRIANGULAR_3BEAM:
         sites = tuple(
@@ -238,8 +247,8 @@ def potential_fourier(spec: LatticeSpec, depth: float | None = None) -> dict:
     phase, so phase-locked echo fringes change if the term is dropped.
     """
     d = spec.depth if depth is None else depth
-    if d < 0:
-        raise ValueError("depth must be non-negative")
+    if not 0 <= d < math.inf:
+        raise ValueError(f"depth must be finite, with depth >= 0, got {d}")
     if d == 0:
         return {}
     if spec.geometry is Geometry.TRIANGULAR_3BEAM:
@@ -303,7 +312,6 @@ def fringe_period_us(spec: LatticeSpec, basis: PlaneWaveBasis) -> float:
 def calibrate_fourier_coefficient(
     spec: LatticeSpec | None = None,
     period_us: float = REFERENCE_FRINGE_PERIOD_US,
-    shell_radius: int = 5,
 ) -> float:
     """Re-derive the triangular Fourier coefficient from its defining gap.
 
@@ -319,7 +327,7 @@ def calibrate_fourier_coefficient(
     spec = LatticeSpec() if spec is None else spec
     if spec.geometry is not Geometry.TRIANGULAR_3BEAM:
         raise GeometryMismatchError("calibration needs the triangular geometry")
-    basis = build_basis(spec, shell_radius)
+    basis = build_basis(spec)
     _, f_hz = recoil_energy(spec)
     target_gap = 1e6 / (period_us * f_hz)
     s_idx, d_idx = dynamics.default_band_pair(spec.geometry)

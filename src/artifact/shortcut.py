@@ -39,7 +39,7 @@ from .dynamics import (
     evolve_columns,
     sd_frame,
 )
-from .lattice import LatticeSpec, PlaneWaveBasis
+from .lattice import LatticeSpec, PlaneWaveBasis, require_integer
 
 #: Phases b on which :func:`aligned_fidelity_block` brackets its maximum.
 _PHASE_GRID = np.linspace(-math.pi, math.pi, 720, endpoint=False)
@@ -175,9 +175,9 @@ def fidelity(seq: PulseSequence, obj: PulseObjective) -> float:
     single pair, so its fidelity is a plain modulus.
     """
     if obj.kind is ObjectiveKind.LOAD:
-        final = evolve_columns(obj.initial[:, 0], seq, obj.quasimomentum, obj.spec, obj.basis)
+        final = evolve_columns(obj.initial, seq, obj.quasimomentum, obj.spec, obj.basis)
         # A contiguous S column: np.vdot rounds a strided view differently.
-        return float(abs(np.vdot(obj.band_frame[:, 0].copy(), final)))
+        return float(abs(np.vdot(obj.band_frame[:, 0].copy(), final[:, 0])))
     return aligned_fidelity_block(rotation_block(seq, obj), ROTATION_BLOCKS[obj.kind])[0]
 
 
@@ -233,8 +233,8 @@ class OptimizerOptions:
     restarts: int = 10
     rng_seed: int = 0
     convergence_tol: float = 1e-6
-    on_range: tuple[float, float] = (0.0, 30.0)
-    off_range: tuple[float, float] = (0.0, 40.0)
+    on_max: float = 30.0
+    off_max: float = 40.0
 
     def __post_init__(self) -> None:
         for name, value in (("fd_step", self.fd_step), ("learning_rate", self.learning_rate)):
@@ -249,13 +249,12 @@ class OptimizerOptions:
             if not 1 <= value <= MAX_COUNT:
                 raise ValueError(f"{name} must be finite, with 1 <= {name} <= {MAX_COUNT}, "
                                  f"got {value}")
-        for name in ("on_range", "off_range"):
-            low, high = getattr(self, name)
-            if not 0 <= low <= high <= MAX_STEP_US:
-                raise ValueError(
-                    f"{name} must be finite, with 0 <= low <= high <= "
-                    f"{MAX_STEP_US:g} us, got {(low, high)}"
-                )
+        for name in ("max_iters", "restarts", "rng_seed"):
+            require_integer(name, getattr(self, name))
+        for name, value in (("on_max", self.on_max), ("off_max", self.off_max)):
+            if not 0 <= value <= MAX_STEP_US:
+                raise ValueError(f"{name} must be finite, with 0 <= {name} <= "
+                                 f"{MAX_STEP_US:g} us, got {value}")
 
 
 @dataclass(frozen=True)
@@ -318,10 +317,10 @@ def optimize(
     seed value (lo == hi), so the seed depths come back unchanged, ``None`` included.
 
     Start 0 is the seed; further starts (up to ``opts.restarts`` total) draw
-    durations from the on/off ranges, and depths from a non-degenerate box,
-    with a seeded RNG.  Results are rounded to the grid quantum and projected
-    back; the best post-rounding fidelity wins.  With one restart the
-    pre-rounding fidelity is never below the seed's.
+    durations from [0, ``opts.on_max``] and [0, ``opts.off_max``], and depths
+    from a non-degenerate box, with a seeded RNG.  Results are rounded to the
+    grid quantum and projected back; the best post-rounding fidelity wins.
+    With one restart the pre-rounding fidelity is never below the seed's.
     """
     opts = opts or OptimizerOptions()
     k = len(seed_seq.steps)
@@ -357,8 +356,8 @@ def optimize(
     rng = np.random.default_rng(opts.rng_seed)
     starts = [x_seed]
     for _ in range(opts.restarts - 1):
-        ons = rng.uniform(*opts.on_range, size=k)
-        offs = rng.uniform(*opts.off_range, size=k)
+        ons = rng.uniform(0.0, opts.on_max, size=k)
+        offs = rng.uniform(0.0, opts.off_max, size=k)
         ds = rng.uniform(lo, hi, size=k) if np.any(hi > lo) else lower[2 * k :]
         starts.append(np.concatenate([ons, offs, ds]))
 
@@ -394,8 +393,8 @@ def design_sequence(
     """
     opts = opts or OptimizerOptions()
     rng = np.random.default_rng(opts.rng_seed + 1)
-    ons = rng.uniform(*opts.on_range, size=n_steps)
-    offs = rng.uniform(*opts.off_range, size=n_steps)
+    ons = rng.uniform(0.0, opts.on_max, size=n_steps)
+    offs = rng.uniform(0.0, opts.off_max, size=n_steps)
     seed = PulseSequence.from_durations(list(zip(ons, offs)))
     obj = build_objective(kind, spec, basis)
     return optimize(seed, obj, opts, depth_bounds)

@@ -223,7 +223,7 @@ class TestNumericalProperties:
 
     def test_state_norm_conserved(self, spec, basis):
         st = bloch_state(1, np.zeros(2), spec, basis)
-        out = evolve_columns(st, REFERENCE_PI2, np.zeros(2), spec, basis)
+        out = evolve_columns(st[:, None], REFERENCE_PI2, np.zeros(2), spec, basis)[:, 0]
         assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
     def test_fidelity_bounds(self, spec, basis):

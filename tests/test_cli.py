@@ -78,7 +78,8 @@ class TestConfig:
     def test_bad_geometry_rejected(self, tmp_path):
         p = tmp_path / "c.yaml"
         p.write_text("lattice:\n  geometry: cubic\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad config value for geometry: expected one "
+                                             "of triangular, 1d, got 'cubic'"):
             RunConfig.load(str(p))
 
     @pytest.mark.parametrize(
@@ -133,7 +134,7 @@ class TestConfig:
         assert (opts.max_iters, opts.restarts) == (7, 2)
         assert (opts.fd_step, opts.learning_rate, opts.grid_quantum) == (0.02, 9.0, 0.2)
         assert opts.convergence_tol == 1e-5
-        assert (opts.on_range, opts.off_range) == ((0.0, 12.0), (0.0, 13.0))
+        assert (opts.on_max, opts.off_max) == (12.0, 13.0)
 
     def test_non_finite_depth_exits_2(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
@@ -145,7 +146,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "text, name",
-        [("on_max_us: 1.0e9", "on_range"), ("off_max_us: -5", "off_range")],
+        [("on_max_us: 1.0e9", "on_max"), ("off_max_us: -5", "off_max")],
     )
     def test_step_range_out_of_bounds_exits_2(self, tmp_path, capsys, text, name):
         # A 1e9 us range once designed a step that eval refuses.
@@ -156,7 +157,7 @@ class TestConfig:
                      "--out", str(out)])
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert f"{name} must be finite, with 0 <= low <= high <= {MAX_STEP_US:g} us" in err
+        assert f"{name} must be finite, with 0 <= {name} <= {MAX_STEP_US:g} us" in err
         assert not out.exists()
 
     def test_non_finite_optimizer_value_exits_2(self, tmp_path, capsys):
@@ -165,7 +166,7 @@ class TestConfig:
         code = main(["design", "--kind", "pi2", "--config", str(p),
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_VALIDATION
-        assert "on_range must be finite" in capsys.readouterr().err
+        assert "on_max must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, message",
@@ -261,7 +262,7 @@ class TestConfig:
         "text, name",
         [
             ("optimizer: {max_iters: abc, fd_step_us: -1}", "max_iters"),
-            ("optimizer: {on_max_us: -5}", "on_range"),
+            ("optimizer: {on_max_us: -5}", "on_max"),
             ("ensemble: {quadrature: 4}", "quadrature"),
             ("ensemble: {delta_q_hk: 0, quadrature: -3}",
              f"quadrature must be finite, with 1 <= quadrature <= {MAX_QUADRATURE}, got -3"),

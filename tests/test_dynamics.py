@@ -303,7 +303,7 @@ class TestEvolution:
     def test_zero_duration_sequence_is_identity(self, spec, basis):
         st = bloch_state(1, np.zeros(2), spec, basis)
         seq = PulseSequence.from_durations([(0.0, 0.0)])
-        out = evolve_columns(st, seq, np.zeros(2), spec, basis)
+        out = evolve_columns(st[:, None], seq, np.zeros(2), spec, basis)[:, 0]
         assert np.allclose(out, st, atol=1e-12)
 
     def test_sequence_operator_unitary(self, spec, basis):
@@ -322,16 +322,24 @@ class TestEvolution:
 
     def test_norm_preserved(self, spec, basis):
         st = bloch_state(1, np.zeros(2), spec, basis)
-        out = evolve_columns(st, REFERENCE_PI2, np.zeros(2), spec, basis)
+        out = evolve_columns(st[:, None], REFERENCE_PI2, np.zeros(2), spec, basis)[:, 0]
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
     def test_per_step_depth_override_changes_result(self, spec, basis):
         flat = PulseSequence.from_durations([(10.0, 5.0)])
         deep = PulseSequence.from_durations([(10.0, 5.0)], depths=[6.0])
         st = bloch_state(1, np.zeros(2), spec, basis)
-        out_flat = evolve_columns(st, flat, np.zeros(2), spec, basis)
-        out_deep = evolve_columns(st, deep, np.zeros(2), spec, basis)
+        out_flat = evolve_columns(st[:, None], flat, np.zeros(2), spec, basis)[:, 0]
+        out_deep = evolve_columns(st[:, None], deep, np.zeros(2), spec, basis)[:, 0]
         assert not np.allclose(out_flat, out_deep, atol=1e-6)
+
+    def test_one_dimensional_state_refused(self, spec, basis):
+        # A 1-D state would broadcast against the (n, 1) phase columns into
+        # an (n, n) array; it is refused instead.
+        st = bloch_state(1, np.zeros(2), spec, basis)
+        with pytest.raises(ValueError, match=r"cols must be \(n, k\) state columns, "
+                                             r"got shape \(121,\)"):
+            evolve_columns(st, REFERENCE_PI2, np.zeros(2), spec, basis)
 
     @pytest.mark.parametrize(
         "seq",
@@ -351,8 +359,6 @@ class TestEvolution:
         expected = _sequence_matrix(seq, q, spec, basis).conj().T @ cols
         out = evolve_columns(cols, seq, q, spec, basis, adjoint=True)
         assert np.max(np.abs(out - expected)) <= 1e-13
-        single = evolve_columns(cols[:, 0], seq, q, spec, basis, adjoint=True)
-        assert np.max(np.abs(single - expected[:, 0])) <= 1e-13
 
     def test_off_segment_uses_free_hamiltonian(self, spec, basis):
         # A pure-off step must equal the free propagator.
@@ -379,7 +385,7 @@ class TestBandPopulations:
 
     def test_populations_sum_below_one(self, spec, basis):
         st = bloch_state(1, np.zeros(2), spec, basis)
-        out = evolve_columns(st, REFERENCE_PI2, np.zeros(2), spec, basis)
+        out = evolve_columns(st[:, None], REFERENCE_PI2, np.zeros(2), spec, basis)[:, 0]
         pops = _band_populations(out, np.zeros(2), spec, basis)
         assert 0.0 <= sum(pops) <= 1.0 + 1e-9
 
@@ -387,7 +393,7 @@ class TestBandPopulations:
         # The shipped half-pi sequence moves population S -> D with
         # negligible transfer into the symmetry-mismatched P bands.
         st = bloch_state(1, np.zeros(2), spec, basis)
-        out = evolve_columns(st, REFERENCE_PI2, np.zeros(2), spec, basis)
+        out = evolve_columns(st[:, None], REFERENCE_PI2, np.zeros(2), spec, basis)[:, 0]
         pops = _band_populations(out, np.zeros(2), spec, basis)
         assert pops[1] + pops[2] < 1e-8
         assert pops[0] + pops[3] > 0.96

@@ -74,10 +74,15 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError):
             EnsembleSpec(sigma_q=0.3, quadrature=3)
 
-    @pytest.mark.parametrize("quadrature", [-3, -1, math.nan])
-    def test_quadrature_must_be_positive_at_every_width(self, quadrature):
-        with pytest.raises(ValueError, match=f"quadrature must be finite, with 1 <= "
-                                             f"quadrature <= {MAX_QUADRATURE}, got {quadrature}"):
+    @pytest.mark.parametrize(
+        "quadrature, message",
+        [(q, f"quadrature must be finite, with 1 <= quadrature <= {MAX_QUADRATURE}, got {q}")
+         for q in (-3, -1, math.nan)]
+        # np.linspace refuses a float count, whole or not, with TypeError.
+        + [(q, f"quadrature must be an integer, got {q}") for q in (5.5, 5.0)],
+    )
+    def test_quadrature_must_be_positive_at_every_width(self, quadrature, message):
+        with pytest.raises(ValueError, match=message):
             EnsembleSpec(sigma_q=0.0, quadrature=quadrature)
 
     def test_quadrature_bounded_above(self):
@@ -391,10 +396,12 @@ class TestRunArguments:
     ENSEMBLE_CASES = [
         ("echo", IdealPulses(), [0.0, 10.0], 0, "n_echo"),
         ("echo", IdealPulses(), [0.0, 10.0], MAX_COUNT + 1, "n_echo"),
+        ("echo", IdealPulses(), [0.0, 10.0], 2.5, "n_echo must be an integer, got 2.5"),
         ("echo", SequencePulses(REFERENCE_PI2), [0.0, 10.0], 2, "pi sequence"),
         ("ramsey", IdealPulses(), [-50.0, 0.0], 2, "hold times"),
         ("ramsey", IdealPulses(), [0.0, math.nan], 2, "hold times"),
         ("ramsey", IdealPulses(), [0.0, 2.0 * MAX_STEP_US], 2, "hold times"),
+        ("ramsey", IdealPulses(), [10.0, 5.0], 2, "ascending"),
     ]
 
     @pytest.fixture(autouse=True)
@@ -419,6 +426,8 @@ class TestRunArguments:
             (lambda q, s, b: ramsey_pd(IdealPulses(), math.nan, q, s, b), "hold times"),
             (lambda q, s, b: ramsey_pd(IdealPulses(), 2e6, q, s, b), "hold times"),
             (lambda q, s, b: echo_pd(IdealPulses(), None, 0, 10.0, q, s, b), "n_echo"),
+            (lambda q, s, b: echo_pd(IdealPulses(), None, 2.5, 10.0, q, s, b),
+             "n_echo must be an integer, got 2.5"),
             (lambda q, s, b: echo_pd(REFERENCE_PI2, None, 2, 10.0, q, s, b), "pi sequence"),
         ],
     )
@@ -510,12 +519,15 @@ class TestEnsembleFringe:
         )
         assert np.array_equal(c1.p_d, c4.p_d)
 
-    @pytest.mark.parametrize("threads", [0, -1, math.nan])
+    @pytest.mark.parametrize(
+        "threads, message",
+        [(t, f"threads must be finite, with threads >= 1, got {t}") for t in (0, -1, math.nan)]
+        + [(2.5, "threads must be an integer, got 2.5")],
+    )
     @pytest.mark.parametrize("run", [ensemble_fringe, phase_scan_contrast])
-    def test_threads_below_one_rejected(self, spec, basis, run, threads):
+    def test_threads_below_one_rejected(self, spec, basis, run, threads, message):
         ens = EnsembleSpec()
-        with pytest.raises(ValueError, match=f"threads must be finite, with threads >= 1, "
-                                             f"got {threads}"):
+        with pytest.raises(ValueError, match=message):
             run("ramsey", IdealPulses(), np.array([0.0, 1.0]), ens, spec, basis,
                 threads=threads)
 

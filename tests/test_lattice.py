@@ -109,6 +109,9 @@ class TestBasis:
             with pytest.raises(ValueError, match=f"shell_radius must be finite, with 1 <= "
                                                  f"shell_radius <= {MAX_SHELL_RADIUS}, got {radius}"):
                 build_basis(spec, radius)
+        for radius in (2.5, 2.0):  # range() refuses a float with TypeError
+            with pytest.raises(ValueError, match=f"shell_radius must be an integer, got {radius}"):
+                build_basis(spec, radius)
 
     def test_sites_lexicographic(self, basis):
         sites = [tuple(s) for s in basis.sites]
@@ -131,6 +134,12 @@ class TestBasis:
 class TestPotential:
     def test_zero_depth_empty(self, spec):
         assert potential_fourier(spec, depth=0.0) == {}
+
+    @pytest.mark.parametrize("depth", [-1.0, math.nan, math.inf, -math.inf])
+    def test_depth_must_be_finite_and_non_negative(self, spec, depth):
+        with pytest.raises(ValueError, match=f"depth must be finite, with depth >= 0, "
+                                             f"got {depth}"):
+            potential_fourier(spec, depth)
 
     def test_triangular_first_shell(self, spec):
         coefs = potential_fourier(spec)

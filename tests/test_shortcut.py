@@ -238,19 +238,23 @@ class TestOptimize:
         with pytest.raises(ValueError):
             OptimizerOptions(fd_step=0.0)
 
-    @pytest.mark.parametrize("name", ["max_iters", "restarts"])
-    def test_counts_bounded_above(self, name):
-        with pytest.raises(ValueError, match=f"{name} must be finite, with 1 <= {name} <= "
-                                             f"{MAX_COUNT}, got {MAX_COUNT + 1}"):
-            OptimizerOptions(**{name: MAX_COUNT + 1})
-
     @pytest.mark.parametrize(
-        "name, value",
-        [("on_range", (0.0, 1e9)), ("off_range", (0.0, -5.0)),
-         ("on_range", (-1.0, 5.0)), ("off_range", (8.0, 4.0))],
+        "name, value, message",
+        [(name, MAX_COUNT + 1, f"{name} must be finite, with 1 <= {name} <= {MAX_COUNT}, "
+                               f"got {MAX_COUNT + 1}") for name in ("max_iters", "restarts")]
+        # A float count or seed, whole or not, fails later in range() or the RNG.
+        + [(name, value, f"{name} must be an integer, got {value}")
+           for name, value in (("max_iters", 2.5), ("restarts", 2.5), ("rng_seed", 0.5),
+                               ("rng_seed", 1.0))],
     )
-    def test_step_ranges_bounded(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite, with 0 <= low"):
+    def test_counts_bounded_and_integral(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            OptimizerOptions(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [("on_max", 1e9), ("off_max", -5.0)])
+    def test_step_maxima_bounded(self, name, value):
+        with pytest.raises(ValueError, match=fr"{name} must be finite, with 0 <= {name} <= "
+                                             fr"1e\+06 us, got {value}"):
             OptimizerOptions(**{name: value})
 
     def test_non_finite_fidelity_raises(self, objectives, monkeypatch):
@@ -267,16 +271,16 @@ class TestOptimize:
          for value in (math.nan, math.inf, -math.inf)]
         + [("fd_step", 0.0), ("learning_rate", 0.0),
            ("grid_quantum", -math.ulp(0.0)), ("convergence_tol", -math.ulp(0.0))]
-        + [(name, pair) for name in ("on_range", "off_range")
-           for pair in ((0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0))]
+        + [(name, value) for name in ("on_max", "off_max")
+           for value in (math.nan, math.inf, -math.inf)]
         + [(name, value) for name in ("max_iters", "restarts", "rng_seed")
            for value in (math.nan, math.inf, -math.inf)]
         + [("max_iters", 0), ("restarts", 0), ("rng_seed", -1)],
     )
     def test_non_finite_options_rejected(self, name, value):
-        # NaN, +-inf and the values just outside each bound; the step ranges'
-        # finite bounds are test_step_ranges_bounded's, and the counts' upper
-        # bound test_counts_bounded_above's.
+        # NaN, +-inf and the values just outside each bound; the step maxima's
+        # finite bounds are test_step_maxima_bounded's, and the counts' upper
+        # bound test_counts_bounded_and_integral's.
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             OptimizerOptions(**{name: value})
 

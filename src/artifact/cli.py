@@ -63,6 +63,7 @@ from .lattice import (
     hamiltonian_on,
     recoil_energy,
     reciprocal_primitives,
+    require_integer,
     sd_gap,
 )
 from .sequences import REFERENCE_SEQUENCES
@@ -164,11 +165,8 @@ _FIELD_CONVERTERS = {
 }
 _OPTIMIZER_KEYS = {
     "max_iters": ("max_iters", _integer),
-    "fd_step_us": ("fd_step", _real),
-    "learning_rate": ("learning_rate", _real),
     "grid_quantum_us": ("grid_quantum", _real),
     "restarts": ("restarts", _integer),
-    "convergence_tol": ("convergence_tol", _real),
     "on_max_us": ("on_max", _real),
     "off_max_us": ("off_max", _real),
 }
@@ -239,6 +237,7 @@ class RunConfig:
         if not 1 <= self.threads < math.inf:
             raise ValidationError(f"threads must be finite, with threads >= 1, "
                                   f"got {self.threads}")
+        require_integer("threads", self.threads)
         for key, convert in _FIELD_CONVERTERS.items():
             setattr(self, key, _convert(key, convert, getattr(self, key)))
         self.lattice = LatticeSpec(

@@ -28,6 +28,7 @@ from .lattice import (
     PlaneWaveBasis,
     angular_frequency_per_Er,
     hamiltonian_on,
+    require_integer,
 )
 
 #: Near-degeneracy threshold (E_r) for the D-band selection rule.
@@ -122,11 +123,11 @@ def solve_bands(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(h)):
         raise ArithmeticError("the Hamiltonian is not finite")
     energies, states = np.linalg.eigh(h)
-    states = _fix_phases(states.astype(complex))
+    # The phase fix scales each column by a unit number: |residual| is unchanged.
     residual = h @ states - states * energies
     if not float(np.max(np.abs(residual))) <= 1e-10:
         raise ArithmeticError("eigen-residual exceeds 1e-10")
-    return energies, states
+    return energies, _fix_phases(states.astype(complex))
 
 
 # An entry of the default 121-wave basis holds a 121x121 complex matrix (about
@@ -174,6 +175,7 @@ def bloch_state(
     """
     if not (1 <= band_index <= basis.size):
         raise ValueError("band index out of range")
+    require_integer("band_index", band_index)
     energies, states = band_eig(q, spec, basis)
     i = band_index - 1
     if (

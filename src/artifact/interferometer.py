@@ -345,6 +345,7 @@ def _check_run(
 def _single_q_pd(kind, model, t_hold, q, spec, basis, n_echo) -> float:
     times = np.array([t_hold], dtype=float)
     _check_run(kind, model, times, n_echo)
+    basis.check_reach(math.hypot(*q), "q")  # hypot: no overflow
     (p,) = _fringe_kernel(kind, model, times, q, spec, basis, n_echo)
     return float(p[0])
 
@@ -533,7 +534,7 @@ def check_sampling(dt: float, window: float) -> None:
 
 def check_span(times: np.ndarray, window: float) -> None:
     """Require the hold times to span at least two contrast windows."""
-    if times[-1] - times[0] < 2.0 * window:
+    if len(times) < 2 or times[-1] - times[0] < 2.0 * window:
         raise ValueError("fringe must span at least two periods")
 
 

@@ -204,8 +204,9 @@ class PlaneWaveBasis:
 
 def require_integer(name: str, value) -> None:
     """Refuse a count or seed ``value`` that is not an integer: a float, even
-    a whole one, would fail later in ``range`` or the RNG with TypeError."""
-    if not isinstance(value, numbers.Integral):
+    a whole one, would fail later in ``range`` or the RNG with TypeError, and
+    a bool, which ``numbers.Integral`` includes, is a flag, not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value}")
 
 

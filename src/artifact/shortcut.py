@@ -46,9 +46,13 @@ _PHASE_GRID = np.linspace(-math.pi, math.pi, 720, endpoint=False)
 #: Newton steps that refine the grid's best b; from one grid spacing,
 #: quadratic convergence reaches rounding in about four.
 _NEWTON_STEPS = 8
-#: Iterations over which the fidelity must rise by ``convergence_tol`` for
-#: :func:`_ascend` to go on.
+#: :func:`_ascend`'s central-difference step (us or E_r) and first line-search
+#: rate; it goes on while the fidelity rises by ``_CONVERGENCE_TOL`` or more
+#: over ``_CONVERGENCE_WINDOW`` iterations.
+_FD_STEP = 0.01
+_LEARNING_RATE = 50.0
 _CONVERGENCE_WINDOW = 10
+_CONVERGENCE_TOL = 1e-6
 #: The largest :class:`OptimizerOptions` ``max_iters`` or ``restarts``, and of
 #: each count the CLI takes: a larger one would exhaust memory or time.
 MAX_COUNT = 10**6
@@ -227,22 +231,14 @@ class OptimizerOptions:
     """Projected-gradient-ascent settings (durations in us, depths in E_r)."""
 
     max_iters: int = 200
-    fd_step: float = 0.01
-    learning_rate: float = 50.0
     grid_quantum: float = 0.1
     restarts: int = 10
     rng_seed: int = 0
-    convergence_tol: float = 1e-6
     on_max: float = 30.0
     off_max: float = 40.0
 
     def __post_init__(self) -> None:
-        for name, value in (("fd_step", self.fd_step), ("learning_rate", self.learning_rate)):
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite, with {name} > 0, got {value}")
-        for name, value in (("grid_quantum", self.grid_quantum),
-                            ("convergence_tol", self.convergence_tol),
-                            ("rng_seed", self.rng_seed)):
+        for name, value in (("grid_quantum", self.grid_quantum), ("rng_seed", self.rng_seed)):
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite, with {name} >= 0, got {value}")
         for name, value in (("max_iters", self.max_iters), ("restarts", self.restarts)):
@@ -270,13 +266,13 @@ class OptimizeResult:
 
 def _ascend(x0, evaluate, project, opts: OptimizerOptions):
     """Monotone projected gradient ascent from one start point, with central
-    differences from one projected stencil ``project(x +- fd_step I)``; a
+    differences from one projected stencil ``project(x +- _FD_STEP I)``; a
     parameter frozen by the box (zero projected step) gets no evaluations."""
     x = project(np.asarray(x0, dtype=float))
     f = evaluate(x)
     trace = [f]
-    lr = opts.learning_rate
-    step = opts.fd_step * np.identity(len(x))
+    lr = _LEARNING_RATE
+    step = _FD_STEP * np.identity(len(x))
     for _ in range(opts.max_iters):
         plus, minus = project(x + step), project(x - step)
         denom = np.diagonal(plus - minus)
@@ -298,7 +294,7 @@ def _ascend(x0, evaluate, project, opts: OptimizerOptions):
                 lr = max(lr * 0.5, 1e-6)
         trace.append(f)
         w = _CONVERGENCE_WINDOW
-        if len(trace) > w and trace[-1] - trace[-1 - w] < opts.convergence_tol:
+        if len(trace) > w and trace[-1] - trace[-1 - w] < _CONVERGENCE_TOL:
             break
     return x, f, trace
 

@@ -191,6 +191,9 @@ class TestBlochState:
             bloch_state(0, np.zeros(2), spec, basis)
         with pytest.raises(ValueError):
             bloch_state(basis.size + 1, np.zeros(2), spec, basis)
+        for band in (1.5, True):
+            with pytest.raises(ValueError, match=f"band_index must be an integer, got {band}"):
+                bloch_state(band, np.zeros(2), spec, basis)
 
     def test_ground_band_dominated_by_g0(self, spec, basis):
         st = bloch_state(1, np.zeros(2), spec, basis)

@@ -78,8 +78,9 @@ class TestEnsembleSpec:
         "quadrature, message",
         [(q, f"quadrature must be finite, with 1 <= quadrature <= {MAX_QUADRATURE}, got {q}")
          for q in (-3, -1, math.nan)]
-        # np.linspace refuses a float count, whole or not, with TypeError.
-        + [(q, f"quadrature must be an integer, got {q}") for q in (5.5, 5.0)],
+        # np.linspace refuses a float count, whole or not, with TypeError, and
+        # True would be a one-point grid.
+        + [(q, f"quadrature must be an integer, got {q}") for q in (5.5, 5.0, True)],
     )
     def test_quadrature_must_be_positive_at_every_width(self, quadrature, message):
         with pytest.raises(ValueError, match=message):
@@ -428,6 +429,14 @@ class TestRunArguments:
             (lambda q, s, b: echo_pd(IdealPulses(), None, 0, 10.0, q, s, b), "n_echo"),
             (lambda q, s, b: echo_pd(IdealPulses(), None, 2.5, 10.0, q, s, b),
              "n_echo must be an integer, got 2.5"),
+            (lambda q, s, b: echo_pd(IdealPulses(), None, True, 10.0, q, s, b),
+             "n_echo must be an integer, got True"),
+            # q beyond the basis's reach, or not finite, as the ensembles refuse
+            (lambda q, s, b: ramsey_pd(IdealPulses(), 10.0, np.array([100.0, 0.0]), s, b),
+             r"q must be finite, with \|q\| <= the basis's largest \|G\| = 15 k, got \|q\| = 100 k"),
+            (lambda q, s, b: echo_pd(IdealPulses(), None, 2, 10.0, np.array([math.nan, 0.0]),
+                                     s, b),
+             r"q must be finite, .* got \|q\| = nan k"),
             (lambda q, s, b: echo_pd(REFERENCE_PI2, None, 2, 10.0, q, s, b), "pi sequence"),
         ],
     )
@@ -522,7 +531,7 @@ class TestEnsembleFringe:
     @pytest.mark.parametrize(
         "threads, message",
         [(t, f"threads must be finite, with threads >= 1, got {t}") for t in (0, -1, math.nan)]
-        + [(2.5, "threads must be an integer, got 2.5")],
+        + [(t, f"threads must be an integer, got {t}") for t in (2.5, True)],
     )
     @pytest.mark.parametrize("run", [ensemble_fringe, phase_scan_contrast])
     def test_threads_below_one_rejected(self, spec, basis, run, threads, message):
@@ -789,8 +798,15 @@ class TestContrastCurve:
 
     def test_span_rule_is_shared(self, period):
         check_span(np.array([0.0, 2 * period]), period)
+        for times in ([0.0, 1.99 * period], [0.0], []):
+            with pytest.raises(ValueError, match="two periods"):
+                check_span(np.array(times), period)
+
+    def test_empty_fringe_refused(self, period):
+        # ensemble_fringe accepts empty hold times.
+        t = np.array([])
         with pytest.raises(ValueError, match="two periods"):
-            check_span(np.array([0.0, 1.99 * period]), period)
+            contrast_curve(FringeCurve(times=t, p_d=np.full_like(t, 0.5)), period)
 
     def test_eight_samples_per_window_accepted(self, period):
         t = np.arange(0.0, 10 * period, period / 8)

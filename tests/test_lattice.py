@@ -109,7 +109,8 @@ class TestBasis:
             with pytest.raises(ValueError, match=f"shell_radius must be finite, with 1 <= "
                                                  f"shell_radius <= {MAX_SHELL_RADIUS}, got {radius}"):
                 build_basis(spec, radius)
-        for radius in (2.5, 2.0):  # range() refuses a float with TypeError
+        # range() refuses a float with TypeError; True is a flag, not a count
+        for radius in (2.5, 2.0, True):
             with pytest.raises(ValueError, match=f"shell_radius must be an integer, got {radius}"):
                 build_basis(spec, radius)
 

@@ -49,8 +49,6 @@ from .interferometer import (
     IdealPulses,
     SequencePulses,
     check_reach,
-    check_sampling,
-    check_span,
     coherence_time,
     contrast_curve,
     ensemble_fringe,
@@ -63,7 +61,6 @@ from .lattice import (
     hamiltonian_on,
     recoil_energy,
     reciprocal_primitives,
-    require_integer,
     sd_gap,
 )
 from .sequences import REFERENCE_SEQUENCES
@@ -158,7 +155,7 @@ _SECTION_KEYS = {
 }
 #: The top-level keys of a config file.
 _TOP_KEYS = (*_SECTION_KEYS, "optimizer", "rng_seed")
-#: The converter of every RunConfig field but ``optimizer`` and ``threads``.
+#: The converter of every RunConfig field but ``optimizer``.
 _FIELD_CONVERTERS = {
     **{key: convert for table in _SECTION_KEYS.values() for key, convert in table.items()},
     "rng_seed": _integer,
@@ -228,16 +225,11 @@ class RunConfig:
     width_schedule: list = field(default_factory=list)
     optimizer: dict = field(default_factory=dict)
     rng_seed: int = 0
-    threads: int = 1
 
     #: Built on construction; not fields, so not in the run id.
     lattice = basis = ensemble = options = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.threads < math.inf:
-            raise ValidationError(f"threads must be finite, with threads >= 1, "
-                                  f"got {self.threads}")
-        require_integer("threads", self.threads)
         for key, convert in _FIELD_CONVERTERS.items():
             setattr(self, key, _convert(key, convert, getattr(self, key)))
         self.lattice = LatticeSpec(
@@ -292,11 +284,8 @@ class RunWriter:
                        for p in map(Path, inputs) if p.is_file()}
         self.outputs: dict[str, str] = {}
         self.derived: dict[str, float] = {}
-        # threads is an execution detail: results are thread-count
-        # invariant, so it must not perturb the run id.  The contents of the
-        # files read do, so their hashes enter it when there are any.
-        id_config = {k: v for k, v in asdict(config).items() if k != "threads"}
-        snapshot = {"command": command, "config": id_config, "args": self.args}
+        # The contents of the files read enter the run id when there are any.
+        snapshot = {"command": command, "config": asdict(config), "args": self.args}
         if self.inputs:
             snapshot["inputs"] = sorted(self.inputs.values())
         self.run_id = hashlib.sha256(_canonical_json(snapshot).encode()).hexdigest()[:16]
@@ -576,15 +565,18 @@ def _require_positive(name: str, value: float | None, most: float = math.inf) ->
 
 
 def _fringe_times(args, window: float) -> np.ndarray:
+    """The hold times, refused unless the fringe analysis can use them: a
+    flat fringe on them is analysed as the computed one will be, so a grid
+    that undersamples the window or spans fewer than three windows exits
+    before the ensemble."""
     _require_positive("dt", args.dt)
     _require_positive("t-max", args.t_max, MAX_STEP_US)
     _require_positive("contrast-window", args.contrast_window)
-    check_sampling(args.dt, window)
     if args.t_max / args.dt > MAX_HOLD_TIMES:
         raise ValidationError(f"--t-max / --dt must give at most {MAX_HOLD_TIMES} "
                               f"hold times, got {args.t_max:g} / {args.dt:g}")
     times = np.arange(0.0, args.t_max, args.dt)
-    check_span(times, window)
+    coherence_time(contrast_curve(FringeCurve(times, np.full(len(times), 0.5)), window))
     return times
 
 
@@ -642,6 +634,7 @@ def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
     period = fringe_period_us(spec, basis)
     window = period if args.contrast_window is None else args.contrast_window
     times = _fringe_times(args, window)
+    _require_positive("threads", args.threads)
     _require_positive("n-echo", getattr(args, "n_echo", None), MAX_COUNT)
     model = _pulse_model(args, kind is FringeKind.ECHO)
     ens = EnsembleSpec(sigma_q=0.0) if args.single_q else cfg.ensemble
@@ -663,7 +656,7 @@ def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
     inputs = [args.config, *_sequence_files(args.pi2, run_args["pi"])]
     writer = _start_run(kind.value, cfg, out_dir, run_args, inputs)
     fringe = ensemble_fringe(kind, model, times, ens, spec, basis,
-                             n_echo=getattr(args, "n_echo", 2), threads=cfg.threads)
+                             n_echo=getattr(args, "n_echo", 2), threads=args.threads)
     contrast = contrast_curve(fringe, window)
     coh = coherence_time(contrast)
     writer.write_csv(
@@ -726,8 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"YAML config path (default: ${CONFIG_ENV_VAR})",
     )
     common.add_argument("--out", default="runs/out", help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    common.add_argument("--threads", type=int, default=1, help="quadrature threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bands", help="band energies along a BZ path", parents=[common])
@@ -743,6 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-min", type=float, default=3.0)
     p.add_argument("--depth-max", type=float, default=6.0)
     p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None, help="RNG seed override")
 
     p = sub.add_parser("eval", help="fidelity report for a sequence", parents=[common])
     p.set_defaults(run=cmd_eval)
@@ -762,6 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--contrast-window", type=float, default=None,
                        help="contrast window (us, default = the fringe period)")
         p.add_argument("--no-phase-lock", action="store_true")
+        p.add_argument("--threads", type=int, default=1, help="quadrature threads")
 
     p = sub.add_parser("coherence", help="re-analyze a fringe CSV", parents=[common])
     p.set_defaults(run=cmd_coherence)
@@ -775,10 +768,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig.load(
-            args.config,
-            overrides={"rng_seed": args.seed, "threads": args.threads},
-        )
+        cfg = RunConfig.load(args.config, overrides={"rng_seed": getattr(args, "seed", None)})
         return args.run(cfg, args, Path(args.out))
     except ValueError as exc:  # ValidationError included
         print(f"error: {exc}", file=sys.stderr)

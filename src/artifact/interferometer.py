@@ -527,7 +527,7 @@ def check_sampling(dt: float, window: float) -> None:
     """Require at least 8 hold-time samples per contrast window."""
     if window / dt < 8.0 - 1e-9:
         raise ValueError(
-            f"dt = {dt} us undersamples the {window} us contrast window: "
+            f"dt = {dt:g} us undersamples the {window} us contrast window: "
             f"need dt <= window/8 = {window / 8.0:.3f} us"
         )
 

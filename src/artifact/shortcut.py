@@ -43,6 +43,8 @@ from .lattice import LatticeSpec, PlaneWaveBasis, require_integer
 
 #: Phases b on which :func:`aligned_fidelity_block` brackets its maximum.
 _PHASE_GRID = np.linspace(-math.pi, math.pi, 720, endpoint=False)
+#: e^(ib) on that grid, built once rather than on every call.
+_GRID_PHASORS = np.exp(1j * _PHASE_GRID)
 #: Newton steps that refine the grid's best b; from one grid spacing,
 #: quadratic convergence reaches rounding in about four.
 _NEWTON_STEPS = 8
@@ -142,7 +144,7 @@ def aligned_fidelity_block(
         # for anti-diagonal, c1 for diagonal); a then aligns the other.
         b = float(-np.angle(beta[0 if rt[1, 0] != 0 else 1]))
     else:
-        score = np.abs(alpha[:, None] + np.outer(beta, np.exp(1j * _PHASE_GRID)))
+        score = np.abs(alpha[:, None] + np.outer(beta, _GRID_PHASORS))
         b = b0 = float(_PHASE_GRID[np.argmax(score.sum(axis=0))])
         spacing = 2.0 * math.pi / len(_PHASE_GRID)
         # With u_j = beta_j e^(ib) = -i dc_j/db: |c|' = -Im(c* u)/|c| and
@@ -165,12 +167,6 @@ def aligned_fidelity_block(
     return float(abs(c0) + abs(c1)) / 2.0, float(np.angle(c0) - np.angle(c1)), b
 
 
-def rotation_block(seq: PulseSequence, obj: PulseObjective) -> np.ndarray:
-    """2x2 S/D block of the sequence operator in the objective's band frame."""
-    evolved = evolve_columns(obj.band_frame, seq, obj.quasimomentum, obj.spec, obj.basis)
-    return obj.band_frame.conj().T @ evolved
-
-
 def fidelity(seq: PulseSequence, obj: PulseObjective) -> float:
     """Coherent-overlap fidelity of a sequence against an objective.
 
@@ -178,11 +174,14 @@ def fidelity(seq: PulseSequence, obj: PulseObjective) -> float:
     invariant to eigenvector phase conventions.  The loading objective has a
     single pair, so its fidelity is a plain modulus.
     """
+    final = evolve_columns(obj.initial, seq, obj.quasimomentum, obj.spec, obj.basis)
     if obj.kind is ObjectiveKind.LOAD:
-        final = evolve_columns(obj.initial, seq, obj.quasimomentum, obj.spec, obj.basis)
         # A contiguous S column: np.vdot rounds a strided view differently.
         return float(abs(np.vdot(obj.band_frame[:, 0].copy(), final[:, 0])))
-    return aligned_fidelity_block(rotation_block(seq, obj), ROTATION_BLOCKS[obj.kind])[0]
+    # For rotations the initial states are the band frame, so this is the
+    # sequence operator's 2x2 S/D block in that frame.
+    block = obj.band_frame.conj().T @ final
+    return aligned_fidelity_block(block, ROTATION_BLOCKS[obj.kind])[0]
 
 
 def fidelity_report(seq: PulseSequence, obj: PulseObjective) -> dict:
@@ -201,9 +200,7 @@ def fidelity_report(seq: PulseSequence, obj: PulseObjective) -> dict:
         overlaps = [np.vdot(obj.band_frame[:, 0].copy(), final[:, 0])]
         eta = abs(overlaps[0])
     else:
-        # For rotations the initial states are the band frame, so this is
-        # rotation_block's block without evolving the frame a second time.
-        block = obj.band_frame.conj().T @ final
+        block = obj.band_frame.conj().T @ final  # as in :func:`fidelity`
         target = ROTATION_BLOCKS[obj.kind]
         eta, a, b = aligned_fidelity_block(block, target)
         gauge = np.exp(1j * np.add.outer([0.0, b], [0.0, a]))  # e^(i(b_k + a_j))

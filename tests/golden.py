@@ -53,7 +53,7 @@ def compute(root: Path) -> dict:
 
     def run(name, *argv) -> Path:
         out = root / name
-        code = main([*argv, "--config", str(config), "--threads", "1", "--out", str(out)])
+        code = main([*argv, "--config", str(config), "--out", str(out)])
         if code != EXIT_OK:
             raise RuntimeError(f"{name} exited {code}")
         return out

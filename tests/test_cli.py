@@ -119,14 +119,21 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("distribution", "boxcar"), ("geometry", "cubic"), ("shell_radius", 2.9),
-         ("threads", math.nan), ("threads", 2.5), ("threads", True)],
+        [("distribution", "boxcar"), ("geometry", "cubic"), ("shell_radius", 2.9)],
     )
     def test_fields_are_checked_on_construction(self, key, value):
-        # threads has no converter: its bound and integer check refuse it.
-        with pytest.raises(ValueError, match=f"bad config value for {key}|{key} must be finite"
-                                             f"|{key} must be an integer, got {value}"):
+        with pytest.raises(ValueError, match=f"bad config value for {key}"):
             RunConfig(**{key: value})
+
+    def test_fields_are_the_config_schema(self, tmp_path):
+        # RunConfig holds the config file's keys and nothing else: the
+        # thread count is a flag of ramsey and echo, not a config value.
+        out = tmp_path / "x"
+        assert main(["bands", "--samples", "2", "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        sections = ("lattice", "basis", "ensemble")
+        keys = {key for section in sections for key in _SCHEMA[section]}
+        assert set(manifest["config"]) == keys | {"optimizer", "rng_seed"}
 
     def test_optimizer_keys_load(self, tmp_path):
         p = tmp_path / "c.yaml"
@@ -817,7 +824,14 @@ class TestFringeCommands:
         assert code == EXIT_VALIDATION
         assert "dt" in capsys.readouterr().err
 
-    def test_short_span_exits_before_the_ensemble(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "t_max, message",
+        # 150 us spans one 88.8 us window; 270 us spans two, from which
+        # contrast_curve reads two contrasts and coherence_time fits none.
+        [("150", "two periods"), ("270", "need at least 3 contrast samples")],
+    )
+    def test_short_span_exits_before_the_ensemble(self, tmp_path, capsys, monkeypatch,
+                                                  t_max, message):
         from artifact import cli
 
         def never(*args, **kwargs):
@@ -825,11 +839,11 @@ class TestFringeCommands:
 
         monkeypatch.setattr(cli, "ensemble_fringe", never)
         out = tmp_path / "x"
-        code = main(["ramsey", "--pi2", "reference:pi2", "--t-max", "150",
+        code = main(["ramsey", "--pi2", "reference:pi2", "--t-max", t_max,
                      "--dt", "8", "--out", str(out)])
         assert code == EXIT_VALIDATION
-        assert "two periods" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -926,7 +940,17 @@ class TestFringeCommands:
         code = main(["ramsey", "--pi2", "ideal", "--single-q", "--t-max", "400",
                      "--dt", "4", "--threads", threads, "--out", str(out)])
         assert code == EXIT_VALIDATION
-        assert f"threads must be finite, with threads >= 1, got {threads}" in capsys.readouterr().err
+        assert f"--threads must be finite, with 0 < --threads, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_refused(self, tmp_path):
+        # rng_seed reaches only design's numbers, so a fringe command does
+        # not take --seed, which would change the run id and nothing else.
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["ramsey", "--pi2", "ideal", "--single-q", "--t-max", "400",
+                  "--dt", "4", "--seed", "1", "--out", str(out)])
+        assert exc.value.code == EXIT_VALIDATION
         assert not out.exists()
 
     def test_hold_above_the_step_bound_exits_2(self, tmp_path, capsys):
@@ -1217,6 +1241,22 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "artifact"),
       "concurrent.futures" in sys.modules)
 """
     assert _run_python(script).splitlines()[-1] == "['artifact', 'artifact.lattice'] False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["design", "--kind", "pi2", "--steps", "1"],
+     ["bands", "--samples", "2"],
+     ["eval", "--sequence", "reference:pi2", "--kind", "pi2"],
+     ["coherence", "--fringe", "f.csv", "--period", "88.8"]],
+)
+def test_threads_refused_where_no_pool_runs(tmp_path, argv):
+    # Only ramsey and echo run the quadrature pool.
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "2", "--out", str(out)])
+    assert exc.value.code == EXIT_VALIDATION
+    assert not out.exists()
 
 
 class TestManifest:

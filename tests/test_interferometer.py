@@ -51,7 +51,6 @@ from artifact.shortcut import (
     ROTATION_BLOCKS,
     aligned_fidelity_block,
     build_objective,
-    rotation_block,
 )
 
 
@@ -333,7 +332,8 @@ class TestLockedOperator:
         # fidelity: the dressing absorbs both reference phases.
         q = np.array([0.07, 0.12])
         obj = build_objective(ObjectiveKind.HALF_PI, spec, basis, q=q)
-        raw_block = rotation_block(REFERENCE_PI2, obj)
+        frame = obj.band_frame
+        raw_block = frame.conj().T @ evolve_columns(frame, REFERENCE_PI2, q, spec, basis)
         f_aligned, _, _ = aligned_fidelity_block(
             raw_block, ROTATION_BLOCKS[ObjectiveKind.HALF_PI]
         )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.dynamics import PulseSequence
+from artifact.dynamics import PulseSequence, evolve_columns
 from artifact.sequences import (
     REFERENCE_LOAD,
     REFERENCE_PI,
@@ -25,7 +25,6 @@ from artifact.shortcut import (
     fidelity,
     fidelity_report,
     optimize,
-    rotation_block,
 )
 
 TINY = OptimizerOptions(max_iters=5, restarts=1, rng_seed=0)
@@ -105,7 +104,9 @@ class TestFidelityProperties:
                 obj = objectives[kind]
                 aligned = fidelity(seq, obj)
                 target = ROTATION_BLOCKS[kind]
-                fixed = abs(np.trace(target.conj().T @ rotation_block(seq, obj))) / 2
+                frame = obj.band_frame
+                evolved = evolve_columns(frame, seq, obj.quasimomentum, obj.spec, obj.basis)
+                fixed = abs(np.trace(target.conj().T @ frame.conj().T @ evolved)) / 2
                 assert aligned >= fixed - 1e-12
 
 

@@ -80,9 +80,6 @@ EXIT_VALIDATION = 2
 EXIT_THRESHOLD = 3
 EXIT_NUMERICAL = 4
 
-class ValidationError(ValueError):
-    """Bad config, arguments, or input files."""
-
 
 def _real(value) -> float:
     """A number or numeric string; refuses booleans instead of reading them
@@ -125,21 +122,21 @@ def _schedule(value) -> list:
 def _read_yaml(path: str, what: str):
     """Load the YAML file at ``path``; ``what`` names it in the messages."""
     if not Path(path).is_file():
-        raise ValidationError(f"{what} not found: {path}")
+        raise ValueError(f"{what} not found: {path}")
     import yaml
 
     try:
         with open(path) as f:
             return yaml.safe_load(f)
     except yaml.YAMLError as exc:
-        raise ValidationError(f"{what} {path} is not valid YAML: {exc}") from exc
+        raise ValueError(f"{what} {path} is not valid YAML: {exc}") from exc
 
 
 def _convert(key: str, convert, value, what: str = "config"):
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"bad {what} value for {key}: {exc}") from exc
+        raise ValueError(f"bad {what} value for {key}: {exc}") from exc
 
 
 #: Config schema: each section's keys, each the :class:`RunConfig` field of the
@@ -185,10 +182,10 @@ def _mapping(data, known, where: str, what: str = "config") -> dict:
     """``data`` as a dict, refusing a non-mapping or any key outside
     ``known``, placed by ``where``."""
     if not isinstance(data, dict):
-        raise ValidationError(f"a {what} and each of its sections must be mappings")
+        raise ValueError(f"a {what} and each of its sections must be mappings")
     unknown = set(data) - set(known)
     if unknown:
-        raise ValidationError(
+        raise ValueError(
             f"unknown {what} key(s) {', '.join(sorted(map(str, unknown)))} "
             f"{where}; expected one of {', '.join(sorted(known))}"
         )
@@ -293,19 +290,9 @@ class RunWriter:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise ValidationError(
+            raise ValueError(
                 f"--out {out_dir}: cannot create the output directory ({exc.strerror})"
             ) from None
-
-    def header_lines(self, extra: dict | None = None) -> list[str]:
-        lines = [
-            f"# generated-by: artifact {__version__}",
-            f"# command: {self.command}",
-            f"# run_id: {self.run_id}",
-        ]
-        for k, v in (extra or {}).items():
-            lines.append(f"# {k}: {v}")
-        return lines
 
     def _write(self, name: str, text: str) -> Path:
         """Write output ``name`` as ``text`` and record the hash of its bytes."""
@@ -319,7 +306,10 @@ class RunWriter:
 
     def write_csv(self, name: str, columns: list[str], rows,
                   extra_header: dict | None = None) -> Path:
-        lines = self.header_lines(extra_header) + [",".join(columns)]
+        lines = [f"# generated-by: artifact {__version__}", f"# command: {self.command}",
+                 f"# run_id: {self.run_id}"]
+        lines += (f"# {k}: {v}" for k, v in (extra_header or {}).items())
+        lines.append(",".join(columns))
         lines += (",".join(_fmt(v) for v in row) for row in rows)
         return self._write(name, "\n".join(lines) + "\n")
 
@@ -388,26 +378,26 @@ def load_sequence(token: str) -> PulseSequence:
     try:
         return _parse_sequence(data)
     except ValueError as exc:
-        raise ValidationError(f"malformed sequence file {token}: {exc}") from exc
+        raise ValueError(f"malformed sequence file {token}: {exc}") from exc
 
 
 def _parse_sequence(data) -> PulseSequence:
     """A sequence from a loaded sequence file, through the schema tables."""
     if not isinstance(data, dict) or not isinstance(data.get("steps"), list):
-        raise ValidationError("expected a mapping with a list of steps")
+        raise ValueError("expected a mapping with a list of steps")
     _mapping(data, _SEQUENCE_KEYS, "at the top level", "sequence")
     steps = []
     for i, step in enumerate(data["steps"], 1):
         if not isinstance(step, dict):
-            raise ValidationError(f"step {i} is not a mapping")
+            raise ValueError(f"step {i} is not a mapping")
         fields = _fields(step, _STEP_KEYS, f"in step {i}", "sequence")
         missing = [key for key in _REQUIRED_STEP_KEYS if key not in step]
         if missing:
-            raise ValidationError(f"missing sequence key {missing[0]} in step {i}")
+            raise ValueError(f"missing sequence key {missing[0]} in step {i}")
         try:
             steps.append(PulseStep(**fields))
         except ValueError as exc:
-            raise ValidationError(f"bad sequence value in step {i}: {exc}") from exc
+            raise ValueError(f"bad sequence value in step {i}: {exc}") from exc
     return PulseSequence(tuple(steps))
 
 
@@ -440,13 +430,13 @@ def _waypoint(token: str, basis) -> np.ndarray:
         return named[t.upper()]
     parts = t.split(":")
     if len(parts) != 2:
-        raise ValidationError(
+        raise ValueError(
             f"waypoint {token!r} is neither G/M/K nor 'qx:qy' coordinates"
         )
     try:
         q = np.array([float(parts[0]), float(parts[1])])
     except ValueError as exc:
-        raise ValidationError(f"bad waypoint coordinates {token!r}") from exc
+        raise ValueError(f"bad waypoint coordinates {token!r}") from exc
     basis.check_reach(math.hypot(*q), f"waypoint {token!r}")  # hypot: no overflow
     return q
 
@@ -455,7 +445,7 @@ def cmd_bands(cfg: RunConfig, args, out_dir: Path) -> int:
     spec, basis = cfg.lattice, cfg.basis
     waypoints = [_waypoint(t, basis) for t in args.path.split(",")]
     if len(waypoints) < 2:
-        raise ValidationError("path needs at least two waypoints")
+        raise ValueError("path needs at least two waypoints")
     _require_positive("samples", args.samples, MAX_COUNT)
     writer = _start_run(
         "bands", cfg, out_dir, {"path": args.path, "samples": args.samples},
@@ -487,11 +477,11 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
     default_threshold = 0.93 if kind is ObjectiveKind.PI else 0.98
     threshold = args.threshold if args.threshold is not None else default_threshold
     if not math.isfinite(threshold):
-        raise ValidationError(f"--threshold must be finite, got {threshold}")
+        raise ValueError(f"--threshold must be finite, got {threshold}")
     _require_positive("steps", args.steps, MAX_COUNT)
     box = (args.depth_min, args.depth_max) if args.variable_amplitude else None
     if box and not 0 <= box[0] <= spec.depth <= box[1] < math.inf:
-        raise ValidationError(
+        raise ValueError(
             f"--depth-min and --depth-max must be finite, with 0 <= --depth-min "
             f"<= depth_Er {spec.depth:g} <= --depth-max, got {box[0]:g} and {box[1]:g}"
         )
@@ -560,8 +550,8 @@ def _require_positive(name: str, value: float | None, most: float = math.inf) ->
     which raises OverflowError on an integer count too large for a float."""
     if value is not None and not 0 < value <= min(most, sys.float_info.max):
         bound = "" if most == math.inf else f" <= {most:g}"
-        raise ValidationError(f"--{name} must be finite, with 0 < --{name}{bound}, "
-                              f"got {value}")
+        raise ValueError(f"--{name} must be finite, with 0 < --{name}{bound}, "
+                         f"got {value}")
 
 
 def _fringe_times(args, window: float) -> np.ndarray:
@@ -573,8 +563,8 @@ def _fringe_times(args, window: float) -> np.ndarray:
     _require_positive("t-max", args.t_max, MAX_STEP_US)
     _require_positive("contrast-window", args.contrast_window)
     if args.t_max / args.dt > MAX_HOLD_TIMES:
-        raise ValidationError(f"--t-max / --dt must give at most {MAX_HOLD_TIMES} "
-                              f"hold times, got {args.t_max:g} / {args.dt:g}")
+        raise ValueError(f"--t-max / --dt must give at most {MAX_HOLD_TIMES} "
+                         f"hold times, got {args.t_max:g} / {args.dt:g}")
     times = np.arange(0.0, args.t_max, args.dt)
     coherence_time(contrast_curve(FringeCurve(times, np.full(len(times), 0.5)), window))
     return times
@@ -613,12 +603,12 @@ def _sequence_files(*tokens) -> list:
 def _pulse_model(args, need_pi: bool):
     if args.pi2 == "ideal":
         if getattr(args, "pi", None) not in (None, "ideal"):
-            raise ValidationError("--pi2 ideal runs ideal pi pulses; drop --pi")
+            raise ValueError("--pi2 ideal runs ideal pi pulses; drop --pi")
         return IdealPulses()
     pi_seq = None
     if need_pi:
         if args.pi is None or args.pi == "ideal":
-            raise ValidationError(
+            raise ValueError(
                 "echo with sequence pulses needs --pi (mixing ideal and "
                 "sequence pulses is not supported)"
             )
@@ -675,7 +665,7 @@ def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
 def cmd_coherence(cfg: RunConfig, args, out_dir: Path) -> int:
     p = Path(args.fringe)
     if not p.is_file():
-        raise ValidationError(f"fringe CSV not found: {args.fringe}")
+        raise ValueError(f"fringe CSV not found: {args.fringe}")
     times, p_d = [], []
     with open(p) as f:
         for n, line in enumerate(f, 1):
@@ -685,11 +675,11 @@ def cmd_coherence(cfg: RunConfig, args, out_dir: Path) -> int:
             try:
                 t, v = map(float, line.split(","))
             except ValueError as exc:
-                raise ValidationError(f"fringe CSV {args.fringe} line {n}: {exc}") from None
+                raise ValueError(f"fringe CSV {args.fringe} line {n}: {exc}") from None
             times.append(t)
             p_d.append(v)
     if len(times) < 3:
-        raise ValidationError("fringe CSV holds fewer than 3 samples")
+        raise ValueError("fringe CSV holds fewer than 3 samples")
     fringe = FringeCurve(times=np.array(times), p_d=np.array(p_d))
     contrast = contrast_curve(fringe, args.period)
     coh = coherence_time(contrast)
@@ -770,7 +760,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = RunConfig.load(args.config, overrides={"rng_seed": getattr(args, "seed", None)})
         return args.run(cfg, args, Path(args.out))
-    except ValueError as exc:  # ValidationError included
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ArithmeticError as exc:

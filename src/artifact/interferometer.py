@@ -439,26 +439,29 @@ def _ensemble_sums(
     if np.any(np.diff(times) <= 0):
         raise ValueError("hold times must be strictly ascending")
     xs, ys = _grid_axes(ens, spec.geometry)
-    qs = [np.array([qx, qy]) for qx in xs for qy in ys]
     sigmas = np.array([ens.sigma_q])
     if ens.width_schedule:
         ts, ss = (np.array(col, dtype=float) for col in zip(*ens.width_schedule))
         sigmas = np.interp(times, ts, ss)
     wx, wy = _axis_weights(xs, sigmas), _axis_weights(ys, sigmas)
+    # The grid order, x outer and y inner: each node's q and weight rows.
+    nodes = [(np.array([qx, qy]), a, b) for qx, a in zip(xs, wx) for qy, b in zip(ys, wy)]
+    qs = [q for q, _, _ in nodes]
 
     def work(q):
         return _fringe_kernel(kind, pulses, times, q, spec, basis, n_echo, phase_scan)
 
     def average(results):
         sums = None
-        for w, parts in zip((a * b for a in wx for b in wy), results):
+        for (_, a, b), parts in zip(nodes, results):
+            w = a * b
             terms = [w * part for part in parts] + [w]
             sums = terms if sums is None else [s + t for s, t in zip(sums, terms)]
         *weighted, total = sums
         return [s / total for s in weighted]
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, len(qs), cpus or 1)
+    workers = min(threads, len(nodes), cpus or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return average(pool.map(work, qs))
@@ -523,29 +526,23 @@ def phase_scan_contrast(
 # Contrast and coherence extraction
 
 
-def check_sampling(dt: float, window: float) -> None:
-    """Require at least 8 hold-time samples per contrast window."""
-    if window / dt < 8.0 - 1e-9:
-        raise ValueError(
-            f"dt = {dt:g} us undersamples the {window} us contrast window: "
-            f"need dt <= window/8 = {window / 8.0:.3f} us"
-        )
-
-
-def check_span(times: np.ndarray, window: float) -> None:
-    """Require the hold times to span at least two contrast windows."""
-    if len(times) < 2 or times[-1] - times[0] < 2.0 * window:
-        raise ValueError("fringe must span at least two periods")
-
-
 def contrast_curve(fringe: FringeCurve, period: float) -> ContrastCurve:
-    """Per-period fringe contrast (max-min)/(max+min) in period windows."""
+    """Per-period fringe contrast (max-min)/(max+min) in period windows.
+
+    The hold times must span at least two periods, and their median step
+    must give at least 8 samples per period."""
     t = fringe.times
     p = fringe.p_d
     if not 0 < period < math.inf:
         raise ValueError(f"period must be finite, with period > 0, got {period}")
-    check_span(t, period)
-    check_sampling(float(np.median(np.diff(t))), period)
+    if len(t) < 2 or t[-1] - t[0] < 2.0 * period:
+        raise ValueError("fringe must span at least two periods")
+    dt = float(np.median(np.diff(t)))
+    if period / dt < 8.0 - 1e-9:
+        raise ValueError(
+            f"dt = {dt:g} us undersamples the {period} us contrast window: "
+            f"need dt <= window/8 = {period / 8.0:.3f} us"
+        )
     centers, values = [], []
     t0 = t[0]
     while t0 + period <= t[-1] + 1e-9:

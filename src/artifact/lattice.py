@@ -71,10 +71,6 @@ COUPLING_OFFSETS = {
 }
 
 
-class GeometryMismatchError(ValueError):
-    """An operation was asked for a geometry it does not support."""
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """Physical description of the optical lattice.
@@ -285,7 +281,7 @@ def hamiltonian_on(
     depth (used by variable-amplitude pulse steps).
     """
     if basis.geometry is not spec.geometry:
-        raise GeometryMismatchError("basis and spec geometries differ")
+        raise ValueError("basis and spec geometries differ")
     d = spec.depth if depth is None else depth
     q = np.asarray(q, dtype=float)
     return _assemble(basis, q, potential_fourier(spec, d))
@@ -327,7 +323,7 @@ def calibrate_fourier_coefficient(
 
     spec = LatticeSpec() if spec is None else spec
     if spec.geometry is not Geometry.TRIANGULAR_3BEAM:
-        raise GeometryMismatchError("calibration needs the triangular geometry")
+        raise ValueError("calibration needs the triangular geometry")
     basis = build_basis(spec)
     _, f_hz = recoil_energy(spec)
     target_gap = 1e6 / (period_us * f_hz)

@@ -4,7 +4,7 @@ A shortcut pulse sequence implements a target rotation between the S and D
 Bloch bands (or loads the S band from a free plane wave).  Its quality is the
 coherent-overlap fidelity
 
-    eta = |sum_pairs <psi_final | psi_target>| / n_pairs,
+    eta = |sum_pairs <psi_final | psi_target>| / (number of pairs),
 
 evaluated after propagating each initial state through the sequence.  Band
 eigenvectors are only defined up to a phase each, so the two reference
@@ -88,14 +88,10 @@ class PulseObjective:
     spec: LatticeSpec
     basis: PlaneWaveBasis
     quasimomentum: np.ndarray = field(repr=False, compare=False)
-    #: initial states as columns (n_basis, n_pairs).
+    #: initial states as columns (n_basis, pairs).
     initial: np.ndarray = field(repr=False, compare=False)
     #: S/D columns used to express the sequence's rotation block.
     band_frame: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def n_pairs(self) -> int:
-        return self.initial.shape[1]
 
 
 def build_objective(
@@ -194,7 +190,7 @@ def fidelity_report(seq: PulseSequence, obj: PulseObjective) -> dict:
     final = evolve_columns(obj.initial, seq, obj.quasimomentum, obj.spec, obj.basis)
     s_idx, d_idx = default_band_pair(obj.spec.geometry)
     energies, states = band_eig(obj.quasimomentum, obj.spec, obj.basis)
-    pops = np.abs(states.conj().T @ final) ** 2  # (n_bands, n_pairs)
+    pops = np.abs(states.conj().T @ final) ** 2  # (n_bands, pairs)
 
     if obj.kind is ObjectiveKind.LOAD:
         overlaps = [np.vdot(obj.band_frame[:, 0].copy(), final[:, 0])]

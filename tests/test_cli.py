@@ -323,6 +323,33 @@ class TestConfig:
         assert type(cfg.shell_radius) is int
         assert cfg.options.max_iters == 7
 
+    def test_config_env_var(self, tmp_path, monkeypatch):
+        env_config = tmp_path / "env.yaml"
+        env_config.write_text("lattice: {depth_Er: 4}\n")
+        flag_config = tmp_path / "flag.yaml"
+        flag_config.write_text("lattice: {depth_Er: 3}\n")
+
+        def bands(name, *flags):
+            out = tmp_path / name
+            assert main(["bands", "--samples", "2", "--out", str(out), *flags]) == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            return (out / "bands.csv").read_bytes(), manifest
+
+        monkeypatch.delenv("ARTIFACT_CONFIG", raising=False)
+        _, plain = bands("plain")
+        csv_by_flag, by_flag = bands("flag", "--config", str(env_config))
+        monkeypatch.setenv("ARTIFACT_CONFIG", str(env_config))
+        csv_by_env, by_env = bands("env")
+        _, overridden = bands("override", "--config", str(flag_config))
+
+        assert plain["run_id"] == "6127a121161d6108"
+        assert by_env["run_id"] == by_flag["run_id"] == "316c3c9cb675cc96"
+        assert csv_by_env == csv_by_flag
+        assert list(by_env["input_hashes"]) == [str(env_config)]
+        assert by_env["config"]["depth_Er"] == 4.0
+        assert list(overridden["input_hashes"]) == [str(flag_config)]
+        assert overridden["config"]["depth_Er"] == 3.0
+
 
 _SCHEMA = {
     "lattice": ["geometry", "wavelength_nm", "depth_Er", "atom_mass_kg"],

@@ -37,9 +37,9 @@ def objectives(spec, basis):
 
 class TestObjective:
     def test_pair_counts(self, objectives):
-        assert objectives[ObjectiveKind.HALF_PI].n_pairs == 2
-        assert objectives[ObjectiveKind.PI].n_pairs == 2
-        assert objectives[ObjectiveKind.LOAD].n_pairs == 1
+        assert objectives[ObjectiveKind.HALF_PI].initial.shape[1] == 2
+        assert objectives[ObjectiveKind.PI].initial.shape[1] == 2
+        assert objectives[ObjectiveKind.LOAD].initial.shape[1] == 1
 
     def test_band_frame_orthonormal(self, objectives):
         frame = objectives[ObjectiveKind.HALF_PI].band_frame

@@ -40,7 +40,7 @@ import numpy as np
 # PyYAML, hashlib and argparse are imported where they are used: importing
 # this module for its API, as the library and the benchmark do, loads none.
 from . import __version__
-from .dynamics import MAX_STEP_US, PulseSequence, PulseStep, solve_bands
+from .dynamics import MAX_STEP_US, PulseSequence, PulseStep, band_eig
 from .interferometer import (
     MAX_HOLD_TIMES,
     EnsembleSpec,
@@ -58,7 +58,6 @@ from .lattice import (
     LatticeSpec,
     build_basis,
     fringe_period_us,
-    hamiltonian_on,
     recoil_energy,
     reciprocal_primitives,
     sd_gap,
@@ -266,11 +265,14 @@ def _canonical_json(obj) -> str:
 
 
 class RunWriter:
-    """Collects outputs for one run and writes the manifest last."""
+    """Collects outputs for one run and writes the manifest last.
 
-    def __init__(
-        self, command: str, out_dir: Path, config: RunConfig, args: dict, inputs=()
-    ):
+    Construction creates the output directory, hashes the ``inputs`` files
+    (None skipped) into the run id, and, if ``derive``, records the derived
+    constants of the config's lattice and basis."""
+
+    def __init__(self, command: str, out_dir: Path, config: RunConfig, args: dict,
+                 inputs=(), derive: bool = True):
         import hashlib
 
         self.command = command
@@ -278,7 +280,7 @@ class RunWriter:
         self.config = config
         self.args = {k: v for k, v in args.items() if v is not None}
         self.inputs = {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
-                       for p in map(Path, inputs) if p.is_file()}
+                       for p in map(Path, filter(None, inputs)) if p.is_file()}
         self.outputs: dict[str, str] = {}
         self.derived: dict[str, float] = {}
         # The contents of the files read enter the run id when there are any.
@@ -293,6 +295,12 @@ class RunWriter:
             raise ValueError(
                 f"--out {out_dir}: cannot create the output directory ({exc.strerror})"
             ) from None
+        if derive:
+            self.derived.update(
+                recoil_frequency_Hz=recoil_energy(config.lattice)[1],
+                sd_gap_Er=sd_gap(config.lattice, config.basis),
+                fringe_period_us=fringe_period_us(config.lattice, config.basis),
+            )
 
     def _write(self, name: str, text: str) -> Path:
         """Write output ``name`` as ``text`` and record the hash of its bytes."""
@@ -348,20 +356,6 @@ def _fmt(v) -> str:
         # shortest string that round-trips to the same float64
         return repr(float(v))
     return str(v)
-
-
-def _start_run(command, cfg, out_dir, run_args, inputs, derive=True) -> RunWriter:
-    """Create the run's writer and output directory, hash the ``inputs``
-    files (None skipped) into the run id, and, if ``derive``, record the
-    derived constants of the config's lattice and basis."""
-    writer = RunWriter(command, out_dir, cfg, run_args, filter(None, inputs))
-    if derive:
-        writer.derived.update(
-            recoil_frequency_Hz=recoil_energy(cfg.lattice)[1],
-            sd_gap_Er=sd_gap(cfg.lattice, cfg.basis),
-            fringe_period_us=fringe_period_us(cfg.lattice, cfg.basis),
-        )
-    return writer
 
 
 # --------------------------------------------------------------------------
@@ -447,9 +441,8 @@ def cmd_bands(cfg: RunConfig, args, out_dir: Path) -> int:
     if len(waypoints) < 2:
         raise ValueError("path needs at least two waypoints")
     _require_positive("samples", args.samples, MAX_COUNT)
-    writer = _start_run(
-        "bands", cfg, out_dir, {"path": args.path, "samples": args.samples},
-        [args.config],
+    writer = RunWriter(
+        "bands", out_dir, cfg, {"path": args.path, "samples": args.samples}, [args.config]
     )
     points = []  # (path coordinate, q)
     coord = 0.0
@@ -462,7 +455,7 @@ def cmd_bands(cfg: RunConfig, args, out_dir: Path) -> int:
     n_bands = min(6, basis.size)
     rows = []
     for x, q in points:
-        energies, _ = solve_bands(hamiltonian_on(basis, spec, q))
+        energies, _ = band_eig(q, spec, basis)
         rows.append([x, q[0], q[1], *energies[:n_bands].tolist()])
     cols = ["path_coord", "q_x", "q_y"] + [f"E{i+1}_Er" for i in range(n_bands)]
     writer.write_csv("bands.csv", cols, rows)
@@ -493,7 +486,7 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
         "depth_max": box[1] if box else None,
         "threshold": threshold,
     }
-    writer = _start_run("design", cfg, out_dir, run_args, [args.config])
+    writer = RunWriter("design", out_dir, cfg, run_args, [args.config])
     result = design_sequence(kind, args.steps, spec, cfg.basis, cfg.options, box)
     provenance = (
         f"designed by artifact {__version__}, kind={args.kind}, "
@@ -522,8 +515,8 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
 
 def cmd_eval(cfg: RunConfig, args, out_dir: Path) -> int:
     seq = load_sequence(args.sequence)
-    writer = _start_run(
-        "eval", cfg, out_dir, {"sequence": args.sequence, "kind": args.kind},
+    writer = RunWriter(
+        "eval", out_dir, cfg, {"sequence": args.sequence, "kind": args.kind},
         [args.config, *_sequence_files(args.sequence)],
     )
     obj = build_objective(ObjectiveKind(args.kind), cfg.lattice, cfg.basis)
@@ -644,7 +637,7 @@ def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
         "no_phase_lock": (args.no_phase_lock and sequence_pulses) or None,
     }
     inputs = [args.config, *_sequence_files(args.pi2, run_args["pi"])]
-    writer = _start_run(kind.value, cfg, out_dir, run_args, inputs)
+    writer = RunWriter(kind.value, out_dir, cfg, run_args, inputs)
     fringe = ensemble_fringe(kind, model, times, ens, spec, basis,
                              n_echo=getattr(args, "n_echo", 2), threads=args.threads)
     contrast = contrast_curve(fringe, window)
@@ -683,8 +676,8 @@ def cmd_coherence(cfg: RunConfig, args, out_dir: Path) -> int:
     fringe = FringeCurve(times=np.array(times), p_d=np.array(p_d))
     contrast = contrast_curve(fringe, args.period)
     coh = coherence_time(contrast)
-    writer = _start_run(
-        "coherence", cfg, out_dir, {"fringe": args.fringe, "period": args.period},
+    writer = RunWriter(
+        "coherence", out_dir, cfg, {"fringe": args.fringe, "period": args.period},
         [args.fringe, args.config], derive=False,
     )
     _finish_coherence(writer, contrast, coh, args.period, "coherence: ")

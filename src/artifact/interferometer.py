@@ -12,14 +12,14 @@ The hold evolution uses the full multi-band lattice-on propagator.  Each
 pulse is built once per quasi-momentum in the S/D frame F = [S D] of
 :func:`artifact.dynamics.sd_frame` and applied only to the columns the fringe
 reads (:func:`_pulse`): an ideal rotation 1 + F (R - 1) F^dagger, R the 2x2
-target block, or a shortcut pulse sequence R.  Sequences are phase-locked by
-default, as Z_b R Z_a with Z_theta = 1 + (e^(i theta) - 1)|D><D| and (a, b)
-the per-band reference phases of the aligned fidelity frame
+target block, or a shortcut pulse sequence R, always applied as Z_b R Z_a
+with Z_theta = 1 + (e^(i theta) - 1)|D><D|.  Phase-locked (the default),
+(a, b) are the per-band reference phases of the aligned fidelity frame
 (:func:`artifact.shortcut.aligned_fidelity_block`), solved once from
-F^dagger R F.  The lock dresses each pulse with its aligned-frame phases,
-so that separately designed pulses compose as the ideal rotations they
-approximate; unlocked, the raw operators R compose as they are.  Both models
-are independent of the eigensolver's phase convention.
+F^dagger R F, so that separately designed pulses compose as the ideal
+rotations they approximate.  Unlocked is the zero lock (a, b) = (0, 0): the
+raw operators R compose as they are.  Both models are independent of the
+eigensolver's phase convention.
 
 Dephasing arises from averaging fringes over a Gaussian quasi-momentum
 distribution: the S-D gap varies with q, so ensemble fringes decay.  Two
@@ -78,8 +78,9 @@ class SequencePulses:
     ``phase_locked`` dresses each sequence operator with its aligned-frame
     phases (recomputed at every quasi-momentum), making the plain overlap
     fidelity equal the aligned fidelity and letting separately designed
-    pulses compose.  Disable to use the raw sequence operators; fringes are
-    independent of the eigenvector phase convention either way.
+    pulses compose.  Disable for the zero lock (a, b) = (0, 0), the raw
+    sequence operators; fringes are independent of the eigenvector phase
+    convention either way.
     """
 
     pi2: PulseSequence
@@ -228,33 +229,33 @@ def _pulse(
 ):
     """The model's pulse of the given kind at q, built in the S/D frame
     ``frame`` F, as the pair ``(apply, image)``: ``apply(cols, adjoint=False)``
-    applies the pulse or its adjoint to (n, k) columns, and ``image()`` returns
-    the pulse's image of F, on demand (the echo's pi pulse never needs it).
-    A locked sequence solves (a, b) once, from F^dagger R F, applies
-    Z_b R Z_a, or Z_(-a) R^dagger Z_(-b), and takes its image
-    Z_b [R S, e^(ia) R D] from the R F of that solve."""
+    applies the pulse or its adjoint to (n, k) columns, and ``image`` is the
+    pulse's image of F, an (n, 2) array.  A sequence R evolves F once and is
+    dressed as Z_b R Z_a, adjoint Z_(-a) R^dagger Z_(-b), with (a, b) solved
+    from F^dagger R F when phase-locked and (0, 0) unlocked; its image is
+    Z_b [R S, e^(ia) R D] from that R F."""
     if isinstance(pulses, IdealPulses):
         rot = ROTATION_BLOCKS[kind] - np.identity(2)
         def ideal(cols, adjoint=False):
             return cols + frame @ ((rot.T if adjoint else rot) @ (frame.conj().T @ cols))
-        return ideal, lambda: ideal(frame)
+        return ideal, ideal(frame)
     seq = pulses.pi2 if kind is ObjectiveKind.HALF_PI else pulses.pi
     evolve = functools.partial(evolve_columns, seq=seq, q=q, spec=spec, basis=basis)
-    if not pulses.phase_locked:
-        return evolve, lambda: evolve(frame)
     r_frame = evolve(frame)
-    _, a, b = aligned_fidelity_block(frame.conj().T @ r_frame, ROTATION_BLOCKS[kind])
+    a = b = 0.0
+    if pulses.phase_locked:
+        _, a, b = aligned_fidelity_block(frame.conj().T @ r_frame, ROTATION_BLOCKS[kind])
     d = frame[:, 1]
 
     def dress(cols, theta):  # Z_theta applied to cols
         return cols + np.outer(d, (np.exp(1j * theta) - 1.0) * (d.conj() @ cols))
 
-    def locked(cols, adjoint=False):
+    def apply(cols, adjoint=False):
         if adjoint:
             return dress(evolve(dress(cols, -b), adjoint=True), -a)
         return dress(evolve(dress(cols, a)), b)
 
-    return locked, lambda: dress(r_frame * np.array([1.0, np.exp(1j * a)]), b)
+    return apply, dress(r_frame * np.array([1.0, np.exp(1j * a)]), b)
 
 
 def _fringe_kernel(
@@ -279,8 +280,7 @@ def _fringe_kernel(
     energies, states = band_eig(q, spec, basis)
     frame = sd_frame(q, spec, basis)
     d = frame[:, 1]
-    pi2, pi2_image = _pulse(pulses, ObjectiveKind.HALF_PI, q, spec, basis, frame)
-    r_frame = pi2_image()
+    pi2, r_frame = _pulse(pulses, ObjectiveKind.HALF_PI, q, spec, basis, frame)
     r_adj_d = pi2(frame[:, 1:], adjoint=True)
     psi1 = states.conj().T @ r_frame[:, 0]
     wvec = (states.conj().T @ r_adj_d[:, 0]).conj()

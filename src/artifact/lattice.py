@@ -282,9 +282,8 @@ def hamiltonian_on(
     """
     if basis.geometry is not spec.geometry:
         raise ValueError("basis and spec geometries differ")
-    d = spec.depth if depth is None else depth
     q = np.asarray(q, dtype=float)
-    return _assemble(basis, q, potential_fourier(spec, d))
+    return _assemble(basis, q, potential_fourier(spec, depth))
 
 
 def sd_gap(spec: LatticeSpec, basis: PlaneWaveBasis) -> float:

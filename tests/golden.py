@@ -4,8 +4,9 @@ Each run goes through ``artifact.cli.main`` into a scratch directory, and its
 numbers are read back from the files it writes:
 
 * ``ramsey`` and ``echo`` on a 9x9 ensemble grid, with ideal and with the
-  shipped reference pulses, t < 600 us at dt 8: P_D at every fifth hold time,
-  the window contrasts, the 1/e crossing and the fitted tau;
+  shipped reference pulses, and an unlocked echo with the variable-depth pi,
+  t < 600 us at dt 8: P_D at every fifth hold time, the window contrasts, the
+  1/e crossing and the fitted tau;
 * ``bands`` energies at G, M and K;
 * ``eval`` of the four shipped sequences: fidelity and leakages;
 * ``design --kind pi2 --steps 5`` with 5 iterations and 1 restart: durations,
@@ -36,6 +37,8 @@ FRINGES = {
     "ramsey_reference": ["ramsey", "--pi2", "reference:pi2"],
     "echo_ideal": ["echo", "--pi2", "ideal"],
     "echo_reference": ["echo", "--pi2", "reference:pi2", "--pi", "reference:pi"],
+    "echo_unlocked": ["echo", "--pi2", "reference:pi2", "--pi", "reference:pi_variable",
+                      "--no-phase-lock"],
 }
 EVALS = {"pi2": "pi2", "load": "load", "pi": "pi", "pi_variable": "pi"}
 

@@ -12,6 +12,7 @@ from artifact.interferometer import (
     MAX_QUADRATURE,
     _ensemble_sums,
     _fringe_kernel,
+    _pulse,
     ContrastCurve,
     EnsembleSpec,
     FringeCurve,
@@ -342,6 +343,32 @@ class TestLockedOperator:
         target = ROTATION_BLOCKS[ObjectiveKind.HALF_PI]
         tr = np.trace(target.conj().T @ dressed) / 2.0
         assert abs(tr) == pytest.approx(f_aligned, abs=1e-9)
+
+
+class TestZeroLock:
+    """An unlocked sequence pulse is the zero lock Z_0 R Z_0, which is the raw
+    sequence operator R to the bit."""
+
+    Q = np.array([0.21, -0.08])
+
+    @pytest.mark.parametrize(
+        "seq, kind",
+        [(REFERENCE_PI2, ObjectiveKind.HALF_PI), (REFERENCE_PI_VARIABLE, ObjectiveKind.PI)],
+    )
+    def test_unlocked_pulse_is_the_raw_sequence(self, spec, basis, seq, kind):
+        q = self.Q
+        _, states = band_eig(q, spec, basis)
+        frame = sd_frame(q, spec, basis)
+        pulses = SequencePulses(seq, seq, phase_locked=False)
+        apply, image = _pulse(pulses, kind, q, spec, basis, frame)
+
+        def raw(cols, adjoint=False):
+            return evolve_columns(cols, seq, q, spec, basis, adjoint=adjoint)
+
+        assert np.array_equal(apply(states), raw(states))
+        d = frame[:, 1:]
+        assert np.array_equal(apply(d, adjoint=True), raw(d, adjoint=True))
+        assert np.array_equal(image, raw(frame))
 
 
 class TestPointwiseFringes:

@@ -60,6 +60,7 @@ from .lattice import (
     fringe_period_us,
     recoil_energy,
     reciprocal_primitives,
+    require_within,
     sd_gap,
 )
 from .sequences import REFERENCE_SEQUENCES
@@ -536,15 +537,11 @@ def cmd_eval(cfg: RunConfig, args, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _require_positive(name: str, value: float | None, most: float = math.inf) -> None:
+def _require_positive(name: str, value: float | None, most: float | None = None) -> None:
     """Refuse a given ``--name`` value outside (0, ``most``] (:data:`MAX_COUNT`
-    for a count), or not finite: capping ``most`` at the largest float refuses
-    inf when ``most`` is inf.  It compares rather than calls ``math.isfinite``,
-    which raises OverflowError on an integer count too large for a float."""
-    if value is not None and not 0 < value <= min(most, sys.float_info.max):
-        bound = "" if most == math.inf else f" <= {most:g}"
-        raise ValueError(f"--{name} must be finite, with 0 < --{name}{bound}, "
-                         f"got {value}")
+    for a count; no upper end when None) through :func:`require_within`."""
+    if value is not None:
+        require_within(f"--{name}", value, 0, most, above=True)
 
 
 def _fringe_times(args, window: float) -> np.ndarray:
@@ -661,10 +658,13 @@ def cmd_coherence(cfg: RunConfig, args, out_dir: Path) -> int:
         raise ValueError(f"fringe CSV not found: {args.fringe}")
     times, p_d = [], []
     with open(p) as f:
-        for n, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("t_us"):
-                continue
+        rows = ((n, line.strip()) for n, line in enumerate(f, 1))
+        rows = ((n, line) for n, line in rows if line and not line.startswith("#"))
+        n, line = next(rows, (1, ""))  # the column line comes first
+        if line != "t_us,p_d":
+            raise ValueError(f"fringe CSV {args.fringe} line {n}: expected the column "
+                             f"line t_us,p_d, got {line!r}")
+        for n, line in rows:
             try:
                 t, v = map(float, line.split(","))
             except ValueError as exc:

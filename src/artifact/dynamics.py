@@ -16,7 +16,6 @@ first within each step.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .lattice import (
     PlaneWaveBasis,
     angular_frequency_per_Er,
     hamiltonian_on,
-    require_integer,
+    require_within,
 )
 
 #: Near-degeneracy threshold (E_r) for the D-band selection rule.
@@ -62,13 +61,10 @@ class PulseStep:
     depth: float | None = None  # E_r; None = use the spec's depth
 
     def __post_init__(self) -> None:
-        # Each range is one comparison, which NaN and +-inf fail by themselves.
-        for name, value in (("t_on", self.t_on), ("t_off", self.t_off)):
-            if not 0 <= value <= MAX_STEP_US:
-                raise ValueError(f"{name} must be finite, with 0 <= {name} <= "
-                                 f"{MAX_STEP_US:g} us, got {value}")
-        if self.depth is not None and not 0 <= self.depth < math.inf:
-            raise ValueError(f"depth must be finite, with depth >= 0, got {self.depth}")
+        require_within("t_on", self.t_on, 0, MAX_STEP_US, unit=" us")
+        require_within("t_off", self.t_off, 0, MAX_STEP_US, unit=" us")
+        if self.depth is not None:
+            require_within("depth", self.depth, 0)
 
 
 @dataclass(frozen=True)
@@ -173,9 +169,7 @@ def bloch_state(
     so this is the physically reachable partner.  At the package's band-gap
     convention the triangular D-band is isolated and the rule is dormant.
     """
-    if not (1 <= band_index <= basis.size):
-        raise ValueError("band index out of range")
-    require_integer("band_index", band_index)
+    require_within("band_index", band_index, 1, basis.size, integer=True)
     energies, states = band_eig(q, spec, basis)
     i = band_index - 1
     if (

@@ -48,7 +48,7 @@ from .lattice import (
     PlaneWaveBasis,
     angular_frequency_per_Er,
     bisect_root,
-    require_integer,
+    require_within,
 )
 from .shortcut import MAX_COUNT, ROTATION_BLOCKS, ObjectiveKind, aligned_fidelity_block
 
@@ -102,12 +102,8 @@ class EnsembleSpec:
     width_schedule: tuple = ()
 
     def __post_init__(self) -> None:
-        if not 0 <= self.sigma_q < math.inf:
-            raise ValueError(f"sigma_q must be finite, with sigma_q >= 0, got {self.sigma_q}")
-        if not 1 <= self.quadrature <= MAX_QUADRATURE:
-            raise ValueError(f"quadrature must be finite, with 1 <= quadrature <= "
-                             f"{MAX_QUADRATURE}, got {self.quadrature}")
-        require_integer("quadrature", self.quadrature)
+        require_within("sigma_q", self.sigma_q, 0)
+        require_within("quadrature", self.quadrature, 1, MAX_QUADRATURE, integer=True)
         if self.quadrature % 2 == 0:
             raise ValueError("quadrature must be odd so q = 0 is a node")
         if self.sigma_q > 0 and self.quadrature < 5:
@@ -334,10 +330,7 @@ def _check_run(
     if not np.all((times >= 0.0) & (times <= MAX_STEP_US)):
         raise ValueError(f"hold times must lie in [0, {MAX_STEP_US:g}] us")
     if kind is FringeKind.ECHO:
-        if not 1 <= n_echo <= MAX_COUNT:
-            raise ValueError(f"n_echo must be finite, with 1 <= n_echo <= {MAX_COUNT}, "
-                             f"got {n_echo}")
-        require_integer("n_echo", n_echo)
+        require_within("n_echo", n_echo, 1, MAX_COUNT, integer=True)
         if isinstance(model, SequencePulses) and model.pi is None:
             raise ValueError("echo requires a pi sequence")
 
@@ -430,9 +423,7 @@ def _ensemble_sums(
     the grid, and the result is the same to the bit across thread counts.
     The pool starts at most one thread per q and per CPU, whatever ``threads``.
     """
-    if not 1 <= threads < math.inf:
-        raise ValueError(f"threads must be finite, with threads >= 1, got {threads}")
-    require_integer("threads", threads)
+    require_within("threads", threads, 1, integer=True)
     pulses = _as_pulse_model(pulses)
     _check_run(kind, pulses, times, n_echo)
     check_reach(ens, basis)
@@ -533,8 +524,7 @@ def contrast_curve(fringe: FringeCurve, period: float) -> ContrastCurve:
     must give at least 8 samples per period."""
     t = fringe.times
     p = fringe.p_d
-    if not 0 < period < math.inf:
-        raise ValueError(f"period must be finite, with period > 0, got {period}")
+    require_within("period", period, 0, above=True)
     if len(t) < 2 or t[-1] - t[0] < 2.0 * period:
         raise ValueError("fringe must span at least two periods")
     dt = float(np.median(np.diff(t)))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,11 +94,9 @@ class LatticeSpec:
     atom_mass: float = MASS_RB87
 
     def __post_init__(self) -> None:
-        for name, value in (("wavelength", self.wavelength), ("atom_mass", self.atom_mass)):
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite, with {name} > 0, got {value}")
-        if not 0 <= self.depth < math.inf:
-            raise ValueError(f"depth must be finite, with depth >= 0, got {self.depth}")
+        require_within("wavelength", self.wavelength, 0, above=True)
+        require_within("atom_mass", self.atom_mass, 0, above=True)
+        require_within("depth", self.depth, 0)
 
 
 def wavenumber(spec: LatticeSpec) -> float:
@@ -198,11 +197,21 @@ class PlaneWaveBasis:
                              f"|G| = {reach:.6g} k, got |q| = {q_norm:.6g} k")
 
 
-def require_integer(name: str, value) -> None:
-    """Refuse a count or seed ``value`` that is not an integer: a float, even
-    a whole one, would fail later in ``range`` or the RNG with TypeError, and
-    a bool, which ``numbers.Integral`` includes, is a flag, not a count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+def require_within(name: str, value, lo, hi=None, *, above: bool = False,
+                   integer: bool = False, unit: str = "") -> None:
+    """Refuse ``value`` outside [lo, hi], or (lo, hi] when ``above``, saying
+    ``{name} must be finite, with {bound}, got {value}``; then, with
+    ``integer``, refuse a bool (a flag) or a non-``Integral`` count (a float
+    fails later in ``range`` or the RNG).  With no ``hi`` the upper end is the
+    largest float, so NaN, +-inf and integers too large for a float fail the
+    range too.  Pass ``lo`` as an int, so that the bound reads ``>= 0``."""
+    top = sys.float_info.max if hi is None else hi
+    if not (lo < value <= top if above else lo <= value <= top):
+        eq = "" if above else "="
+        bound = (f"{name} >{eq} {lo}" if hi is None
+                 else f"{lo} <{eq} {name} <= {hi:g}{unit}")
+        raise ValueError(f"{name} must be finite, with {bound}, got {value}")
+    if integer and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value}")
 
 
@@ -211,10 +220,7 @@ def build_basis(spec: LatticeSpec, shell_radius: int = 5) -> PlaneWaveBasis:
 
     Size is (2N+1)^2 for the triangular lattice and 2N+1 for the 1D one.
     """
-    if not 1 <= shell_radius <= MAX_SHELL_RADIUS:
-        raise ValueError(f"shell_radius must be finite, with 1 <= shell_radius <= "
-                         f"{MAX_SHELL_RADIUS}, got {shell_radius}")
-    require_integer("shell_radius", shell_radius)
+    require_within("shell_radius", shell_radius, 1, MAX_SHELL_RADIUS, integer=True)
     n = shell_radius
     if spec.geometry is Geometry.TRIANGULAR_3BEAM:
         sites = tuple(
@@ -244,8 +250,7 @@ def potential_fourier(spec: LatticeSpec, depth: float | None = None) -> dict:
     phase, so phase-locked echo fringes change if the term is dropped.
     """
     d = spec.depth if depth is None else depth
-    if not 0 <= d < math.inf:
-        raise ValueError(f"depth must be finite, with depth >= 0, got {d}")
+    require_within("depth", d, 0)
     if d == 0:
         return {}
     if spec.geometry is Geometry.TRIANGULAR_3BEAM:

@@ -39,7 +39,7 @@ from .dynamics import (
     evolve_columns,
     sd_frame,
 )
-from .lattice import LatticeSpec, PlaneWaveBasis, require_integer
+from .lattice import LatticeSpec, PlaneWaveBasis, require_within
 
 #: Phases b on which :func:`aligned_fidelity_block` brackets its maximum.
 _PHASE_GRID = np.linspace(-math.pi, math.pi, 720, endpoint=False)
@@ -231,19 +231,12 @@ class OptimizerOptions:
     off_max: float = 40.0
 
     def __post_init__(self) -> None:
-        for name, value in (("grid_quantum", self.grid_quantum), ("rng_seed", self.rng_seed)):
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite, with {name} >= 0, got {value}")
-        for name, value in (("max_iters", self.max_iters), ("restarts", self.restarts)):
-            if not 1 <= value <= MAX_COUNT:
-                raise ValueError(f"{name} must be finite, with 1 <= {name} <= {MAX_COUNT}, "
-                                 f"got {value}")
-        for name in ("max_iters", "restarts", "rng_seed"):
-            require_integer(name, getattr(self, name))
-        for name, value in (("on_max", self.on_max), ("off_max", self.off_max)):
-            if not 0 <= value <= MAX_STEP_US:
-                raise ValueError(f"{name} must be finite, with 0 <= {name} <= "
-                                 f"{MAX_STEP_US:g} us, got {value}")
+        require_within("grid_quantum", self.grid_quantum, 0)
+        require_within("rng_seed", self.rng_seed, 0, integer=True)
+        require_within("max_iters", self.max_iters, 1, MAX_COUNT, integer=True)
+        require_within("restarts", self.restarts, 1, MAX_COUNT, integer=True)
+        require_within("on_max", self.on_max, 0, MAX_STEP_US, unit=" us")
+        require_within("off_max", self.off_max, 0, MAX_STEP_US, unit=" us")
 
 
 @dataclass(frozen=True)

@@ -287,9 +287,9 @@ class TestConfig:
              f"quadrature must be finite, with 1 <= quadrature <= {MAX_QUADRATURE}, "
              f"got {MAX_QUADRATURE + 2}"),
             (f"optimizer: {{restarts: {MAX_COUNT + 1}}}",
-             f"restarts must be finite, with 1 <= restarts <= {MAX_COUNT}, got {MAX_COUNT + 1}"),
+             f"restarts must be finite, with 1 <= restarts <= {MAX_COUNT:g}, got {MAX_COUNT + 1}"),
             (f"optimizer: {{max_iters: {MAX_COUNT + 1}}}",
-             f"max_iters must be finite, with 1 <= max_iters <= {MAX_COUNT}, "
+             f"max_iters must be finite, with 1 <= max_iters <= {MAX_COUNT:g}, "
              f"got {MAX_COUNT + 1}"),
         ],
     )
@@ -884,7 +884,8 @@ class TestFringeCommands:
                     + [token for item in args.items() for token in item]
                     + ["--out", str(tmp_path / "x")])
         assert code == EXIT_VALIDATION
-        assert f"{flag} must be finite, with 0 < {flag}" in capsys.readouterr().err
+        bound = f"0 < {flag}" if flag == "--t-max" else f"{flag} > 0"
+        assert f"{flag} must be finite, with {bound}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_echo_zero_pulses_exits_2(self, tmp_path, capsys):
@@ -967,7 +968,7 @@ class TestFringeCommands:
         code = main(["ramsey", "--pi2", "ideal", "--single-q", "--t-max", "400",
                      "--dt", "4", "--threads", threads, "--out", str(out)])
         assert code == EXIT_VALIDATION
-        assert f"--threads must be finite, with 0 < --threads, got {threads}" in capsys.readouterr().err
+        assert f"--threads must be finite, with --threads > 0, got {threads}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_refused(self, tmp_path):
@@ -1140,6 +1141,33 @@ class TestCoherenceCommand:
                      "--out", str(out)])
         assert code == EXIT_VALIDATION
         assert f"fringe CSV {fringe} line 4: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_contrast_csv_exits_2(self, tmp_path, capsys):
+        """A run's contrast.csv has two numeric columns too, but its column
+        line is t_us,contrast: it is refused, not analysed as a fringe."""
+        run = tmp_path / "run"
+        assert main(["ramsey", "--pi2", "ideal", "--single-q", "--t-max", "8000",
+                     "--dt", "8", "--out", str(run)]) == EXIT_OK
+        contrast = run / "contrast.csv"
+        n = 1 + [line.startswith("#") for line in contrast.read_text().splitlines()].index(False)
+        out = tmp_path / "x"
+        code = main(["coherence", "--fringe", str(contrast), "--period", "720",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert (f"fringe CSV {contrast} line {n}: expected the column line t_us,p_d, "
+                "got 't_us,contrast'" in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_no_column_line_exits_2(self, tmp_path, capsys):
+        fringe = self._fringe_csv(tmp_path / "f.csv")
+        fringe.write_text("# a fringe\n\n" + fringe.read_text().split("\n", 1)[1])
+        out = tmp_path / "x"
+        code = main(["coherence", "--fringe", str(fringe), "--period", "88.8",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert (f"fringe CSV {fringe} line 3: expected the column line t_us,p_d, "
+                "got '0.0,1.0'" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_fewer_than_3_samples_exits_2(self, tmp_path, capsys):

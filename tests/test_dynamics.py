@@ -195,6 +195,13 @@ class TestBlochState:
             with pytest.raises(ValueError, match=f"band_index must be an integer, got {band}"):
                 bloch_state(band, np.zeros(2), spec, basis)
 
+    @pytest.mark.parametrize("band", [0, 122, math.nan])
+    def test_band_index_range_message(self, spec, basis, band):
+        assert basis.size == 121
+        message = f"band_index must be finite, with 1 <= band_index <= 121, got {band}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bloch_state(band, np.zeros(2), spec, basis)
+
     def test_ground_band_dominated_by_g0(self, spec, basis):
         st = bloch_state(1, np.zeros(2), spec, basis)
         i0 = basis.index[(0, 0)]

@@ -1,9 +1,14 @@
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from artifact.dynamics import MAX_STEP_US, PulseStep
+from artifact.interferometer import MAX_QUADRATURE, EnsembleSpec
 from artifact.lattice import (
     Geometry,
     LatticeSpec,
@@ -20,6 +25,7 @@ from artifact.lattice import (
     sd_gap,
     wavenumber,
 )
+from artifact.shortcut import MAX_COUNT, OptimizerOptions
 
 
 class TestConstants:
@@ -310,3 +316,73 @@ class TestGapAndCalibration:
     def test_calibration_refuses_a_bracket_without_a_root(self, period_us):
         with pytest.raises(ValueError, match="for no c in"):
             calibrate_fourier_coefficient(period_us=period_us)
+
+
+#: Every bounded scalar of the library, by where it lives: (field, constructor
+#: of the value, lower end, upper end or None, whether the lower end is excluded).
+BOUNDED_FIELDS = {
+    "LatticeSpec.wavelength": ("wavelength", lambda v: LatticeSpec(wavelength=v), 0, None, True),
+    "LatticeSpec.atom_mass": ("atom_mass", lambda v: LatticeSpec(atom_mass=v), 0, None, True),
+    "LatticeSpec.depth": ("depth", lambda v: LatticeSpec(depth=v), 0, None, False),
+    "build_basis.shell_radius": ("shell_radius", lambda v: build_basis(LatticeSpec(), v),
+                                 1, MAX_SHELL_RADIUS, False),
+    "PulseStep.t_on": ("t_on", lambda v: PulseStep(v, 0.0), 0, MAX_STEP_US, False),
+    "PulseStep.t_off": ("t_off", lambda v: PulseStep(0.0, v), 0, MAX_STEP_US, False),
+    "PulseStep.depth": ("depth", lambda v: PulseStep(1.0, 1.0, v), 0, None, False),
+    "EnsembleSpec.sigma_q": ("sigma_q", lambda v: EnsembleSpec(sigma_q=v), 0, None, False),
+    "EnsembleSpec.quadrature": ("quadrature", lambda v: EnsembleSpec(quadrature=v),
+                                1, MAX_QUADRATURE, False),
+    "OptimizerOptions.grid_quantum": ("grid_quantum", lambda v: OptimizerOptions(grid_quantum=v),
+                                      0, None, False),
+    "OptimizerOptions.rng_seed": ("rng_seed", lambda v: OptimizerOptions(rng_seed=v),
+                                  0, None, False),
+    "OptimizerOptions.max_iters": ("max_iters", lambda v: OptimizerOptions(max_iters=v),
+                                   1, MAX_COUNT, False),
+    "OptimizerOptions.restarts": ("restarts", lambda v: OptimizerOptions(restarts=v),
+                                  1, MAX_COUNT, False),
+    "OptimizerOptions.on_max": ("on_max", lambda v: OptimizerOptions(on_max=v),
+                                0, MAX_STEP_US, False),
+    "OptimizerOptions.off_max": ("off_max", lambda v: OptimizerOptions(off_max=v),
+                                 0, MAX_STEP_US, False),
+}
+#: The fields that are counts or seeds: a bool or a float is refused.
+INTEGER_FIELDS = {"shell_radius", "quadrature", "rng_seed", "max_iters", "restarts"}
+#: EnsembleSpec's quadrature rules besides its range.
+QUADRATURE_RULES = ("quadrature must be odd", "quadrature grid < 5")
+
+
+def _boundary_values(lo, hi):
+    """The values that probe a bound: signs, non-finite floats, a float and an
+    integer beyond the largest float, a bool, a fraction, and each end of the
+    range with its integer and float neighbours."""
+    values = [0, -1, math.nan, math.inf, -math.inf, 1e308, 10**400, True, 2.5]
+    for end in (lo,) if hi is None else (lo, hi):
+        values += [end - 1, end, end + 1,
+                   math.nextafter(end, -math.inf), math.nextafter(end, math.inf)]
+    return values
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=st.sampled_from(sorted(BOUNDED_FIELDS)).flatmap(lambda where: st.tuples(
+    st.just(where), st.sampled_from(_boundary_values(*BOUNDED_FIELDS[where][2:4])))))
+@example(case=("LatticeSpec.depth", 10**400))
+@example(case=("EnsembleSpec.sigma_q", 10**400))
+@example(case=("OptimizerOptions.grid_quantum", 10**400))
+def test_every_bound_refuses_in_one_form(case):
+    """Each bounded field, at each boundary value, constructs when the value
+    lies in its range (and is an integer, for a count), and otherwise raises
+    ValueError in the one form of a bound or of the integer rule: never
+    TypeError or OverflowError, and never with a value too large for a float."""
+    where, value = case
+    name, construct, lo, hi, above = BOUNDED_FIELDS[where]
+    top = sys.float_info.max if hi is None else hi
+    inside = (lo < value <= top) if above else (lo <= value <= top)
+    if name in INTEGER_FIELDS:
+        inside = inside and isinstance(value, int) and not isinstance(value, bool)
+    try:
+        construct(value)
+    except ValueError as exc:
+        forms = (f"{name} must be finite, with ", f"{name} must be an integer, got ")
+        assert str(exc).startswith(QUADRATURE_RULES if inside else forms), exc
+    else:
+        assert inside

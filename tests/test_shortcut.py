@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -239,8 +240,9 @@ class TestOptimize:
 
     @pytest.mark.parametrize(
         "name, value, message",
-        [(name, MAX_COUNT + 1, f"{name} must be finite, with 1 <= {name} <= {MAX_COUNT}, "
-                               f"got {MAX_COUNT + 1}") for name in ("max_iters", "restarts")]
+        [(name, MAX_COUNT + 1, re.escape(f"{name} must be finite, with 1 <= {name} <= "
+                                         f"{MAX_COUNT:g}, got {MAX_COUNT + 1}"))
+         for name in ("max_iters", "restarts")]
         # A float count or seed, whole or not, fails later in range() or the
         # RNG; a bool is a flag, though numbers.Integral includes it.
         + [(name, value, f"{name} must be an integer, got {value}")

@@ -48,7 +48,6 @@ from .interferometer import (
     FringeKind,
     IdealPulses,
     SequencePulses,
-    check_reach,
     coherence_time,
     contrast_curve,
     ensemble_fringe,
@@ -121,7 +120,7 @@ def _schedule(value) -> list:
 
 def _read_yaml(path: str, what: str):
     """Load the YAML file at ``path``; ``what`` names it in the messages."""
-    if not Path(path).is_file():
+    if not os.path.isfile(path):  # False, not OSError, for a name too long
         raise ValueError(f"{what} not found: {path}")
     import yaml
 
@@ -268,9 +267,10 @@ def _canonical_json(obj) -> str:
 class RunWriter:
     """Collects outputs for one run and writes the manifest last.
 
-    Construction creates the output directory, hashes the ``inputs`` files
-    (None skipped) into the run id, and, if ``derive``, records the derived
-    constants of the config's lattice and basis."""
+    Construction hashes the ``inputs`` files (None skipped) into the run id
+    and, if ``derive``, records the derived constants of the config's lattice
+    and basis.  The output directory is made at the first write, so a run
+    refused or failed before it has any output leaves no directory."""
 
     def __init__(self, command: str, out_dir: Path, config: RunConfig, args: dict,
                  inputs=(), derive: bool = True):
@@ -290,12 +290,6 @@ class RunWriter:
             snapshot["inputs"] = sorted(self.inputs.values())
         self.run_id = hashlib.sha256(_canonical_json(snapshot).encode()).hexdigest()[:16]
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ValueError(
-                f"--out {out_dir}: cannot create the output directory ({exc.strerror})"
-            ) from None
         if derive:
             self.derived.update(
                 recoil_frequency_Hz=recoil_energy(config.lattice)[1],
@@ -304,9 +298,16 @@ class RunWriter:
             )
 
     def _write(self, name: str, text: str) -> Path:
-        """Write output ``name`` as ``text`` and record the hash of its bytes."""
+        """Write output ``name`` as ``text``, making the output directory if
+        need be, and record the hash of its bytes."""
         import hashlib
 
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(
+                f"--out {self.out_dir}: cannot create the output directory ({exc.strerror})"
+            ) from None
         data = text.encode()
         path = self.out_dir / name
         path.write_bytes(data)
@@ -331,7 +332,8 @@ class RunWriter:
         return self._write(name, _json_text(data))
 
     def finish(self) -> Path:
-        manifest = {
+        """Write ``manifest.json``, listing the outputs written before it."""
+        manifest = _json_text({
             "run_id": self.run_id,
             "command": self.command,
             "code_version": __version__,
@@ -342,10 +344,8 @@ class RunWriter:
             "input_hashes": self.inputs,
             "derived_constants": self.derived,
             "outputs": self.outputs,
-        }
-        path = self.out_dir / "manifest.json"
-        path.write_text(_json_text(manifest))
-        return path
+        })
+        return self._write("manifest.json", manifest)
 
 
 def _json_text(data: dict) -> str:
@@ -618,7 +618,6 @@ def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
     _require_positive("n-echo", getattr(args, "n_echo", None), MAX_COUNT)
     model = _pulse_model(args, kind is FringeKind.ECHO)
     ens = EnsembleSpec(sigma_q=0.0) if args.single_q else cfg.ensemble
-    check_reach(ens, basis)
     sequence_pulses = isinstance(model, SequencePulses)
     # Every flag that changes the outputs enters the run id; a flag the
     # pulse model ignores stays out (None values are dropped).
@@ -653,11 +652,10 @@ def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def cmd_coherence(cfg: RunConfig, args, out_dir: Path) -> int:
-    p = Path(args.fringe)
-    if not p.is_file():
+    if not os.path.isfile(args.fringe):
         raise ValueError(f"fringe CSV not found: {args.fringe}")
     times, p_d = [], []
-    with open(p) as f:
+    with open(args.fringe) as f:
         rows = ((n, line.strip()) for n, line in enumerate(f, 1))
         rows = ((n, line) for n, line in rows if line and not line.startswith("#"))
         n, line = next(rows, (1, ""))  # the column line comes first

@@ -375,12 +375,13 @@ def echo_pd(
 
 
 def check_reach(ens: EnsembleSpec, basis: PlaneWaveBasis) -> None:
-    """Refuse an ensemble whose farthest quadrature node, 3 sigma_q out on
-    each axis of :func:`_grid_axes` (so 3 sqrt(2) sigma_q on the 2-D grid),
-    lies beyond the basis's largest |G|."""
-    axes = 1 if basis.geometry is Geometry.STANDING_WAVE_1D else 2
-    farthest = 3.0 * math.sqrt(axes) * float(ens.sigma_q)
-    basis.check_reach(farthest, "the ensemble's farthest quadrature node")
+    """Refuse an ensemble whose farthest quadrature node, the last of
+    :func:`_grid_axes` (3 sqrt(2) sigma_q out on the 2-D grid), lies beyond
+    the basis's largest |G|.  A huge sigma_q overflows the grid's spacing,
+    but ``linspace`` sets that last node exactly."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ys = _grid_axes(ens, basis.geometry)
+    basis.check_reach(math.hypot(xs[-1], ys[-1]), "the ensemble's farthest quadrature node")
 
 
 def _grid_axes(ens: EnsembleSpec, geometry: Geometry):

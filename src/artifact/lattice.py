@@ -200,19 +200,20 @@ class PlaneWaveBasis:
 def require_within(name: str, value, lo, hi=None, *, above: bool = False,
                    integer: bool = False, unit: str = "") -> None:
     """Refuse ``value`` outside [lo, hi], or (lo, hi] when ``above``, saying
-    ``{name} must be finite, with {bound}, got {value}``; then, with
-    ``integer``, refuse a bool (a flag) or a non-``Integral`` count (a float
-    fails later in ``range`` or the RNG).  With no ``hi`` the upper end is the
-    largest float, so NaN, +-inf and integers too large for a float fail the
-    range too.  Pass ``lo`` as an int, so that the bound reads ``>= 0``."""
+    ``{name} must be finite, with {bound}, got {value}``; then refuse a bool
+    (a flag) as not a number, and with ``integer`` also a non-``Integral``
+    count (a float fails later in ``range`` or the RNG).  With no ``hi`` the
+    upper end is the largest float, so NaN, +-inf and integers too large for a
+    float fail the range too.  Pass ``lo`` as an int, so that the bound reads
+    ``>= 0``."""
     top = sys.float_info.max if hi is None else hi
     if not (lo < value <= top if above else lo <= value <= top):
         eq = "" if above else "="
         bound = (f"{name} >{eq} {lo}" if hi is None
                  else f"{lo} <{eq} {name} <= {hi:g}{unit}")
         raise ValueError(f"{name} must be finite, with {bound}, got {value}")
-    if integer and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-        raise ValueError(f"{name} must be an integer, got {value}")
+    if isinstance(value, bool) or integer and not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value}")
 
 
 def build_basis(spec: LatticeSpec, shell_radius: int = 5) -> PlaneWaveBasis:

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import hashlib
+import io
 import importlib
 import json
 import math
@@ -7,13 +9,14 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from artifact import shortcut
@@ -801,10 +804,12 @@ class TestDesign:
         monkeypatch.setattr(shortcut, "fidelity", lambda seq, obj: math.nan)
         cfgp = tmp_path / "tiny.yaml"
         cfgp.write_text("optimizer:\n  max_iters: 1\n  restarts: 1\n")
+        out = tmp_path / "run"
         code = main(["design", "--kind", "pi2", "--steps", "1",
-                     "--config", str(cfgp), "--out", str(tmp_path / "run")])
+                     "--config", str(cfgp), "--out", str(out)])
         assert code == EXIT_NUMERICAL
         assert "numerical failure: non-finite fidelity" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_designed_sequence_evaluates(self, tmp_path):
         cfgp = tmp_path / "tiny.yaml"
@@ -1001,11 +1006,13 @@ class TestFringeCommands:
         assert f"--t-max / --dt must give at most {MAX_HOLD_TIMES} hold times" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("fwhm, farthest", [("23", "41.4387"), ("1e300", "1.80168e+300")])
+    @pytest.mark.parametrize("fwhm, farthest", [("23", "41.4387"), ("1e300", "1.80168e+300"),
+                                                ("1e308", "inf")])
     def test_ensemble_beyond_the_basis_exits_2(self, tmp_path, capsys, fwhm, farthest):
         # The default basis reaches 15 k; the 2-D grid's farthest node lies
         # at 3 sqrt(2) sigma.  FWHM 23 once ran to a coherence time of 900 us,
-        # and 1e300 overflowed the Hamiltonian after --out existed.
+        # 1e300 overflowed the Hamiltonian after --out existed, and at 1e308
+        # the grid's spacing overflows too.
         cfgp = tmp_path / "c.yaml"
         cfgp.write_text(f"ensemble: {{delta_q_hk: {fwhm}, quadrature: 5}}\n")
         out = tmp_path / "x"
@@ -1388,3 +1395,135 @@ class TestManifest:
         _, _, ra = read_csv(a / "bands.csv")
         _, _, rb = read_csv(b / "bands.csv")
         assert not np.allclose(ra[:, 3:], rb[:, 3:], atol=1e-6)
+
+
+#: Boundary values for any flag: zero, a negative, non-finite and huge floats,
+#: an integer too large for a float, a non-number and a boolean word.
+_FLAG_BOUNDARY = ["0", "-1", "nan", "inf", "-inf", "1e308", str(10**400), "abc", "true"]
+_FRINGE_FLAGS = {"--pi2": ["ideal", "reference:pi2"], "--t-max": ["400", "300"],
+                 "--dt": ["4", "8"], "--threads": [None, "1", "2"],
+                 "--contrast-window": [None, "88.8", "50"]}
+#: Each subcommand's flags, each with the values that keep a run tiny (None
+#: leaves the flag out; a value of two words passes a second flag with it),
+#: and its switches.  ``{dir}`` is the example's folder, which holds
+#: fringe.csv and not-a-fringe.csv, whose column line is wrong.
+_RUN_FLAGS = {
+    "bands": ({"--samples": ["2"], "--path": ["G,M,K,G", "G,0.5:0.5"]}, []),
+    "design": ({"--kind": ["pi2", "pi", "load"], "--steps": ["1"],
+                "--threshold": [None, "0", "0.99"], "--seed": [None, "7"],
+                "--depth-min": [None, "3"], "--depth-max": [None, "6"]},
+               ["--variable-amplitude"]),
+    "eval": ({"--sequence": [f"reference:{name}" for name in REFERENCE_SEQUENCES],
+              "--kind": ["pi2", "pi", "load"]}, []),
+    "ramsey": (_FRINGE_FLAGS, ["--single-q", "--no-phase-lock"]),
+    "echo": ({**_FRINGE_FLAGS, "--pi2": ["ideal", "reference:pi2 --pi=reference:pi"],
+              "--n-echo": [None, "1", "2"]}, ["--single-q", "--no-phase-lock"]),
+    "coherence": ({"--fringe": ["{dir}/fringe.csv"], "--period": ["88.8", "44.4"]}, []),
+}
+#: Config counts lowered to keep a drawn run tiny, (section, key, cap, largest
+#: valid value): a count above the cap but valid becomes the cap, and an
+#: absent one is set to it; junk is left to be refused.
+_CAPS = (("basis", "shell_radius", 3, MAX_SHELL_RADIUS),
+         ("ensemble", "quadrature", 5, MAX_QUADRATURE),
+         ("optimizer", "max_iters", 1, MAX_COUNT),
+         ("optimizer", "restarts", 1, MAX_COUNT))
+
+
+@st.composite
+def _runs(draw):
+    """A subcommand's argv without --config and --out, each of its n flags a
+    boundary value one time in 2n + 1 and a tiny value otherwise; a config
+    from :func:`_config_mappings` half the time, none otherwise, under
+    :data:`_CAPS`; and, one time in ten, a NaN fidelity."""
+    command = draw(st.sampled_from(sorted(_RUN_FLAGS)))
+    flags, switches = _RUN_FLAGS[command]
+    argv = [command]
+    for flag, tiny in flags.items():
+        value = draw(st.sampled_from(tiny) if draw(st.integers(0, 2 * len(flags)))
+                     else st.sampled_from(_FLAG_BOUNDARY))
+        argv += [] if value is None else [flag, *value.split()]
+    argv += [switch for switch in switches if draw(st.booleans())]
+    config = draw(_config_mappings()) if draw(st.booleans()) else {}
+    for section, key, cap, most in _CAPS:
+        table = config.setdefault(section, {})
+        if (isinstance(table, dict) and type(table.setdefault(key, cap)) is int
+                and cap < table[key] <= most):
+            table[key] = cap
+    return argv, config, draw(st.integers(0, 9)) == 0
+
+
+def _main(argv, out):
+    """``main`` on ``argv`` writing into ``out``: its exit code, argparse's
+    included, and its standard error."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _manifest(out):
+    """The manifest in ``out``, checked against the files beside it."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["outputs"],
+                                                            "manifest.json"])
+    for name, digest in manifest["outputs"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    return manifest
+
+
+def _refused(config, *argv):
+    return [*argv], config, False
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=_runs())
+# The refused runs of the CI smoke step, and a design whose fidelity is NaN.
+@example(run=_refused({}, "ramsey", "--pi2", "ideal", "--t-max", "400", "--dt", "nan"))
+@example(run=_refused({}, "ramsey", "--pi2", "ideal", "--single-q", "--t-max", "270",
+                      "--dt", "8"))
+@example(run=_refused({}, "ramsey", "--pi2", "ideal", "--single-q", "--t-max", "400",
+                      "--dt", "4", "--threads", "0"))
+@example(run=_refused({"basis": {"shell_radius": 11}}, "bands", "--samples", "2"))
+@example(run=_refused({"optimizer": {"learning_rate": 9}}, "design", "--kind", "pi2",
+                      "--steps", "1"))
+@example(run=_refused({}, "eval", "--sequence", "reference:nope", "--kind", "pi2"))
+@example(run=_refused({}, "coherence", "--fringe", "{dir}/not-a-fringe.csv",
+                      "--period", "88.8"))
+@example(run=_refused({"ensemble": {"delta_q_hk": 50}}, "ramsey", "--pi2", "ideal",
+                      "--t-max", "400", "--dt", "4"))
+@example(run=(["design", "--kind", "pi2", "--steps", "1"], {}, True))
+# File names too long for the system, which once raised OSError.
+@example(run=_refused({}, "coherence", "--fringe", str(10**400), "--period", "88.8"))
+@example(run=_refused({}, "eval", "--sequence", str(10**400), "--kind", "pi2"))
+def test_main_keeps_its_exit_contract(tmp_path, run):
+    """Any subcommand, flags and config exit 0, 2, 3 or 4.  On 2 or 4 stderr
+    holds a message and no traceback, and --out does not exist; otherwise
+    every output matches its manifest hash, and a rerun (ramsey and echo at
+    the other thread count) gives the same run id and the same bytes."""
+    argv, config, nan_fidelity = run
+    where = Path(tempfile.mkdtemp(dir=tmp_path))
+    fringe = TestCoherenceCommand._fringe_csv(where / "fringe.csv").read_text()
+    (where / "not-a-fringe.csv").write_text(fringe.replace("t_us,p_d", "t_us,contrast"))
+    (where / "c.yaml").write_text(yaml.safe_dump(config))
+    argv = [token.format(dir=where) for token in argv] + ["--config", str(where / "c.yaml")]
+    with pytest.MonkeyPatch.context() as patch:
+        if nan_fidelity:
+            patch.setattr(shortcut, "fidelity", lambda seq, obj: math.nan)
+        code, err = _main(argv, where / "out")
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_THRESHOLD, EXIT_NUMERICAL), err
+        if code in (EXIT_VALIDATION, EXIT_NUMERICAL):
+            assert err.startswith(("error: ", "numerical failure: ", "usage: ")), err
+            assert "Traceback" not in err
+            assert not (where / "out").exists()
+            return
+        manifest = _manifest(where / "out")
+        if argv[0] in ("ramsey", "echo"):  # the last --threads given counts
+            threads = argv[argv.index("--threads") + 1] if "--threads" in argv else "1"
+            argv = [*argv, "--threads", "2" if threads == "1" else "1"]
+        assert _main(argv, where / "rerun")[0] == code
+    rerun = _manifest(where / "rerun")
+    assert (rerun["run_id"], rerun["outputs"]) == (manifest["run_id"], manifest["outputs"])

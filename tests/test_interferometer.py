@@ -477,7 +477,7 @@ class TestRunArguments:
         with pytest.raises(ValueError, match=f"at most {MAX_HOLD_TIMES} hold times"):
             run("ramsey", IdealPulses(), times, EnsembleSpec(), spec, basis)
 
-    @pytest.mark.parametrize("fwhm", [23.0, 1e300])
+    @pytest.mark.parametrize("fwhm", [23.0, 1e300, 1e308])
     @pytest.mark.parametrize("run", [ensemble_fringe, phase_scan_contrast])
     def test_grid_beyond_the_basis(self, spec, basis, run, fwhm):
         # A FWHM of 23 hbar k puts the farthest node at 3 sqrt(2) sigma =

@@ -353,9 +353,9 @@ QUADRATURE_RULES = ("quadrature must be odd", "quadrature grid < 5")
 
 def _boundary_values(lo, hi):
     """The values that probe a bound: signs, non-finite floats, a float and an
-    integer beyond the largest float, a bool, a fraction, and each end of the
-    range with its integer and float neighbours."""
-    values = [0, -1, math.nan, math.inf, -math.inf, 1e308, 10**400, True, 2.5]
+    integer beyond the largest float, both bools, a fraction, and each end of
+    the range with its integer and float neighbours."""
+    values = [0, -1, math.nan, math.inf, -math.inf, 1e308, 10**400, True, False, 2.5]
     for end in (lo,) if hi is None else (lo, hi):
         values += [end - 1, end, end + 1,
                    math.nextafter(end, -math.inf), math.nextafter(end, math.inf)]
@@ -368,21 +368,29 @@ def _boundary_values(lo, hi):
 @example(case=("LatticeSpec.depth", 10**400))
 @example(case=("EnsembleSpec.sigma_q", 10**400))
 @example(case=("OptimizerOptions.grid_quantum", 10**400))
+@example(case=("LatticeSpec.depth", True))
+@example(case=("LatticeSpec.wavelength", True))
+@example(case=("PulseStep.t_on", True))
+@example(case=("OptimizerOptions.grid_quantum", True))
+@example(case=("EnsembleSpec.sigma_q", True))
 def test_every_bound_refuses_in_one_form(case):
     """Each bounded field, at each boundary value, constructs when the value
-    lies in its range (and is an integer, for a count), and otherwise raises
-    ValueError in the one form of a bound or of the integer rule: never
+    lies in its range, is not a bool, and is an integer for a count, and
+    otherwise raises ValueError in the one form of a bound, of the integer
+    rule for a count or of the number rule for any other field: never
     TypeError or OverflowError, and never with a value too large for a float."""
     where, value = case
     name, construct, lo, hi, above = BOUNDED_FIELDS[where]
     top = sys.float_info.max if hi is None else hi
     inside = (lo < value <= top) if above else (lo <= value <= top)
+    inside = inside and not isinstance(value, bool)
     if name in INTEGER_FIELDS:
-        inside = inside and isinstance(value, int) and not isinstance(value, bool)
+        inside = inside and isinstance(value, int)
     try:
         construct(value)
     except ValueError as exc:
-        forms = (f"{name} must be finite, with ", f"{name} must be an integer, got ")
+        kind = "an integer" if name in INTEGER_FIELDS else "a number"
+        forms = (f"{name} must be finite, with ", f"{name} must be {kind}, got ")
         assert str(exc).startswith(QUADRATURE_RULES if inside else forms), exc
     else:
         assert inside

@@ -260,10 +260,6 @@ class RunConfig:
 # Output helpers
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 class RunWriter:
     """Collects outputs for one run and writes the manifest last.
 
@@ -288,7 +284,8 @@ class RunWriter:
         snapshot = {"command": command, "config": asdict(config), "args": self.args}
         if self.inputs:
             snapshot["inputs"] = sorted(self.inputs.values())
-        self.run_id = hashlib.sha256(_canonical_json(snapshot).encode()).hexdigest()[:16]
+        canonical = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
+        self.run_id = hashlib.sha256(canonical.encode()).hexdigest()[:16]
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         if derive:
             self.derived.update(
@@ -745,9 +742,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """``argv`` with ``--flag -v`` written ``--flag=-v``.  After a flag,
+    argparse reads -1 as its value but -inf, -nan or -1e3 as an unknown
+    option.  Every option here but -h has two dashes, so a token with one
+    dash after a flag other than --help is that flag's value, which argparse
+    then checks: a switch refuses it as an explicit argument."""
+    out = list(argv[:1])
+    for flag, token in zip(argv, argv[1:]):
+        if (token[:1] == "-" and token[1:2] != "-" and token != "-h" and flag[:2] == "--"
+                and flag not in ("--", "--help") and "=" not in flag):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = RunConfig.load(args.config, overrides={"rng_seed": getattr(args, "seed", None)})
         return args.run(cfg, args, Path(args.out))

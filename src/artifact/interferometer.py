@@ -22,12 +22,13 @@ raw operators R compose as they are.  Both models are independent of the
 eigensolver's phase convention.
 
 Dephasing arises from averaging fringes over a Gaussian quasi-momentum
-distribution: the S-D gap varies with q, so ensemble fringes decay.  Two
-contrast observables are provided: the per-period windowed contrast
-(max-min)/(max+min) of the P_D fringe, and the analysis-phase-scan contrast
-(the fringe amplitude obtained by scanning a phase on the D component before
-the final pi/2), which remains meaningful when the composite produces a
-constant P_D (e.g. a perfect echo).
+distribution: the S-D gap varies with q, so ensemble fringes decay.
+:func:`ensemble_fringe` and :func:`phase_scan_contrast` read rows of one pass
+over the ensemble: P_D, and the pair (num, den) of the analysis-phase-scan
+contrast 2|num|/den, with P_D = den + 2 Re(num).  That contrast, the fringe
+amplitude from scanning a phase on the D component before the final pi/2,
+stays meaningful for a constant P_D (a perfect echo); :func:`contrast_curve`
+gives the windowed contrast (max-min)/(max+min) of the P_D fringe.
 """
 
 from __future__ import annotations
@@ -262,24 +263,24 @@ def _fringe_kernel(
     spec: LatticeSpec,
     basis: PlaneWaveBasis,
     n_echo: int,
-    phase_scan: bool = False,
-) -> tuple[np.ndarray, ...]:
-    """Per-quasi-momentum fringe or phase-scan components over times.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-quasi-momentum fringe and phase-scan rows over times.
 
-    Returns ``(p_d,)``, the D-band population, or with ``phase_scan``
-    ``(num, den)``, from which the analysis-phase-scan contrast at this q is
-    2|num|/den.  Only the requested components are computed, and pulses
-    act only on the columns read: R^dagger D, and for echo R V.  R F is the
-    pi/2's image of the frame from :func:`_pulse`.
+    Returns the tuple ``(p_d, num, den)``: the D-band population P_D, and the
+    pair from which the analysis-phase-scan contrast at this q is 2|num|/den.
+    P_D is the scan's zero-phase point, den + 2 Re(num).  Pulses act only on
+    the columns read: R^dagger D, and for echo R V.  R F is the pi/2's image
+    of the frame from :func:`_pulse`.
     """
     w = angular_frequency_per_Er(spec)
     energies, states = band_eig(q, spec, basis)
+    bras = states.conj().T
     frame = sd_frame(q, spec, basis)
     d = frame[:, 1]
     pi2, r_frame = _pulse(pulses, ObjectiveKind.HALF_PI, q, spec, basis, frame)
     r_adj_d = pi2(frame[:, 1:], adjoint=True)
-    psi1 = states.conj().T @ r_frame[:, 0]
-    wvec = (states.conj().T @ r_adj_d[:, 0]).conj()
+    psi1 = bras @ r_frame[:, 0]
+    wvec = (bras @ r_adj_d[:, 0]).conj()
 
     if kind is FringeKind.RAMSEY:
         chi = np.exp(-1j * np.outer(energies, w * times)) * psi1[:, None]
@@ -288,7 +289,7 @@ def _fringe_kernel(
         ph_tau = np.exp(-1j * np.outer(energies, w * tau))
         ph_2tau = ph_tau * ph_tau
         pi, _ = _pulse(pulses, ObjectiveKind.PI, q, spec, basis, frame)
-        phi = states.conj().T @ pi(states)
+        phi = bras @ pi(states)
         chi = ph_tau * psi1[:, None]
         for j in range(1, n_echo + 1):
             chi = phi @ chi
@@ -297,14 +298,11 @@ def _fringe_kernel(
         chi = ph_tau * chi
 
     amp = wvec @ chi
-    if not phase_scan:
-        return (np.abs(amp) ** 2,)
-    rdd = complex(np.vdot(d, r_frame[:, 1]))
-    d_band = states.conj().T @ d  # D state in the band basis
-    b = (d_band.conj() @ chi) * rdd
+    # b = <D|R|D> <D|chi>, the part of amp that the scanned phase turns.
+    b = ((bras @ d).conj() @ chi) * complex(np.vdot(d, r_frame[:, 1]))
     num = np.conj(amp - b) * b
     den = np.abs(amp - b) ** 2 + np.abs(b) ** 2
-    return num, den
+    return np.abs(amp) ** 2, num, den
 
 
 def _as_pulse_model(pulses, pi: PulseSequence | None = None) -> PulseModel:
@@ -339,8 +337,7 @@ def _single_q_pd(kind, model, t_hold, q, spec, basis, n_echo) -> float:
     times = np.array([t_hold], dtype=float)
     _check_run(kind, model, times, n_echo)
     basis.check_reach(math.hypot(*q), "q")  # hypot: no overflow
-    (p,) = _fringe_kernel(kind, model, times, q, spec, basis, n_echo)
-    return float(p[0])
+    return float(_fringe_kernel(kind, model, times, q, spec, basis, n_echo)[0][0])
 
 
 def ramsey_pd(
@@ -412,13 +409,12 @@ def _ensemble_sums(
     basis: PlaneWaveBasis,
     n_echo: int,
     threads: int,
-    phase_scan: bool,
 ) -> list[np.ndarray]:
-    """Quadrature averages of the per-q kernel components over the ensemble.
+    """Quadrature averages over the ensemble of the kernel's rows (p_d, num, den).
 
     Each q weighs wx * wy from per-axis tables: one value, or under a width
     schedule a row over the hold times.  Results are consumed as they arrive,
-    in grid order for every thread count: w * components and w itself go into
+    in grid order for every thread count: w * rows and w itself go into
     running sums, and the sums are divided by the weight total once at the
     end.  So memory holds O(T) sums and the work of the q in flight, not of
     the grid, and the result is the same to the bit across thread counts.
@@ -438,10 +434,9 @@ def _ensemble_sums(
     wx, wy = _axis_weights(xs, sigmas), _axis_weights(ys, sigmas)
     # The grid order, x outer and y inner: each node's q and weight rows.
     nodes = [(np.array([qx, qy]), a, b) for qx, a in zip(xs, wx) for qy, b in zip(ys, wy)]
-    qs = [q for q, _, _ in nodes]
 
-    def work(q):
-        return _fringe_kernel(kind, pulses, times, q, spec, basis, n_echo, phase_scan)
+    def work(node):
+        return _fringe_kernel(kind, pulses, times, node[0], spec, basis, n_echo)
 
     def average(results):
         sums = None
@@ -456,8 +451,8 @@ def _ensemble_sums(
     workers = min(threads, len(nodes), cpus or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return average(pool.map(work, qs))
-    return average(map(work, qs))
+            return average(pool.map(work, nodes))
+    return average(map(work, nodes))
 
 
 def ensemble_fringe(
@@ -470,20 +465,13 @@ def ensemble_fringe(
     n_echo: int = 2,
     threads: int = 1,
 ) -> FringeCurve:
-    """Quasi-momentum-ensemble-averaged fringe P_D(t).
-
-    Pulse operators are recomputed at every grid point (quasi-momentum is
-    conserved by the lattice pulses).  The quadrature sum is streamed: each
-    q's weighted P_D is added as it arrives, in fixed grid order regardless
-    of ``threads``, so results are bit-stable across thread counts and
-    memory does not grow with the grid.
-    """
+    """Quasi-momentum-ensemble-averaged fringe P_D(t): the P_D row of the one
+    pass :func:`_ensemble_sums`, bit-stable across ``threads``.  Pulses are
+    rebuilt at every grid point (the lattice pulses conserve quasi-momentum)."""
     kind = FringeKind(kind)
     times = np.asarray(times, dtype=float)
-    (avg,) = _ensemble_sums(
-        kind, pulses, times, ens, spec, basis, n_echo, threads, phase_scan=False
-    )
-    return FringeCurve(times=times, p_d=avg)
+    p_d, _, _ = _ensemble_sums(kind, pulses, times, ens, spec, basis, n_echo, threads)
+    return FringeCurve(times=times, p_d=p_d)
 
 
 def phase_scan_contrast(
@@ -500,17 +488,13 @@ def phase_scan_contrast(
 
     At each hold time the D-band component acquires a scanned phase phi just
     before the final pi/2; the contrast is (max-min)/(max+min) of P_D over
-    phi, evaluated analytically.  For an ideal-pulse Ramsey this equals the
-    modulus of the ensemble-averaged fringe phasor; it remains meaningful
-    when the fringe itself is constant (perfect echo).
-    """
+    phi, 2|num|/den from the rows of :func:`_ensemble_sums`.  For ideal-pulse
+    Ramsey it is the modulus of the ensemble-averaged fringe phasor; it stays
+    meaningful when the fringe itself is constant (perfect echo)."""
     kind = FringeKind(kind)
     times = np.asarray(times, dtype=float)
-    num, bottom = _ensemble_sums(
-        kind, pulses, times, ens, spec, basis, n_echo, threads, phase_scan=True
-    )
-    top = 2.0 * np.abs(num)
-    contrast = np.where(bottom > 0, top / np.maximum(bottom, 1e-300), 0.0)
+    _, num, den = _ensemble_sums(kind, pulses, times, ens, spec, basis, n_echo, threads)
+    contrast = np.where(den > 0, 2.0 * np.abs(num) / np.maximum(den, 1e-300), 0.0)
     return ContrastCurve(times=times, contrast=np.clip(contrast, 0.0, 1.0))
 
 
@@ -521,10 +505,13 @@ def phase_scan_contrast(
 def contrast_curve(fringe: FringeCurve, period: float) -> ContrastCurve:
     """Per-period fringe contrast (max-min)/(max+min) in period windows.
 
-    The hold times must span at least two periods, and their median step
-    must give at least 8 samples per period."""
+    P_D must not dip below 0, where a window's contrast would exceed 1.  The
+    hold times must span at least two periods, and their median step must
+    give at least 8 samples per period."""
     t = fringe.times
     p = fringe.p_d
+    if np.any(p < 0):
+        raise ValueError(f"P_D must be >= 0, got {p.min():g} at t = {t[np.argmin(p)]:g} us")
     require_within("period", period, 0, above=True)
     if len(t) < 2 or t[-1] - t[0] < 2.0 * period:
         raise ValueError("fringe must span at least two periods")

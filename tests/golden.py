@@ -1,7 +1,7 @@
-"""Golden outputs: small CLI runs whose numbers ``test_golden.py`` pins.
+"""Golden outputs: small runs whose numbers ``test_golden.py`` pins.
 
-Each run goes through ``artifact.cli.main`` into a scratch directory, and its
-numbers are read back from the files it writes:
+Each CLI run goes through ``artifact.cli.main`` into a scratch directory, and
+its numbers are read back from the files it writes:
 
 * ``ramsey`` and ``echo`` on a 9x9 ensemble grid, with ideal and with the
   shipped reference pulses, and an unlocked echo with the variable-depth pi,
@@ -11,6 +11,10 @@ numbers are read back from the files it writes:
 * ``eval`` of the four shipped sequences: fidelity and leakages;
 * ``design --kind pi2 --steps 5`` with 5 iterations and 1 restart: durations,
   fidelities and trace.
+
+The CLI writes no analysis-phase-scan contrast, so the library computes it:
+``phase_scan_contrast`` for the reference-pulse Ramsey and n = 2 echo on the
+same config's 9x9 grid, t < 600 us at dt 8, at every fifth hold time.
 
 Regenerate ``tests/golden.json`` from the source tree with
 
@@ -28,7 +32,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from artifact.cli import EXIT_OK, main
+from artifact.cli import EXIT_OK, RunConfig, main
+from artifact.interferometer import SequencePulses, phase_scan_contrast
+from artifact.sequences import REFERENCE_PI, REFERENCE_PI2
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 CONFIG = "ensemble:\n  quadrature: 9\noptimizer:\n  max_iters: 5\n  restarts: 1\n"
@@ -39,6 +45,10 @@ FRINGES = {
     "echo_reference": ["echo", "--pi2", "reference:pi2", "--pi", "reference:pi"],
     "echo_unlocked": ["echo", "--pi2", "reference:pi2", "--pi", "reference:pi_variable",
                       "--no-phase-lock"],
+}
+SCANS = {
+    "scan_ramsey_reference": ("ramsey", SequencePulses(REFERENCE_PI2)),
+    "scan_echo_reference": ("echo", SequencePulses(REFERENCE_PI2, REFERENCE_PI)),
 }
 EVALS = {"pi2": "pi2", "load": "load", "pi": "pi", "pi_variable": "pi"}
 
@@ -93,6 +103,15 @@ def compute(root: Path) -> dict:
         "fidelity_pre_rounding": sequence["fidelity_pre_rounding"],
         "trace": _rows(out / "trace.csv")[:, 1].tolist(),
     }
+
+    cfg = RunConfig.load(str(config))
+    times = np.arange(0.0, 600.0, 8.0)
+    for name, (kind, pulses) in SCANS.items():
+        scan = phase_scan_contrast(kind, pulses, times, cfg.ensemble, cfg.lattice, cfg.basis)
+        golden[name] = {
+            "t_us": scan.times[::5].tolist(),
+            "contrast": scan.contrast[::5].tolist(),
+        }
     return golden
 
 

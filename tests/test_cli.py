@@ -1220,6 +1220,21 @@ class TestCoherenceCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fringe_below_zero_exits_2(self, tmp_path, capsys):
+        """A window whose minimum is below 0 would read a contrast above 1, so
+        the fringe is refused up front, naming its most negative sample."""
+        t = np.arange(0.0, 1000.0, 4.0)
+        p = 0.5 + 0.6 * np.cos(2 * np.pi * t / 88.8) * np.exp(-t / 500.0)
+        fringe = tmp_path / "f.csv"
+        rows = "".join(f"{a},{b}\n" for a, b in zip(t.tolist(), p.tolist()))
+        fringe.write_text("t_us,p_d\n" + rows)
+        out = tmp_path / "x"
+        code = main(["coherence", "--fringe", str(fringe), "--period", "88.8",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "error: P_D must be >= 0, got -0.0492365 at t = 44 us" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_fringe_exits_2(self, tmp_path, capsys):
         fringe = self._fringe_csv(tmp_path / "f.csv", nan_row=17)
         out = tmp_path / "x"
@@ -1487,6 +1502,11 @@ def _refused(config, *argv):
                       "--dt", "8"))
 @example(run=_refused({}, "ramsey", "--pi2", "ideal", "--single-q", "--t-max", "400",
                       "--dt", "4", "--threads", "0"))
+@example(run=_refused({}, "ramsey", "--pi2", "ideal", "--single-q", "--t-max", "400",
+                      "--dt", "-inf"))
+# A switch followed by a value, which argparse refuses as an explicit argument.
+@example(run=_refused({}, "ramsey", "--pi2", "ideal", "--single-q", "-1", "--t-max", "400",
+                      "--dt", "4"))
 @example(run=_refused({"basis": {"shell_radius": 11}}, "bands", "--samples", "2"))
 @example(run=_refused({"optimizer": {"learning_rate": 9}}, "design", "--kind", "pi2",
                       "--steps", "1"))
@@ -1527,3 +1547,31 @@ def test_main_keeps_its_exit_contract(tmp_path, run):
         assert _main(argv, where / "rerun")[0] == code
     rerun = _manifest(where / "rerun")
     assert (rerun["run_id"], rerun["outputs"]) == (manifest["run_id"], manifest["outputs"])
+
+
+_FRINGE_BASE = ["--pi2", "ideal", "--single-q", "--t-max", "400", "--dt", "4"]
+#: Every numeric flag of the subcommands, after an argv that keeps its run tiny
+#: (a value that passes leaves a one-step, one-iteration design).
+_NUMERIC_FLAGS = [
+    (["bands"], "--samples"),
+    *((["design", "--kind", "pi2", "--steps", "1", "--variable-amplitude"], flag)
+      for flag in ("--steps", "--depth-min", "--depth-max", "--threshold", "--seed")),
+    *(([command, *_FRINGE_BASE], flag) for command in ("ramsey", "echo")
+      for flag in ("--t-max", "--dt", "--contrast-window", "--threads")),
+    (["echo", *_FRINGE_BASE], "--n-echo"),
+    (["coherence", "--fringe", "{dir}/fringe.csv"], "--period"),
+]
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-1e3"])
+@pytest.mark.parametrize("argv, flag", _NUMERIC_FLAGS,
+                         ids=[f"{argv[0]}{flag}" for argv, flag in _NUMERIC_FLAGS])
+def test_a_value_with_a_minus_reads_the_same_in_either_form(tmp_path, argv, flag, value):
+    """``--flag v`` and ``--flag=v`` give the same exit code and stderr, where
+    argparse alone reads -inf, -nan or -1e3 after a flag as an unknown option."""
+    TestCoherenceCommand._fringe_csv(tmp_path / "fringe.csv")
+    (tmp_path / "c.yaml").write_text("optimizer: {max_iters: 1, restarts: 1}\n")
+    argv = [token.format(dir=tmp_path) for token in argv] + ["--config", str(tmp_path / "c.yaml")]
+    spaced = _main([*argv, flag, value], tmp_path / "spaced")
+    assert spaced == _main([*argv, f"{flag}={value}"], tmp_path / "joined")
+    assert "expected one argument" not in spaced[1]

@@ -1,4 +1,4 @@
-"""CLI outputs against the golden values of ``tests/golden.json``.
+"""CLI and phase-scan outputs against the golden values of ``tests/golden.json``.
 
 Populations (P_D, contrast, leakage) hold to 1e-12 absolute: a thousand
 times the 1e-16 that BLAS threading moves them, and far below any physics
@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from golden import FRINGES, GOLDEN_PATH, compute
+from golden import FRINGES, GOLDEN_PATH, SCANS, compute
 
 
 def test_outputs_match_the_golden_values(tmp_path):
@@ -36,6 +36,9 @@ def test_outputs_match_the_golden_values(tmp_path):
                 assert run[key] is None, (name, key)
             else:
                 assert run[key] == pytest.approx(want[key], rel=1e-9), (name, key)
+    for name in SCANS:
+        assert got[name]["t_us"] == expected[name]["t_us"], name
+        populations(got[name]["contrast"], expected[name]["contrast"])
     for point, energies in expected["bands"].items():
         relative(got["bands"][point], energies)
     for name, report in expected["eval"].items():

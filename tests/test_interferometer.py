@@ -300,21 +300,18 @@ class TestKernelOracle:
             ops = [evolve_columns(eye, sq, q, spec, basis) for sq, _ in pairs]
         return pulses, ops
 
-    @pytest.mark.parametrize("phase_scan", [False, True])
     @pytest.mark.parametrize("kind", [FringeKind.RAMSEY, FringeKind.ECHO])
     @pytest.mark.parametrize("model", ["ideal", "locked", "unlocked"])
-    def test_matches_dense_operators(self, spec, basis, model, kind, phase_scan):
+    def test_matches_dense_operators(self, spec, basis, model, kind):
         pulses, (r_half, r_pi) = self._views(model, self.Q, spec, basis)
         t, q = self.TIMES, self.Q
         amp, part = _dense_kernel(kind, r_half, r_pi, t, q, spec, basis, 2)
-        got = _fringe_kernel(kind, pulses, t, q, spec, basis, 2, phase_scan)
-        if phase_scan:
-            expected = (
-                np.conj(amp - part) * part,
-                np.abs(amp - part) ** 2 + np.abs(part) ** 2,
-            )
-        else:
-            expected = (np.abs(amp) ** 2,)
+        got = _fringe_kernel(kind, pulses, t, q, spec, basis, 2)
+        expected = (
+            np.abs(amp) ** 2,
+            np.conj(amp - part) * part,
+            np.abs(amp - part) ** 2 + np.abs(part) ** 2,
+        )
         for g, e in zip(got, expected, strict=True):
             assert np.max(np.abs(g - e)) <= 1e-12
 
@@ -631,7 +628,7 @@ class TestStreamedSum:
     sum_q w_q c_q / sum_q w_q."""
 
     @staticmethod
-    def _dense_sums(kind, model, times, ens, spec, basis, phase_scan):
+    def _dense_sums(kind, model, times, ens, spec, basis):
         xs = np.linspace(-3 * ens.sigma_q, 3 * ens.sigma_q, ens.quadrature)
         sigmas = [ens.sigma_q] * len(times)
         if ens.width_schedule:
@@ -643,8 +640,7 @@ class TestStreamedSum:
             columns.append(np.outer(wx, wx).ravel())
         weights = np.stack(columns, axis=1)
         parts = [
-            _fringe_kernel(kind, model, times, np.array([qx, qy]), spec, basis, 2,
-                           phase_scan)
+            _fringe_kernel(kind, model, times, np.array([qx, qy]), spec, basis, 2)
             for qx in xs
             for qy in xs
         ]
@@ -661,13 +657,24 @@ class TestStreamedSum:
         schedule = ((0.0, 0.2), (500.0, 0.35), (800.0, 0.3)) if scheduled else ()
         ens = EnsembleSpec(sigma_q=0.25, quadrature=5, width_schedule=schedule)
         args = (kind, model, times, ens, spec, basis)
-        (p_d,) = self._dense_sums(*args, phase_scan=False)
-        num, den = self._dense_sums(*args, phase_scan=True)
+        p_d, num, den = self._dense_sums(*args)
         contrast = np.clip(np.where(den > 0, 2.0 * np.abs(num) / den, 0.0), 0.0, 1.0)
         fringe = ensemble_fringe(*args, threads=threads)
         scan = phase_scan_contrast(*args, threads=threads)
         assert np.array_equal(fringe.p_d, p_d)
         assert np.array_equal(scan.contrast, contrast)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", [FringeKind.RAMSEY, FringeKind.ECHO])
+    def test_one_pass_yields_both_views(self, spec, kind, threads):
+        basis = build_basis(spec, shell_radius=2)
+        model = SequencePulses(pi2=REFERENCE_PI2, pi=REFERENCE_PI)
+        args = (kind, model, np.linspace(0.0, 900.0, 13),
+                EnsembleSpec(sigma_q=0.25, quadrature=5), spec, basis)
+        p_d, num, den = _ensemble_sums(*args, 2, threads)
+        contrast = np.clip(np.where(den > 0, 2.0 * np.abs(num) / den, 0.0), 0.0, 1.0)
+        assert np.array_equal(p_d, ensemble_fringe(*args, threads=threads).p_d)
+        assert np.array_equal(contrast, phase_scan_contrast(*args, threads=threads).contrast)
 
     @staticmethod
     def _peak_and_bound(spec, schedule=()):
@@ -855,6 +862,13 @@ class TestContrastCurve:
         p = np.full_like(t, 0.5)
         with pytest.raises(ValueError):
             contrast_curve(FringeCurve(times=t, p_d=p), period)
+
+    def test_fringe_below_zero_refused(self):
+        # A window whose minimum is below 0 would read a contrast above 1.
+        t = np.arange(0.0, 1000.0, 4.0)
+        p = 0.5 + 0.6 * np.cos(2 * np.pi * t / 88.8) * np.exp(-t / 500.0)
+        with pytest.raises(ValueError, match=r"P_D must be >= 0, got -0\.0492365 at t = 44 us"):
+            contrast_curve(FringeCurve(times=t, p_d=p), 88.8)
 
 
 class TestCoherenceTime:
@@ -1080,14 +1094,12 @@ class TestInversionInvariance:
         ids=["ideal", "reference"],
     )
     def test_fringe_is_invariant_under_q_inversion(self, spec, basis, kind, pulses):
-        for q in self.QS:
-            for phase_scan in (False, True):  # (P_D,), then (num, den)
-                at_q, at_minus_q = (
-                    _fringe_kernel(kind, pulses, _INVARIANCE_TIMES, k, spec, basis,
-                                   2, phase_scan)
-                    for k in (q, -q)
-                )
-                assert _max_change(at_q, at_minus_q) <= 1e-11
+        for q in self.QS:  # (P_D, num, den) at q and at -q
+            at_q, at_minus_q = (
+                _fringe_kernel(kind, pulses, _INVARIANCE_TIMES, k, spec, basis, 2)
+                for k in (q, -q)
+            )
+            assert _max_change(at_q, at_minus_q) <= 1e-11
 
 
 class TestMirrorInvariance:
@@ -1106,14 +1118,12 @@ class TestMirrorInvariance:
         changes = []
         for kind in _KINDS:
             for pulses in (IdealPulses(), SequencePulses(REFERENCE_PI2, REFERENCE_PI)):
-                for q in self.QS:
-                    for phase_scan in (False, True):  # (P_D,), then (num, den)
-                        at_q, *mirrored = (
-                            _fringe_kernel(kind, pulses, _INVARIANCE_TIMES, k, spec,
-                                           basis, 2, phase_scan)
-                            for k in (q, *(q * m for m in self.MIRRORS))
-                        )
-                        changes += [_max_change(at_q, at_m) for at_m in mirrored]
+                for q in self.QS:  # (P_D, num, den) at q and at its mirror images
+                    at_q, *mirrored = (
+                        _fringe_kernel(kind, pulses, _INVARIANCE_TIMES, k, spec, basis, 2)
+                        for k in (q, *(q * m for m in self.MIRRORS))
+                    )
+                    changes += [_max_change(at_q, at_m) for at_m in mirrored]
         return max(changes)
 
     def test_fringe_is_mirror_invariant_on_the_hexagonal_basis(self, spec, hex_basis):
@@ -1126,6 +1136,29 @@ class TestMirrorInvariance:
     )
     def test_fringe_is_mirror_invariant_on_the_rhombus_basis(self, spec, basis):
         assert self._largest_change(spec, basis) <= 1e-11
+
+
+class TestFringeIsTheScansZeroPhase:
+    """The phase scan's P_D at zero analysis phase is the fringe itself:
+    den + 2 Re(num) = |(amp - b) + b|^2 = |amp|^2 whatever b is, so the rows
+    agree at every q and hold time when P_D and the scan pair read the same
+    final state (largest difference 4.4e-16 over these cases), and a P_D
+    taken from a stale state breaks it.  The dense oracle checks b."""
+
+    QS = (*TestInversionInvariance.QS, np.array([0.917, 0.0]))
+
+    @pytest.mark.parametrize("kind", _KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "pulses",
+        [IdealPulses(),
+         SequencePulses(REFERENCE_PI2, REFERENCE_PI),
+         SequencePulses(REFERENCE_PI2, REFERENCE_PI_VARIABLE, phase_locked=False)],
+        ids=["ideal", "locked", "unlocked-variable-pi"],
+    )
+    def test_fringe_is_the_scan_at_zero_phase(self, spec, basis, kind, pulses):
+        for q in self.QS:
+            p_d, num, den = _fringe_kernel(kind, pulses, _INVARIANCE_TIMES, q, spec, basis, 2)
+            assert np.max(np.abs(p_d - (den + 2.0 * num.real))) <= 1e-14
 
 
 class TestBasisConvergence:
@@ -1166,8 +1199,8 @@ class TestEigenvectorGaugeInvariance:
     def _outputs(self, kind, pulses, spec, basis):
         p_d = [_fringe_kernel(kind, pulses, _INVARIANCE_TIMES, q, spec, basis, 2)[0]
                for q in self.QS]
-        num, den = _ensemble_sums(kind, pulses, _INVARIANCE_TIMES, self.ENS, spec,
-                                  basis, 2, 1, phase_scan=True)
+        _, num, den = _ensemble_sums(kind, pulses, _INVARIANCE_TIMES, self.ENS, spec,
+                                     basis, 2, 1)
         return (*p_d, num, den)
 
     @pytest.mark.parametrize("kind", _KINDS, ids=lambda k: k.value)

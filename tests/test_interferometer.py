@@ -300,13 +300,15 @@ class TestKernelOracle:
             ops = [evolve_columns(eye, sq, q, spec, basis) for sq, _ in pairs]
         return pulses, ops
 
-    @pytest.mark.parametrize("kind", [FringeKind.RAMSEY, FringeKind.ECHO])
+    @pytest.mark.parametrize("kind, n_echo", [(FringeKind.RAMSEY, 0), (FringeKind.ECHO, 1),
+                                              (FringeKind.ECHO, 2), (FringeKind.ECHO, 3)],
+                             ids=["ramsey", "echo1", "echo2", "echo3"])
     @pytest.mark.parametrize("model", ["ideal", "locked", "unlocked"])
-    def test_matches_dense_operators(self, spec, basis, model, kind):
+    def test_matches_dense_operators(self, spec, basis, model, kind, n_echo):
         pulses, (r_half, r_pi) = self._views(model, self.Q, spec, basis)
         t, q = self.TIMES, self.Q
-        amp, part = _dense_kernel(kind, r_half, r_pi, t, q, spec, basis, 2)
-        got = _fringe_kernel(kind, pulses, t, q, spec, basis, 2)
+        amp, part = _dense_kernel(kind, r_half, r_pi, t, q, spec, basis, n_echo)
+        got = _fringe_kernel(kind, pulses, t, q, spec, basis, n_echo)
         expected = (
             np.abs(amp) ** 2,
             np.conj(amp - part) * part,
@@ -381,6 +383,15 @@ class TestPointwiseFringes:
         for t in (0.0, period / 3, 5 * period):
             p = echo_pd(IdealPulses(), None, 2, t, np.zeros(2), spec, basis)
             assert p == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n_echo", [1, 2, 3])
+    def test_ideal_echo_parity(self, spec, basis, period, n_echo):
+        # Each ideal pi pulse swaps S and D, so an even count ends in D and an
+        # odd count in S, whatever the hold, also away from q = 0.
+        q = np.array([0.21, -0.08])
+        for t in (0.0, period / 3, 5 * period):
+            p = echo_pd(IdealPulses(), None, n_echo, t, q, spec, basis)
+            assert p == pytest.approx(1.0 - n_echo % 2, abs=1e-9)
 
     def test_negative_hold_rejected(self, spec, basis):
         with pytest.raises(ValueError):

@@ -438,7 +438,6 @@ def cmd_bands(cfg: RunConfig, args, out_dir: Path) -> int:
     waypoints = [_waypoint(t, basis) for t in args.path.split(",")]
     if len(waypoints) < 2:
         raise ValueError("path needs at least two waypoints")
-    _require_positive("samples", args.samples, MAX_COUNT)
     writer = RunWriter(
         "bands", out_dir, cfg, {"path": args.path, "samples": args.samples}, [args.config]
     )
@@ -469,7 +468,6 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
     threshold = args.threshold if args.threshold is not None else default_threshold
     if not math.isfinite(threshold):
         raise ValueError(f"--threshold must be finite, got {threshold}")
-    _require_positive("steps", args.steps, MAX_COUNT)
     box = (args.depth_min, args.depth_max) if args.variable_amplitude else None
     if box and not 0 <= box[0] <= spec.depth <= box[1] < math.inf:
         raise ValueError(
@@ -534,21 +532,11 @@ def cmd_eval(cfg: RunConfig, args, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _require_positive(name: str, value: float | None, most: float | None = None) -> None:
-    """Refuse a given ``--name`` value outside (0, ``most``] (:data:`MAX_COUNT`
-    for a count; no upper end when None) through :func:`require_within`."""
-    if value is not None:
-        require_within(f"--{name}", value, 0, most, above=True)
-
-
 def _fringe_times(args, window: float) -> np.ndarray:
     """The hold times, refused unless the fringe analysis can use them: a
     flat fringe on them is analysed as the computed one will be, so a grid
     that undersamples the window or spans fewer than three windows exits
     before the ensemble."""
-    _require_positive("dt", args.dt)
-    _require_positive("t-max", args.t_max, MAX_STEP_US)
-    _require_positive("contrast-window", args.contrast_window)
     if args.t_max / args.dt > MAX_HOLD_TIMES:
         raise ValueError(f"--t-max / --dt must give at most {MAX_HOLD_TIMES} "
                          f"hold times, got {args.t_max:g} / {args.dt:g}")
@@ -611,8 +599,6 @@ def _run_fringe(cfg: RunConfig, args, out_dir: Path) -> int:
     period = fringe_period_us(spec, basis)
     window = period if args.contrast_window is None else args.contrast_window
     times = _fringe_times(args, window)
-    _require_positive("threads", args.threads)
-    _require_positive("n-echo", getattr(args, "n_echo", None), MAX_COUNT)
     model = _pulse_model(args, kind is FringeKind.ECHO)
     ens = EnsembleSpec(sigma_q=0.0) if args.single_q else cfg.ensemble
     sequence_pulses = isinstance(model, SequencePulses)
@@ -758,10 +744,20 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+#: The bounded numeric flags, by argparse dest, each with the upper end of its
+#: range (0, most]: :data:`MAX_COUNT` for a count, None for no upper end.
+_FLAG_BOUNDS = {"samples": MAX_COUNT, "steps": MAX_COUNT, "dt": None, "t_max": MAX_STEP_US,
+                "contrast_window": None, "threads": None, "n_echo": MAX_COUNT}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = RunConfig.load(args.config, overrides={"rng_seed": getattr(args, "seed", None)})
+        for dest, most in _FLAG_BOUNDS.items():
+            value = getattr(args, dest, None)
+            if value is not None:
+                require_within("--" + dest.replace("_", "-"), value, 0, most, above=True)
         return args.run(cfg, args, Path(args.out))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

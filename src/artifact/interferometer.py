@@ -2,11 +2,10 @@
 
 Sequences (time order, left to right):
 
-* Ramsey:  pi/2 pulse, lattice-on hold for t, pi/2 pulse, measure the D-band
-  population P_D.
 * Echo:    pi/2, then n repetitions of [hold t/2n, pi pulse, hold t/2n],
-  then pi/2; the pi pulses rephase quasi-momentum-dependent phase
-  accumulation.
+  then pi/2, and measure the D-band population P_D; the pi pulses rephase
+  quasi-momentum-dependent phase accumulation.
+* Ramsey:  the echo with n = 0: pi/2 pulse, lattice-on hold for t, pi/2.
 
 The hold evolution uses the full multi-band lattice-on propagator.  Each
 pulse is built once per quasi-momentum in the S/D frame F = [S D] of
@@ -268,9 +267,11 @@ def _fringe_kernel(
 
     Returns the tuple ``(p_d, num, den)``: the D-band population P_D, and the
     pair from which the analysis-phase-scan contrast at this q is 2|num|/den.
-    P_D is the scan's zero-phase point, den + 2 Re(num).  Pulses act only on
-    the columns read: R^dagger D, and for echo R V.  R F is the pi/2's image
-    of the frame from :func:`_pulse`.
+    P_D is the scan's zero-phase point, den + 2 Re(num).  Ramsey is the
+    sequence with n = 0 pi pulses and echo has n = ``n_echo``: one phase
+    table over the first hold (t, or t/2n), then per pi pulse the pulse and
+    the next hold.  Pulses act only on the columns read: R^dagger D, and for
+    n > 0 R V.  R F is the pi/2's image of the frame from :func:`_pulse`.
     """
     w = angular_frequency_per_Er(spec)
     energies, states = band_eig(q, spec, basis)
@@ -282,20 +283,16 @@ def _fringe_kernel(
     psi1 = bras @ r_frame[:, 0]
     wvec = (bras @ r_adj_d[:, 0]).conj()
 
-    if kind is FringeKind.RAMSEY:
-        chi = np.exp(-1j * np.outer(energies, w * times)) * psi1[:, None]
-    else:
-        tau = times / (2.0 * n_echo)
-        ph_tau = np.exp(-1j * np.outer(energies, w * tau))
-        ph_2tau = ph_tau * ph_tau
+    n = n_echo if kind is FringeKind.ECHO else 0
+    ph = np.exp(-1j * np.outer(energies, w * (times / (2.0 * n) if n else times)))
+    chi = ph * psi1[:, None]
+    if n:
         pi, _ = _pulse(pulses, ObjectiveKind.PI, q, spec, basis, frame)
         phi = bras @ pi(states)
-        chi = ph_tau * psi1[:, None]
-        for j in range(1, n_echo + 1):
-            chi = phi @ chi
-            if j < n_echo:
-                chi = ph_2tau * chi
-        chi = ph_tau * chi
+        ph_2tau = ph * ph
+    for j in range(1, n + 1):  # a pi pulse, then a hold of 2t/2n or the last t/2n
+        chi = phi @ chi
+        chi = (ph_2tau if j < n else ph) * chi
 
     amp = wvec @ chi
     # b = <D|R|D> <D|chi>, the part of amp that the scanned phase turns.
@@ -318,15 +315,17 @@ def _as_pulse_model(pulses, pi: PulseSequence | None = None) -> PulseModel:
 def _check_run(
     kind: FringeKind, model: PulseModel, times: np.ndarray, n_echo: int
 ) -> None:
-    """Refuse a fringe's run-level arguments before any q is solved: more
-    than MAX_HOLD_TIMES hold times or one outside [0, MAX_STEP_US] (NaN
-    included), and for echo an ``n_echo`` that is not an integer in
-    1 ... MAX_COUNT or a pulse model without a pi pulse."""
+    """Refuse a fringe's run-level arguments before any q is solved: hold
+    times that are more than MAX_HOLD_TIMES, not all in [0, MAX_STEP_US] (NaN
+    included) or not strictly ascending, and for echo an ``n_echo`` that is
+    not an integer in 1 ... MAX_COUNT or a pulse model without a pi pulse."""
     if len(times) > MAX_HOLD_TIMES:
         raise ValueError(f"a fringe takes at most {MAX_HOLD_TIMES} hold times, "
                          f"got {len(times)}")
     if not np.all((times >= 0.0) & (times <= MAX_STEP_US)):
         raise ValueError(f"hold times must lie in [0, {MAX_STEP_US:g}] us")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("hold times must be strictly ascending")
     if kind is FringeKind.ECHO:
         require_within("n_echo", n_echo, 1, MAX_COUNT, integer=True)
         if isinstance(model, SequencePulses) and model.pi is None:
@@ -422,10 +421,8 @@ def _ensemble_sums(
     """
     require_within("threads", threads, 1, integer=True)
     pulses = _as_pulse_model(pulses)
-    _check_run(kind, pulses, times, n_echo)
     check_reach(ens, basis)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("hold times must be strictly ascending")
+    _check_run(kind, pulses, times, n_echo)
     xs, ys = _grid_axes(ens, spec.geometry)
     sigmas = np.array([ens.sigma_q])
     if ens.width_schedule:

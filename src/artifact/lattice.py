@@ -97,6 +97,11 @@ class LatticeSpec:
         require_within("wavelength", self.wavelength, 0, above=True)
         require_within("atom_mass", self.atom_mass, 0, above=True)
         require_within("depth", self.depth, 0)
+        try:  # E_r/h, the unit of every energy and time
+            f_hz = recoil_energy(self)[1]
+        except OverflowError:  # k**2 beyond the largest float
+            f_hz = math.inf
+        require_within("recoil frequency E_r/h", f_hz, 0, above=True)
 
 
 def wavenumber(spec: LatticeSpec) -> float:

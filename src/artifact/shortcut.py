@@ -252,19 +252,19 @@ class OptimizeResult:
 
 def _ascend(x0, evaluate, project, opts: OptimizerOptions):
     """Monotone projected gradient ascent from one start point, with central
-    differences from one projected stencil ``project(x +- _FD_STEP I)``; a
-    parameter frozen by the box (zero projected step) gets no evaluations."""
+    differences at ``project(x +- _FD_STEP e_k)``, one k at a time in O(len(x))
+    memory; a parameter frozen by the box (zero projected step) gets none."""
     x = project(np.asarray(x0, dtype=float))
     f = evaluate(x)
     trace = [f]
     lr = _LEARNING_RATE
-    step = _FD_STEP * np.identity(len(x))
     for _ in range(opts.max_iters):
-        plus, minus = project(x + step), project(x - step)
-        denom = np.diagonal(plus - minus)
         grad = np.zeros(len(x))
-        for k in np.flatnonzero(denom):
-            grad[k] = (evaluate(plus[k]) - evaluate(minus[k])) / denom[k]
+        for k in range(len(x)):
+            step = _FD_STEP * np.eye(1, len(x), k)[0]
+            plus, minus = project(x + step), project(x - step)
+            if plus[k] != minus[k]:
+                grad[k] = (evaluate(plus) - evaluate(minus)) / (plus[k] - minus[k])
         gnorm = float(np.linalg.norm(grad))
         if gnorm >= 1e-14:
             lr_try = lr

@@ -294,6 +294,11 @@ class TestConfig:
             (f"optimizer: {{max_iters: {MAX_COUNT + 1}}}",
              f"max_iters must be finite, with 1 <= max_iters <= {MAX_COUNT:g}, "
              f"got {MAX_COUNT + 1}"),
+            # a recoil frequency E_r/h that underflows to 0 or overflows
+            ("lattice: {atom_mass_kg: 1.0e+300}",
+             "recoil frequency E_r/h must be finite, with recoil frequency E_r/h > 0, got 0.0"),
+            ("lattice: {wavelength_nm: 1.0e-300}",
+             "recoil frequency E_r/h must be finite, with recoil frequency E_r/h > 0, got inf"),
         ],
     )
     @pytest.mark.parametrize(
@@ -938,6 +943,23 @@ class TestFringeCommands:
         assert code == EXIT_VALIDATION
         assert (f"{flag} must be finite, with 0 < {flag} <= {MAX_COUNT:g}, got {value}"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["bands", "--path", "G", "--samples", "0"], "--samples"),
+         (["design", "--kind", "pi2", "--threshold", "nan", "--steps", "0"], "--steps"),
+         (["ramsey", "--t-max", "150", "--dt", "8", "--threads", "0"], "--threads"),
+         (["echo", "--t-max", "270", "--dt", "8", "--n-echo", "0"], "--n-echo")],
+        ids=["bands", "design", "ramsey", "echo"],
+    )
+    def test_a_bounded_flag_is_refused_before_the_command_checks(self, tmp_path, capsys,
+                                                                argv, flag):
+        # Each argv also breaks a rule of its command: a one-waypoint path,
+        # a NaN threshold, a fringe shorter than two or three windows.
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == EXIT_VALIDATION
+        assert f"error: {flag} must be finite, with " in capsys.readouterr().err
         assert not out.exists()
 
     def test_echo_runs_with_references(self, tmp_path):

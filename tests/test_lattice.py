@@ -73,6 +73,19 @@ class TestConstants:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             LatticeSpec(**{name: value})
 
+    @pytest.mark.parametrize(
+        "fields, got",
+        # E_r/h underflows to 0, overflows in the division, or overflows in
+        # k**2, which Python raises as OverflowError.
+        [({"atom_mass": 1e300}, "0.0"), ({"wavelength": 1e308}, "0.0"),
+         ({"wavelength": 1e-309}, "inf"), ({"wavelength": 1e-200}, "inf")],
+    )
+    def test_spec_refuses_a_recoil_frequency_out_of_range(self, fields, got):
+        with pytest.raises(ValueError) as exc:
+            LatticeSpec(**fields)
+        assert str(exc.value) == ("recoil frequency E_r/h must be finite, with "
+                                  f"recoil frequency E_r/h > 0, got {got}")
+
 
 def _beams(spec):
     """The beam wavevectors k_1, k_2, k_3 that the reciprocal primitives
@@ -349,6 +362,10 @@ BOUNDED_FIELDS = {
 INTEGER_FIELDS = {"shell_radius", "quadrature", "rng_seed", "max_iters", "restarts"}
 #: EnsembleSpec's quadrature rules besides its range.
 QUADRATURE_RULES = ("quadrature must be odd", "quadrature grid < 5")
+#: The probed values inside their own range whose wavelength and atom mass
+#: (the other at its default) give no finite, positive recoil frequency E_r/h.
+RECOIL_REFUSED = {("LatticeSpec.wavelength", 5e-324), ("LatticeSpec.wavelength", 1e308),
+                  ("LatticeSpec.atom_mass", 1e308)}
 
 
 def _boundary_values(lo, hi):
@@ -378,7 +395,9 @@ def test_every_bound_refuses_in_one_form(case):
     lies in its range, is not a bool, and is an integer for a count, and
     otherwise raises ValueError in the one form of a bound, of the integer
     rule for a count or of the number rule for any other field: never
-    TypeError or OverflowError, and never with a value too large for a float."""
+    TypeError or OverflowError, and never with a value too large for a float.
+    A wavelength or atom mass in range but without a finite, positive
+    recoil frequency raises in the form of that frequency's bound."""
     where, value = case
     name, construct, lo, hi, above = BOUNDED_FIELDS[where]
     top = sys.float_info.max if hi is None else hi
@@ -386,11 +405,13 @@ def test_every_bound_refuses_in_one_form(case):
     inside = inside and not isinstance(value, bool)
     if name in INTEGER_FIELDS:
         inside = inside and isinstance(value, int)
+    kind = "an integer" if name in INTEGER_FIELDS else "a number"
+    forms = (f"{name} must be finite, with ", f"{name} must be {kind}, got ")
+    if inside and (where, value) in RECOIL_REFUSED:
+        inside, forms = False, ("recoil frequency E_r/h must be finite, with ",)
     try:
         construct(value)
     except ValueError as exc:
-        kind = "an integer" if name in INTEGER_FIELDS else "a number"
-        forms = (f"{name} must be finite, with ", f"{name} must be {kind}, got ")
         assert str(exc).startswith(QUADRATURE_RULES if inside else forms), exc
     else:
         assert inside

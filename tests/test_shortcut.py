@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,19 @@ class TestAscend:
         assert all(p[2] == 5.0 for p in points)
         assert len(trace) == 2 and trace[1] == f > trace[0]
 
+    def test_stencil_memory_is_linear_in_the_parameters(self):
+        # 2,400 parameters, as an 800-step design has: a stencil of (n, n)
+        # projected points would take 8 n^2 bytes (46 MB) per copy.
+        n = 2400
+        lower, upper = np.zeros(n), np.full(n, 10.0)
+        tracemalloc.start()
+        try:
+            _ascend(np.ones(n), lambda x: -float(x @ x),
+                    lambda x: np.clip(x, lower, upper), OptimizerOptions(max_iters=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_failed_line_search_halves_the_rate(self):
         # At a kink whose central difference reads +1, every step uphill of

@@ -28,16 +28,17 @@ from artifact.cli import (
     MAX_HOLD_TIMES,
     RunConfig,
     _parse_sequence,
+    _run_fringe,
     _sequence_file,
     build_parser,
     load_sequence,
     main,
 )
 from artifact.dynamics import MAX_STEP_US, PulseSequence
-from artifact.interferometer import MAX_QUADRATURE
-from artifact.lattice import MAX_SHELL_RADIUS
+from artifact.interferometer import MAX_QUADRATURE, EnsembleSpec, FringeKind
+from artifact.lattice import MAX_SHELL_RADIUS, LatticeSpec, build_basis
 from artifact.sequences import REFERENCE_SEQUENCES
-from artifact.shortcut import MAX_COUNT
+from artifact.shortcut import MAX_COUNT, ObjectiveKind, OptimizerOptions
 
 
 def read_csv(path):
@@ -63,6 +64,20 @@ class TestConfig:
         assert cfg.geometry == "triangular"
         assert cfg.depth_Er == 5.0
         assert cfg.shell_radius == 5
+
+    def test_defaults_and_choices_are_the_librarys(self):
+        cfg = RunConfig()
+        assert cfg.lattice == LatticeSpec()
+        assert cfg.basis == build_basis(LatticeSpec())
+        assert cfg.ensemble == EnsembleSpec.from_width(0.72)
+        assert cfg.options == OptimizerOptions()
+        commands = build_parser()._subparsers._group_actions[0].choices
+        kinds = [kind.value for kind in ObjectiveKind]
+        for name in ("design", "eval"):
+            (kind,) = (a for a in commands[name]._actions if a.dest == "kind")
+            assert list(kind.choices) == kinds
+        fringes = [name for name, p in commands.items() if p.get_default("run") is _run_fringe]
+        assert fringes == [kind.value for kind in FringeKind]
 
     def test_file_and_overrides(self, tmp_path):
         p = tmp_path / "c.yaml"

@@ -43,6 +43,7 @@ from . import __version__
 from .dynamics import MAX_STEP_US, PulseSequence, PulseStep, band_eig
 from .interferometer import (
     MAX_HOLD_TIMES,
+    WIDTH_READINGS,
     EnsembleSpec,
     FringeCurve,
     FringeKind,
@@ -146,7 +147,7 @@ _SECTION_KEYS = {
                     depth_Er=_real, atom_mass_kg=_real),
     "basis": dict(shell_radius=_integer),
     "ensemble": dict(distribution=_choice("gaussian", "delta"), delta_q_hk=_real,
-                     width_reading=_choice("fwhm", "two_sigma"),
+                     width_reading=_choice(*WIDTH_READINGS),
                      quadrature=_integer, width_schedule=_schedule),
 }
 #: The top-level keys of a config file.
@@ -209,18 +210,18 @@ class RunConfig:
     basis once, so a bad value exits 2 whatever the subcommand or raises
     ValueError for a library caller; ``load`` only places a file's keys."""
 
-    geometry: str = "triangular"
-    wavelength_nm: float = 1064.0
-    depth_Er: float = 5.0
-    atom_mass_kg: float = 1.4432e-25
+    geometry: str = LatticeSpec.geometry.value
+    wavelength_nm: float = LatticeSpec.wavelength * 1e9
+    depth_Er: float = LatticeSpec.depth
+    atom_mass_kg: float = LatticeSpec.atom_mass
     shell_radius: int = 5
     distribution: str = "gaussian"
     delta_q_hk: float = 0.72
     width_reading: str = "fwhm"
-    quadrature: int = 21
+    quadrature: int = EnsembleSpec.quadrature
     width_schedule: list = field(default_factory=list)
     optimizer: dict = field(default_factory=dict)
-    rng_seed: int = 0
+    rng_seed: int = OptimizerOptions.rng_seed
 
     #: Built on construction; not fields, so not in the run id.
     lattice = basis = ensemble = options = None
@@ -684,6 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", default="runs/out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
+    kinds = [kind.value for kind in ObjectiveKind]
 
     p = sub.add_parser("bands", help="band energies along a BZ path", parents=[common])
     p.set_defaults(run=cmd_bands)
@@ -692,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="optimize a pulse sequence", parents=[common])
     p.set_defaults(run=cmd_design)
-    p.add_argument("--kind", choices=["pi2", "pi", "load"], required=True)
+    p.add_argument("--kind", choices=kinds, required=True)
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--variable-amplitude", action="store_true")
     p.add_argument("--depth-min", type=float, default=3.0)
@@ -703,13 +705,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="fidelity report for a sequence", parents=[common])
     p.set_defaults(run=cmd_eval)
     p.add_argument("--sequence", required=True, help="YAML path or reference:<name>")
-    p.add_argument("--kind", choices=["pi2", "pi", "load"], required=True)
+    p.add_argument("--kind", choices=kinds, required=True)
 
-    for name in ("ramsey", "echo"):
-        p = sub.add_parser(name, help=f"ensemble {name} fringe", parents=[common])
+    for kind in FringeKind:
+        p = sub.add_parser(kind.value, help=f"ensemble {kind.value} fringe", parents=[common])
         p.set_defaults(run=_run_fringe)
         p.add_argument("--pi2", default="ideal", help="sequence file, reference:<name>, or 'ideal'")
-        if name == "echo":
+        if kind is FringeKind.ECHO:
             p.add_argument("--pi", default=None, help="pi sequence file or reference:<name>")
             p.add_argument("--n-echo", type=int, default=2)
         p.add_argument("--t-max", type=float, required=True, help="max hold time (us)")

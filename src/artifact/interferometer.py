@@ -59,6 +59,9 @@ MAX_QUADRATURE = 401
 #: The most hold times a fringe accepts: the per-q kernel holds several
 #: (basis size, hold times) complex arrays.
 MAX_HOLD_TIMES = 10**5
+#: The readings of a measured quasi-momentum width delta_q, each with the
+#: divisor d of sigma = delta_q / d: the full width at half maximum, or 2 sigma.
+WIDTH_READINGS = {"fwhm": 2.0 * math.sqrt(2.0 * math.log(2.0)), "two_sigma": 2.0}
 
 
 class FringeKind(enum.Enum):
@@ -124,27 +127,19 @@ class EnsembleSpec:
         reading: str = "fwhm",
         quadrature: int = 21,
     ) -> "EnsembleSpec":
-        """Build a Gaussian ensemble from a measured distribution width.
-
-        ``reading="fwhm"`` (default) takes delta_q as the full width at half
-        maximum, sigma = delta_q / (2 sqrt(2 ln 2)); ``"two_sigma"`` takes
-        delta_q = 2 sigma.
-        """
-        if reading == "fwhm":
-            sigma = delta_q / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        elif reading == "two_sigma":
-            sigma = delta_q / 2.0
-        else:
-            raise ValueError("reading must be 'fwhm' or 'two_sigma'")
-        return cls(sigma_q=sigma, quadrature=quadrature)
+        """Build a Gaussian ensemble from a measured distribution width
+        delta_q, read as ``reading``, a key of :data:`WIDTH_READINGS`."""
+        if not isinstance(reading, str) or reading not in WIDTH_READINGS:
+            raise ValueError(f"reading must be {' or '.join(map(repr, WIDTH_READINGS))}")
+        return cls(sigma_q=delta_q / WIDTH_READINGS[reading], quadrature=quadrature)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FringeCurve:
     """P_D versus hold time."""
 
-    times: np.ndarray = field(repr=False, compare=False)
-    p_d: np.ndarray = field(repr=False, compare=False)
+    times: np.ndarray = field(repr=False)
+    p_d: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if len(self.times) != len(self.p_d):
@@ -155,12 +150,12 @@ class FringeCurve:
             raise ValueError("times must be strictly ascending")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContrastCurve:
     """Contrast versus hold time (window centers or sample times)."""
 
-    times: np.ndarray = field(repr=False, compare=False)
-    contrast: np.ndarray = field(repr=False, compare=False)
+    times: np.ndarray = field(repr=False)
+    contrast: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if len(self.times) != len(self.contrast):

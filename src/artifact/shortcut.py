@@ -74,7 +74,7 @@ ROTATION_BLOCKS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseObjective:
     """Initial states and the S/D frame F of a pulse-design goal; the targets
     are F times the kind's :data:`ROTATION_BLOCKS`, or for loading F's S column.
@@ -87,11 +87,11 @@ class PulseObjective:
     kind: ObjectiveKind
     spec: LatticeSpec
     basis: PlaneWaveBasis
-    quasimomentum: np.ndarray = field(repr=False, compare=False)
+    quasimomentum: np.ndarray = field(repr=False)
     #: initial states as columns (n_basis, pairs).
-    initial: np.ndarray = field(repr=False, compare=False)
+    initial: np.ndarray = field(repr=False)
     #: S/D columns used to express the sequence's rotation block.
-    band_frame: np.ndarray = field(repr=False, compare=False)
+    band_frame: np.ndarray = field(repr=False)
 
 
 def build_objective(
@@ -189,7 +189,7 @@ def fidelity_report(seq: PulseSequence, obj: PulseObjective) -> dict:
     """
     final = evolve_columns(obj.initial, seq, obj.quasimomentum, obj.spec, obj.basis)
     s_idx, d_idx = default_band_pair(obj.spec.geometry)
-    energies, states = band_eig(obj.quasimomentum, obj.spec, obj.basis)
+    _, states = band_eig(obj.quasimomentum, obj.spec, obj.basis)
     pops = np.abs(states.conj().T @ final) ** 2  # (n_bands, pairs)
 
     if obj.kind is ObjectiveKind.LOAD:

@@ -170,6 +170,12 @@ class TestCurveTypes:
         with pytest.raises(ValueError, match="finite"):
             ContrastCurve(times=np.array([0.0, 1.0]), contrast=np.array([0.5, math.nan]))
 
+    @pytest.mark.parametrize("record", [FringeCurve, ContrastCurve])
+    def test_records_with_different_arrays_differ(self, record):
+        one = record(np.array([0.0, 1.0]), np.array([0.1, 0.2]))
+        assert one == one
+        assert one != record(np.array([0.0, 5.0]), np.array([0.9, 0.3]))
+
 
 class TestIdealFringe:
     def test_quarter_points(self, spec, basis, period):

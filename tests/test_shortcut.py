@@ -58,6 +58,11 @@ class TestObjective:
             [0.0, 0.0], abs=1e-15
         )
 
+    def test_objectives_at_different_q_differ(self, objectives, spec, basis):
+        at_gamma = objectives[ObjectiveKind.HALF_PI]
+        assert at_gamma == at_gamma
+        assert at_gamma != build_objective(ObjectiveKind.HALF_PI, spec, basis, np.array([0.3, 0.0]))
+
 
 class TestReferenceFidelities:
     def test_half_pi(self, objectives):

@@ -54,6 +54,7 @@ from .interferometer import (
     ensemble_fringe,
 )
 from .lattice import (
+    MAX_DEPTH_ER,
     Geometry,
     LatticeSpec,
     build_basis,
@@ -470,10 +471,10 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
     if not math.isfinite(threshold):
         raise ValueError(f"--threshold must be finite, got {threshold}")
     box = (args.depth_min, args.depth_max) if args.variable_amplitude else None
-    if box and not 0 <= box[0] <= spec.depth <= box[1] < math.inf:
+    if box and not 0 <= box[0] <= spec.depth <= box[1] <= MAX_DEPTH_ER:
         raise ValueError(
-            f"--depth-min and --depth-max must be finite, with 0 <= --depth-min "
-            f"<= depth_Er {spec.depth:g} <= --depth-max, got {box[0]:g} and {box[1]:g}"
+            f"--depth-min and --depth-max must be finite, with 0 <= --depth-min <= depth_Er "
+            f"{spec.depth:g} <= --depth-max <= {MAX_DEPTH_ER:g}, got {box[0]:g} and {box[1]:g}"
         )
     run_args = {
         "kind": args.kind,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
+    MAX_DEPTH_ER,
     TRIANGULAR_COUPLING_OFFSETS,
     Geometry,
     LatticeSpec,
@@ -64,7 +65,7 @@ class PulseStep:
         require_within("t_on", self.t_on, 0, MAX_STEP_US, unit=" us")
         require_within("t_off", self.t_off, 0, MAX_STEP_US, unit=" us")
         if self.depth is not None:
-            require_within("depth", self.depth, 0)
+            require_within("depth", self.depth, 0, MAX_DEPTH_ER, unit=" E_r")
 
 
 @dataclass(frozen=True)

@@ -113,9 +113,11 @@ class EnsembleSpec:
             raise ValueError("quadrature grid < 5 per axis is too coarse")
         last = -math.inf
         for t, width in self.width_schedule:
-            if not (-math.inf < t < math.inf and 0 < width < math.inf):
-                raise ValueError("width_schedule must be finite, with widths > 0, "
-                                 f"got {(t, width)}")
+            # The farthest node's weight squares 3 sigma_q / width.
+            spread = 3.0 * (self.sigma_q / width) if 0 < width < math.inf else math.inf
+            if not (-math.inf < t < math.inf and spread * spread < math.inf):
+                raise ValueError("width_schedule must be finite, with widths > 0 and "
+                                 f"(3 sigma_q / width)^2 finite, got {(t, width)}")
             if t < last:
                 raise ValueError("width_schedule times must ascend")
             last = t
@@ -366,32 +368,37 @@ def echo_pd(
 
 
 def check_reach(ens: EnsembleSpec, basis: PlaneWaveBasis) -> None:
-    """Refuse an ensemble whose farthest quadrature node, the last of
-    :func:`_grid_axes` (3 sqrt(2) sigma_q out on the 2-D grid), lies beyond
-    the basis's largest |G|.  A huge sigma_q overflows the grid's spacing,
-    but ``linspace`` sets that last node exactly."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        xs, ys = _grid_axes(ens, basis.geometry)
-    basis.check_reach(math.hypot(xs[-1], ys[-1]), "the ensemble's farthest quadrature node")
+    """Refuse an ensemble whose farthest node, sigma_q times the last of
+    :func:`_unit_axes`, lies beyond the basis's largest |G|.  The product is a
+    Python float, so a huge sigma_q reads inf, with no overflow warning."""
+    ux, uy = _unit_axes(ens, basis.geometry)
+    basis.check_reach(float(ens.sigma_q) * math.hypot(ux[-1], uy[-1]),
+                      "the ensemble's farthest quadrature node")
 
 
-def _grid_axes(ens: EnsembleSpec, geometry: Geometry):
-    """Per-axis quadrature positions (x, y); y is [0] for 1D geometry."""
-    if ens.sigma_q == 0:
-        return np.array([0.0]), np.array([0.0])
-    x = np.linspace(-3.0 * ens.sigma_q, 3.0 * ens.sigma_q, ens.quadrature)
-    if geometry is Geometry.STANDING_WAVE_1D:
-        return x, np.array([0.0])
-    return x, x
+def _unit_axes(ens: EnsembleSpec, geometry: Geometry):
+    """Per-axis nodes (u_x, u_y) in units of sigma_q, ``quadrature`` points
+    from -3 to 3: one half mirrored, so the centre is exactly 0 and
+    u[k] == -u[-1-k] to the bit.  An axis is the one point 0 for sigma_q = 0,
+    and so is y for the 1D geometry."""
+    half = np.linspace(0.0, 3.0, ens.quadrature // 2 + 1 if ens.sigma_q > 0 else 1)
+    u = np.concatenate((-half[:0:-1], half))
+    return u, np.zeros(1) if geometry is Geometry.STANDING_WAVE_1D else u
 
 
-def _axis_weights(axis: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """Unnormalized Gaussian weights along one grid axis, one row per node and
-    one column per width; a one-point axis (the single point q = 0, or the y
-    axis of the 1D geometry) weighs 1."""
-    if len(axis) == 1:
-        return np.ones((1, len(sigmas)))
-    return np.exp(-(axis[:, None] ** 2) / (2.0 * sigmas**2))
+def _quadrature_nodes(ens: EnsembleSpec, geometry: Geometry, times: np.ndarray) -> list:
+    """The nodes in grid order, x outer and y inner, as (q, wx, wy): q =
+    sigma_q (u_x, u_y) and per-axis weights exp(-(u sigma_q / sigma(t))^2 / 2),
+    one value at a fixed width (exactly exp(-u^2 / 2)) or, under a width
+    schedule, a row over the hold times.  A one-point axis weighs 1."""
+    ux, uy = _unit_axes(ens, geometry)
+    ratio = np.ones(1)
+    if ens.width_schedule:
+        ts, ss = (np.array(col, dtype=float) for col in zip(*ens.width_schedule))
+        ratio = ens.sigma_q / np.interp(times, ts, ss)
+    wx, wy = (np.exp(-0.5 * np.square(np.outer(u, ratio))) for u in (ux, uy))
+    return [(ens.sigma_q * np.array([x, y]), a, b)
+            for x, a in zip(ux, wx) for y, b in zip(uy, wy)]
 
 
 def _ensemble_sums(
@@ -406,26 +413,18 @@ def _ensemble_sums(
 ) -> list[np.ndarray]:
     """Quadrature averages over the ensemble of the kernel's rows (p_d, num, den).
 
-    Each q weighs wx * wy from per-axis tables: one value, or under a width
-    schedule a row over the hold times.  Results are consumed as they arrive,
-    in grid order for every thread count: w * rows and w itself go into
-    running sums, and the sums are divided by the weight total once at the
-    end.  So memory holds O(T) sums and the work of the q in flight, not of
-    the grid, and the result is the same to the bit across thread counts.
-    The pool starts at most one thread per q and per CPU, whatever ``threads``.
+    Each q of :func:`_quadrature_nodes` weighs w = wx * wy.  Results are
+    consumed as they arrive, in grid order for every thread count: w * rows
+    and w go into running sums, divided by the weight total once at the end.
+    So memory holds O(T) sums and the work of the q in flight, not of the
+    grid, and the result is the same to the bit across thread counts.  The
+    pool starts at most one thread per q and per CPU, whatever ``threads``.
     """
     require_within("threads", threads, 1, integer=True)
     pulses = _as_pulse_model(pulses)
     check_reach(ens, basis)
     _check_run(kind, pulses, times, n_echo)
-    xs, ys = _grid_axes(ens, spec.geometry)
-    sigmas = np.array([ens.sigma_q])
-    if ens.width_schedule:
-        ts, ss = (np.array(col, dtype=float) for col in zip(*ens.width_schedule))
-        sigmas = np.interp(times, ts, ss)
-    wx, wy = _axis_weights(xs, sigmas), _axis_weights(ys, sigmas)
-    # The grid order, x outer and y inner: each node's q and weight rows.
-    nodes = [(np.array([qx, qy]), a, b) for qx, a in zip(xs, wx) for qy, b in zip(ys, wy)]
+    nodes = _quadrature_nodes(ens, spec.geometry, times)
 
     def work(node):
         return _fringe_kernel(kind, pulses, times, node[0], spec, basis, n_echo)

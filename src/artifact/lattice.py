@@ -50,6 +50,9 @@ REFERENCE_FRINGE_PERIOD_US = 88.8
 #: The largest shell radius N of :func:`build_basis`: an eigensolve costs
 #: (2N+1)^6, and a huge radius would exhaust memory.
 MAX_SHELL_RADIUS = 10
+#: The deepest lattice (E_r) of a spec, pulse step or depth box: the absolute
+#: 1e-10 eigen-residual check sees 8.4e-13 at 1e3 E_r but 9.1e-11 at 1e5.
+MAX_DEPTH_ER = 1e3
 
 #: First-shell index offsets (n1, n2) whose reciprocal vectors carry the six
 #: triangular Fourier components: +-b1, +-b2, +-(b1 + b2).
@@ -96,7 +99,7 @@ class LatticeSpec:
     def __post_init__(self) -> None:
         require_within("wavelength", self.wavelength, 0, above=True)
         require_within("atom_mass", self.atom_mass, 0, above=True)
-        require_within("depth", self.depth, 0)
+        require_within("depth", self.depth, 0, MAX_DEPTH_ER, unit=" E_r")
         try:  # E_r/h, the unit of every energy and time
             f_hz = recoil_energy(self)[1]
         except OverflowError:  # k**2 beyond the largest float
@@ -256,7 +259,7 @@ def potential_fourier(spec: LatticeSpec, depth: float | None = None) -> dict:
     phase, so phase-locked echo fringes change if the term is dropped.
     """
     d = spec.depth if depth is None else depth
-    require_within("depth", d, 0)
+    require_within("depth", d, 0, MAX_DEPTH_ER, unit=" E_r")
     if d == 0:
         return {}
     if spec.geometry is Geometry.TRIANGULAR_3BEAM:

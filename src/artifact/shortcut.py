@@ -39,7 +39,7 @@ from .dynamics import (
     evolve_columns,
     sd_frame,
 )
-from .lattice import LatticeSpec, PlaneWaveBasis, require_within
+from .lattice import MAX_DEPTH_ER, LatticeSpec, PlaneWaveBasis, require_within
 
 #: Phases b on which :func:`aligned_fidelity_block` brackets its maximum.
 _PHASE_GRID = np.linspace(-math.pi, math.pi, 720, endpoint=False)
@@ -315,9 +315,9 @@ def optimize(
         lo = hi = x_seed[2 * k :]
     else:
         lo, hi = depth_bounds
-        if not 0 <= lo <= nominal <= hi < math.inf:
+        if not 0 <= lo <= nominal <= hi <= MAX_DEPTH_ER:
             raise ValueError(f"depth_bounds must be finite, with 0 <= lo <= spec depth "
-                             f"{nominal:g} <= hi, got {(lo, hi)}")
+                             f"{nominal:g} <= hi <= {MAX_DEPTH_ER:g}, got {(lo, hi)}")
     lower = np.concatenate([np.zeros(2 * k), np.broadcast_to(lo, (k,))])
     upper = np.concatenate([np.full(2 * k, MAX_STEP_US), np.broadcast_to(hi, (k,))])
 

@@ -36,7 +36,7 @@ from artifact.cli import (
 )
 from artifact.dynamics import MAX_STEP_US, PulseSequence
 from artifact.interferometer import MAX_QUADRATURE, EnsembleSpec, FringeKind
-from artifact.lattice import MAX_SHELL_RADIUS, LatticeSpec, build_basis
+from artifact.lattice import MAX_DEPTH_ER, MAX_SHELL_RADIUS, LatticeSpec, build_basis
 from artifact.sequences import REFERENCE_SEQUENCES
 from artifact.shortcut import MAX_COUNT, ObjectiveKind, OptimizerOptions
 
@@ -204,7 +204,8 @@ class TestConfig:
             ("ensemble:\n  width_schedule: [1, 2]\n",
              "bad config value for width_schedule"),
             ("ensemble:\n  width_schedule: [[0, 0.3], [100, 0.0]]\n",
-             "width_schedule must be finite, with widths > 0, got (100.0, 0.0)"),
+             "width_schedule must be finite, with widths > 0 and (3 sigma_q / width)^2 "
+             "finite, got (100.0, 0.0)"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
@@ -294,7 +295,8 @@ class TestConfig:
              f"quadrature must be finite, with 1 <= quadrature <= {MAX_QUADRATURE}, got -3"),
             ("ensemble: {width_reading: bogus, distribution: delta}", "width_reading"),
             ("ensemble: {delta_q_hk: .nan, distribution: delta}", "sigma_q must be finite"),
-            ("lattice: {depth_Er: -1}", "depth must be finite, with depth >= 0, got -1.0"),
+            ("lattice: {depth_Er: -1}",
+             f"depth must be finite, with 0 <= depth <= {MAX_DEPTH_ER:g} E_r, got -1.0"),
             ("basis: {shell_radius: 0}", "shell_radius"),
             ("rng_seed: -1", "rng_seed"),
             # counts whose run would exhaust memory or time
@@ -591,7 +593,7 @@ class TestLoadSequence:
             ("{t_on_us: 1.0, t_off_us: -1}", "bad sequence value in step 1: "
              f"t_off must be finite, with 0 <= t_off <= {MAX_STEP_US:g} us, got -1.0"),
             ("{t_on_us: 1.0, t_off_us: 1.0, depth_Er: -2}", "bad sequence value in step 1: "
-             "depth must be finite, with depth >= 0, got -2.0"),
+             f"depth must be finite, with 0 <= depth <= {MAX_DEPTH_ER:g} E_r, got -2.0"),
             ("{t_on_us: 2.7, t_off_us: 16.8, depth_er: 3.0}",
              "unknown sequence key(s) depth_er"),
         ],
@@ -672,6 +674,18 @@ class TestBands:
                      "--samples", "2"])
         assert code == EXIT_VALIDATION
         assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_deep_lattice_exits_2(self, tmp_path, capsys):
+        # At 1e6 E_r eigh solves H to rounding, but the absolute eigen-residual
+        # check (1e-10) refused it: exit 4.  The depth bound refuses it first.
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text("lattice: {depth_Er: 1.0e+6}\n")
+        code = main(["bands", "--out", str(tmp_path / "x"), "--samples", "2",
+                     "--config", str(cfgp)])
+        assert code == EXIT_VALIDATION
+        assert (f"depth must be finite, with 0 <= depth <= {MAX_DEPTH_ER:g} E_r, got 1000000.0"
+                in capsys.readouterr().err)
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
@@ -805,9 +819,11 @@ class TestDesign:
          (["--variable-amplitude", "--depth-min", "6", "--depth-max", "3"],
           "--depth-min and --depth-max must be finite, with 0 <= --depth-min"),
          (["--variable-amplitude", "--depth-min", "3", "--depth-max", "nan"],
-          "--depth-min and --depth-max must be finite, with 0 <= --depth-min")],
+          "--depth-min and --depth-max must be finite, with 0 <= --depth-min"),
+         (["--variable-amplitude", "--depth-min", "3", "--depth-max", "1001"],
+          f"<= --depth-max <= {MAX_DEPTH_ER:g}, got 3 and 1001")],
         ids=["threshold-nan", "threshold-inf", "negative-depth-min",
-             "depth-box-reversed", "depth-max-nan"],
+             "depth-box-reversed", "depth-max-nan", "depth-max-too-deep"],
     )
     def test_bad_design_flag_exits_2_before_the_output(self, tmp_path, capsys,
                                                        extra, message):
@@ -1552,6 +1568,12 @@ def _refused(config, *argv):
                       "--period", "88.8"))
 @example(run=_refused({"ensemble": {"delta_q_hk": 50}}, "ramsey", "--pi2", "ideal",
                       "--t-max", "400", "--dt", "4"))
+@example(run=_refused({"ensemble": {"width_schedule": [[0, 1.0e-300]]}}, "ramsey", "--pi2",
+                      "ideal", "--t-max", "400", "--dt", "4"))
+@example(run=_refused({"lattice": {"depth_Er": 1.0e+6}}, "bands", "--samples", "2"))
+# A near-delta ensemble, whose weights were once 0/0, runs.
+@example(run=(["ramsey", "--pi2", "ideal", "--t-max", "400", "--dt", "4"],
+              {"ensemble": {"delta_q_hk": 1.0e-300, "quadrature": 5}}, False))
 @example(run=(["design", "--kind", "pi2", "--steps", "1"], {}, True))
 # File names too long for the system, which once raised OSError.
 @example(run=_refused({}, "coherence", "--fringe", str(10**400), "--period", "88.8"))

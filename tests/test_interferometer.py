@@ -13,6 +13,7 @@ from artifact.interferometer import (
     _ensemble_sums,
     _fringe_kernel,
     _pulse,
+    _quadrature_nodes,
     ContrastCurve,
     EnsembleSpec,
     FringeCurve,
@@ -38,6 +39,7 @@ from artifact.dynamics import (
     sd_frame,
 )
 from artifact.lattice import (
+    Geometry,
     angular_frequency_per_Er,
     build_basis,
     fringe_period_us,
@@ -118,6 +120,22 @@ class TestEnsembleSpec:
         (name,) = fields
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             EnsembleSpec(**{"sigma_q": 0.3, **fields})
+
+    @pytest.mark.parametrize("sigma, width, refused", [
+        (0.3, 1e-300, True), (1e-300, 1e-300, False), (0.0, 1e-300, False),
+        (0.3, 3.0 * 0.3 / 1e154, False), (0.3, 3.0 * 0.3 / 1.4e154, True),
+    ], ids=["far-below", "equal-tiny", "q=0", "just-within", "just-beyond"])
+    def test_width_schedule_width_keeps_the_weights_finite(self, sigma, width, refused):
+        # The farthest node's weight squares 3 sigma_q / width, which must stay
+        # a float (the largest is 1.8e308, so the ratio must stay below 1.34e154).
+        make = functools.partial(EnsembleSpec, sigma_q=sigma, quadrature=5,
+                                 width_schedule=((0.0, 0.3), (50.0, width)))
+        if refused:
+            with pytest.raises(ValueError, match=r"widths > 0 and \(3 sigma_q / width\)\^2 "
+                                                 r"finite, got \(50.0, "):
+                make()
+        else:
+            make()
 
     def test_width_schedule_times_must_ascend(self):
         with pytest.raises(ValueError):
@@ -529,7 +547,43 @@ class TestCheckReach:
             check_reach(EnsembleSpec(sigma_q=edge * (1.0 + 1e-6)), grid_basis)
 
 
+class TestQuadratureNodes:
+    """The ensemble's nodes sigma_q u on a mirrored unit grid u: every node's
+    mirror -q is a node with the same weight, to the bit, and the centre is
+    exactly q = 0 with weight 1, at any width down to the smallest floats."""
+
+    @pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
+    @pytest.mark.parametrize("schedule", [(), ((0.0, 0.1), (500.0, 0.4))],
+                             ids=["fixed", "scheduled"])
+    @pytest.mark.parametrize("fwhm", [1e-300, 1e-8, 0.20, 0.72])
+    @pytest.mark.parametrize("quadrature", [5, 9, 21, 401])
+    def test_mirror_pairs_are_exact(self, quadrature, fwhm, schedule, geometry):
+        ens = EnsembleSpec(sigma_q=EnsembleSpec.from_width(fwhm).sigma_q,
+                           quadrature=quadrature, width_schedule=schedule)
+        nodes = _quadrature_nodes(ens, geometry, np.linspace(0.0, 900.0, 4))
+        q = np.array([node[0] for node in nodes])
+        w = np.array([wx * wy for _, wx, wy in nodes])
+        assert len(nodes) == quadrature ** (1 if geometry is Geometry.STANDING_WAVE_1D else 2)
+        assert np.array_equal(q, -q[::-1])
+        assert np.array_equal(w, w[::-1])
+        assert q[len(q) // 2].tolist() == [0.0, 0.0]
+        assert np.all(w[len(w) // 2] == 1.0)
+        assert np.all(np.isfinite(w)) and np.all(w > 0)
+
+
 class TestEnsembleFringe:
+    @pytest.mark.parametrize("ens", [
+        EnsembleSpec(sigma_q=1e-300, quadrature=5),
+        EnsembleSpec(sigma_q=0.3, quadrature=5, width_schedule=((0.0, 1e-150),)),
+    ], ids=["tiny-width", "tiny-scheduled-width"])
+    def test_near_delta_ensemble_is_the_zero_q_fringe(self, spec, basis, period, ens):
+        # Once gave 0/0 weights: x^2 / (2 sigma^2) with both squares underflowing.
+        times = np.linspace(0.0, period, 7)
+        args = (FringeKind.RAMSEY, IdealPulses(), times)
+        near = ensemble_fringe(*args, ens, spec, basis).p_d
+        assert near == pytest.approx(ensemble_fringe(*args, EnsembleSpec(), spec, basis).p_d,
+                                     abs=1e-12)
+
     def test_zero_width_equals_single_q(self, spec, basis, period):
         times = np.linspace(0.0, period, 7)
         ens = EnsembleSpec()
@@ -642,18 +696,21 @@ class TestEnsembleFringe:
 
 class TestStreamedSum:
     """The streamed quadrature sum against a dense (nq, T) oracle,
-    sum_q w_q c_q / sum_q w_q."""
+    sum_q w_q c_q / sum_q w_q, on the grid sigma_q u of mirrored unit nodes u
+    with weights exp(-(u sigma_q / sigma(t))^2 / 2)."""
 
     @staticmethod
     def _dense_sums(kind, model, times, ens, spec, basis):
-        xs = np.linspace(-3 * ens.sigma_q, 3 * ens.sigma_q, ens.quadrature)
-        sigmas = [ens.sigma_q] * len(times)
+        half = np.linspace(0.0, 3.0, ens.quadrature // 2 + 1)
+        u = np.concatenate((-half[:0:-1], half))
+        xs = ens.sigma_q * u
+        ratios = [1.0] * len(times)
         if ens.width_schedule:
             ts, ss = (np.array(col, dtype=float) for col in zip(*ens.width_schedule))
-            sigmas = np.interp(times, ts, ss)
+            ratios = ens.sigma_q / np.interp(times, ts, ss)
         columns = []
-        for sigma in sigmas:
-            wx = np.exp(-(xs**2) / (2.0 * float(sigma) ** 2))
+        for ratio in ratios:
+            wx = np.exp(-0.5 * (u * ratio) ** 2)
             columns.append(np.outer(wx, wx).ravel())
         weights = np.stack(columns, axis=1)
         parts = [

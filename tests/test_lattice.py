@@ -12,6 +12,7 @@ from artifact.interferometer import MAX_QUADRATURE, EnsembleSpec
 from artifact.lattice import (
     Geometry,
     LatticeSpec,
+    MAX_DEPTH_ER,
     MAX_SHELL_RADIUS,
     TRIANGULAR_FOURIER_COEF,
     bisect_root,
@@ -154,10 +155,10 @@ class TestPotential:
     def test_zero_depth_empty(self, spec):
         assert potential_fourier(spec, depth=0.0) == {}
 
-    @pytest.mark.parametrize("depth", [-1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("depth", [-1.0, math.nan, math.inf, -math.inf, 2 * MAX_DEPTH_ER])
     def test_depth_must_be_finite_and_non_negative(self, spec, depth):
-        with pytest.raises(ValueError, match=f"depth must be finite, with depth >= 0, "
-                                             f"got {depth}"):
+        with pytest.raises(ValueError, match=f"depth must be finite, with 0 <= depth <= "
+                                             f"{MAX_DEPTH_ER:g} E_r, got {depth}"):
             potential_fourier(spec, depth)
 
     def test_triangular_first_shell(self, spec):
@@ -336,12 +337,12 @@ class TestGapAndCalibration:
 BOUNDED_FIELDS = {
     "LatticeSpec.wavelength": ("wavelength", lambda v: LatticeSpec(wavelength=v), 0, None, True),
     "LatticeSpec.atom_mass": ("atom_mass", lambda v: LatticeSpec(atom_mass=v), 0, None, True),
-    "LatticeSpec.depth": ("depth", lambda v: LatticeSpec(depth=v), 0, None, False),
+    "LatticeSpec.depth": ("depth", lambda v: LatticeSpec(depth=v), 0, MAX_DEPTH_ER, False),
     "build_basis.shell_radius": ("shell_radius", lambda v: build_basis(LatticeSpec(), v),
                                  1, MAX_SHELL_RADIUS, False),
     "PulseStep.t_on": ("t_on", lambda v: PulseStep(v, 0.0), 0, MAX_STEP_US, False),
     "PulseStep.t_off": ("t_off", lambda v: PulseStep(0.0, v), 0, MAX_STEP_US, False),
-    "PulseStep.depth": ("depth", lambda v: PulseStep(1.0, 1.0, v), 0, None, False),
+    "PulseStep.depth": ("depth", lambda v: PulseStep(1.0, 1.0, v), 0, MAX_DEPTH_ER, False),
     "EnsembleSpec.sigma_q": ("sigma_q", lambda v: EnsembleSpec(sigma_q=v), 0, None, False),
     "EnsembleSpec.quadrature": ("quadrature", lambda v: EnsembleSpec(quadrature=v),
                                 1, MAX_QUADRATURE, False),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact.dynamics import PulseSequence, evolve_columns
+from artifact.lattice import MAX_DEPTH_ER
 from artifact.sequences import (
     REFERENCE_LOAD,
     REFERENCE_PI,
@@ -367,7 +368,8 @@ class TestVariableAmplitude:
         obj = objectives[ObjectiveKind.HALF_PI]
         seed = PulseSequence.from_durations([(10.0, 10.0)])
         # and be finite: a random start would call rng.uniform(lo, inf).
-        for bounds in ((6.0, 7.0), (6.0, 5.0), (4.0, math.inf), (4.0, math.nan)):
+        for bounds in ((6.0, 7.0), (6.0, 5.0), (4.0, math.inf), (4.0, math.nan),
+                       (4.0, 2 * MAX_DEPTH_ER)):
             with pytest.raises(ValueError, match="depth_bounds must be finite, with 0 <= lo "
                                                  "<= spec depth 5 <= hi"):
                 optimize(seed, obj, TINY, depth_bounds=bounds)

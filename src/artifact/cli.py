@@ -471,11 +471,9 @@ def cmd_design(cfg: RunConfig, args, out_dir: Path) -> int:
     if not math.isfinite(threshold):
         raise ValueError(f"--threshold must be finite, got {threshold}")
     box = (args.depth_min, args.depth_max) if args.variable_amplitude else None
-    if box and not 0 <= box[0] <= spec.depth <= box[1] <= MAX_DEPTH_ER:
-        raise ValueError(
-            f"--depth-min and --depth-max must be finite, with 0 <= --depth-min <= depth_Er "
-            f"{spec.depth:g} <= --depth-max <= {MAX_DEPTH_ER:g}, got {box[0]:g} and {box[1]:g}"
-        )
+    if box:
+        require_within("--depth-min", box[0], 0, spec.depth, unit=" E_r")
+        require_within("--depth-max", box[1], spec.depth, MAX_DEPTH_ER, unit=" E_r")
     run_args = {
         "kind": args.kind,
         "steps": args.steps,
@@ -539,9 +537,7 @@ def _fringe_times(args, window: float) -> np.ndarray:
     flat fringe on them is analysed as the computed one will be, so a grid
     that undersamples the window or spans fewer than three windows exits
     before the ensemble."""
-    if args.t_max / args.dt > MAX_HOLD_TIMES:
-        raise ValueError(f"--t-max / --dt must give at most {MAX_HOLD_TIMES} "
-                         f"hold times, got {args.t_max:g} / {args.dt:g}")
+    require_within("--t-max / --dt", args.t_max / args.dt, 0, MAX_HOLD_TIMES)
     times = np.arange(0.0, args.t_max, args.dt)
     coherence_time(contrast_curve(FringeCurve(times, np.full(len(times), 0.5)), window))
     return times

@@ -212,13 +212,12 @@ def require_within(name: str, value, lo, hi=None, *, above: bool = False,
     (a flag) as not a number, and with ``integer`` also a non-``Integral``
     count (a float fails later in ``range`` or the RNG).  With no ``hi`` the
     upper end is the largest float, so NaN, +-inf and integers too large for a
-    float fail the range too.  Pass ``lo`` as an int, so that the bound reads
-    ``>= 0``."""
+    float fail the range too."""
     top = sys.float_info.max if hi is None else hi
     if not (lo < value <= top if above else lo <= value <= top):
         eq = "" if above else "="
-        bound = (f"{name} >{eq} {lo}" if hi is None
-                 else f"{lo} <{eq} {name} <= {hi:g}{unit}")
+        bound = (f"{name} >{eq} {lo:g}" if hi is None
+                 else f"{lo:g} <{eq} {name} <= {hi:g}{unit}")
         raise ValueError(f"{name} must be finite, with {bound}, got {value}")
     if isinstance(value, bool) or integer and not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value}")

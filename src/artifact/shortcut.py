@@ -315,9 +315,8 @@ def optimize(
         lo = hi = x_seed[2 * k :]
     else:
         lo, hi = depth_bounds
-        if not 0 <= lo <= nominal <= hi <= MAX_DEPTH_ER:
-            raise ValueError(f"depth_bounds must be finite, with 0 <= lo <= spec depth "
-                             f"{nominal:g} <= hi <= {MAX_DEPTH_ER:g}, got {(lo, hi)}")
+        require_within("depth_bounds[0]", lo, 0, nominal, unit=" E_r")
+        require_within("depth_bounds[1]", hi, nominal, MAX_DEPTH_ER, unit=" E_r")
     lower = np.concatenate([np.zeros(2 * k), np.broadcast_to(lo, (k,))])
     upper = np.concatenate([np.full(2 * k, MAX_STEP_US), np.broadcast_to(hi, (k,))])
 

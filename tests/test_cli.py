@@ -204,8 +204,7 @@ class TestConfig:
             ("ensemble:\n  width_schedule: [1, 2]\n",
              "bad config value for width_schedule"),
             ("ensemble:\n  width_schedule: [[0, 0.3], [100, 0.0]]\n",
-             "width_schedule must be finite, with widths > 0 and (3 sigma_q / width)^2 "
-             "finite, got (100.0, 0.0)"),
+             "width_schedule width must be finite, with width_schedule width > 0, got 0.0"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
@@ -304,7 +303,7 @@ class TestConfig:
              f"shell_radius must be finite, with 1 <= shell_radius <= {MAX_SHELL_RADIUS}, "
              f"got {MAX_SHELL_RADIUS + 1}"),
             (f"ensemble: {{quadrature: {MAX_QUADRATURE + 2}}}",
-             f"quadrature must be finite, with 1 <= quadrature <= {MAX_QUADRATURE}, "
+             f"quadrature must be finite, with 5 <= quadrature <= {MAX_QUADRATURE}, "
              f"got {MAX_QUADRATURE + 2}"),
             (f"optimizer: {{restarts: {MAX_COUNT + 1}}}",
              f"restarts must be finite, with 1 <= restarts <= {MAX_COUNT:g}, got {MAX_COUNT + 1}"),
@@ -815,13 +814,14 @@ class TestDesign:
         [(["--threshold", "nan"], "--threshold must be finite"),
          (["--threshold", "inf"], "--threshold must be finite"),
          (["--variable-amplitude", "--depth-min", "-3", "--depth-max", "6"],
-          "--depth-min and --depth-max must be finite, with 0 <= --depth-min"),
+          "--depth-min must be finite, with 0 <= --depth-min <= 5 E_r, got -3.0"),
          (["--variable-amplitude", "--depth-min", "6", "--depth-max", "3"],
-          "--depth-min and --depth-max must be finite, with 0 <= --depth-min"),
+          "--depth-min must be finite, with 0 <= --depth-min <= 5 E_r, got 6.0"),
          (["--variable-amplitude", "--depth-min", "3", "--depth-max", "nan"],
-          "--depth-min and --depth-max must be finite, with 0 <= --depth-min"),
+          f"--depth-max must be finite, with 5 <= --depth-max <= {MAX_DEPTH_ER:g} E_r, got nan"),
          (["--variable-amplitude", "--depth-min", "3", "--depth-max", "1001"],
-          f"<= --depth-max <= {MAX_DEPTH_ER:g}, got 3 and 1001")],
+          f"--depth-max must be finite, with 5 <= --depth-max <= {MAX_DEPTH_ER:g} E_r, "
+          "got 1001.0")],
         ids=["threshold-nan", "threshold-inf", "negative-depth-min",
              "depth-box-reversed", "depth-max-nan", "depth-max-too-deep"],
     )
@@ -1056,7 +1056,8 @@ class TestFringeCommands:
                      "--dt", "8", "--out", str(out)])
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert f"--t-max / --dt must give at most {MAX_HOLD_TIMES} hold times" in err
+        assert (f"--t-max / --dt must be finite, with 0 <= --t-max / --dt <= {MAX_HOLD_TIMES}, "
+                "got 125000.0" in err)
         assert not out.exists()
 
     @pytest.mark.parametrize("fwhm, farthest", [("23", "41.4387"), ("1e300", "1.80168e+300"),

@@ -71,7 +71,8 @@ class TestEnsembleSpec:
             EnsembleSpec(sigma_q=0.3, quadrature=20)
 
     def test_quadrature_must_not_be_tiny(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^quadrature must be finite, with 5 <= quadrature "
+                                             f"<= {MAX_QUADRATURE}, got 3$"):
             EnsembleSpec(sigma_q=0.3, quadrature=3)
 
     @pytest.mark.parametrize(
@@ -108,17 +109,18 @@ class TestEnsembleSpec:
             EnsembleSpec.from_width(0.5, reading="hwhm")
 
     @pytest.mark.parametrize(
-        "fields",
-        [{"sigma_q": value} for value in (math.nan, math.inf, -math.inf, -math.ulp(0.0))]
-        + [{"width_schedule": ((0.0, 0.3), point)}
-           for point in [(100.0, width) for width in (math.nan, math.inf, -math.inf, 0.0)]
-           + [(t, 0.3) for t in (math.nan, math.inf, -math.inf)]],
+        "name, fields",
+        [("sigma_q", {"sigma_q": value})
+         for value in (math.nan, math.inf, -math.inf, -math.ulp(0.0))]
+        + [("width_schedule width", {"width_schedule": ((0.0, 0.3), (100.0, width))})
+           for width in (math.nan, math.inf, -math.inf, 0.0)]
+        + [("width_schedule time", {"width_schedule": ((0.0, 0.3), (t, 0.3))})
+           for t in (math.nan, math.inf, -math.inf)],
     )
-    def test_non_finite_width_rejected(self, fields):
+    def test_non_finite_width_rejected(self, name, fields):
         # NaN, +-inf and the floats just outside each bound; a schedule time
         # has no finite bound.
-        (name,) = fields
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
             EnsembleSpec(**{"sigma_q": 0.3, **fields})
 
     @pytest.mark.parametrize("sigma, width, refused", [
@@ -131,8 +133,8 @@ class TestEnsembleSpec:
         make = functools.partial(EnsembleSpec, sigma_q=sigma, quadrature=5,
                                  width_schedule=((0.0, 0.3), (50.0, width)))
         if refused:
-            with pytest.raises(ValueError, match=r"widths > 0 and \(3 sigma_q / width\)\^2 "
-                                                 r"finite, got \(50.0, "):
+            with pytest.raises(ValueError, match=r"^\(3 sigma_q / width\)\^2 must be finite, "
+                                                 r"with \(3 sigma_q / width\)\^2 >= 0, got inf$"):
                 make()
         else:
             make()
@@ -148,7 +150,8 @@ class TestEnsembleSpec:
     def test_width_schedule_widths_must_be_positive(self, width):
         # A zero width once weighed every node by 1 (P_D 0.5137 at 100 us
         # for ideal Ramsey, against 0.8510 for a width of 1e-9).
-        with pytest.raises(ValueError, match="width_schedule must be finite, with widths > 0"):
+        with pytest.raises(ValueError, match=f"^width_schedule width must be finite, with "
+                                             f"width_schedule width > 0, got {width}$"):
             EnsembleSpec(
                 sigma_q=0.3,
                 quadrature=7,
@@ -506,7 +509,9 @@ class TestRunArguments:
         # One (basis size, hold times) complex table per q: 10^7 times would
         # ask for about 19 GB.
         times = np.zeros(MAX_HOLD_TIMES + 1)
-        with pytest.raises(ValueError, match=f"at most {MAX_HOLD_TIMES} hold times"):
+        with pytest.raises(ValueError, match=f"^hold-time count must be finite, with 0 <= "
+                                             f"hold-time count <= {MAX_HOLD_TIMES}, got "
+                                             f"{MAX_HOLD_TIMES + 1}$"):
             run("ramsey", IdealPulses(), times, EnsembleSpec(), spec, basis)
 
     @pytest.mark.parametrize("fwhm", [23.0, 1e300, 1e308])

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from artifact.dynamics import MAX_STEP_US, PulseStep
+from artifact.dynamics import MAX_STEP_US, PulseSequence, PulseStep
 from artifact.interferometer import MAX_QUADRATURE, EnsembleSpec
 from artifact.lattice import (
     Geometry,
     LatticeSpec,
     MAX_DEPTH_ER,
     MAX_SHELL_RADIUS,
+    REFERENCE_DEPTH_ER,
     TRIANGULAR_FOURIER_COEF,
     bisect_root,
     build_basis,
@@ -26,7 +27,7 @@ from artifact.lattice import (
     sd_gap,
     wavenumber,
 )
-from artifact.shortcut import MAX_COUNT, OptimizerOptions
+from artifact.shortcut import MAX_COUNT, ObjectiveKind, OptimizerOptions, build_objective, optimize
 
 
 class TestConstants:
@@ -332,6 +333,19 @@ class TestGapAndCalibration:
             calibrate_fourier_coefficient(period_us=period_us)
 
 
+@functools.cache
+def _half_pi_objective():
+    spec = LatticeSpec()
+    return build_objective(ObjectiveKind.HALF_PI, spec, build_basis(spec))
+
+
+def _optimize_in_box(lo, hi):
+    """One cheap refinement of a one-step seed within the depth box (lo, hi)."""
+    seed = PulseSequence.from_durations([(10.0, 10.0)])
+    optimize(seed, _half_pi_objective(), OptimizerOptions(max_iters=1, restarts=1),
+             depth_bounds=(lo, hi))
+
+
 #: Every bounded scalar of the library, by where it lives: (field, constructor
 #: of the value, lower end, upper end or None, whether the lower end is excluded).
 BOUNDED_FIELDS = {
@@ -346,6 +360,16 @@ BOUNDED_FIELDS = {
     "EnsembleSpec.sigma_q": ("sigma_q", lambda v: EnsembleSpec(sigma_q=v), 0, None, False),
     "EnsembleSpec.quadrature": ("quadrature", lambda v: EnsembleSpec(quadrature=v),
                                 1, MAX_QUADRATURE, False),
+    "EnsembleSpec.quadrature at sigma_q > 0": (
+        "quadrature", lambda v: EnsembleSpec(sigma_q=0.3, quadrature=v), 5, MAX_QUADRATURE, False),
+    "EnsembleSpec.width_schedule time": (
+        "width_schedule time",
+        lambda v: EnsembleSpec(sigma_q=0.3, quadrature=5, width_schedule=((v, 0.3),)),
+        -sys.float_info.max, sys.float_info.max, False),
+    "EnsembleSpec.width_schedule width": (
+        "width_schedule width",
+        lambda v: EnsembleSpec(sigma_q=0.3, quadrature=5, width_schedule=((0.0, v),)),
+        0, None, True),
     "OptimizerOptions.grid_quantum": ("grid_quantum", lambda v: OptimizerOptions(grid_quantum=v),
                                       0, None, False),
     "OptimizerOptions.rng_seed": ("rng_seed", lambda v: OptimizerOptions(rng_seed=v),
@@ -358,15 +382,23 @@ BOUNDED_FIELDS = {
                                 0, MAX_STEP_US, False),
     "OptimizerOptions.off_max": ("off_max", lambda v: OptimizerOptions(off_max=v),
                                  0, MAX_STEP_US, False),
+    "optimize.depth_bounds[0]": ("depth_bounds[0]", lambda v: _optimize_in_box(v, 6.0),
+                                 0, REFERENCE_DEPTH_ER, False),
+    "optimize.depth_bounds[1]": ("depth_bounds[1]", lambda v: _optimize_in_box(3.0, v),
+                                 REFERENCE_DEPTH_ER, MAX_DEPTH_ER, False),
 }
 #: The fields that are counts or seeds: a bool or a float is refused.
 INTEGER_FIELDS = {"shell_radius", "quadrature", "rng_seed", "max_iters", "restarts"}
-#: EnsembleSpec's quadrature rules besides its range.
-QUADRATURE_RULES = ("quadrature must be odd", "quadrature grid < 5")
-#: The probed values inside their own range whose wavelength and atom mass
-#: (the other at its default) give no finite, positive recoil frequency E_r/h.
-RECOIL_REFUSED = {("LatticeSpec.wavelength", 5e-324), ("LatticeSpec.wavelength", 1e308),
-                  ("LatticeSpec.atom_mass", 1e308)}
+#: EnsembleSpec's quadrature rule besides its range.
+QUADRATURE_RULES = ("quadrature must be odd",)
+#: The probed values inside their own range that a derived bound refuses, with
+#: that bound's name: a wavelength or atom mass (the other at its default) that
+#: gives no finite, positive recoil frequency E_r/h, and a schedule width whose
+#: squared ratio 3 sigma_q / width overflows.
+DERIVED_REFUSED = {("LatticeSpec.wavelength", 5e-324): "recoil frequency E_r/h",
+                   ("LatticeSpec.wavelength", 1e308): "recoil frequency E_r/h",
+                   ("LatticeSpec.atom_mass", 1e308): "recoil frequency E_r/h",
+                   ("EnsembleSpec.width_schedule width", 5e-324): "(3 sigma_q / width)^2"}
 
 
 def _boundary_values(lo, hi):
@@ -391,14 +423,20 @@ def _boundary_values(lo, hi):
 @example(case=("PulseStep.t_on", True))
 @example(case=("OptimizerOptions.grid_quantum", True))
 @example(case=("EnsembleSpec.sigma_q", True))
+@example(case=("EnsembleSpec.width_schedule time", True))
+@example(case=("EnsembleSpec.width_schedule time", 10**400))
+@example(case=("EnsembleSpec.width_schedule width", True))
+@example(case=("EnsembleSpec.width_schedule width", 10**400))
+@example(case=("optimize.depth_bounds[0]", True))
+@example(case=("optimize.depth_bounds[1]", 10**400))
 def test_every_bound_refuses_in_one_form(case):
     """Each bounded field, at each boundary value, constructs when the value
     lies in its range, is not a bool, and is an integer for a count, and
     otherwise raises ValueError in the one form of a bound, of the integer
     rule for a count or of the number rule for any other field: never
     TypeError or OverflowError, and never with a value too large for a float.
-    A wavelength or atom mass in range but without a finite, positive
-    recoil frequency raises in the form of that frequency's bound."""
+    A value in range that a derived bound refuses (a recoil frequency, a
+    schedule width's squared ratio) raises in the form of that bound."""
     where, value = case
     name, construct, lo, hi, above = BOUNDED_FIELDS[where]
     top = sys.float_info.max if hi is None else hi
@@ -408,8 +446,8 @@ def test_every_bound_refuses_in_one_form(case):
         inside = inside and isinstance(value, int)
     kind = "an integer" if name in INTEGER_FIELDS else "a number"
     forms = (f"{name} must be finite, with ", f"{name} must be {kind}, got ")
-    if inside and (where, value) in RECOIL_REFUSED:
-        inside, forms = False, ("recoil frequency E_r/h must be finite, with ",)
+    if inside and (where, value) in DERIVED_REFUSED:
+        inside, forms = False, (f"{DERIVED_REFUSED[where, value]} must be finite, with ",)
     try:
         construct(value)
     except ValueError as exc:

@@ -368,16 +368,21 @@ class TestVariableAmplitude:
         obj = objectives[ObjectiveKind.HALF_PI]
         seed = PulseSequence.from_durations([(10.0, 10.0)])
         # and be finite: a random start would call rng.uniform(lo, inf).
-        for bounds in ((6.0, 7.0), (6.0, 5.0), (4.0, math.inf), (4.0, math.nan),
-                       (4.0, 2 * MAX_DEPTH_ER)):
-            with pytest.raises(ValueError, match="depth_bounds must be finite, with 0 <= lo "
-                                                 "<= spec depth 5 <= hi"):
+        for bounds in ((6.0, 7.0), (6.0, 5.0)):
+            with pytest.raises(ValueError, match=r"^depth_bounds\[0\] must be finite, with "
+                                                 r"0 <= depth_bounds\[0\] <= 5 E_r, got 6.0$"):
                 optimize(seed, obj, TINY, depth_bounds=bounds)
+        for hi in (math.inf, math.nan, 2 * MAX_DEPTH_ER):
+            with pytest.raises(ValueError, match=r"^depth_bounds\[1\] must be finite, with "
+                                                 rf"5 <= depth_bounds\[1\] <= {MAX_DEPTH_ER:g} "
+                                                 rf"E_r, got {hi}$"):
+                optimize(seed, obj, TINY, depth_bounds=(4.0, hi))
 
     def test_box_refuses_negative_depths(self, objectives):
         obj = objectives[ObjectiveKind.HALF_PI]
         seed = PulseSequence.from_durations([(10.0, 10.0)])
-        with pytest.raises(ValueError, match="0 <= lo"):
+        with pytest.raises(ValueError, match=r"^depth_bounds\[0\] must be finite, with "
+                                             r"0 <= depth_bounds\[0\] <= 5 E_r, got -3.0$"):
             optimize(seed, obj, TINY, depth_bounds=(-3.0, 6.0))
 
     def test_frozen_seed_depths_come_back_exactly(self, objectives):

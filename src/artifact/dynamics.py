@@ -147,8 +147,8 @@ def band_eig(
 
     Pure accessor: results depend only on the arguments; the cache only
     avoids repeated eigensolves in quasi-momentum/duration scans.  Its key
-    is (spec, basis, q, depth), compared exactly.  Safe to call from several
-    threads.
+    is (spec, basis, q, depth), the basis by identity, the rest exactly.
+    Safe to call from several threads.
     """
     d = spec.depth if depth is None else depth
     return _cached_bands(spec, basis, float(q[0]), float(q[1]), float(d))

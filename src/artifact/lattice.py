@@ -147,27 +147,27 @@ def reciprocal_primitives(geometry: Geometry) -> np.ndarray:
     return np.array([[2.0, 0.0], [0.0, 0.0]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlaneWaveBasis:
     """Truncated plane-wave basis over reciprocal-lattice sites.
 
-    ``sites`` are integer coordinates (n1, n2) (n2 = 0 for the 1D geometry);
-    :func:`build_basis` gives the standard |n1|, |n2| <= N set, ordered
-    lexicographically so that basis output is deterministic, but any site set
-    works.  The physical reciprocal vector of a site is G = n1 b1 + n2 b2.
-    Everything else is derived from the sites once, on construction.
+    ``sites`` holds integer coordinates (n1, n2) (n2 = 0 in 1D), kept as a
+    tuple, of the vectors G = n1 b1 + n2 b2; :func:`build_basis` orders its
+    |n1|, |n2| <= N set lexicographically, but any site set works.  The rest
+    is derived from the sites once.  Like every record that holds arrays, a
+    basis compares and hashes by identity: each build is its own cache key.
     """
 
     geometry: Geometry
     sites: tuple[tuple[int, int], ...]
     #: (n_sites, 2) array of G vectors in units of k.
-    g_vectors: np.ndarray = field(init=False, repr=False, compare=False)
+    g_vectors: np.ndarray = field(init=False, repr=False)
     #: map site -> row index.
-    index: dict = field(init=False, repr=False, compare=False)
+    index: dict = field(init=False, repr=False)
     #: coupling table: Fourier offset -> (rows, cols) index arrays, site
     #: ``cols[k]`` shifted by the offset being site ``rows[k]``; the offsets
     #: are (0, 0) (the diagonal) and the geometry's COUPLING_OFFSETS.
-    couplings: dict = field(init=False, repr=False, compare=False)
+    couplings: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         prims = reciprocal_primitives(self.geometry)
@@ -181,7 +181,7 @@ class PlaneWaveBasis:
                 if (n1 + o1, n2 + o2) in index
             ]
             couplings[(o1, o2)] = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        derived = {"g_vectors": g, "index": index, "couplings": couplings}
+        derived = dict(sites=tuple(self.sites), g_vectors=g, index=index, couplings=couplings)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -218,6 +218,9 @@ def require_within(name: str, value, lo, hi=None, *, above: bool = False,
         eq = "" if above else "="
         bound = (f"{name} >{eq} {lo:g}" if hi is None
                  else f"{lo:g} <{eq} {name} <= {hi:g}{unit}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            from decimal import Decimal  # str would write (or refuse) every digit
+            value = f"{Decimal(value):.3e}"
         raise ValueError(f"{name} must be finite, with {bound}, got {value}")
     if isinstance(value, bool) or integer and not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value}")

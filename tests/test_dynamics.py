@@ -159,6 +159,18 @@ class TestEigenCache:
         assert set(shapes) == {((9,), (9, 9))}
         assert dynamics._cached_bands.cache_info().currsize <= 2
 
+    def test_each_build_is_its_own_key(self, spec):
+        # A basis compares and hashes by identity: a second build of the same
+        # sites is a second key, solved again to the same bits.
+        a, b = build_basis(spec), build_basis(spec)
+        assert a == a and a != b
+        assert hash(a) == object.__hash__(a)
+        q = np.array([0.0831, -0.1427])
+        before = dynamics._cached_bands.cache_info().misses
+        (ea, va), (eb, vb) = band_eig(q, spec, a), band_eig(q, spec, b)
+        assert dynamics._cached_bands.cache_info().misses == before + 2
+        assert np.array_equal(ea, eb) and np.array_equal(va, vb)
+
     def test_least_recently_used_is_evicted(self, spec, small_cache, monkeypatch):
         basis = build_basis(spec, shell_radius=2)
         solved = []

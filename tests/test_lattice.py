@@ -14,6 +14,7 @@ from artifact.lattice import (
     LatticeSpec,
     MAX_DEPTH_ER,
     MAX_SHELL_RADIUS,
+    PlaneWaveBasis,
     REFERENCE_DEPTH_ER,
     TRIANGULAR_FOURIER_COEF,
     bisect_root,
@@ -133,6 +134,13 @@ class TestBasis:
         for radius in (2.5, 2.0, True):
             with pytest.raises(ValueError, match=f"shell_radius must be an integer, got {radius}"):
                 build_basis(spec, radius)
+
+    def test_sites_are_stored_as_a_tuple(self):
+        # The basis hashes by identity, so mutable sites would be accepted
+        # and could leave g_vectors, index and couplings stale.
+        basis = PlaneWaveBasis(Geometry.TRIANGULAR_3BEAM, [(0, 0), (1, 0)])
+        assert basis.sites == ((0, 0), (1, 0))
+        assert basis.index == {(0, 0): 0, (1, 0): 1}
 
     def test_sites_lexicographic(self, basis):
         sites = [tuple(s) for s in basis.sites]
@@ -429,6 +437,10 @@ def _boundary_values(lo, hi):
 @example(case=("EnsembleSpec.width_schedule width", 10**400))
 @example(case=("optimize.depth_bounds[0]", True))
 @example(case=("optimize.depth_bounds[1]", 10**400))
+# Integers whose decimal string is long, or longer than str() will write.
+@example(case=("LatticeSpec.depth", 10**4000))
+@example(case=("LatticeSpec.depth", 10**5000))
+@example(case=("LatticeSpec.depth", -10**5000))
 def test_every_bound_refuses_in_one_form(case):
     """Each bounded field, at each boundary value, constructs when the value
     lies in its range, is not a bool, and is an integer for a count, and
@@ -436,7 +448,8 @@ def test_every_bound_refuses_in_one_form(case):
     rule for a count or of the number rule for any other field: never
     TypeError or OverflowError, and never with a value too large for a float.
     A value in range that a derived bound refuses (a recoil frequency, a
-    schedule width's squared ratio) raises in the form of that bound."""
+    schedule width's squared ratio) raises in the form of that bound.  Every
+    message is short, whatever the size of the value."""
     where, value = case
     name, construct, lo, hi, above = BOUNDED_FIELDS[where]
     top = sys.float_info.max if hi is None else hi
@@ -452,5 +465,6 @@ def test_every_bound_refuses_in_one_form(case):
         construct(value)
     except ValueError as exc:
         assert str(exc).startswith(QUADRATURE_RULES if inside else forms), exc
+        assert len(str(exc)) < 200, exc
     else:
         assert inside

@@ -22,12 +22,12 @@ eigensolver's phase convention.
 
 Dephasing arises from averaging fringes over a Gaussian quasi-momentum
 distribution: the S-D gap varies with q, so ensemble fringes decay.
-:func:`ensemble_fringe` and :func:`phase_scan_contrast` read rows of one pass
-over the ensemble: P_D, and the pair (num, den) of the analysis-phase-scan
-contrast 2|num|/den, with P_D = den + 2 Re(num).  That contrast, the fringe
-amplitude from scanning a phase on the D component before the final pi/2,
-stays meaningful for a constant P_D (a perfect echo); :func:`contrast_curve`
-gives the windowed contrast (max-min)/(max+min) of the P_D fringe.
+:func:`ensemble_fringe` reads both views from one pass over the ensemble:
+P_D, and from the pair (num, den) the analysis-phase-scan contrast
+2|num|/den, with P_D = den + 2 Re(num).  That contrast, the fringe amplitude
+from scanning a phase on the D component before the final pi/2, stays
+meaningful for a constant P_D (a perfect echo); :func:`contrast_curve` gives
+the windowed contrast (max-min)/(max+min) of the P_D fringe.
 """
 
 from __future__ import annotations
@@ -137,20 +137,14 @@ class EnsembleSpec:
         return cls(sigma_q=delta_q / WIDTH_READINGS[reading], quadrature=quadrature)
 
 
-@dataclass(frozen=True, eq=False)
-class FringeCurve:
-    """P_D versus hold time."""
-
-    times: np.ndarray = field(repr=False)
-    p_d: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.times) != len(self.p_d):
-            raise ValueError("times and p_d lengths differ")
-        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.p_d))):
-            raise ValueError("times and p_d must be finite")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly ascending")
+def _check_curve(times: np.ndarray, values: np.ndarray, name: str) -> None:
+    """Refuse unequal lengths, values not all finite or times not strictly ascending."""
+    if len(times) != len(values):
+        raise ValueError(f"times and {name} lengths differ")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        raise ValueError(f"times and {name} must be finite")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly ascending")
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,12 +155,24 @@ class ContrastCurve:
     contrast: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.times) != len(self.contrast):
-            raise ValueError("times and contrast lengths differ")
-        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.contrast))):
-            raise ValueError("times and contrast must be finite")
+        _check_curve(self.times, self.contrast, "contrast")
         if np.any(self.contrast < -1e-9) or np.any(self.contrast > 1 + 1e-9):
             raise ValueError("contrast must lie in [0, 1]")
+
+
+@dataclass(frozen=True, eq=False)
+class FringeCurve:
+    """P_D versus hold time, and an ensemble's phase-scan contrast (None from data)."""
+
+    times: np.ndarray = field(repr=False)
+    p_d: np.ndarray = field(repr=False)
+    phase_contrast: ContrastCurve | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        _check_curve(self.times, self.p_d, "p_d")
+        scan = self.phase_contrast
+        if scan is not None and not np.array_equal(scan.times, self.times):
+            raise ValueError("phase_contrast must have the fringe's times")
 
 
 @dataclass(frozen=True)
@@ -316,9 +322,11 @@ def _check_run(
     kind: FringeKind, model: PulseModel, times: np.ndarray, n_echo: int
 ) -> None:
     """Refuse a fringe's run-level arguments before any q is solved: hold
-    times that are more than MAX_HOLD_TIMES, not all in [0, MAX_STEP_US] (NaN
+    times not 1-D, more than MAX_HOLD_TIMES, not all in [0, MAX_STEP_US] (NaN
     included) or not strictly ascending, and for echo an ``n_echo`` that is
     not an integer in 1 ... MAX_COUNT or a pulse model without a pi pulse."""
+    if np.ndim(times) != 1:
+        raise ValueError(f"hold times must be a 1-D array, got shape {np.shape(times)}")
     require_within("hold-time count", len(times), 0, MAX_HOLD_TIMES)
     if not np.all((times >= 0.0) & (times <= MAX_STEP_US)):
         raise ValueError(f"hold times must lie in [0, {MAX_STEP_US:g}] us")
@@ -457,37 +465,19 @@ def ensemble_fringe(
     n_echo: int = 2,
     threads: int = 1,
 ) -> FringeCurve:
-    """Quasi-momentum-ensemble-averaged fringe P_D(t): the P_D row of the one
-    pass :func:`_ensemble_sums`, bit-stable across ``threads``.  Pulses are
-    rebuilt at every grid point (the lattice pulses conserve quasi-momentum)."""
-    kind = FringeKind(kind)
-    times = np.asarray(times, dtype=float)
-    p_d, _, _ = _ensemble_sums(kind, pulses, times, ens, spec, basis, n_echo, threads)
-    return FringeCurve(times=times, p_d=p_d)
-
-
-def phase_scan_contrast(
-    kind: FringeKind | str,
-    pulses,
-    times: np.ndarray,
-    ens: EnsembleSpec,
-    spec: LatticeSpec,
-    basis: PlaneWaveBasis,
-    n_echo: int = 2,
-    threads: int = 1,
-) -> ContrastCurve:
-    """Ensemble contrast from scanning the analysis phase before the last pi/2.
-
-    At each hold time the D-band component acquires a scanned phase phi just
-    before the final pi/2; the contrast is (max-min)/(max+min) of P_D over
-    phi, 2|num|/den from the rows of :func:`_ensemble_sums`.  For ideal-pulse
+    """Quasi-momentum-ensemble-averaged fringe P_D(t) and its
+    ``phase_contrast``, both from the rows of the one pass
+    :func:`_ensemble_sums`, bit-stable across ``threads``.  Pulses are rebuilt
+    at every grid point (the lattice pulses conserve quasi-momentum).  The
+    phase contrast scans a phase phi on the D component just before the final
+    pi/2: (max-min)/(max+min) of P_D over phi, 2|num|/den.  For ideal-pulse
     Ramsey it is the modulus of the ensemble-averaged fringe phasor; it stays
     meaningful when the fringe itself is constant (perfect echo)."""
     kind = FringeKind(kind)
     times = np.asarray(times, dtype=float)
-    _, num, den = _ensemble_sums(kind, pulses, times, ens, spec, basis, n_echo, threads)
+    p_d, num, den = _ensemble_sums(kind, pulses, times, ens, spec, basis, n_echo, threads)
     contrast = np.where(den > 0, 2.0 * np.abs(num) / np.maximum(den, 1e-300), 0.0)
-    return ContrastCurve(times=times, contrast=np.clip(contrast, 0.0, 1.0))
+    return FringeCurve(times, p_d, ContrastCurve(times, np.clip(contrast, 0.0, 1.0)))
 
 
 # --------------------------------------------------------------------------
@@ -500,8 +490,7 @@ def contrast_curve(fringe: FringeCurve, period: float) -> ContrastCurve:
     P_D must not dip below 0, where a window's contrast would exceed 1.  The
     hold times must span at least two periods, and their median step must
     give at least 8 samples per period."""
-    t = fringe.times
-    p = fringe.p_d
+    t, p = fringe.times, fringe.p_d
     if np.any(p < 0):
         raise ValueError(f"P_D must be >= 0, got {p.min():g} at t = {t[np.argmin(p)]:g} us")
     require_within("period", period, 0, above=True)

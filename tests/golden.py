@@ -13,8 +13,9 @@ its numbers are read back from the files it writes:
   fidelities and trace.
 
 The CLI writes no analysis-phase-scan contrast, so the library computes it:
-``phase_scan_contrast`` for the reference-pulse Ramsey and n = 2 echo on the
-same config's 9x9 grid, t < 600 us at dt 8, at every fifth hold time.
+``ensemble_fringe(...).phase_contrast`` for the reference-pulse Ramsey and
+n = 2 echo on the same config's 9x9 grid, t < 600 us at dt 8, at every fifth
+hold time.
 
 Regenerate ``tests/golden.json`` from the source tree with
 
@@ -33,7 +34,7 @@ import numpy as np
 import yaml
 
 from artifact.cli import EXIT_OK, RunConfig, main
-from artifact.interferometer import SequencePulses, phase_scan_contrast
+from artifact.interferometer import SequencePulses, ensemble_fringe
 from artifact.sequences import REFERENCE_PI, REFERENCE_PI2
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
@@ -107,7 +108,8 @@ def compute(root: Path) -> dict:
     cfg = RunConfig.load(str(config))
     times = np.arange(0.0, 600.0, 8.0)
     for name, (kind, pulses) in SCANS.items():
-        scan = phase_scan_contrast(kind, pulses, times, cfg.ensemble, cfg.lattice, cfg.basis)
+        fringe = ensemble_fringe(kind, pulses, times, cfg.ensemble, cfg.lattice, cfg.basis)
+        scan = fringe.phase_contrast
         golden[name] = {
             "t_us": scan.times[::5].tolist(),
             "contrast": scan.contrast[::5].tolist(),

@@ -24,7 +24,6 @@ from artifact.interferometer import (
     coherence_time,
     contrast_curve,
     ensemble_fringe,
-    phase_scan_contrast,
     ramsey_pd,
 )
 from artifact.lattice import (
@@ -205,12 +204,12 @@ class TestEchoExtendsCoherence:
     def test_ideal_echo_contrast_dominates_ramsey(self, spec, basis):
         ens = EnsembleSpec(sigma_q=0.3, quadrature=9)
         times = np.linspace(0.0, 1500.0, 6)
-        ramsey = phase_scan_contrast(
+        ramsey = ensemble_fringe(
             FringeKind.RAMSEY, IdealPulses(), times, ens, spec, basis
-        ).contrast
-        echo = phase_scan_contrast(
+        ).phase_contrast.contrast
+        echo = ensemble_fringe(
             FringeKind.ECHO, IdealPulses(), times, ens, spec, basis, n_echo=2
-        ).contrast
+        ).phase_contrast.contrast
         assert np.all(echo >= ramsey - 1e-9)
 
 

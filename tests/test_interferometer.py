@@ -27,7 +27,6 @@ from artifact.interferometer import (
     ensemble_fringe,
     ideal_pulse_operator,
     locked_sequence_operator,
-    phase_scan_contrast,
     ramsey_pd,
 )
 from artifact.dynamics import (
@@ -168,6 +167,28 @@ class TestCurveTypes:
         with pytest.raises(ValueError):
             FringeCurve(times=np.array([1.0, 0.0]), p_d=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("record", [FringeCurve, ContrastCurve])
+    @pytest.mark.parametrize("times", [[300.0, 200.0, 100.0], [100.0, 200.0, 200.0]],
+                             ids=["descending", "repeated"])
+    def test_times_must_ascend(self, record, times):
+        # A descending contrast curve once fitted tau = inf with a crossing at
+        # 167 us, where the same data in order cross at 233 us.
+        with pytest.raises(ValueError, match="^times must be strictly ascending$"):
+            record(np.array(times), np.array([1.0, 0.5, 0.1]))
+
+    def test_fringe_from_data_has_no_phase_contrast(self):
+        assert FringeCurve(np.array([0.0, 1.0]), np.array([0.2, 0.8])).phase_contrast is None
+
+    def test_phase_contrast_must_share_the_times(self):
+        scan = ContrastCurve(np.array([0.0, 2.0]), np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="phase_contrast must have the fringe's times"):
+            FringeCurve(np.array([0.0, 1.0]), np.array([0.2, 0.8]), phase_contrast=scan)
+
+    def test_phase_contrast_of_other_length_refused(self):
+        scan = ContrastCurve(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.2]))
+        with pytest.raises(ValueError, match="phase_contrast must have the fringe's times"):
+            FringeCurve(np.array([0.0, 1.0]), np.array([0.2, 0.8]), phase_contrast=scan)
+
     def test_contrast_bounded(self):
         with pytest.raises(ValueError):
             ContrastCurve(times=np.array([0.0]), contrast=np.array([1.5]))
@@ -179,6 +200,17 @@ class TestCurveTypes:
         values[field][1] = bad
         with pytest.raises(ValueError, match="finite"):
             FringeCurve(**values)
+
+    def test_contrast_bounded_below(self):
+        with pytest.raises(ValueError, match=r"^contrast must lie in \[0, 1\]$"):
+            ContrastCurve(times=np.array([0.0, 1.0]), contrast=np.array([0.5, -0.1]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_contrast_times_must_be_finite(self, bad):
+        # The shared check, as FringeCurve's times: coherence_time would
+        # otherwise interpolate a crossing against a NaN window centre.
+        with pytest.raises(ValueError, match="^times and contrast must be finite$"):
+            ContrastCurve(times=np.array([0.0, bad, 2.0]), contrast=np.array([1.0, 0.7, 0.2]))
 
     def test_fringe_may_overshoot(self):
         FringeCurve(times=np.array([0.0, 1.0]), p_d=np.array([-0.01, 1.02]))
@@ -463,6 +495,11 @@ class TestRunArguments:
         ("ramsey", IdealPulses(), [0.0, math.nan], 2, "hold times"),
         ("ramsey", IdealPulses(), [0.0, 2.0 * MAX_STEP_US], 2, "hold times"),
         ("ramsey", IdealPulses(), [10.0, 5.0], 2, "ascending"),
+        # Once a TypeError from len(), and a (2, 2) grid solved every q first.
+        ("ramsey", IdealPulses(), 10.0, 2, r"1-D array, got shape \(\)"),
+        ("ramsey", IdealPulses(), [[0.0, 10.0], [20.0, 30.0]], 2,
+         r"1-D array, got shape \(2, 2\)"),
+        ("echo", IdealPulses(), [[0.0], [10.0]], 2, r"1-D array, got shape \(2, 1\)"),
     ]
 
     @pytest.fixture(autouse=True)
@@ -474,11 +511,11 @@ class TestRunArguments:
             monkeypatch.setattr(interferometer, name, fail)
 
     @pytest.mark.parametrize("kind, pulses, times, n_echo, message", ENSEMBLE_CASES)
-    @pytest.mark.parametrize("run", [ensemble_fringe, phase_scan_contrast])
-    def test_ensemble(self, spec, basis, run, kind, pulses, times, n_echo, message):
+    def test_ensemble(self, spec, basis, kind, pulses, times, n_echo, message):
         ens = EnsembleSpec(sigma_q=0.1, quadrature=5)
         with pytest.raises(ValueError, match=message):
-            run(kind, pulses, np.array(times), ens, spec, basis, n_echo=n_echo, threads=2)
+            ensemble_fringe(kind, pulses, np.array(times), ens, spec, basis, n_echo=n_echo,
+                            threads=2)
 
     @pytest.mark.parametrize(
         "call, message",
@@ -486,6 +523,11 @@ class TestRunArguments:
             (lambda q, s, b: ramsey_pd(IdealPulses(), -50.0, q, s, b), "hold times"),
             (lambda q, s, b: ramsey_pd(IdealPulses(), math.nan, q, s, b), "hold times"),
             (lambda q, s, b: ramsey_pd(IdealPulses(), 2e6, q, s, b), "hold times"),
+            # Once P_D at 5 us alone, with 6 us dropped.
+            (lambda q, s, b: ramsey_pd(IdealPulses(), np.array([5.0, 6.0]), q, s, b),
+             "hold times must be a 1-D array"),
+            (lambda q, s, b: echo_pd(IdealPulses(), None, 2, np.array([5.0, 6.0]), q, s, b),
+             "hold times must be a 1-D array"),
             (lambda q, s, b: echo_pd(IdealPulses(), None, 0, 10.0, q, s, b), "n_echo"),
             (lambda q, s, b: echo_pd(IdealPulses(), None, 2.5, 10.0, q, s, b),
              "n_echo must be an integer, got 2.5"),
@@ -504,24 +546,22 @@ class TestRunArguments:
         with pytest.raises(ValueError, match=message):
             call(np.zeros(2), spec, basis)
 
-    @pytest.mark.parametrize("run", [ensemble_fringe, phase_scan_contrast])
-    def test_too_many_hold_times(self, spec, basis, run):
+    def test_too_many_hold_times(self, spec, basis):
         # One (basis size, hold times) complex table per q: 10^7 times would
         # ask for about 19 GB.
         times = np.zeros(MAX_HOLD_TIMES + 1)
         with pytest.raises(ValueError, match=f"^hold-time count must be finite, with 0 <= "
                                              f"hold-time count <= {MAX_HOLD_TIMES}, got "
                                              f"{MAX_HOLD_TIMES + 1}$"):
-            run("ramsey", IdealPulses(), times, EnsembleSpec(), spec, basis)
+            ensemble_fringe("ramsey", IdealPulses(), times, EnsembleSpec(), spec, basis)
 
     @pytest.mark.parametrize("fwhm", [23.0, 1e300, 1e308])
-    @pytest.mark.parametrize("run", [ensemble_fringe, phase_scan_contrast])
-    def test_grid_beyond_the_basis(self, spec, basis, run, fwhm):
+    def test_grid_beyond_the_basis(self, spec, basis, fwhm):
         # A FWHM of 23 hbar k puts the farthest node at 3 sqrt(2) sigma =
         # 41.4 k, past the default basis's 15 k.
         ens = EnsembleSpec.from_width(fwhm, quadrature=5)
         with pytest.raises(ValueError, match=r"the basis's largest \|G\| = 15 k"):
-            run("ramsey", IdealPulses(), np.zeros(3), ens, spec, basis)
+            ensemble_fringe("ramsey", IdealPulses(), np.zeros(3), ens, spec, basis)
 
     def test_pulses_must_be_a_model_or_a_sequence(self, spec, basis):
         with pytest.raises(TypeError, match="PulseModel or a PulseSequence"):
@@ -631,15 +671,13 @@ class TestEnsembleFringe:
         [(t, f"threads must be finite, with threads >= 1, got {t}") for t in (0, -1, math.nan)]
         + [(t, f"threads must be an integer, got {t}") for t in (2.5, True)],
     )
-    @pytest.mark.parametrize("run", [ensemble_fringe, phase_scan_contrast])
-    def test_threads_below_one_rejected(self, spec, basis, run, threads, message):
+    def test_threads_below_one_rejected(self, spec, basis, threads, message):
         ens = EnsembleSpec()
         with pytest.raises(ValueError, match=message):
-            run("ramsey", IdealPulses(), np.array([0.0, 1.0]), ens, spec, basis,
-                threads=threads)
+            ensemble_fringe("ramsey", IdealPulses(), np.array([0.0, 1.0]), ens, spec, basis,
+                            threads=threads)
 
-    @pytest.mark.parametrize("run", [ensemble_fringe, phase_scan_contrast])
-    def test_threads_above_the_cpus_are_capped(self, spec, basis, run, monkeypatch):
+    def test_threads_above_the_cpus_are_capped(self, spec, basis, monkeypatch):
         # A caller may pass its machine's CPU count, or more: the pool starts at
         # most one thread per CPU and per q, and the result does not change.
         pools = []
@@ -655,10 +693,10 @@ class TestEnsembleFringe:
         monkeypatch.setattr(interferometer.os, "cpu_count", lambda: 3)
         args = ("ramsey", IdealPulses(), np.array([0.0, 40.0]),
                 EnsembleSpec(sigma_q=0.3, quadrature=5), spec, basis)
-        values = "p_d" if run is ensemble_fringe else "contrast"
-        capped, serial = run(*args, threads=1000), run(*args, threads=1)
+        capped, serial = ensemble_fringe(*args, threads=1000), ensemble_fringe(*args, threads=1)
         assert pools == [3]
-        assert np.array_equal(getattr(capped, values), getattr(serial, values))
+        assert np.array_equal(capped.p_d, serial.p_d)
+        assert np.array_equal(capped.phase_contrast.contrast, serial.phase_contrast.contrast)
 
     def test_quadrature_refinement_converged(self, spec, basis):
         # Ideal Ramsey at the reference width on the CLI's 2.5 ms grid.  P_D(q, t)
@@ -680,9 +718,9 @@ class TestEnsembleFringe:
         c = {}
         for sigma in (0.1, 0.3):
             ens = EnsembleSpec(sigma_q=sigma, quadrature=21)
-            c[sigma] = phase_scan_contrast(
+            c[sigma] = ensemble_fringe(
                 FringeKind.RAMSEY, IdealPulses(), t_probe, ens, spec, basis, threads=4
-            ).contrast[0]
+            ).phase_contrast.contrast[0]
         assert c[0.3] < c[0.1]
 
     @pytest.mark.parametrize("fwhm", [0.72, 0.56, 0.20])
@@ -739,21 +777,23 @@ class TestStreamedSum:
         p_d, num, den = self._dense_sums(*args)
         contrast = np.clip(np.where(den > 0, 2.0 * np.abs(num) / den, 0.0), 0.0, 1.0)
         fringe = ensemble_fringe(*args, threads=threads)
-        scan = phase_scan_contrast(*args, threads=threads)
         assert np.array_equal(fringe.p_d, p_d)
-        assert np.array_equal(scan.contrast, contrast)
+        assert np.array_equal(fringe.phase_contrast.contrast, contrast)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kind", [FringeKind.RAMSEY, FringeKind.ECHO])
-    def test_one_pass_yields_both_views(self, spec, kind, threads):
+    @pytest.mark.parametrize("model", [IdealPulses(), SequencePulses(REFERENCE_PI2, REFERENCE_PI)],
+                             ids=["ideal", "locked"])
+    def test_one_pass_yields_both_views(self, spec, kind, threads, model):
         basis = build_basis(spec, shell_radius=2)
-        model = SequencePulses(pi2=REFERENCE_PI2, pi=REFERENCE_PI)
         args = (kind, model, np.linspace(0.0, 900.0, 13),
                 EnsembleSpec(sigma_q=0.25, quadrature=5), spec, basis)
         p_d, num, den = _ensemble_sums(*args, 2, threads)
         contrast = np.clip(np.where(den > 0, 2.0 * np.abs(num) / den, 0.0), 0.0, 1.0)
-        assert np.array_equal(p_d, ensemble_fringe(*args, threads=threads).p_d)
-        assert np.array_equal(contrast, phase_scan_contrast(*args, threads=threads).contrast)
+        fringe = ensemble_fringe(*args, threads=threads)
+        assert np.array_equal(p_d, fringe.p_d)
+        assert np.array_equal(contrast, fringe.phase_contrast.contrast)
+        assert fringe.phase_contrast.times is fringe.times
 
     @staticmethod
     def _peak_and_bound(spec, schedule=()):
@@ -788,9 +828,9 @@ class TestPhaseScan:
 
         ens = EnsembleSpec(sigma_q=0.3, quadrature=9)
         times = np.array([0.0, 300.0, 900.0])
-        curve = phase_scan_contrast(
+        curve = ensemble_fringe(
             FringeKind.RAMSEY, IdealPulses(), times, ens, spec, basis
-        )
+        ).phase_contrast
         s_idx, d_idx = default_band_pair(spec.geometry)
         w = angular_frequency_per_Er(spec)
         sigma = ens.sigma_q
@@ -810,12 +850,12 @@ class TestPhaseScan:
     def test_ideal_echo_contrast_is_one_everywhere(self, spec, basis):
         ens = EnsembleSpec(sigma_q=0.3, quadrature=9)
         times = np.array([0.0, 400.0, 1600.0])
-        ramsey = phase_scan_contrast(
+        ramsey = ensemble_fringe(
             FringeKind.RAMSEY, IdealPulses(), times, ens, spec, basis
-        ).contrast
-        echo = phase_scan_contrast(
+        ).phase_contrast.contrast
+        echo = ensemble_fringe(
             FringeKind.ECHO, IdealPulses(), times, ens, spec, basis, n_echo=2
-        ).contrast
+        ).phase_contrast.contrast
         assert echo == pytest.approx(np.ones_like(times), abs=1e-9)
         assert np.all(echo >= ramsey - 1e-9)
 
@@ -863,9 +903,9 @@ class TestEffectiveMassLimit:
             sigma = ens.sigma_q
             tau = math.sqrt(math.e**2 - 1.0) / (w * kappa * sigma**2)
             times = tau * np.linspace(0.0, 2.0, 41)
-            got = phase_scan_contrast(
+            got = ensemble_fringe(
                 FringeKind.RAMSEY, IdealPulses(), times, ens, spec, basis
-            ).contrast
+            ).phase_contrast.contrast
             xs = np.linspace(-3.0 * sigma, 3.0 * sigma, self.NODES)
             wx = np.exp(-(xs**2) / (2.0 * sigma**2))
             axis = np.exp(-0.5j * kappa * w * np.outer(times, xs**2)) @ (wx / wx.sum())

@@ -137,8 +137,13 @@ class EnsembleSpec:
         return cls(sigma_q=delta_q / WIDTH_READINGS[reading], quadrature=quadrature)
 
 
-def _check_curve(times: np.ndarray, values: np.ndarray, name: str) -> None:
-    """Refuse unequal lengths, values not all finite or times not strictly ascending."""
+def _check_curve(curve, name: str) -> None:
+    """Store the curve's ``times`` and its values ``name`` as float arrays, and
+    refuse unequal lengths, values not all finite or times not strictly ascending."""
+    times = np.asarray(curve.times, dtype=float)
+    values = np.asarray(getattr(curve, name), dtype=float)
+    object.__setattr__(curve, "times", times)
+    object.__setattr__(curve, name, values)
     if len(times) != len(values):
         raise ValueError(f"times and {name} lengths differ")
     if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
@@ -155,7 +160,7 @@ class ContrastCurve:
     contrast: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        _check_curve(self.times, self.contrast, "contrast")
+        _check_curve(self, "contrast")
         if np.any(self.contrast < -1e-9) or np.any(self.contrast > 1 + 1e-9):
             raise ValueError("contrast must lie in [0, 1]")
 
@@ -169,7 +174,7 @@ class FringeCurve:
     phase_contrast: ContrastCurve | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        _check_curve(self.times, self.p_d, "p_d")
+        _check_curve(self, "p_d")
         scan = self.phase_contrast
         if scan is not None and not np.array_equal(scan.times, self.times):
             raise ValueError("phase_contrast must have the fringe's times")
@@ -194,53 +199,31 @@ class CoherenceResult:
 # Pulse operators
 
 
-def ideal_pulse_operator(
-    kind: str, q: np.ndarray, spec: LatticeSpec, basis: PlaneWaveBasis
-) -> np.ndarray:
-    """Exact S/D-subspace rotation ("pi2" or "pi"), identity elsewhere:
-    1 + F (R - 1) F^dagger with F the S/D frame and R the kind's 2x2 block.
-    ``perfbench/tracing.py`` wraps it by name: keep the name, or traced runs fail."""
-    frame = sd_frame(q, spec, basis)
-    apply, _ = _pulse(IdealPulses(), ObjectiveKind(kind), q, spec, basis, frame)
-    return apply(np.eye(len(frame)))
+def ideal_pulse_operator(kind: ObjectiveKind | str, frame: np.ndarray):
+    """Exact S/D-subspace rotation of ``kind`` (an ObjectiveKind or its value),
+    identity elsewhere: 1 + F (R - 1) F^dagger with F the S/D frame and R the
+    kind's 2x2 block.  ``perfbench/tracing.py`` wraps both builders by name:
+    keep the names, or traced runs fail."""
+    rot = ROTATION_BLOCKS[ObjectiveKind(kind)] - np.identity(2)
+    def apply(cols, adjoint=False):
+        return cols + frame @ ((rot.T if adjoint else rot) @ (frame.conj().T @ cols))
+    return apply, apply(frame)
 
 
 def locked_sequence_operator(
-    seq: PulseSequence,
-    kind: ObjectiveKind,
-    q: np.ndarray,
-    spec: LatticeSpec,
-    basis: PlaneWaveBasis,
-) -> np.ndarray:
-    """Sequence operator R dressed as Z_b R Z_a, with
-    Z_theta = 1 + (e^(i theta) - 1)|D><D| and the per-band phases (a, b)
-    that maximize the fidelity of R's S/D block against the kind's target.
-    ``perfbench/tracing.py`` wraps it by name: keep the name, or traced runs fail."""
-    frame = sd_frame(q, spec, basis)
-    apply, _ = _pulse(SequencePulses(seq, seq), kind, q, spec, basis, frame)
-    return apply(np.eye(len(frame)))
-
-
-def _pulse(
-    pulses: PulseModel,
-    kind: ObjectiveKind,
+    pulses: SequencePulses,
+    kind: ObjectiveKind | str,
     q: np.ndarray,
     spec: LatticeSpec,
     basis: PlaneWaveBasis,
     frame: np.ndarray,
 ):
-    """The model's pulse of the given kind at q, built in the S/D frame
-    ``frame`` F, as the pair ``(apply, image)``: ``apply(cols, adjoint=False)``
-    applies the pulse or its adjoint to (n, k) columns, and ``image`` is the
-    pulse's image of F, an (n, 2) array.  A sequence R evolves F once and is
-    dressed as Z_b R Z_a, adjoint Z_(-a) R^dagger Z_(-b), with (a, b) solved
-    from F^dagger R F when phase-locked and (0, 0) unlocked; its image is
-    Z_b [R S, e^(ia) R D] from that R F."""
-    if isinstance(pulses, IdealPulses):
-        rot = ROTATION_BLOCKS[kind] - np.identity(2)
-        def ideal(cols, adjoint=False):
-            return cols + frame @ ((rot.T if adjoint else rot) @ (frame.conj().T @ cols))
-        return ideal, ideal(frame)
+    """The sequence R of ``kind`` (pi2 or pi, as for the ideal pulse), which
+    evolves F once, dressed as Z_b R Z_a, adjoint Z_(-a) R^dagger Z_(-b), with
+    Z_theta = 1 + (e^(i theta) - 1)|D><D|; its image is Z_b [R S, e^(ia) R D].
+    Phase-locked, (a, b) maximize the fidelity of F^dagger R F against the
+    kind's target; unlocked, it builds the zero lock (a, b) = (0, 0)."""
+    kind = ObjectiveKind(kind)
     seq = pulses.pi2 if kind is ObjectiveKind.HALF_PI else pulses.pi
     evolve = functools.partial(evolve_columns, seq=seq, q=q, spec=spec, basis=basis)
     r_frame = evolve(frame)
@@ -258,6 +241,23 @@ def _pulse(
         return dress(evolve(dress(cols, a)), b)
 
     return apply, dress(r_frame * np.array([1.0, np.exp(1j * a)]), b)
+
+
+def _pulse(
+    pulses: PulseModel,
+    kind: ObjectiveKind,
+    q: np.ndarray,
+    spec: LatticeSpec,
+    basis: PlaneWaveBasis,
+    frame: np.ndarray,
+):
+    """The model's pulse of the given kind at q, built in the S/D frame
+    ``frame`` F, as the pair ``(apply, image)``: ``apply(cols, adjoint=False)``
+    applies the pulse or its adjoint to (n, k) columns, and ``image`` is the
+    pulse's image of F, an (n, 2) array."""
+    if isinstance(pulses, IdealPulses):
+        return ideal_pulse_operator(kind, frame)
+    return locked_sequence_operator(pulses, kind, q, spec, basis, frame)
 
 
 def _fringe_kernel(
@@ -525,8 +525,7 @@ def coherence_time(curve: ContrastCurve) -> CoherenceResult:
     above 1e-12 (on all samples if fewer than two are), and reports that
     regression when it finds no minimum; a non-decaying curve reports tau = inf.
     """
-    t = np.asarray(curve.times, dtype=float)
-    c = np.asarray(curve.contrast, dtype=float)
+    t, c = curve.times, curve.contrast
     if len(t) < 3:
         raise ValueError("need at least 3 contrast samples")
 

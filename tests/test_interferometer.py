@@ -25,7 +25,6 @@ from artifact.interferometer import (
     contrast_curve,
     echo_pd,
     ensemble_fringe,
-    ideal_pulse_operator,
     locked_sequence_operator,
     ramsey_pd,
 )
@@ -223,6 +222,25 @@ class TestCurveTypes:
         with pytest.raises(ValueError, match="finite"):
             ContrastCurve(times=np.array([0.0, 1.0]), contrast=np.array([0.5, math.nan]))
 
+    def test_lists_are_stored_as_float_arrays(self):
+        # Lists once constructed a FringeCurve that contrast_curve then failed
+        # on, and a ContrastCurve raised TypeError from its range check.
+        fringe = FringeCurve([0.0, 4.0, 8.0, 12.0], [0.5, 0.6, 0.7, 0.6])
+        scan = ContrastCurve([100, 200, 300], [1, 0.5, 0.1])
+        for values in (fringe.times, fringe.p_d, scan.times, scan.contrast):
+            assert isinstance(values, np.ndarray) and values.dtype == float
+        times = [float(t) for t in range(17)]
+        p_d = [0.5 + 0.4 * math.cos(math.pi * t / 4.0) for t in times]
+        assert np.array_equal(contrast_curve(FringeCurve(times, p_d), 8.0).contrast,
+                              contrast_curve(FringeCurve(np.array(times), np.array(p_d)),
+                                             8.0).contrast)
+        got = coherence_time(scan)
+        want = coherence_time(ContrastCurve(np.array([100.0, 200.0, 300.0]),
+                                            np.array([1.0, 0.5, 0.1])))
+        assert got == want
+        assert got.crossing_us == pytest.approx(233.03, abs=0.01)
+        assert got.fit_tau_us == pytest.approx(116.52, abs=0.01)
+
     @pytest.mark.parametrize("record", [FringeCurve, ContrastCurve])
     def test_records_with_different_arrays_differ(self, record):
         one = record(np.array([0.0, 1.0]), np.array([0.1, 0.2]))
@@ -238,10 +256,16 @@ class TestIdealFringe:
         assert p == pytest.approx([1.0, 0.5, 0.0, 1.0], abs=1e-9)
 
 
+def _dense(pulses, kind, q, spec, basis):
+    """The model's pulse of ``kind`` as a dense (n, n) matrix: its apply on the identity."""
+    apply, _ = _pulse(pulses, ObjectiveKind(kind), q, spec, basis, sd_frame(q, spec, basis))
+    return apply(np.eye(basis.size))
+
+
 class TestIdealOperators:
     def test_unitary(self, spec, basis):
         for kind in ("pi2", "pi"):
-            u = ideal_pulse_operator(kind, np.zeros(2), spec, basis)
+            u = _dense(IdealPulses(), kind, np.zeros(2), spec, basis)
             assert np.max(np.abs(u.conj().T @ u - np.eye(basis.size))) < 1e-12
 
     def test_blocks_match_targets(self, spec, basis):
@@ -250,8 +274,8 @@ class TestIdealOperators:
         s = bloch_state(s_idx, q, spec, basis)
         d = bloch_state(d_idx, q, spec, basis)
         frame = np.stack([s, d], axis=1)
-        u2 = ideal_pulse_operator("pi2", q, spec, basis)
-        upi = ideal_pulse_operator("pi", q, spec, basis)
+        u2 = _dense(IdealPulses(), "pi2", q, spec, basis)
+        upi = _dense(IdealPulses(), "pi", q, spec, basis)
         assert np.allclose(
             frame.conj().T @ u2 @ frame,
             ROTATION_BLOCKS[ObjectiveKind.HALF_PI],
@@ -264,8 +288,8 @@ class TestIdealOperators:
         )
 
     def test_pi2_squared_is_pi(self, spec, basis):
-        u2 = ideal_pulse_operator("pi2", np.zeros(2), spec, basis)
-        upi = ideal_pulse_operator("pi", np.zeros(2), spec, basis)
+        u2 = _dense(IdealPulses(), "pi2", np.zeros(2), spec, basis)
+        upi = _dense(IdealPulses(), "pi", np.zeros(2), spec, basis)
         assert np.allclose(u2 @ u2, upi, atol=1e-10)
 
 
@@ -292,7 +316,7 @@ class TestDenseOracles:
     @pytest.mark.parametrize("kind", ["pi2", "pi"])
     def test_ideal(self, spec, basis, kind):
         s, d = self._frame(spec, basis)
-        u = ideal_pulse_operator(kind, self.Q, spec, basis)
+        u = _dense(IdealPulses(), kind, self.Q, spec, basis)
         assert np.max(np.abs(u - _dense_ideal(kind, s, d))) < 1e-13
 
     @pytest.mark.parametrize(
@@ -309,7 +333,7 @@ class TestDenseOracles:
         dd = np.outer(d, d.conj())
         za = np.eye(basis.size) + (np.exp(1j * a) - 1.0) * dd
         zb = np.eye(basis.size) + (np.exp(1j * b) - 1.0) * dd
-        u = locked_sequence_operator(seq, kind, self.Q, spec, basis)
+        u = _dense(SequencePulses(seq, seq), kind, self.Q, spec, basis)
         assert np.max(np.abs(u - zb @ r @ za)) < 1e-13
 
 
@@ -346,18 +370,14 @@ class TestKernelOracle:
     @staticmethod
     def _views(model, q, spec, basis):
         if model == "ideal":
-            return IdealPulses(), [
-                ideal_pulse_operator(k, q, spec, basis) for k in ("pi2", "pi")
-            ]
-        locked = model == "locked"
-        pulses = SequencePulses(REFERENCE_PI2, REFERENCE_PI, phase_locked=locked)
-        pairs = ((REFERENCE_PI2, ObjectiveKind.HALF_PI), (REFERENCE_PI, ObjectiveKind.PI))
-        if locked:
-            ops = [locked_sequence_operator(sq, k, q, spec, basis) for sq, k in pairs]
+            pulses = IdealPulses()
         else:
+            pulses = SequencePulses(REFERENCE_PI2, REFERENCE_PI, phase_locked=model == "locked")
+        if model == "unlocked":  # the raw sequence operators, evolved on their own
             eye = np.eye(basis.size)
-            ops = [evolve_columns(eye, sq, q, spec, basis) for sq, _ in pairs]
-        return pulses, ops
+            return pulses, [evolve_columns(eye, sq, q, spec, basis)
+                            for sq in (REFERENCE_PI2, REFERENCE_PI)]
+        return pulses, [_dense(pulses, k, q, spec, basis) for k in ("pi2", "pi")]
 
     @pytest.mark.parametrize("kind, n_echo", [(FringeKind.RAMSEY, 0), (FringeKind.ECHO, 1),
                                               (FringeKind.ECHO, 2), (FringeKind.ECHO, 3)],
@@ -379,8 +399,8 @@ class TestKernelOracle:
 
 class TestLockedOperator:
     def test_unitary(self, spec, basis):
-        u = locked_sequence_operator(
-            REFERENCE_PI2, ObjectiveKind.HALF_PI, np.zeros(2), spec, basis
+        u = _dense(
+            SequencePulses(REFERENCE_PI2), ObjectiveKind.HALF_PI, np.zeros(2), spec, basis
         )
         assert np.max(np.abs(u.conj().T @ u - np.eye(basis.size))) < 1e-10
 
@@ -394,8 +414,8 @@ class TestLockedOperator:
         f_aligned, _, _ = aligned_fidelity_block(
             raw_block, ROTATION_BLOCKS[ObjectiveKind.HALF_PI]
         )
-        u = locked_sequence_operator(
-            REFERENCE_PI2, ObjectiveKind.HALF_PI, q, spec, basis
+        u = _dense(
+            SequencePulses(REFERENCE_PI2), ObjectiveKind.HALF_PI, q, spec, basis
         )
         dressed = obj.band_frame.conj().T @ u @ obj.band_frame
         target = ROTATION_BLOCKS[ObjectiveKind.HALF_PI]
@@ -427,6 +447,47 @@ class TestZeroLock:
         d = frame[:, 1:]
         assert np.array_equal(apply(d, adjoint=True), raw(d, adjoint=True))
         assert np.array_equal(image, raw(frame))
+
+
+class TestPulseBuilders:
+    """The fringe kernel builds every pulse through the two builders that
+    perfbench/tracing.py wraps by module attribute, so their traced counts
+    measure the kernel's own pulse work."""
+
+    BUILDERS = ("ideal_pulse_operator", "locked_sequence_operator")
+
+    @pytest.mark.parametrize("kind, model, expected", [
+        (FringeKind.RAMSEY, IdealPulses(), {"ideal_pulse_operator": 25}),
+        (FringeKind.ECHO, SequencePulses(REFERENCE_PI2, REFERENCE_PI),
+         {"locked_sequence_operator": 50}),
+        (FringeKind.ECHO, SequencePulses(REFERENCE_PI2, REFERENCE_PI_VARIABLE, phase_locked=False),
+         {"locked_sequence_operator": 50}),
+    ], ids=["ideal-ramsey", "locked-echo", "unlocked-echo"])
+    def test_every_pulse_goes_through_a_builder(self, spec, monkeypatch, kind, model, expected):
+        basis = build_basis(spec, shell_radius=2)
+        args = (kind, model, np.linspace(0.0, 300.0, 4),
+                EnsembleSpec(sigma_q=0.25, quadrature=5), spec, basis)
+        plain = ensemble_fringe(*args)
+        calls = dict.fromkeys(self.BUILDERS, 0)
+        for name in self.BUILDERS:
+            def counted(*a, _name=name, _fn=getattr(interferometer, name)):
+                calls[_name] += 1
+                return _fn(*a)
+            monkeypatch.setattr(interferometer, name, counted)
+        counted_run = ensemble_fringe(*args)
+        # pi/2 and, for echo, pi once per q of the 5 x 5 grid.
+        assert calls == {**dict.fromkeys(self.BUILDERS, 0), **expected}
+        assert np.array_equal(counted_run.p_d, plain.p_d)
+
+    @pytest.mark.parametrize("locked", [True, False], ids=["locked", "unlocked"])
+    def test_sequence_kind_may_be_its_value(self, spec, basis, locked):
+        # Unlocked, a value that is not the kind would build the pi pulse.
+        q = np.array([0.21, -0.08])
+        args = (q, spec, basis, sd_frame(q, spec, basis))
+        pulses = SequencePulses(REFERENCE_PI2, REFERENCE_PI, phase_locked=locked)
+        _, by_value = locked_sequence_operator(pulses, "pi2", *args)
+        _, by_kind = locked_sequence_operator(pulses, ObjectiveKind.HALF_PI, *args)
+        assert np.array_equal(by_value, by_kind)
 
 
 class TestPointwiseFringes:

@@ -57,6 +57,8 @@ ONE_OVER_E = 1.0 / math.e
 #: The largest :class:`EnsembleSpec` quadrature: an ensemble holds quadrature^2
 #: q-points, and 401 is the largest grid whose convergence was measured.
 MAX_QUADRATURE = 401
+#: The ensemble grid's edge: each axis spans +-3 sigma_q.
+EDGE_SIGMAS = 3.0
 #: The most hold times a fringe accepts: the per-q kernel holds several
 #: (basis size, hold times) complex arrays.
 MAX_HOLD_TIMES = 10**5
@@ -117,7 +119,7 @@ class EnsembleSpec:
             require_within("width_schedule time", t, -sys.float_info.max, sys.float_info.max)
             require_within("width_schedule width", width, 0, above=True)
             # The farthest node's weight squares 3 sigma_q / width.
-            spread = 3.0 * (self.sigma_q / width)
+            spread = EDGE_SIGMAS * (self.sigma_q / width)
             require_within("(3 sigma_q / width)^2", spread * spread, 0)
             if t < last:
                 raise ValueError("width_schedule times must ascend")
@@ -204,7 +206,10 @@ def ideal_pulse_operator(kind: ObjectiveKind | str, frame: np.ndarray):
     identity elsewhere: 1 + F (R - 1) F^dagger with F the S/D frame and R the
     kind's 2x2 block.  ``perfbench/tracing.py`` wraps both builders by name:
     keep the names, or traced runs fail."""
-    rot = ROTATION_BLOCKS[ObjectiveKind(kind)] - np.identity(2)
+    kind = ObjectiveKind(kind)
+    if kind not in ROTATION_BLOCKS:
+        raise ValueError(f"an ideal pulse is a pi2 or pi rotation, got kind {kind.value!r}")
+    rot = ROTATION_BLOCKS[kind] - np.identity(2)
     def apply(cols, adjoint=False):
         return cols + frame @ ((rot.T if adjoint else rot) @ (frame.conj().T @ cols))
     return apply, apply(frame)
@@ -224,7 +229,9 @@ def locked_sequence_operator(
     Phase-locked, (a, b) maximize the fidelity of F^dagger R F against the
     kind's target; unlocked, it builds the zero lock (a, b) = (0, 0)."""
     kind = ObjectiveKind(kind)
-    seq = pulses.pi2 if kind is ObjectiveKind.HALF_PI else pulses.pi
+    seq = {ObjectiveKind.HALF_PI: pulses.pi2, ObjectiveKind.PI: pulses.pi}.get(kind)
+    if seq is None:
+        raise ValueError(f"the pulses have no {kind.value!r} sequence")
     evolve = functools.partial(evolve_columns, seq=seq, q=q, spec=spec, basis=basis)
     r_frame = evolve(frame)
     a = b = 0.0
@@ -376,31 +383,20 @@ def echo_pd(
 # Ensembles
 
 
-def check_reach(ens: EnsembleSpec, basis: PlaneWaveBasis) -> None:
-    """Refuse an ensemble whose farthest node, sigma_q times the last of
-    :func:`_unit_axes`, lies beyond the basis's largest |G|.  The product is a
-    Python float, so a huge sigma_q reads inf, with no overflow warning."""
-    ux, uy = _unit_axes(ens, basis.geometry)
+def _quadrature_nodes(ens: EnsembleSpec, basis: PlaneWaveBasis, times: np.ndarray) -> list:
+    """The grid's nodes, x outer and y inner, as (q, wx, wy) with q = sigma_q
+    (u_x, u_y).  An axis has ``quadrature`` unit nodes u on +-EDGE_SIGMAS,
+    one half mirrored, so u[k] == -u[-1-k] to the bit and the centre is 0; it
+    is the one point 0 for sigma_q = 0, as is y in 1D.  Weights exp(-(u sigma_q
+    / sigma(t))^2 / 2) are one value at a fixed width or, under a width
+    schedule, a row over the hold times.  A node beyond the basis's largest
+    |G| is refused; the product is a Python float, so a huge sigma_q reads
+    inf, with no overflow warning."""
+    half = np.linspace(0.0, EDGE_SIGMAS, ens.quadrature // 2 + 1 if ens.sigma_q > 0 else 1)
+    ux = np.concatenate((-half[:0:-1], half))
+    uy = np.zeros(1) if basis.geometry is Geometry.STANDING_WAVE_1D else ux
     basis.check_reach(float(ens.sigma_q) * math.hypot(ux[-1], uy[-1]),
                       "the ensemble's farthest quadrature node")
-
-
-def _unit_axes(ens: EnsembleSpec, geometry: Geometry):
-    """Per-axis nodes (u_x, u_y) in units of sigma_q, ``quadrature`` points
-    from -3 to 3: one half mirrored, so the centre is exactly 0 and
-    u[k] == -u[-1-k] to the bit.  An axis is the one point 0 for sigma_q = 0,
-    and so is y for the 1D geometry."""
-    half = np.linspace(0.0, 3.0, ens.quadrature // 2 + 1 if ens.sigma_q > 0 else 1)
-    u = np.concatenate((-half[:0:-1], half))
-    return u, np.zeros(1) if geometry is Geometry.STANDING_WAVE_1D else u
-
-
-def _quadrature_nodes(ens: EnsembleSpec, geometry: Geometry, times: np.ndarray) -> list:
-    """The nodes in grid order, x outer and y inner, as (q, wx, wy): q =
-    sigma_q (u_x, u_y) and per-axis weights exp(-(u sigma_q / sigma(t))^2 / 2),
-    one value at a fixed width (exactly exp(-u^2 / 2)) or, under a width
-    schedule, a row over the hold times.  A one-point axis weighs 1."""
-    ux, uy = _unit_axes(ens, geometry)
     ratio = np.ones(1)
     if ens.width_schedule:
         ts, ss = (np.array(col, dtype=float) for col in zip(*ens.width_schedule))
@@ -431,28 +427,21 @@ def _ensemble_sums(
     """
     require_within("threads", threads, 1, integer=True)
     pulses = _as_pulse_model(pulses)
-    check_reach(ens, basis)
-    _check_run(kind, pulses, times, n_echo)
-    nodes = _quadrature_nodes(ens, spec.geometry, times)
+    _check_run(kind, pulses, times, n_echo)  # first: a schedule's grid has a row per time
+    nodes = _quadrature_nodes(ens, basis, times)
 
     def work(node):
         return _fringe_kernel(kind, pulses, times, node[0], spec, basis, n_echo)
 
-    def average(results):
-        sums = None
-        for (_, a, b), parts in zip(nodes, results):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    sums = None
+    with ThreadPoolExecutor(max_workers=min(threads, len(nodes), cpus or 1)) as pool:
+        for (_, a, b), parts in zip(nodes, pool.map(work, nodes)):
             w = a * b
             terms = [w * part for part in parts] + [w]
             sums = terms if sums is None else [s + t for s, t in zip(sums, terms)]
-        *weighted, total = sums
-        return [s / total for s in weighted]
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, len(nodes), cpus or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return average(pool.map(work, nodes))
-    return average(map(work, nodes))
+    *weighted, total = sums
+    return [s / total for s in weighted]
 
 
 def ensemble_fringe(

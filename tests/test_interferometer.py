@@ -20,11 +20,11 @@ from artifact.interferometer import (
     FringeKind,
     IdealPulses,
     SequencePulses,
-    check_reach,
     coherence_time,
     contrast_curve,
     echo_pd,
     ensemble_fringe,
+    ideal_pulse_operator,
     locked_sequence_operator,
     ramsey_pd,
 )
@@ -489,6 +489,30 @@ class TestPulseBuilders:
         _, by_kind = locked_sequence_operator(pulses, ObjectiveKind.HALF_PI, *args)
         assert np.array_equal(by_value, by_kind)
 
+    def test_ideal_refuses_a_kind_without_a_rotation(self, spec, basis):
+        # Once a KeyError from the rotation table.
+        frame = sd_frame(np.zeros(2), spec, basis)
+        with pytest.raises(ValueError, match="got kind 'load'"):
+            ideal_pulse_operator("load", frame)
+
+    @pytest.mark.parametrize("pulses, kind", [
+        (SequencePulses(REFERENCE_PI2), "pi"),
+        (SequencePulses(REFERENCE_PI2, REFERENCE_PI), "load"),
+        (SequencePulses(REFERENCE_PI2, REFERENCE_PI, phase_locked=False), "load"),
+    ], ids=["missing-pi", "locked-load", "unlocked-load"])
+    def test_sequence_refuses_a_kind_it_has_no_sequence_for(
+        self, spec, basis, monkeypatch, pulses, kind
+    ):
+        # Once an AttributeError from evolve_columns, a KeyError after the
+        # evolution, and unlocked the pi pulse built silently for 'load'.
+        def fail(*args, **kwargs):
+            raise AssertionError("evolved before the kind was checked")
+
+        monkeypatch.setattr(interferometer, "evolve_columns", fail)
+        q = np.zeros(2)
+        with pytest.raises(ValueError, match=f"no {kind!r} sequence"):
+            locked_sequence_operator(pulses, kind, q, spec, basis, sd_frame(q, spec, basis))
+
 
 class TestPointwiseFringes:
     def test_ideal_ramsey_matches_analytic(self, spec, basis, period):
@@ -616,13 +640,25 @@ class TestRunArguments:
                                              f"{MAX_HOLD_TIMES + 1}$"):
             ensemble_fringe("ramsey", IdealPulses(), times, EnsembleSpec(), spec, basis)
 
+    def test_hold_times_are_refused_before_the_grid(self, spec, basis, monkeypatch):
+        # A width schedule's grid holds a weight row per hold time, so the
+        # count is refused before any grid is formed.
+        def fail(*args, **kwargs):
+            raise AssertionError("the grid was formed before the hold times were checked")
+
+        monkeypatch.setattr(interferometer, "_quadrature_nodes", fail)
+        ens = EnsembleSpec(sigma_q=0.3, quadrature=5, width_schedule=((0.0, 0.2), (500.0, 0.4)))
+        with pytest.raises(ValueError, match="^hold-time count must be finite"):
+            ensemble_fringe("ramsey", IdealPulses(), np.zeros(MAX_HOLD_TIMES + 1), ens,
+                            spec, basis)
+
     @pytest.mark.parametrize("fwhm", [23.0, 1e300, 1e308])
     def test_grid_beyond_the_basis(self, spec, basis, fwhm):
         # A FWHM of 23 hbar k puts the farthest node at 3 sqrt(2) sigma =
         # 41.4 k, past the default basis's 15 k.
         ens = EnsembleSpec.from_width(fwhm, quadrature=5)
         with pytest.raises(ValueError, match=r"the basis's largest \|G\| = 15 k"):
-            ensemble_fringe("ramsey", IdealPulses(), np.zeros(3), ens, spec, basis)
+            ensemble_fringe("ramsey", IdealPulses(), np.arange(3.0), ens, spec, basis)
 
     def test_pulses_must_be_a_model_or_a_sequence(self, spec, basis):
         with pytest.raises(TypeError, match="PulseModel or a PulseSequence"):
@@ -640,7 +676,7 @@ class TestCheckReach:
         ids=["q=0", "sigma=0.3", "fwhm=0.20", "fwhm=0.56", "fwhm=0.72"],
     )
     def test_acceptance_widths_pass(self, basis, ens):
-        check_reach(ens, basis)
+        _quadrature_nodes(ens, basis, np.zeros(1))
 
     @pytest.mark.parametrize(
         "basis_name, axes, reach", [("basis", 2, 15.0), ("basis_1d", 1, 10.0)]
@@ -648,9 +684,9 @@ class TestCheckReach:
     def test_edge(self, request, basis_name, axes, reach):
         edge = reach / (3.0 * math.sqrt(axes))
         grid_basis = request.getfixturevalue(basis_name)
-        check_reach(EnsembleSpec(sigma_q=edge), grid_basis)
+        _quadrature_nodes(EnsembleSpec(sigma_q=edge), grid_basis, np.zeros(1))
         with pytest.raises(ValueError, match="farthest quadrature node must be finite"):
-            check_reach(EnsembleSpec(sigma_q=edge * (1.0 + 1e-6)), grid_basis)
+            _quadrature_nodes(EnsembleSpec(sigma_q=edge * (1.0 + 1e-6)), grid_basis, np.zeros(1))
 
 
 class TestQuadratureNodes:
@@ -663,10 +699,12 @@ class TestQuadratureNodes:
                              ids=["fixed", "scheduled"])
     @pytest.mark.parametrize("fwhm", [1e-300, 1e-8, 0.20, 0.72])
     @pytest.mark.parametrize("quadrature", [5, 9, 21, 401])
-    def test_mirror_pairs_are_exact(self, quadrature, fwhm, schedule, geometry):
+    def test_mirror_pairs_are_exact(self, request, quadrature, fwhm, schedule, geometry):
         ens = EnsembleSpec(sigma_q=EnsembleSpec.from_width(fwhm).sigma_q,
                            quadrature=quadrature, width_schedule=schedule)
-        nodes = _quadrature_nodes(ens, geometry, np.linspace(0.0, 900.0, 4))
+        basis = request.getfixturevalue(
+            "basis_1d" if geometry is Geometry.STANDING_WAVE_1D else "basis")
+        nodes = _quadrature_nodes(ens, basis, np.linspace(0.0, 900.0, 4))
         q = np.array([node[0] for node in nodes])
         w = np.array([wx * wy for _, wx, wy in nodes])
         assert len(nodes) == quadrature ** (1 if geometry is Geometry.STANDING_WAVE_1D else 2)
@@ -755,7 +793,7 @@ class TestEnsembleFringe:
         args = ("ramsey", IdealPulses(), np.array([0.0, 40.0]),
                 EnsembleSpec(sigma_q=0.3, quadrature=5), spec, basis)
         capped, serial = ensemble_fringe(*args, threads=1000), ensemble_fringe(*args, threads=1)
-        assert pools == [3]
+        assert pools == [3, 1]
         assert np.array_equal(capped.p_d, serial.p_d)
         assert np.array_equal(capped.phase_contrast.contrast, serial.phase_contrast.contrast)
 

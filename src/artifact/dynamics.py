@@ -15,7 +15,6 @@ first within each step.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,41 +126,55 @@ def solve_bands(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return energies, _fix_phases(states.astype(complex))
 
 
-# An entry of the default 121-wave basis holds a 121x121 complex matrix (about
-# 234 KB).  A q needs one depth (six for a variable-depth pi), so 32 entries
-# (about 7.5 MB) hold the working set of up to four pool threads.  It is a
-# per-q memo: an ensemble grid cycles through it, and nothing is kept for the
-# next call.
-@functools.lru_cache(maxsize=32)
-def _cached_bands(spec, basis, qx, qy, depth):
-    return solve_bands(hamiltonian_on(basis, spec, np.array([qx, qy]), depth))
-
-
 def band_eig(
     q: np.ndarray,
     spec: LatticeSpec,
     basis: PlaneWaveBasis,
     depth: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (energies, states) of the lattice-on Hamiltonian at q.
+    """(energies, states) of the lattice-on Hamiltonian at q and ``depth``
+    (default the spec's), as :func:`solve_bands` gives them.
 
-    Pure accessor: results depend only on the arguments; the cache only
-    avoids repeated eigensolves in quasi-momentum/duration scans.  Its key
-    is (spec, basis, q, depth), the basis by identity, the rest exactly.
-    Safe to call from several threads.
+    Solves on every call; a :class:`BandSet` keeps one q's solutions.
     """
-    d = spec.depth if depth is None else depth
-    return _cached_bands(spec, basis, float(q[0]), float(q[1]), float(d))
+    return solve_bands(hamiltonian_on(basis, spec, q, depth))
 
 
-def bloch_state(
-    band_index: int,
-    q: np.ndarray,
-    spec: LatticeSpec,
-    basis: PlaneWaveBasis,
-) -> np.ndarray:
-    """Energy-ordered band eigenstate (1-based index) at quasi-momentum q,
-    as its plane-wave amplitudes.
+_MEMO_DEPTHS = 32
+
+
+class BandSet:
+    """The band solutions at one quasi-momentum q of a lattice and basis.
+
+    :meth:`eig` solves each depth once, on first use.  A q needs one depth
+    (six for a variable-depth pi), but a variable-amplitude design moves a
+    few per evaluation, so the record keeps the 32 most recently used: about
+    7.5 MB on the default 121-wave basis.  A record belongs to one fringe
+    node or one objective, and its solutions die with it; it is not for
+    sharing between threads.
+    """
+
+    def __init__(self, q: np.ndarray, spec: LatticeSpec, basis: PlaneWaveBasis) -> None:
+        self.q = np.asarray(q, dtype=float)
+        self.spec = spec
+        self.basis = basis
+        self._memo: dict = {}
+
+    def eig(self, depth: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`band_eig` at this q and ``depth`` (default the spec's)."""
+        key = float(self.spec.depth if depth is None else depth)
+        found = self._memo.pop(key, None)
+        if found is None:
+            found = band_eig(self.q, self.spec, self.basis, key)
+            if len(self._memo) >= _MEMO_DEPTHS:
+                del self._memo[next(iter(self._memo))]
+        self._memo[key] = found
+        return found
+
+
+def bloch_state(band_index: int, bands: BandSet) -> np.ndarray:
+    """Energy-ordered band eigenstate (1-based index) at the quasi-momentum
+    of ``bands``, as its plane-wave amplitudes.
 
     If the requested band is the D-band and sits in a (near-)degenerate
     cluster, the returned state is the cluster member maximizing overlap with
@@ -170,8 +183,9 @@ def bloch_state(
     so this is the physically reachable partner.  At the package's band-gap
     convention the triangular D-band is isolated and the rule is dormant.
     """
+    spec, basis = bands.spec, bands.basis
     require_within("band_index", band_index, 1, basis.size, integer=True)
-    energies, states = band_eig(q, spec, basis)
+    energies, states = bands.eig()
     i = band_index - 1
     if (
         spec.geometry is Geometry.TRIANGULAR_3BEAM
@@ -194,15 +208,16 @@ def bloch_state(
     return states[:, i].copy()
 
 
-def sd_frame(q: np.ndarray, spec: LatticeSpec, basis: PlaneWaveBasis) -> np.ndarray:
-    """The interferometer's S/D band frame at q: (n, 2) columns [S D].
+def sd_frame(bands: BandSet) -> np.ndarray:
+    """The interferometer's S/D band frame at the q of ``bands``: (n, 2)
+    columns [S D].
 
     The columns are :func:`bloch_state` of the :func:`default_band_pair`, so
     the D column follows the D-band degeneracy rule.  Every pulse operator
     and objective is expressed in this frame.
     """
-    bands = default_band_pair(spec.geometry)
-    return np.stack([bloch_state(b, q, spec, basis) for b in bands], axis=1)
+    pair = default_band_pair(bands.spec.geometry)
+    return np.stack([bloch_state(b, bands) for b in pair], axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -210,14 +225,10 @@ def sd_frame(q: np.ndarray, spec: LatticeSpec, basis: PlaneWaveBasis) -> np.ndar
 
 
 def evolve_columns(
-    cols: np.ndarray,
-    seq: PulseSequence,
-    q: np.ndarray,
-    spec: LatticeSpec,
-    basis: PlaneWaveBasis,
-    adjoint: bool = False,
+    cols: np.ndarray, seq: PulseSequence, bands: BandSet, adjoint: bool = False
 ) -> np.ndarray:
-    """Apply a pulse sequence to (n, k) state columns at fixed q.
+    """Apply a pulse sequence to (n, k) state columns at the fixed q of
+    ``bands``, whose solutions serve every lattice-on step.
 
     Equivalent to multiplying by the sequence's time-ordered product of
     on/off propagators, but evaluated column-wise (fast path shared by
@@ -225,9 +236,8 @@ def evolve_columns(
     product's adjoint instead: the intervals in reverse order, each with
     its phases conjugated.
     """
-    w = angular_frequency_per_Er(spec)
-    q = np.asarray(q, dtype=float)
-    kin = basis.kinetic(q)
+    w = angular_frequency_per_Er(bands.spec)
+    kin = bands.basis.kinetic(bands.q)
     sign = 1j if adjoint else -1j
     out = np.asarray(cols, dtype=complex)
     if out.ndim != 2:
@@ -235,7 +245,7 @@ def evolve_columns(
     intervals = [(step, on) for step in seq.steps for on in (True, False)]
     for step, on in reversed(intervals) if adjoint else intervals:
         if on and step.t_on > 0:
-            energies, states = band_eig(q, spec, basis, step.depth)
+            energies, states = bands.eig(step.depth)
             phases = np.exp(sign * energies * w * step.t_on)
             out = states @ (phases[:, None] * (states.conj().T @ out))
         elif not on and step.t_off > 0:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import MAX_STEP_US, PulseSequence, band_eig, evolve_columns, sd_frame
+from .dynamics import MAX_STEP_US, BandSet, PulseSequence, evolve_columns, sd_frame
 from .lattice import (
     Geometry,
     LatticeSpec,
@@ -216,12 +216,7 @@ def ideal_pulse_operator(kind: ObjectiveKind | str, frame: np.ndarray):
 
 
 def locked_sequence_operator(
-    pulses: SequencePulses,
-    kind: ObjectiveKind | str,
-    q: np.ndarray,
-    spec: LatticeSpec,
-    basis: PlaneWaveBasis,
-    frame: np.ndarray,
+    pulses: SequencePulses, kind: ObjectiveKind | str, bands: BandSet, frame: np.ndarray
 ):
     """The sequence R of ``kind`` (pi2 or pi, as for the ideal pulse), which
     evolves F once, dressed as Z_b R Z_a, adjoint Z_(-a) R^dagger Z_(-b), with
@@ -232,7 +227,7 @@ def locked_sequence_operator(
     seq = {ObjectiveKind.HALF_PI: pulses.pi2, ObjectiveKind.PI: pulses.pi}.get(kind)
     if seq is None:
         raise ValueError(f"the pulses have no {kind.value!r} sequence")
-    evolve = functools.partial(evolve_columns, seq=seq, q=q, spec=spec, basis=basis)
+    evolve = functools.partial(evolve_columns, seq=seq, bands=bands)
     r_frame = evolve(frame)
     a = b = 0.0
     if pulses.phase_locked:
@@ -250,21 +245,14 @@ def locked_sequence_operator(
     return apply, dress(r_frame * np.array([1.0, np.exp(1j * a)]), b)
 
 
-def _pulse(
-    pulses: PulseModel,
-    kind: ObjectiveKind,
-    q: np.ndarray,
-    spec: LatticeSpec,
-    basis: PlaneWaveBasis,
-    frame: np.ndarray,
-):
-    """The model's pulse of the given kind at q, built in the S/D frame
-    ``frame`` F, as the pair ``(apply, image)``: ``apply(cols, adjoint=False)``
+def _pulse(pulses: PulseModel, kind: ObjectiveKind, bands: BandSet, frame: np.ndarray):
+    """The model's pulse of the given kind at the q of ``bands``, built in the
+    S/D frame ``frame`` F, as the pair ``(apply, image)``: ``apply(cols, adjoint=False)``
     applies the pulse or its adjoint to (n, k) columns, and ``image`` is the
     pulse's image of F, an (n, 2) array."""
     if isinstance(pulses, IdealPulses):
         return ideal_pulse_operator(kind, frame)
-    return locked_sequence_operator(pulses, kind, q, spec, basis, frame)
+    return locked_sequence_operator(pulses, kind, bands, frame)
 
 
 def _fringe_kernel(
@@ -287,11 +275,12 @@ def _fringe_kernel(
     n > 0 R V.  R F is the pi/2's image of the frame from :func:`_pulse`.
     """
     w = angular_frequency_per_Er(spec)
-    energies, states = band_eig(q, spec, basis)
+    bands = BandSet(q, spec, basis)
+    energies, states = bands.eig()
     bras = states.conj().T
-    frame = sd_frame(q, spec, basis)
+    frame = sd_frame(bands)
     d = frame[:, 1]
-    pi2, r_frame = _pulse(pulses, ObjectiveKind.HALF_PI, q, spec, basis, frame)
+    pi2, r_frame = _pulse(pulses, ObjectiveKind.HALF_PI, bands, frame)
     r_adj_d = pi2(frame[:, 1:], adjoint=True)
     psi1 = bras @ r_frame[:, 0]
     wvec = (bras @ r_adj_d[:, 0]).conj()
@@ -300,7 +289,7 @@ def _fringe_kernel(
     ph = np.exp(-1j * np.outer(energies, w * (times / (2.0 * n) if n else times)))
     chi = ph * psi1[:, None]
     if n:
-        pi, _ = _pulse(pulses, ObjectiveKind.PI, q, spec, basis, frame)
+        pi, _ = _pulse(pulses, ObjectiveKind.PI, bands, frame)
         phi = bras @ pi(states)
         ph_2tau = ph * ph
     for j in range(1, n + 1):  # a pi pulse, then a hold of 2t/2n or the last t/2n

@@ -155,7 +155,7 @@ class PlaneWaveBasis:
     tuple, of the vectors G = n1 b1 + n2 b2; :func:`build_basis` orders its
     |n1|, |n2| <= N set lexicographically, but any site set works.  The rest
     is derived from the sites once.  Like every record that holds arrays, a
-    basis compares and hashes by identity: each build is its own cache key.
+    basis compares and hashes by identity.
     """
 
     geometry: Geometry
@@ -305,8 +305,7 @@ def hamiltonian_on(
 def sd_gap(spec: LatticeSpec, basis: PlaneWaveBasis) -> float:
     """S-D band gap at the zone center, in E_r, at the spec's depth.
 
-    Goes through :func:`artifact.dynamics.band_eig`, whose cache keeps the
-    q = 0 solve for the objectives and pulse operators built afterwards.
+    Solves q = 0 once per call, through :func:`artifact.dynamics.band_eig`.
     """
     from . import dynamics  # local import to avoid a cycle
 

@@ -33,8 +33,8 @@ import numpy as np
 
 from .dynamics import (
     MAX_STEP_US,
+    BandSet,
     PulseSequence,
-    band_eig,
     default_band_pair,
     evolve_columns,
     sd_frame,
@@ -76,8 +76,9 @@ ROTATION_BLOCKS = {
 
 @dataclass(frozen=True, eq=False)
 class PulseObjective:
-    """Initial states and the S/D frame F of a pulse-design goal; the targets
-    are F times the kind's :data:`ROTATION_BLOCKS`, or for loading F's S column.
+    """Initial states and the S/D frame F of a pulse-design goal at the q of
+    ``bands``, the band solutions every evaluation reads; the targets are F
+    times the kind's :data:`ROTATION_BLOCKS`, or for loading F's S column.
 
     half-pi: (S -> (S+D)/sqrt2) and (D -> (D-S)/sqrt2).
     pi:      (S -> D) and (D -> -S).
@@ -85,9 +86,7 @@ class PulseObjective:
     """
 
     kind: ObjectiveKind
-    spec: LatticeSpec
-    basis: PlaneWaveBasis
-    quasimomentum: np.ndarray = field(repr=False)
+    bands: BandSet = field(repr=False)
     #: initial states as columns (n_basis, pairs).
     initial: np.ndarray = field(repr=False)
     #: S/D columns used to express the sequence's rotation block.
@@ -101,13 +100,13 @@ def build_objective(
     q: np.ndarray | None = None,
 ) -> PulseObjective:
     """Construct the standard objective of the given kind at q (default 0)."""
-    q = np.zeros(2) if q is None else np.asarray(q, dtype=float)
-    frame = sd_frame(q, spec, basis)
+    bands = BandSet(np.zeros(2) if q is None else q, spec, basis)
+    frame = sd_frame(bands)
     initial = frame
     if kind is ObjectiveKind.LOAD:
         initial = np.zeros((basis.size, 1), dtype=complex)
         initial[basis.index[(0, 0)]] = 1.0
-    return PulseObjective(kind, spec, basis, q, initial, frame)
+    return PulseObjective(kind, bands, initial, frame)
 
 
 # --------------------------------------------------------------------------
@@ -170,7 +169,7 @@ def fidelity(seq: PulseSequence, obj: PulseObjective) -> float:
     invariant to eigenvector phase conventions.  The loading objective has a
     single pair, so its fidelity is a plain modulus.
     """
-    final = evolve_columns(obj.initial, seq, obj.quasimomentum, obj.spec, obj.basis)
+    final = evolve_columns(obj.initial, seq, obj.bands)
     if obj.kind is ObjectiveKind.LOAD:
         # A contiguous S column: np.vdot rounds a strided view differently.
         return float(abs(np.vdot(obj.band_frame[:, 0].copy(), final[:, 0])))
@@ -187,9 +186,9 @@ def fidelity_report(seq: PulseSequence, obj: PulseObjective) -> dict:
     population outside the S/D pair: in the odd (P) bands between them and in
     all bands above the D band.
     """
-    final = evolve_columns(obj.initial, seq, obj.quasimomentum, obj.spec, obj.basis)
-    s_idx, d_idx = default_band_pair(obj.spec.geometry)
-    _, states = band_eig(obj.quasimomentum, obj.spec, obj.basis)
+    final = evolve_columns(obj.initial, seq, obj.bands)
+    s_idx, d_idx = default_band_pair(obj.bands.spec.geometry)
+    _, states = obj.bands.eig()
     pops = np.abs(states.conj().T @ final) ** 2  # (n_bands, pairs)
 
     if obj.kind is ObjectiveKind.LOAD:
@@ -306,7 +305,7 @@ def optimize(
     """
     opts = opts or OptimizerOptions()
     k = len(seed_seq.steps)
-    nominal = obj.spec.depth
+    nominal = obj.bands.spec.depth
     seed_depths = [s.depth for s in seed_seq.steps]
     x_seed = np.concatenate(
         [seed_seq.durations, [nominal if d is None else d for d in seed_depths]]

@@ -8,6 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import pytest
 
+from artifact import dynamics
 from artifact.lattice import Geometry, LatticeSpec, PlaneWaveBasis, build_basis
 
 
@@ -39,3 +40,17 @@ def hex_basis(basis):
         (a, b) for a, b in basis.sites if max(abs(a), abs(b), abs(a - b)) <= 5
     )
     return PlaneWaveBasis(basis.geometry, sites)
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The Hamiltonians that ``dynamics.solve_bands`` solves in the test."""
+    calls = []
+    solve = dynamics.solve_bands
+
+    def counting_solve(h):
+        calls.append(h)
+        return solve(h)
+
+    monkeypatch.setattr(dynamics, "solve_bands", counting_solve)
+    return calls

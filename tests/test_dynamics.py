@@ -1,8 +1,5 @@
-import functools
 import math
 import re
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +7,7 @@ import pytest
 from artifact import dynamics
 from artifact.dynamics import (
     MAX_STEP_US,
+    BandSet,
     PulseSequence,
     PulseStep,
     band_eig,
@@ -33,7 +31,7 @@ from artifact.sequences import REFERENCE_PI2, REFERENCE_PI_VARIABLE
 def _sequence_matrix(seq, q, spec, basis):
     """A pulse sequence's full (n, n) matrix at q: every plane wave evolved
     as one column."""
-    return evolve_columns(np.eye(basis.size), seq, q, spec, basis)
+    return evolve_columns(np.eye(basis.size), seq, BandSet(q, spec, basis))
 
 
 def _on_operator(t_us, q, spec, basis):
@@ -135,87 +133,75 @@ class TestSolveBands:
         assert states.shape == (91, 91)
 
 
-class TestEigenCache:
-    @pytest.fixture
-    def small_cache(self, monkeypatch):
-        fresh = functools.lru_cache(maxsize=2)(dynamics._cached_bands.__wrapped__)
-        monkeypatch.setattr(dynamics, "_cached_bands", fresh)
-
-    def test_threads_never_lose_an_entry(self, spec, small_cache):
+class TestBandSet:
+    def test_each_depth_is_solved_once(self, spec, solved):
         basis = build_basis(spec, shell_radius=1)
-        qs = [np.array([0.01 * i, -0.007 * i]) for i in range(50)]
+        bands = BandSet(np.array([0.07, -0.02]), spec, basis)
+        first = bands.eig()
+        # The spec's depth, given or defaulted, is one entry.
+        assert bands.eig() is first and bands.eig(spec.depth) is first
+        deep = bands.eig(6.0)
+        assert bands.eig(6) is deep
+        assert len(solved) == 2
+        assert np.array_equal(deep[0], band_eig(bands.q, spec, basis, 6.0)[0])
 
-        def solve(q):
-            energies, states = band_eig(q, spec, basis)
-            return energies.shape, states.shape
+    def test_least_recently_used_depth_is_dropped(self, spec, solved):
+        basis = build_basis(spec, shell_radius=1)
+        bands = BandSet(np.zeros(2), spec, basis)
+        depths = [1.0 + 0.1 * i for i in range(dynamics._MEMO_DEPTHS)]
+        for d in depths:
+            bands.eig(d)
+        bands.eig(depths[0])  # refreshed: the oldest is now depths[1]
+        bands.eig(9.0)
+        before = len(solved)
+        bands.eig(depths[0])
+        assert len(solved) == before
+        bands.eig(depths[1])
+        assert len(solved) == before + 1
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, to hit the race
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                shapes = list(pool.map(solve, qs * 40))
-        finally:
-            sys.setswitchinterval(interval)
-        assert set(shapes) == {((9,), (9, 9))}
-        assert dynamics._cached_bands.cache_info().currsize <= 2
-
-    def test_each_build_is_its_own_key(self, spec):
-        # A basis compares and hashes by identity: a second build of the same
-        # sites is a second key, solved again to the same bits.
+    def test_each_build_solves_to_the_same_bits(self, spec):
+        # A basis compares and hashes by identity; records on two builds of
+        # the same sites solve to the same bits.
         a, b = build_basis(spec), build_basis(spec)
         assert a == a and a != b
         assert hash(a) == object.__hash__(a)
         q = np.array([0.0831, -0.1427])
-        before = dynamics._cached_bands.cache_info().misses
-        (ea, va), (eb, vb) = band_eig(q, spec, a), band_eig(q, spec, b)
-        assert dynamics._cached_bands.cache_info().misses == before + 2
+        (ea, va), (eb, vb) = BandSet(q, spec, a).eig(), BandSet(q, spec, b).eig()
         assert np.array_equal(ea, eb) and np.array_equal(va, vb)
 
-    def test_least_recently_used_is_evicted(self, spec, small_cache, monkeypatch):
-        basis = build_basis(spec, shell_radius=2)
-        solved = []
-        assemble = dynamics.hamiltonian_on
-
-        def recording_assemble(basis, spec, q, depth=None):
-            solved.append(tuple(q))
-            return assemble(basis, spec, q, depth)
-
-        monkeypatch.setattr(dynamics, "hamiltonian_on", recording_assemble)
-        old, recent, new = (np.array([x, 0.0]) for x in (0.1, 0.2, 0.3))
-        for q in (old, recent, old, new):  # the second `old` refreshes it
-            band_eig(q, spec, basis)
-        assert solved == [(0.1, 0.0), (0.2, 0.0), (0.3, 0.0)]
-        band_eig(old, spec, basis)  # still cached
-        band_eig(recent, spec, basis)  # evicted
-        assert solved[3:] == [(0.2, 0.0)]
-        assert dynamics._cached_bands.cache_info().currsize == 2
+    def test_band_eig_solves_on_every_call(self, spec, solved):
+        basis = build_basis(spec, shell_radius=1)
+        for _ in range(3):
+            band_eig(np.zeros(2), spec, basis)
+        assert len(solved) == 3
 
 
 class TestBlochState:
     def test_normalized(self, spec, basis):
         for band in (1, 4):
             for q in (np.zeros(2), np.array([0.19, -0.07])):
-                st = bloch_state(band, q, spec, basis)
+                st = bloch_state(band, BandSet(q, spec, basis))
                 assert np.linalg.norm(st) == pytest.approx(1.0, abs=1e-12)
 
     def test_band_index_validated(self, spec, basis):
+        bands = BandSet(np.zeros(2), spec, basis)
         with pytest.raises(ValueError):
-            bloch_state(0, np.zeros(2), spec, basis)
+            bloch_state(0, bands)
         with pytest.raises(ValueError):
-            bloch_state(basis.size + 1, np.zeros(2), spec, basis)
+            bloch_state(basis.size + 1, bands)
         for band in (1.5, True):
             with pytest.raises(ValueError, match=f"band_index must be an integer, got {band}"):
-                bloch_state(band, np.zeros(2), spec, basis)
+                bloch_state(band, bands)
 
     @pytest.mark.parametrize("band", [0, 122, math.nan])
     def test_band_index_range_message(self, spec, basis, band):
         assert basis.size == 121
         message = f"band_index must be finite, with 1 <= band_index <= 121, got {band}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            bloch_state(band, np.zeros(2), spec, basis)
+            bloch_state(band, BandSet(np.zeros(2), spec, basis))
 
     def test_ground_band_dominated_by_g0(self, spec, basis):
-        st = bloch_state(1, np.zeros(2), spec, basis)
+        st = bloch_state(1, BandSet(np.zeros(2), spec, basis))
         i0 = basis.index[(0, 0)]
         weights = np.abs(st) ** 2
         assert weights[i0] > 0.4
@@ -232,7 +218,7 @@ class TestBlochState:
         w = np.zeros(basis.size)
         w[[basis.index[off] for off in TRIANGULAR_COUPLING_OFFSETS]] = 1.0 / math.sqrt(6)
         assert abs(np.vdot(w, states[:, 3])) < 0.5  # the rule is what aligns it
-        assert abs(np.vdot(w, bloch_state(4, q, spec, basis))) == pytest.approx(
+        assert abs(np.vdot(w, bloch_state(4, BandSet(q, spec, basis)))) == pytest.approx(
             1.0, abs=1e-12)
 
 
@@ -242,10 +228,10 @@ class TestSdFrame:
         b = request.getfixturevalue(fixture)
         spec = LatticeSpec(geometry=b.geometry)
         q = np.array([0.05, 0.0])
-        frame = sd_frame(q, spec, b)
+        frame = sd_frame(BandSet(q, spec, b))
         assert frame.shape == (b.size, 2)
         for col, band in zip(frame.T, default_band_pair(spec.geometry)):
-            assert np.array_equal(col, bloch_state(band, q, spec, b))
+            assert np.array_equal(col, bloch_state(band, BandSet(q, spec, b)))
 
 
 class TestPropagator:
@@ -323,9 +309,10 @@ class TestPulseStructures:
 
 class TestEvolution:
     def test_zero_duration_sequence_is_identity(self, spec, basis):
-        st = bloch_state(1, np.zeros(2), spec, basis)
+        bands = BandSet(np.zeros(2), spec, basis)
+        st = bloch_state(1, bands)
         seq = PulseSequence.from_durations([(0.0, 0.0)])
-        out = evolve_columns(st[:, None], seq, np.zeros(2), spec, basis)[:, 0]
+        out = evolve_columns(st[:, None], seq, bands)[:, 0]
         assert np.allclose(out, st, atol=1e-12)
 
     def test_sequence_operator_unitary(self, spec, basis):
@@ -343,25 +330,28 @@ class TestEvolution:
         assert np.allclose(u, u2 @ u1, atol=1e-10)
 
     def test_norm_preserved(self, spec, basis):
-        st = bloch_state(1, np.zeros(2), spec, basis)
-        out = evolve_columns(st[:, None], REFERENCE_PI2, np.zeros(2), spec, basis)[:, 0]
+        bands = BandSet(np.zeros(2), spec, basis)
+        st = bloch_state(1, bands)
+        out = evolve_columns(st[:, None], REFERENCE_PI2, bands)[:, 0]
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
     def test_per_step_depth_override_changes_result(self, spec, basis):
         flat = PulseSequence.from_durations([(10.0, 5.0)])
         deep = PulseSequence.from_durations([(10.0, 5.0)], depths=[6.0])
-        st = bloch_state(1, np.zeros(2), spec, basis)
-        out_flat = evolve_columns(st[:, None], flat, np.zeros(2), spec, basis)[:, 0]
-        out_deep = evolve_columns(st[:, None], deep, np.zeros(2), spec, basis)[:, 0]
+        bands = BandSet(np.zeros(2), spec, basis)
+        st = bloch_state(1, bands)
+        out_flat = evolve_columns(st[:, None], flat, bands)[:, 0]
+        out_deep = evolve_columns(st[:, None], deep, bands)[:, 0]
         assert not np.allclose(out_flat, out_deep, atol=1e-6)
 
     def test_one_dimensional_state_refused(self, spec, basis):
         # A 1-D state would broadcast against the (n, 1) phase columns into
         # an (n, n) array; it is refused instead.
-        st = bloch_state(1, np.zeros(2), spec, basis)
+        bands = BandSet(np.zeros(2), spec, basis)
+        st = bloch_state(1, bands)
         with pytest.raises(ValueError, match=r"cols must be \(n, k\) state columns, "
                                              r"got shape \(121,\)"):
-            evolve_columns(st, REFERENCE_PI2, np.zeros(2), spec, basis)
+            evolve_columns(st, REFERENCE_PI2, bands)
 
     @pytest.mark.parametrize(
         "seq",
@@ -379,7 +369,7 @@ class TestEvolution:
         cols = rng.normal(size=(basis.size, 3)) + 1j * rng.normal(size=(basis.size, 3))
         cols /= np.linalg.norm(cols, axis=0)
         expected = _sequence_matrix(seq, q, spec, basis).conj().T @ cols
-        out = evolve_columns(cols, seq, q, spec, basis, adjoint=True)
+        out = evolve_columns(cols, seq, BandSet(q, spec, basis), adjoint=True)
         assert np.max(np.abs(out - expected)) <= 1e-13
 
     def test_off_segment_uses_free_hamiltonian(self, spec, basis):
@@ -400,22 +390,24 @@ class TestBandPopulations:
     def test_pure_band_state(self, spec, basis):
         # The D-band Bloch state is band 4 itself: the triangular D band is
         # isolated at the package's gap convention.
-        st = bloch_state(4, np.zeros(2), spec, basis)
+        st = bloch_state(4, BandSet(np.zeros(2), spec, basis))
         pops = _band_populations(st, np.zeros(2), spec, basis)
         assert pops[3] == pytest.approx(1.0, abs=1e-12)
         assert sum(pops) == pytest.approx(1.0, abs=1e-12)
 
     def test_populations_sum_below_one(self, spec, basis):
-        st = bloch_state(1, np.zeros(2), spec, basis)
-        out = evolve_columns(st[:, None], REFERENCE_PI2, np.zeros(2), spec, basis)[:, 0]
+        bands = BandSet(np.zeros(2), spec, basis)
+        st = bloch_state(1, bands)
+        out = evolve_columns(st[:, None], REFERENCE_PI2, bands)[:, 0]
         pops = _band_populations(out, np.zeros(2), spec, basis)
         assert 0.0 <= sum(pops) <= 1.0 + 1e-9
 
     def test_half_pi_leaves_mid_bands_empty(self, spec, basis):
         # The shipped half-pi sequence moves population S -> D with
         # negligible transfer into the symmetry-mismatched P bands.
-        st = bloch_state(1, np.zeros(2), spec, basis)
-        out = evolve_columns(st[:, None], REFERENCE_PI2, np.zeros(2), spec, basis)[:, 0]
+        bands = BandSet(np.zeros(2), spec, basis)
+        st = bloch_state(1, bands)
+        out = evolve_columns(st[:, None], REFERENCE_PI2, bands)[:, 0]
         pops = _band_populations(out, np.zeros(2), spec, basis)
         assert pops[1] + pops[2] < 1e-8
         assert pops[0] + pops[3] > 0.96

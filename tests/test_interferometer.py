@@ -30,6 +30,7 @@ from artifact.interferometer import (
 )
 from artifact.dynamics import (
     MAX_STEP_US,
+    BandSet,
     band_eig,
     bloch_state,
     default_band_pair,
@@ -47,9 +48,11 @@ from artifact.sequences import REFERENCE_PI, REFERENCE_PI2, REFERENCE_PI_VARIABL
 from artifact.shortcut import (
     MAX_COUNT,
     ObjectiveKind,
+    OptimizerOptions,
     ROTATION_BLOCKS,
     aligned_fidelity_block,
     build_objective,
+    design_sequence,
 )
 
 
@@ -258,7 +261,8 @@ class TestIdealFringe:
 
 def _dense(pulses, kind, q, spec, basis):
     """The model's pulse of ``kind`` as a dense (n, n) matrix: its apply on the identity."""
-    apply, _ = _pulse(pulses, ObjectiveKind(kind), q, spec, basis, sd_frame(q, spec, basis))
+    bands = BandSet(q, spec, basis)
+    apply, _ = _pulse(pulses, ObjectiveKind(kind), bands, sd_frame(bands))
     return apply(np.eye(basis.size))
 
 
@@ -271,8 +275,9 @@ class TestIdealOperators:
     def test_blocks_match_targets(self, spec, basis):
         s_idx, d_idx = default_band_pair(spec.geometry)
         q = np.array([0.11, -0.04])
-        s = bloch_state(s_idx, q, spec, basis)
-        d = bloch_state(d_idx, q, spec, basis)
+        bands = BandSet(q, spec, basis)
+        s = bloch_state(s_idx, bands)
+        d = bloch_state(d_idx, bands)
         frame = np.stack([s, d], axis=1)
         u2 = _dense(IdealPulses(), "pi2", q, spec, basis)
         upi = _dense(IdealPulses(), "pi", q, spec, basis)
@@ -308,10 +313,8 @@ class TestDenseOracles:
 
     def _frame(self, spec, basis):
         s_idx, d_idx = default_band_pair(spec.geometry)
-        return (
-            bloch_state(s_idx, self.Q, spec, basis),
-            bloch_state(d_idx, self.Q, spec, basis),
-        )
+        bands = BandSet(self.Q, spec, basis)
+        return bloch_state(s_idx, bands), bloch_state(d_idx, bands)
 
     @pytest.mark.parametrize("kind", ["pi2", "pi"])
     def test_ideal(self, spec, basis, kind):
@@ -325,7 +328,7 @@ class TestDenseOracles:
     )
     def test_locked(self, spec, basis, seq, kind):
         s, d = self._frame(spec, basis)
-        r = evolve_columns(np.eye(basis.size), seq, self.Q, spec, basis)
+        r = evolve_columns(np.eye(basis.size), seq, BandSet(self.Q, spec, basis))
         frame = np.stack([s, d], axis=1)
         _, a, b = aligned_fidelity_block(
             frame.conj().T @ r @ frame, ROTATION_BLOCKS[kind]
@@ -342,7 +345,7 @@ def _dense_kernel(kind, r_half, r_pi, times, q, spec, basis, n_echo):
     pulse operators applied state by state; the scanned part is the final
     pulse's image of the D component, read out on D."""
     energies, states = band_eig(q, spec, basis)
-    s, d = sd_frame(q, spec, basis).T
+    s, d = sd_frame(BandSet(q, spec, basis)).T
     w = angular_frequency_per_Er(spec)
 
     def hold(t):
@@ -375,7 +378,7 @@ class TestKernelOracle:
             pulses = SequencePulses(REFERENCE_PI2, REFERENCE_PI, phase_locked=model == "locked")
         if model == "unlocked":  # the raw sequence operators, evolved on their own
             eye = np.eye(basis.size)
-            return pulses, [evolve_columns(eye, sq, q, spec, basis)
+            return pulses, [evolve_columns(eye, sq, BandSet(q, spec, basis))
                             for sq in (REFERENCE_PI2, REFERENCE_PI)]
         return pulses, [_dense(pulses, k, q, spec, basis) for k in ("pi2", "pi")]
 
@@ -410,7 +413,7 @@ class TestLockedOperator:
         q = np.array([0.07, 0.12])
         obj = build_objective(ObjectiveKind.HALF_PI, spec, basis, q=q)
         frame = obj.band_frame
-        raw_block = frame.conj().T @ evolve_columns(frame, REFERENCE_PI2, q, spec, basis)
+        raw_block = frame.conj().T @ evolve_columns(frame, REFERENCE_PI2, obj.bands)
         f_aligned, _, _ = aligned_fidelity_block(
             raw_block, ROTATION_BLOCKS[ObjectiveKind.HALF_PI]
         )
@@ -434,14 +437,14 @@ class TestZeroLock:
         [(REFERENCE_PI2, ObjectiveKind.HALF_PI), (REFERENCE_PI_VARIABLE, ObjectiveKind.PI)],
     )
     def test_unlocked_pulse_is_the_raw_sequence(self, spec, basis, seq, kind):
-        q = self.Q
-        _, states = band_eig(q, spec, basis)
-        frame = sd_frame(q, spec, basis)
+        bands = BandSet(self.Q, spec, basis)
+        _, states = bands.eig()
+        frame = sd_frame(bands)
         pulses = SequencePulses(seq, seq, phase_locked=False)
-        apply, image = _pulse(pulses, kind, q, spec, basis, frame)
+        apply, image = _pulse(pulses, kind, bands, frame)
 
         def raw(cols, adjoint=False):
-            return evolve_columns(cols, seq, q, spec, basis, adjoint=adjoint)
+            return evolve_columns(cols, seq, bands, adjoint=adjoint)
 
         assert np.array_equal(apply(states), raw(states))
         d = frame[:, 1:]
@@ -482,8 +485,8 @@ class TestPulseBuilders:
     @pytest.mark.parametrize("locked", [True, False], ids=["locked", "unlocked"])
     def test_sequence_kind_may_be_its_value(self, spec, basis, locked):
         # Unlocked, a value that is not the kind would build the pi pulse.
-        q = np.array([0.21, -0.08])
-        args = (q, spec, basis, sd_frame(q, spec, basis))
+        bands = BandSet(np.array([0.21, -0.08]), spec, basis)
+        args = (bands, sd_frame(bands))
         pulses = SequencePulses(REFERENCE_PI2, REFERENCE_PI, phase_locked=locked)
         _, by_value = locked_sequence_operator(pulses, "pi2", *args)
         _, by_kind = locked_sequence_operator(pulses, ObjectiveKind.HALF_PI, *args)
@@ -491,7 +494,7 @@ class TestPulseBuilders:
 
     def test_ideal_refuses_a_kind_without_a_rotation(self, spec, basis):
         # Once a KeyError from the rotation table.
-        frame = sd_frame(np.zeros(2), spec, basis)
+        frame = sd_frame(BandSet(np.zeros(2), spec, basis))
         with pytest.raises(ValueError, match="got kind 'load'"):
             ideal_pulse_operator("load", frame)
 
@@ -509,9 +512,37 @@ class TestPulseBuilders:
             raise AssertionError("evolved before the kind was checked")
 
         monkeypatch.setattr(interferometer, "evolve_columns", fail)
-        q = np.zeros(2)
+        bands = BandSet(np.zeros(2), spec, basis)
         with pytest.raises(ValueError, match=f"no {kind!r} sequence"):
-            locked_sequence_operator(pulses, kind, q, spec, basis, sd_frame(q, spec, basis))
+            locked_sequence_operator(pulses, kind, bands, sd_frame(bands))
+
+
+class TestSolveCounts:
+    """Each fringe node and each objective solves its bands once per depth,
+    shared by the hold, the S/D frame and every pulse."""
+
+    @pytest.mark.parametrize("kind, pi, expected", [
+        (FringeKind.RAMSEY, None, 1),
+        (FringeKind.ECHO, REFERENCE_PI, 1),
+        # The hold depth and the five step depths of the variable pi.
+        (FringeKind.ECHO, REFERENCE_PI_VARIABLE, 6),
+    ], ids=["ramsey", "echo", "echo-variable-pi"])
+    def test_one_kernel_call(self, spec, basis, solved, kind, pi, expected):
+        pulses = SequencePulses(REFERENCE_PI2, pi)
+        _fringe_kernel(kind, pulses, np.array([0.0, 100.0]), np.array([0.13, -0.05]),
+                       spec, basis, 2)
+        assert len(solved) == expected
+
+    def test_design_solves_once(self, spec, basis, solved):
+        opts = OptimizerOptions(max_iters=3, restarts=2)
+        design_sequence(ObjectiveKind.HALF_PI, 5, spec, basis, opts)
+        assert len(solved) == 1
+
+    def test_ensemble_solves_each_node_once(self, spec, basis, solved):
+        ens = EnsembleSpec(sigma_q=0.1, quadrature=5)
+        pulses = SequencePulses(REFERENCE_PI2)
+        ensemble_fringe(FringeKind.RAMSEY, pulses, np.array([0.0, 100.0]), ens, spec, basis)
+        assert len(solved) == 25
 
 
 class TestPointwiseFringes:
@@ -592,7 +623,7 @@ class TestRunArguments:
         def fail(*args, **kwargs):
             raise AssertionError("work started before the arguments were checked")
 
-        for name in ("ThreadPoolExecutor", "band_eig", "sd_frame"):
+        for name in ("ThreadPoolExecutor", "BandSet", "sd_frame"):
             monkeypatch.setattr(interferometer, name, fail)
 
     @pytest.mark.parametrize("kind, pulses, times, n_echo, message", ENSEMBLE_CASES)
@@ -1238,9 +1269,8 @@ class TestGlobalPhaseInvariance:
 
     def _shift(self, p_d, monkeypatch, qs=QS):
         """Largest |change| of p_d(q) over ``qs`` when 0.7 E_r is added to
-        the potential.  The eigen-cache key does not see the potential, so
-        the shifted run gets a cache of its own."""
-        from artifact import dynamics, lattice
+        the potential."""
+        from artifact import lattice
 
         before = [p_d(q) for q in qs]
         base = lattice.potential_fourier
@@ -1251,8 +1281,6 @@ class TestGlobalPhaseInvariance:
             return comps
 
         monkeypatch.setattr(lattice, "potential_fourier", shifted)
-        fresh = functools.lru_cache(maxsize=32)(dynamics._cached_bands.__wrapped__)
-        monkeypatch.setattr(dynamics, "_cached_bands", fresh)
         after = [p_d(q) for q in qs]
         return max(abs(a - b) for a, b in zip(after, before))
 
@@ -1442,8 +1470,6 @@ class TestEigenvectorGaugeInvariance:
             return states * np.exp(2j * np.pi * rng.random(states.shape[1]))
 
         monkeypatch.setattr(dynamics, "_fix_phases", random_gauge)
-        fresh = functools.lru_cache(maxsize=32)(dynamics._cached_bands.__wrapped__)
-        monkeypatch.setattr(dynamics, "_cached_bands", fresh)
         after = self._outputs(kind, pulses, spec, basis)
         assert _max_change(before, after) <= 1e-13
 

@@ -291,24 +291,6 @@ class TestGapAndCalibration:
     def test_fringe_period(self, spec, basis):
         assert fringe_period_us(spec, basis) == pytest.approx(88.800, abs=0.02)
 
-    def test_setup_diagonalises_gamma_once(self, spec, basis, monkeypatch):
-        from artifact import dynamics
-        from artifact.shortcut import ObjectiveKind, build_objective
-
-        calls = []
-        solve = dynamics.solve_bands
-
-        def counting_solve(h):
-            calls.append(h)
-            return solve(h)
-
-        monkeypatch.setattr(dynamics, "solve_bands", counting_solve)
-        fresh = functools.lru_cache(maxsize=32)(dynamics._cached_bands.__wrapped__)
-        monkeypatch.setattr(dynamics, "_cached_bands", fresh)
-        fringe_period_us(spec, basis)
-        build_objective(ObjectiveKind.HALF_PI, spec, basis)
-        assert len(calls) == 1
-
     def test_gap_converged_in_shell_radius(self, spec):
         g5 = sd_gap(spec, build_basis(spec, 5))
         g7 = sd_gap(spec, build_basis(spec, 7))

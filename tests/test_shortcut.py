@@ -55,7 +55,7 @@ class TestObjective:
             )
 
     def test_default_quasimomentum_is_gamma(self, objectives):
-        assert objectives[ObjectiveKind.HALF_PI].quasimomentum == pytest.approx(
+        assert objectives[ObjectiveKind.HALF_PI].bands.q == pytest.approx(
             [0.0, 0.0], abs=1e-15
         )
 
@@ -113,7 +113,7 @@ class TestFidelityProperties:
                 aligned = fidelity(seq, obj)
                 target = ROTATION_BLOCKS[kind]
                 frame = obj.band_frame
-                evolved = evolve_columns(frame, seq, obj.quasimomentum, obj.spec, obj.basis)
+                evolved = evolve_columns(frame, seq, obj.bands)
                 fixed = abs(np.trace(target.conj().T @ frame.conj().T @ evolved)) / 2
                 assert aligned >= fixed - 1e-12
 

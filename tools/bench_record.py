@@ -13,7 +13,9 @@ checkout runs as its files stand.  Without ``--parent`` only this checkout
 runs.  The output file holds the environment, the commits, the seeds, every
 run's printed figures and metrics, and per side the median and quartiles of
 each.  A printed line that is missing or cannot be read stops the recorder
-with an error.  Standard library only.
+with an error.  Unless ``--smoke`` is given, the tier-1 suite then runs once
+per side with BLAS pinned to one thread, and the file records its wall time,
+pytest's summary line and the ten slowest tests.  Standard library only.
 """
 
 from __future__ import annotations
@@ -28,12 +30,19 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 HEADER = re.compile(r"workload (\S+): threads (\d+), operations attempted (\d+), failed (\d+)")
+# As perfbench/run.py pins them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10",
+         "-p", "no:cacheprovider"]
+DURATION = re.compile(r"(\d+\.\d+)s (setup|call|teardown) +(.+)$")
 
 
 def git(*args: str) -> str:
@@ -100,6 +109,26 @@ def run(checkout: Path, workload: str, seed: int, trace: int, args) -> dict:
                          f"{proc.stdout[-2000:]}")
 
 
+def tier1(checkout: Path) -> dict:
+    """The tier-1 suite once in ``checkout``, BLAS pinned to one thread: its
+    exit code, wall time, summary line and ten slowest tests."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update({var: "1" for var in BLAS_THREAD_VARS}, PYTHONPATH="src")
+    print(f"tier-1 in {checkout}", file=sys.stderr, flush=True)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    wall_s = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    slowest = [{"seconds": float(m[1]), "phase": m[2], "test": m[3]}
+               for m in map(DURATION.match, lines) if m]
+    if not lines or not slowest:
+        raise SystemExit(f"error: cannot read the tier-1 output in {checkout}:\n"
+                         f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return {"exit_code": proc.returncode, "wall_s": round(wall_s, 2),
+            "summary": lines[-1].strip("= "), "slowest": slowest}
+
+
 def spread(values: list) -> dict:
     """Median and quartiles (inclusive method; one value is its own quartiles)."""
     q1, _, q3 = statistics.quantiles(values * (2 if len(values) == 1 else 1), n=4,
@@ -148,7 +177,8 @@ def main(argv=None) -> int:
                         help="repeat for several (default: every workload)")
     parser.add_argument("--pairs", type=int, default=5, help="untraced runs per side, seeds 1..N")
     parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
-    parser.add_argument("--smoke", action="store_true", help="perfbench's reduced sizes")
+    parser.add_argument("--smoke", action="store_true",
+                        help="perfbench's reduced sizes, and no tier-1 run")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -166,6 +196,7 @@ def main(argv=None) -> int:
             commits["parent"] = {"rev": args.parent, "sha": git("rev-parse", args.parent),
                                  "src_sha256": src_sha256(Path(scratch))}
         workloads = {w: record_workload(w, sides, args) for w in args.workload or WORKLOADS}
+        suites = {} if args.smoke else {side: tier1(path) for side, path in sides.items()}
     envs = [{k: v for k, v in r.pop("environment").items() if k != "threads"}
             for w in workloads.values() for r in w["runs"]]
     if any(env != envs[0] for env in envs):
@@ -178,6 +209,7 @@ def main(argv=None) -> int:
         "commits": commits,
         "seeds": args.seeds,
         "workloads": workloads,
+        **({"tier1": suites} if suites else {}),
     }
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     return 0

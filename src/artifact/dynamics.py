@@ -149,9 +149,9 @@ class BandSet:
     :meth:`eig` solves each depth once, on first use.  A q needs one depth
     (six for a variable-depth pi), but a variable-amplitude design moves a
     few per evaluation, so the record keeps the 32 most recently used: about
-    7.5 MB on the default 121-wave basis.  A record belongs to one fringe
-    node or one objective, and its solutions die with it; it is not for
-    sharing between threads.
+    7.5 MB on the default 121-wave basis.  :attr:`frame` is formed once,
+    on first use.  A record belongs to one fringe node or one objective, and
+    its solutions die with it; it is not for sharing between threads.
     """
 
     def __init__(self, q: np.ndarray, spec: LatticeSpec, basis: PlaneWaveBasis) -> None:
@@ -159,6 +159,7 @@ class BandSet:
         self.spec = spec
         self.basis = basis
         self._memo: dict = {}
+        self._frame: np.ndarray | None = None
 
     def eig(self, depth: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """:func:`band_eig` at this q and ``depth`` (default the spec's)."""
@@ -170,6 +171,17 @@ class BandSet:
                 del self._memo[next(iter(self._memo))]
         self._memo[key] = found
         return found
+
+    @property
+    def frame(self) -> np.ndarray:
+        """The S/D band frame at this q, read-only (n, 2) columns [S D]: the
+        :func:`bloch_state` of each :func:`default_band_pair` band, so D obeys
+        the D-band degeneracy rule.  Every pulse and objective is expressed in it."""
+        if self._frame is None:
+            pair = default_band_pair(self.spec.geometry)
+            self._frame = np.stack([bloch_state(b, self) for b in pair], axis=1)
+            self._frame.flags.writeable = False
+        return self._frame
 
 
 def bloch_state(band_index: int, bands: BandSet) -> np.ndarray:
@@ -206,18 +218,6 @@ def bloch_state(band_index: int, bands: BandSet) -> np.ndarray:
             if n > 1e-12:
                 return _fix_phases((vec / n)[:, None])[:, 0]
     return states[:, i].copy()
-
-
-def sd_frame(bands: BandSet) -> np.ndarray:
-    """The interferometer's S/D band frame at the q of ``bands``: (n, 2)
-    columns [S D].
-
-    The columns are :func:`bloch_state` of the :func:`default_band_pair`, so
-    the D column follows the D-band degeneracy rule.  Every pulse operator
-    and objective is expressed in this frame.
-    """
-    pair = default_band_pair(bands.spec.geometry)
-    return np.stack([bloch_state(b, bands) for b in pair], axis=1)
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,8 @@ Sequences (time order, left to right):
 
 The hold evolution uses the full multi-band lattice-on propagator.  Each
 pulse is built once per quasi-momentum in the S/D frame F = [S D] of
-:func:`artifact.dynamics.sd_frame` and applied only to the columns the fringe
-reads (:func:`_pulse`): an ideal rotation 1 + F (R - 1) F^dagger, R the 2x2
+:attr:`artifact.dynamics.BandSet.frame` and applied only to the columns the
+fringe reads (:func:`_pulse`): an ideal rotation 1 + F (R - 1) F^dagger, R the 2x2
 target block, or a shortcut pulse sequence R, always applied as Z_b R Z_a
 with Z_theta = 1 + (e^(i theta) - 1)|D><D|.  Phase-locked (the default),
 (a, b) are the per-band reference phases of the aligned fidelity frame
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import MAX_STEP_US, BandSet, PulseSequence, evolve_columns, sd_frame
+from .dynamics import MAX_STEP_US, BandSet, PulseSequence, evolve_columns
 from .lattice import (
     Geometry,
     LatticeSpec,
@@ -201,33 +201,33 @@ class CoherenceResult:
 # Pulse operators
 
 
-def ideal_pulse_operator(kind: ObjectiveKind | str, frame: np.ndarray):
+def ideal_pulse_operator(kind: ObjectiveKind | str, bands: BandSet):
     """Exact S/D-subspace rotation of ``kind`` (an ObjectiveKind or its value),
-    identity elsewhere: 1 + F (R - 1) F^dagger with F the S/D frame and R the
-    kind's 2x2 block.  ``perfbench/tracing.py`` wraps both builders by name:
+    identity elsewhere: 1 + F (R - 1) F^dagger with F = ``bands.frame`` and R
+    the kind's 2x2 block.  ``perfbench/tracing.py`` wraps both builders by name:
     keep the names, or traced runs fail."""
     kind = ObjectiveKind(kind)
     if kind not in ROTATION_BLOCKS:
         raise ValueError(f"an ideal pulse is a pi2 or pi rotation, got kind {kind.value!r}")
     rot = ROTATION_BLOCKS[kind] - np.identity(2)
+    frame = bands.frame
     def apply(cols, adjoint=False):
         return cols + frame @ ((rot.T if adjoint else rot) @ (frame.conj().T @ cols))
     return apply, apply(frame)
 
 
-def locked_sequence_operator(
-    pulses: SequencePulses, kind: ObjectiveKind | str, bands: BandSet, frame: np.ndarray
-):
+def locked_sequence_operator(pulses: SequencePulses, kind: ObjectiveKind | str, bands: BandSet):
     """The sequence R of ``kind`` (pi2 or pi, as for the ideal pulse), which
-    evolves F once, dressed as Z_b R Z_a, adjoint Z_(-a) R^dagger Z_(-b), with
-    Z_theta = 1 + (e^(i theta) - 1)|D><D|; its image is Z_b [R S, e^(ia) R D].
-    Phase-locked, (a, b) maximize the fidelity of F^dagger R F against the
-    kind's target; unlocked, it builds the zero lock (a, b) = (0, 0)."""
+    evolves F = ``bands.frame`` once, dressed as Z_b R Z_a, adjoint Z_(-a)
+    R^dagger Z_(-b), with Z_theta = 1 + (e^(i theta) - 1)|D><D|; its image is
+    Z_b [R S, e^(ia) R D].  Phase-locked, (a, b) maximize the fidelity of
+    F^dagger R F against the kind's target; unlocked, the zero lock (0, 0)."""
     kind = ObjectiveKind(kind)
     seq = {ObjectiveKind.HALF_PI: pulses.pi2, ObjectiveKind.PI: pulses.pi}.get(kind)
     if seq is None:
         raise ValueError(f"the pulses have no {kind.value!r} sequence")
     evolve = functools.partial(evolve_columns, seq=seq, bands=bands)
+    frame = bands.frame
     r_frame = evolve(frame)
     a = b = 0.0
     if pulses.phase_locked:
@@ -245,26 +245,20 @@ def locked_sequence_operator(
     return apply, dress(r_frame * np.array([1.0, np.exp(1j * a)]), b)
 
 
-def _pulse(pulses: PulseModel, kind: ObjectiveKind, bands: BandSet, frame: np.ndarray):
-    """The model's pulse of the given kind at the q of ``bands``, built in the
-    S/D frame ``frame`` F, as the pair ``(apply, image)``: ``apply(cols, adjoint=False)``
+def _pulse(pulses: PulseModel, kind: ObjectiveKind, bands: BandSet):
+    """The model's pulse of the given kind at the q of ``bands``, built in its
+    S/D frame F, as the pair ``(apply, image)``: ``apply(cols, adjoint=False)``
     applies the pulse or its adjoint to (n, k) columns, and ``image`` is the
     pulse's image of F, an (n, 2) array."""
     if isinstance(pulses, IdealPulses):
-        return ideal_pulse_operator(kind, frame)
-    return locked_sequence_operator(pulses, kind, bands, frame)
+        return ideal_pulse_operator(kind, bands)
+    return locked_sequence_operator(pulses, kind, bands)
 
 
 def _fringe_kernel(
-    kind: FringeKind,
-    pulses: PulseModel,
-    times: np.ndarray,
-    q: np.ndarray,
-    spec: LatticeSpec,
-    basis: PlaneWaveBasis,
-    n_echo: int,
+    kind: FringeKind, pulses: PulseModel, times: np.ndarray, bands: BandSet, n_echo: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-quasi-momentum fringe and phase-scan rows over times.
+    """Fringe and phase-scan rows over times at the q of ``bands``.
 
     Returns the tuple ``(p_d, num, den)``: the D-band population P_D, and the
     pair from which the analysis-phase-scan contrast at this q is 2|num|/den.
@@ -272,15 +266,14 @@ def _fringe_kernel(
     sequence with n = 0 pi pulses and echo has n = ``n_echo``: one phase
     table over the first hold (t, or t/2n), then per pi pulse the pulse and
     the next hold.  Pulses act only on the columns read: R^dagger D, and for
-    n > 0 R V.  R F is the pi/2's image of the frame from :func:`_pulse`.
+    n > 0 R V.  R F is the pi/2's image of the frame F from :func:`_pulse`.
     """
-    w = angular_frequency_per_Er(spec)
-    bands = BandSet(q, spec, basis)
+    w = angular_frequency_per_Er(bands.spec)
     energies, states = bands.eig()
     bras = states.conj().T
-    frame = sd_frame(bands)
+    frame = bands.frame
     d = frame[:, 1]
-    pi2, r_frame = _pulse(pulses, ObjectiveKind.HALF_PI, bands, frame)
+    pi2, r_frame = _pulse(pulses, ObjectiveKind.HALF_PI, bands)
     r_adj_d = pi2(frame[:, 1:], adjoint=True)
     psi1 = bras @ r_frame[:, 0]
     wvec = (bras @ r_adj_d[:, 0]).conj()
@@ -289,7 +282,7 @@ def _fringe_kernel(
     ph = np.exp(-1j * np.outer(energies, w * (times / (2.0 * n) if n else times)))
     chi = ph * psi1[:, None]
     if n:
-        pi, _ = _pulse(pulses, ObjectiveKind.PI, bands, frame)
+        pi, _ = _pulse(pulses, ObjectiveKind.PI, bands)
         phi = bras @ pi(states)
         ph_2tau = ph * ph
     for j in range(1, n + 1):  # a pi pulse, then a hold of 2t/2n or the last t/2n
@@ -338,7 +331,7 @@ def _single_q_pd(kind, model, t_hold, q, spec, basis, n_echo) -> float:
     times = np.array([t_hold], dtype=float)
     _check_run(kind, model, times, n_echo)
     basis.check_reach(math.hypot(*q), "q")  # hypot: no overflow
-    return float(_fringe_kernel(kind, model, times, q, spec, basis, n_echo)[0][0])
+    return float(_fringe_kernel(kind, model, times, BandSet(q, spec, basis), n_echo)[0][0])
 
 
 def ramsey_pd(
@@ -420,7 +413,7 @@ def _ensemble_sums(
     nodes = _quadrature_nodes(ens, basis, times)
 
     def work(node):
-        return _fringe_kernel(kind, pulses, times, node[0], spec, basis, n_echo)
+        return _fringe_kernel(kind, pulses, times, BandSet(node[0], spec, basis), n_echo)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     sums = None

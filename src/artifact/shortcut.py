@@ -37,7 +37,6 @@ from .dynamics import (
     PulseSequence,
     default_band_pair,
     evolve_columns,
-    sd_frame,
 )
 from .lattice import MAX_DEPTH_ER, LatticeSpec, PlaneWaveBasis, require_within
 
@@ -76,9 +75,9 @@ ROTATION_BLOCKS = {
 
 @dataclass(frozen=True, eq=False)
 class PulseObjective:
-    """Initial states and the S/D frame F of a pulse-design goal at the q of
-    ``bands``, the band solutions every evaluation reads; the targets are F
-    times the kind's :data:`ROTATION_BLOCKS`, or for loading F's S column.
+    """A pulse-design goal at the q of ``bands``, the band solutions every
+    evaluation reads, in their S/D frame F = ``bands.frame``; the targets are
+    F times the kind's :data:`ROTATION_BLOCKS`, or for loading F's S column.
 
     half-pi: (S -> (S+D)/sqrt2) and (D -> (D-S)/sqrt2).
     pi:      (S -> D) and (D -> -S).
@@ -87,10 +86,15 @@ class PulseObjective:
 
     kind: ObjectiveKind
     bands: BandSet = field(repr=False)
-    #: initial states as columns (n_basis, pairs).
-    initial: np.ndarray = field(repr=False)
-    #: S/D columns used to express the sequence's rotation block.
-    band_frame: np.ndarray = field(repr=False)
+    #: initial states as columns (n_basis, pairs): F, or load's plane wave.
+    initial: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        initial = self.bands.frame  # formed here: a bad q fails at construction
+        if self.kind is ObjectiveKind.LOAD:
+            initial = np.zeros((self.bands.basis.size, 1), dtype=complex)
+            initial[self.bands.basis.index[(0, 0)]] = 1.0
+        object.__setattr__(self, "initial", initial)
 
 
 def build_objective(
@@ -100,13 +104,9 @@ def build_objective(
     q: np.ndarray | None = None,
 ) -> PulseObjective:
     """Construct the standard objective of the given kind at q (default 0)."""
-    bands = BandSet(np.zeros(2) if q is None else q, spec, basis)
-    frame = sd_frame(bands)
-    initial = frame
-    if kind is ObjectiveKind.LOAD:
-        initial = np.zeros((basis.size, 1), dtype=complex)
-        initial[basis.index[(0, 0)]] = 1.0
-    return PulseObjective(kind, bands, initial, frame)
+    q = np.zeros(2) if q is None else q
+    basis.check_reach(math.hypot(*q), "q")  # hypot: no overflow
+    return PulseObjective(kind, BandSet(q, spec, basis))
 
 
 # --------------------------------------------------------------------------
@@ -172,10 +172,10 @@ def fidelity(seq: PulseSequence, obj: PulseObjective) -> float:
     final = evolve_columns(obj.initial, seq, obj.bands)
     if obj.kind is ObjectiveKind.LOAD:
         # A contiguous S column: np.vdot rounds a strided view differently.
-        return float(abs(np.vdot(obj.band_frame[:, 0].copy(), final[:, 0])))
+        return float(abs(np.vdot(obj.bands.frame[:, 0].copy(), final[:, 0])))
     # For rotations the initial states are the band frame, so this is the
     # sequence operator's 2x2 S/D block in that frame.
-    block = obj.band_frame.conj().T @ final
+    block = obj.bands.frame.conj().T @ final
     return aligned_fidelity_block(block, ROTATION_BLOCKS[obj.kind])[0]
 
 
@@ -192,10 +192,10 @@ def fidelity_report(seq: PulseSequence, obj: PulseObjective) -> dict:
     pops = np.abs(states.conj().T @ final) ** 2  # (n_bands, pairs)
 
     if obj.kind is ObjectiveKind.LOAD:
-        overlaps = [np.vdot(obj.band_frame[:, 0].copy(), final[:, 0])]
+        overlaps = [np.vdot(obj.bands.frame[:, 0].copy(), final[:, 0])]
         eta = abs(overlaps[0])
     else:
-        block = obj.band_frame.conj().T @ final  # as in :func:`fidelity`
+        block = obj.bands.frame.conj().T @ final  # as in :func:`fidelity`
         target = ROTATION_BLOCKS[obj.kind]
         eta, a, b = aligned_fidelity_block(block, target)
         gauge = np.exp(1j * np.add.outer([0.0, b], [0.0, a]))  # e^(i(b_k + a_j))

@@ -14,7 +14,6 @@ from artifact.dynamics import (
     bloch_state,
     default_band_pair,
     evolve_columns,
-    sd_frame,
     solve_bands,
 )
 from artifact.lattice import (
@@ -228,7 +227,7 @@ class TestSdFrame:
         b = request.getfixturevalue(fixture)
         spec = LatticeSpec(geometry=b.geometry)
         q = np.array([0.05, 0.0])
-        frame = sd_frame(BandSet(q, spec, b))
+        frame = BandSet(q, spec, b).frame
         assert frame.shape == (b.size, 2)
         for col, band in zip(frame.T, default_band_pair(spec.geometry)):
             assert np.array_equal(col, bloch_state(band, BandSet(q, spec, b)))

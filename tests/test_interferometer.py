@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from artifact import interferometer
+from artifact import dynamics, interferometer
 from artifact.interferometer import (
     MAX_HOLD_TIMES,
     MAX_QUADRATURE,
@@ -35,7 +35,6 @@ from artifact.dynamics import (
     bloch_state,
     default_band_pair,
     evolve_columns,
-    sd_frame,
 )
 from artifact.lattice import (
     Geometry,
@@ -262,7 +261,7 @@ class TestIdealFringe:
 def _dense(pulses, kind, q, spec, basis):
     """The model's pulse of ``kind`` as a dense (n, n) matrix: its apply on the identity."""
     bands = BandSet(q, spec, basis)
-    apply, _ = _pulse(pulses, ObjectiveKind(kind), bands, sd_frame(bands))
+    apply, _ = _pulse(pulses, ObjectiveKind(kind), bands)
     return apply(np.eye(basis.size))
 
 
@@ -345,7 +344,7 @@ def _dense_kernel(kind, r_half, r_pi, times, q, spec, basis, n_echo):
     pulse operators applied state by state; the scanned part is the final
     pulse's image of the D component, read out on D."""
     energies, states = band_eig(q, spec, basis)
-    s, d = sd_frame(BandSet(q, spec, basis)).T
+    s, d = BandSet(q, spec, basis).frame.T
     w = angular_frequency_per_Er(spec)
 
     def hold(t):
@@ -390,7 +389,7 @@ class TestKernelOracle:
         pulses, (r_half, r_pi) = self._views(model, self.Q, spec, basis)
         t, q = self.TIMES, self.Q
         amp, part = _dense_kernel(kind, r_half, r_pi, t, q, spec, basis, n_echo)
-        got = _fringe_kernel(kind, pulses, t, q, spec, basis, n_echo)
+        got = _fringe_kernel(kind, pulses, t, BandSet(q, spec, basis), n_echo)
         expected = (
             np.abs(amp) ** 2,
             np.conj(amp - part) * part,
@@ -412,7 +411,7 @@ class TestLockedOperator:
         # fidelity: the dressing absorbs both reference phases.
         q = np.array([0.07, 0.12])
         obj = build_objective(ObjectiveKind.HALF_PI, spec, basis, q=q)
-        frame = obj.band_frame
+        frame = obj.bands.frame
         raw_block = frame.conj().T @ evolve_columns(frame, REFERENCE_PI2, obj.bands)
         f_aligned, _, _ = aligned_fidelity_block(
             raw_block, ROTATION_BLOCKS[ObjectiveKind.HALF_PI]
@@ -420,7 +419,7 @@ class TestLockedOperator:
         u = _dense(
             SequencePulses(REFERENCE_PI2), ObjectiveKind.HALF_PI, q, spec, basis
         )
-        dressed = obj.band_frame.conj().T @ u @ obj.band_frame
+        dressed = obj.bands.frame.conj().T @ u @ obj.bands.frame
         target = ROTATION_BLOCKS[ObjectiveKind.HALF_PI]
         tr = np.trace(target.conj().T @ dressed) / 2.0
         assert abs(tr) == pytest.approx(f_aligned, abs=1e-9)
@@ -439,9 +438,9 @@ class TestZeroLock:
     def test_unlocked_pulse_is_the_raw_sequence(self, spec, basis, seq, kind):
         bands = BandSet(self.Q, spec, basis)
         _, states = bands.eig()
-        frame = sd_frame(bands)
+        frame = bands.frame
         pulses = SequencePulses(seq, seq, phase_locked=False)
-        apply, image = _pulse(pulses, kind, bands, frame)
+        apply, image = _pulse(pulses, kind, bands)
 
         def raw(cols, adjoint=False):
             return evolve_columns(cols, seq, bands, adjoint=adjoint)
@@ -486,17 +485,16 @@ class TestPulseBuilders:
     def test_sequence_kind_may_be_its_value(self, spec, basis, locked):
         # Unlocked, a value that is not the kind would build the pi pulse.
         bands = BandSet(np.array([0.21, -0.08]), spec, basis)
-        args = (bands, sd_frame(bands))
         pulses = SequencePulses(REFERENCE_PI2, REFERENCE_PI, phase_locked=locked)
-        _, by_value = locked_sequence_operator(pulses, "pi2", *args)
-        _, by_kind = locked_sequence_operator(pulses, ObjectiveKind.HALF_PI, *args)
+        _, by_value = locked_sequence_operator(pulses, "pi2", bands)
+        _, by_kind = locked_sequence_operator(pulses, ObjectiveKind.HALF_PI, bands)
         assert np.array_equal(by_value, by_kind)
 
     def test_ideal_refuses_a_kind_without_a_rotation(self, spec, basis):
         # Once a KeyError from the rotation table.
-        frame = sd_frame(BandSet(np.zeros(2), spec, basis))
+        bands = BandSet(np.zeros(2), spec, basis)
         with pytest.raises(ValueError, match="got kind 'load'"):
-            ideal_pulse_operator("load", frame)
+            ideal_pulse_operator("load", bands)
 
     @pytest.mark.parametrize("pulses, kind", [
         (SequencePulses(REFERENCE_PI2), "pi"),
@@ -514,7 +512,7 @@ class TestPulseBuilders:
         monkeypatch.setattr(interferometer, "evolve_columns", fail)
         bands = BandSet(np.zeros(2), spec, basis)
         with pytest.raises(ValueError, match=f"no {kind!r} sequence"):
-            locked_sequence_operator(pulses, kind, bands, sd_frame(bands))
+            locked_sequence_operator(pulses, kind, bands)
 
 
 class TestSolveCounts:
@@ -529,8 +527,8 @@ class TestSolveCounts:
     ], ids=["ramsey", "echo", "echo-variable-pi"])
     def test_one_kernel_call(self, spec, basis, solved, kind, pi, expected):
         pulses = SequencePulses(REFERENCE_PI2, pi)
-        _fringe_kernel(kind, pulses, np.array([0.0, 100.0]), np.array([0.13, -0.05]),
-                       spec, basis, 2)
+        bands = BandSet(np.array([0.13, -0.05]), spec, basis)
+        _fringe_kernel(kind, pulses, np.array([0.0, 100.0]), bands, 2)
         assert len(solved) == expected
 
     def test_design_solves_once(self, spec, basis, solved):
@@ -543,6 +541,31 @@ class TestSolveCounts:
         pulses = SequencePulses(REFERENCE_PI2)
         ensemble_fringe(FringeKind.RAMSEY, pulses, np.array([0.0, 100.0]), ens, spec, basis)
         assert len(solved) == 25
+
+
+class TestSharedFrame:
+    """The S/D frame is formed once per record: the kernel and both pulse
+    builders read the same ``BandSet.frame``."""
+
+    def test_one_frame_per_kernel_call(self, spec, basis, monkeypatch):
+        calls = []
+        state = dynamics.bloch_state
+
+        def counted(band_index, bands):
+            calls.append(band_index)
+            return state(band_index, bands)
+
+        monkeypatch.setattr(dynamics, "bloch_state", counted)
+        pulses = SequencePulses(REFERENCE_PI2, REFERENCE_PI)
+        bands = BandSet(np.array([0.13, -0.05]), spec, basis)
+        _fringe_kernel(FringeKind.ECHO, pulses, np.array([0.0, 100.0]), bands, 2)
+        # S and D once each; a frame formed on every read would make 6 calls.
+        assert calls == list(default_band_pair(spec.geometry))
+
+    def test_frame_is_read_only(self, spec, basis):
+        frame = BandSet(np.zeros(2), spec, basis).frame
+        with pytest.raises(ValueError, match="read-only"):
+            frame[0, 0] = 0.0
 
 
 class TestPointwiseFringes:
@@ -623,7 +646,7 @@ class TestRunArguments:
         def fail(*args, **kwargs):
             raise AssertionError("work started before the arguments were checked")
 
-        for name in ("ThreadPoolExecutor", "BandSet", "sd_frame"):
+        for name in ("ThreadPoolExecutor", "BandSet"):
             monkeypatch.setattr(interferometer, name, fail)
 
     @pytest.mark.parametrize("kind, pulses, times, n_echo, message", ENSEMBLE_CASES)
@@ -887,7 +910,7 @@ class TestStreamedSum:
             columns.append(np.outer(wx, wx).ravel())
         weights = np.stack(columns, axis=1)
         parts = [
-            _fringe_kernel(kind, model, times, np.array([qx, qy]), spec, basis, 2)
+            _fringe_kernel(kind, model, times, BandSet(np.array([qx, qy]), spec, basis), 2)
             for qx in xs
             for qy in xs
         ]
@@ -1342,7 +1365,7 @@ class TestInversionInvariance:
     def test_fringe_is_invariant_under_q_inversion(self, spec, basis, kind, pulses):
         for q in self.QS:  # (P_D, num, den) at q and at -q
             at_q, at_minus_q = (
-                _fringe_kernel(kind, pulses, _INVARIANCE_TIMES, k, spec, basis, 2)
+                _fringe_kernel(kind, pulses, _INVARIANCE_TIMES, BandSet(k, spec, basis), 2)
                 for k in (q, -q)
             )
             assert _max_change(at_q, at_minus_q) <= 1e-11
@@ -1366,7 +1389,7 @@ class TestMirrorInvariance:
             for pulses in (IdealPulses(), SequencePulses(REFERENCE_PI2, REFERENCE_PI)):
                 for q in self.QS:  # (P_D, num, den) at q and at its mirror images
                     at_q, *mirrored = (
-                        _fringe_kernel(kind, pulses, _INVARIANCE_TIMES, k, spec, basis, 2)
+                        _fringe_kernel(kind, pulses, _INVARIANCE_TIMES, BandSet(k, spec, basis), 2)
                         for k in (q, *(q * m for m in self.MIRRORS))
                     )
                     changes += [_max_change(at_q, at_m) for at_m in mirrored]
@@ -1403,7 +1426,8 @@ class TestFringeIsTheScansZeroPhase:
     )
     def test_fringe_is_the_scan_at_zero_phase(self, spec, basis, kind, pulses):
         for q in self.QS:
-            p_d, num, den = _fringe_kernel(kind, pulses, _INVARIANCE_TIMES, q, spec, basis, 2)
+            bands = BandSet(q, spec, basis)
+            p_d, num, den = _fringe_kernel(kind, pulses, _INVARIANCE_TIMES, bands, 2)
             assert np.max(np.abs(p_d - (den + 2.0 * num.real))) <= 1e-14
 
 
@@ -1443,7 +1467,7 @@ class TestEigenvectorGaugeInvariance:
     ENS = EnsembleSpec(sigma_q=0.3, quadrature=5)  # q axes reach +-0.9
 
     def _outputs(self, kind, pulses, spec, basis):
-        p_d = [_fringe_kernel(kind, pulses, _INVARIANCE_TIMES, q, spec, basis, 2)[0]
+        p_d = [_fringe_kernel(kind, pulses, _INVARIANCE_TIMES, BandSet(q, spec, basis), 2)[0]
                for q in self.QS]
         _, num, den = _ensemble_sums(kind, pulses, _INVARIANCE_TIMES, self.ENS, spec,
                                      basis, 2, 1)

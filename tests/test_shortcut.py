@@ -45,7 +45,7 @@ class TestObjective:
         assert objectives[ObjectiveKind.LOAD].initial.shape[1] == 1
 
     def test_band_frame_orthonormal(self, objectives):
-        frame = objectives[ObjectiveKind.HALF_PI].band_frame
+        frame = objectives[ObjectiveKind.HALF_PI].bands.frame
         assert np.allclose(frame.conj().T @ frame, np.eye(2), atol=1e-10)
 
     def test_rotation_blocks_unitary(self):
@@ -63,6 +63,24 @@ class TestObjective:
         at_gamma = objectives[ObjectiveKind.HALF_PI]
         assert at_gamma == at_gamma
         assert at_gamma != build_objective(ObjectiveKind.HALF_PI, spec, basis, np.array([0.3, 0.0]))
+
+    @pytest.mark.parametrize("kind", [ObjectiveKind.HALF_PI, ObjectiveKind.PI])
+    def test_rotations_start_from_the_frame(self, objectives, kind):
+        obj = objectives[kind]
+        assert obj.initial is obj.bands.frame
+
+    @pytest.mark.parametrize("q", [[100.0, 0.0], [math.nan, 0.0], [1e200, 0.0]],
+                             ids=["beyond-reach", "nan", "huge"])
+    def test_refuses_a_q_beyond_the_basis(self, spec, basis, monkeypatch, q):
+        # Once an objective 85 k beyond the default basis's 15 k reach, and
+        # for nan or 1e200 an ArithmeticError from the Hamiltonian.  The
+        # refusal is ramsey_pd's, made before the record is built.
+        def fail(*args, **kwargs):
+            raise AssertionError("built the band record before checking q")
+
+        monkeypatch.setattr(shortcut, "BandSet", fail)
+        with pytest.raises(ValueError, match=r"q must be finite, with \|q\| <= the basis's"):
+            build_objective(ObjectiveKind.HALF_PI, spec, basis, np.array(q))
 
 
 class TestReferenceFidelities:
@@ -112,7 +130,7 @@ class TestFidelityProperties:
                 obj = objectives[kind]
                 aligned = fidelity(seq, obj)
                 target = ROTATION_BLOCKS[kind]
-                frame = obj.band_frame
+                frame = obj.bands.frame
                 evolved = evolve_columns(frame, seq, obj.bands)
                 fixed = abs(np.trace(target.conj().T @ frame.conj().T @ evolved)) / 2
                 assert aligned >= fixed - 1e-12

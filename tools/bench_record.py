@@ -13,9 +13,12 @@ checkout runs as its files stand.  Without ``--parent`` only this checkout
 runs.  The output file holds the environment, the commits, the seeds, every
 run's printed figures and metrics, and per side the median and quartiles of
 each.  A printed line that is missing or cannot be read stops the recorder
-with an error.  Unless ``--smoke`` is given, the tier-1 suite then runs once
-per side with BLAS pinned to one thread, and the file records its wall time,
-pytest's summary line and the ten slowest tests.  Standard library only.
+with an error.  Unless ``--smoke`` is given, the tier-1 suite then runs
+``TIER1_ROUNDS`` times per side with BLAS pinned to one thread, the side that
+goes first alternating from round to round, and the file records each run's
+wall time, pytest's summary line and the ten slowest tests, and per side the
+median wall time: one run per side cannot resolve a 10 % difference.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10",
          "-p", "no:cacheprovider"]
 DURATION = re.compile(r"(\d+\.\d+)s (setup|call|teardown) +(.+)$")
+TIER1_ROUNDS = 3
 
 
 def git(*args: str) -> str:
@@ -129,6 +133,19 @@ def tier1(checkout: Path) -> dict:
             "summary": lines[-1].strip("= "), "slowest": slowest}
 
 
+def tier1_rounds(sides: dict) -> dict:
+    """Per side, every tier-1 run of :data:`TIER1_ROUNDS` rounds, in each of
+    which the side that goes first alternates as the seeds do, and their
+    median wall time."""
+    names = list(sides)
+    runs = {side: [] for side in names}
+    for round_ in range(1, TIER1_ROUNDS + 1):
+        for side in names if round_ % 2 else names[::-1]:
+            runs[side].append(tier1(sides[side]))
+    return {side: {"runs": r, "median_wall_s": statistics.median(x["wall_s"] for x in r)}
+            for side, r in runs.items()}
+
+
 def spread(values: list) -> dict:
     """Median and quartiles (inclusive method; one value is its own quartiles)."""
     q1, _, q3 = statistics.quantiles(values * (2 if len(values) == 1 else 1), n=4,
@@ -196,7 +213,7 @@ def main(argv=None) -> int:
             commits["parent"] = {"rev": args.parent, "sha": git("rev-parse", args.parent),
                                  "src_sha256": src_sha256(Path(scratch))}
         workloads = {w: record_workload(w, sides, args) for w in args.workload or WORKLOADS}
-        suites = {} if args.smoke else {side: tier1(path) for side, path in sides.items()}
+        suites = {} if args.smoke else tier1_rounds(sides)
     envs = [{k: v for k, v in r.pop("environment").items() if k != "threads"}
             for w in workloads.values() for r in w["runs"]]
     if any(env != envs[0] for env in envs):

@@ -231,9 +231,9 @@ def evolve_columns(
     ``bands``, whose solutions serve every lattice-on step.
 
     Equivalent to multiplying by the sequence's time-ordered product of
-    on/off propagators, but evaluated column-wise (fast path shared by
-    states, operators, and fidelity evaluations).  ``adjoint`` applies the
-    product's adjoint instead: the intervals in reverse order, each with
+    on/off propagators, but evaluated column-wise, with S^dagger X formed as
+    conj(S^T conj(X)) so that no band basis S is copied.  ``adjoint`` applies
+    the product's adjoint instead: the intervals in reverse order, each with
     its phases conjugated.
     """
     w = angular_frequency_per_Er(bands.spec)
@@ -247,7 +247,7 @@ def evolve_columns(
         if on and step.t_on > 0:
             energies, states = bands.eig(step.depth)
             phases = np.exp(sign * energies * w * step.t_on)
-            out = states @ (phases[:, None] * (states.conj().T @ out))
+            out = states @ (phases[:, None] * (states.T @ out.conj()).conj())
         elif not on and step.t_off > 0:
             out = np.exp(sign * kin * w * step.t_off)[:, None] * out
     return out

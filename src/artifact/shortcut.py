@@ -84,29 +84,25 @@ class PulseObjective:
     load:    zero-momentum plane wave -> S (single pair, phase-free).
     """
 
-    kind: ObjectiveKind
+    kind: ObjectiveKind  # or its value; an unknown one is refused
     bands: BandSet = field(repr=False)
     #: initial states as columns (n_basis, pairs): F, or load's plane wave.
     initial: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        initial = self.bands.frame  # formed here: a bad q fails at construction
+        object.__setattr__(self, "kind", ObjectiveKind(self.kind))
+        self.bands.basis.check_reach(math.hypot(*self.bands.q), "q")  # before a solve
+        initial = self.bands.frame
         if self.kind is ObjectiveKind.LOAD:
             initial = np.zeros((self.bands.basis.size, 1), dtype=complex)
             initial[self.bands.basis.index[(0, 0)]] = 1.0
         object.__setattr__(self, "initial", initial)
 
 
-def build_objective(
-    kind: ObjectiveKind,
-    spec: LatticeSpec,
-    basis: PlaneWaveBasis,
-    q: np.ndarray | None = None,
-) -> PulseObjective:
-    """Construct the standard objective of the given kind at q (default 0)."""
-    q = np.zeros(2) if q is None else q
-    basis.check_reach(math.hypot(*q), "q")  # hypot: no overflow
-    return PulseObjective(kind, BandSet(q, spec, basis))
+def build_objective(kind: ObjectiveKind, spec: LatticeSpec,
+                    basis: PlaneWaveBasis) -> PulseObjective:
+    """Construct the standard objective of the given kind at q = 0."""
+    return PulseObjective(kind, BandSet(np.zeros(2), spec, basis))
 
 
 # --------------------------------------------------------------------------

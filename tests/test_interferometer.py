@@ -48,9 +48,9 @@ from artifact.shortcut import (
     MAX_COUNT,
     ObjectiveKind,
     OptimizerOptions,
+    PulseObjective,
     ROTATION_BLOCKS,
     aligned_fidelity_block,
-    build_objective,
     design_sequence,
 )
 
@@ -410,7 +410,7 @@ class TestLockedOperator:
         # After dressing, the plain trace overlap must equal the aligned
         # fidelity: the dressing absorbs both reference phases.
         q = np.array([0.07, 0.12])
-        obj = build_objective(ObjectiveKind.HALF_PI, spec, basis, q=q)
+        obj = PulseObjective(ObjectiveKind.HALF_PI, BandSet(q, spec, basis))
         frame = obj.bands.frame
         raw_block = frame.conj().T @ evolve_columns(frame, REFERENCE_PI2, obj.bands)
         f_aligned, _, _ = aligned_fidelity_block(

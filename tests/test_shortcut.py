@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.dynamics import PulseSequence, evolve_columns
+from artifact import dynamics
+from artifact.dynamics import BandSet, PulseSequence, evolve_columns
 from artifact.lattice import MAX_DEPTH_ER
 from artifact.sequences import (
     REFERENCE_LOAD,
@@ -20,6 +21,7 @@ from artifact.shortcut import (
     MAX_COUNT,
     ObjectiveKind,
     OptimizerOptions,
+    PulseObjective,
     ROTATION_BLOCKS,
     _ascend,
     aligned_fidelity_block,
@@ -62,7 +64,8 @@ class TestObjective:
     def test_objectives_at_different_q_differ(self, objectives, spec, basis):
         at_gamma = objectives[ObjectiveKind.HALF_PI]
         assert at_gamma == at_gamma
-        assert at_gamma != build_objective(ObjectiveKind.HALF_PI, spec, basis, np.array([0.3, 0.0]))
+        assert at_gamma != PulseObjective(ObjectiveKind.HALF_PI,
+                                          BandSet(np.array([0.3, 0.0]), spec, basis))
 
     @pytest.mark.parametrize("kind", [ObjectiveKind.HALF_PI, ObjectiveKind.PI])
     def test_rotations_start_from_the_frame(self, objectives, kind):
@@ -74,13 +77,31 @@ class TestObjective:
     def test_refuses_a_q_beyond_the_basis(self, spec, basis, monkeypatch, q):
         # Once an objective 85 k beyond the default basis's 15 k reach, and
         # for nan or 1e200 an ArithmeticError from the Hamiltonian.  The
-        # refusal is ramsey_pd's, made before the record is built.
+        # refusal is ramsey_pd's, made by the record before any band is solved.
         def fail(*args, **kwargs):
-            raise AssertionError("built the band record before checking q")
+            raise AssertionError("solved a band before checking q")
 
-        monkeypatch.setattr(shortcut, "BandSet", fail)
-        with pytest.raises(ValueError, match=r"q must be finite, with \|q\| <= the basis's"):
-            build_objective(ObjectiveKind.HALF_PI, spec, basis, np.array(q))
+        monkeypatch.setattr(dynamics, "band_eig", fail)
+        bands = BandSet(np.array(q), spec, basis)
+        with pytest.raises(ValueError, match=r"^q must be finite, with \|q\| <= the basis's "
+                                             r"largest \|G\| = 15 k, got \|q\| = "):
+            PulseObjective(ObjectiveKind.HALF_PI, bands)
+
+    @pytest.mark.parametrize("kind, reference", [(ObjectiveKind.HALF_PI, REFERENCE_PI2),
+                                                 (ObjectiveKind.PI, REFERENCE_PI),
+                                                 (ObjectiveKind.LOAD, REFERENCE_LOAD)],
+                             ids=["pi2", "pi", "load"])
+    def test_takes_a_kind_or_its_value(self, objectives, spec, basis, kind, reference):
+        # Once a KeyError from fidelity for a value: "load" built a two-pair
+        # rotation objective from the frame.
+        obj = PulseObjective(kind.value, BandSet(np.zeros(2), spec, basis))
+        assert obj.kind is kind
+        assert obj.initial.shape == objectives[kind].initial.shape
+        assert fidelity(reference, obj) == fidelity(reference, objectives[kind])
+
+    def test_refuses_an_unknown_kind(self, spec, basis):
+        with pytest.raises(ValueError, match="'bogus' is not a valid ObjectiveKind"):
+            PulseObjective("bogus", BandSet(np.zeros(2), spec, basis))
 
 
 class TestReferenceFidelities:

@@ -266,9 +266,9 @@ class RunWriter:
     """Collects outputs for one run and writes the manifest last.
 
     Construction hashes the ``inputs`` files (None skipped) into the run id
-    and, if ``derive``, records the derived constants of the config's lattice
-    and basis.  The output directory is made at the first write, so a run
-    refused or failed before it has any output leaves no directory."""
+    and, if ``derive``, records the config's derived constants from one q = 0
+    solve.  The output directory is made at the first write, so a run refused
+    or failed before it has any output leaves no directory."""
 
     def __init__(self, command: str, out_dir: Path, config: RunConfig, args: dict,
                  inputs=(), derive: bool = True):
@@ -290,11 +290,9 @@ class RunWriter:
         self.run_id = hashlib.sha256(canonical.encode()).hexdigest()[:16]
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         if derive:
-            self.derived.update(
-                recoil_frequency_Hz=recoil_energy(config.lattice)[1],
-                sd_gap_Er=sd_gap(config.lattice, config.basis),
-                fringe_period_us=fringe_period_us(config.lattice, config.basis),
-            )
+            f_hz, gap = recoil_energy(config.lattice)[1], sd_gap(config.lattice, config.basis)
+            self.derived.update(recoil_frequency_Hz=f_hz, sd_gap_Er=gap,
+                                fringe_period_us=1e6 / (gap * f_hz))
 
     def _write(self, name: str, text: str) -> Path:
         """Write output ``name`` as ``text``, making the output directory if

@@ -104,7 +104,6 @@ class PulseSequence:
 def _fix_phases(states: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude component real and positive."""
     piv = states[np.argmax(np.abs(states), axis=0), np.arange(states.shape[1])]
-    piv = np.where(piv == 0, 1.0, piv)
     return states * (np.conj(piv) / np.abs(piv))
 
 

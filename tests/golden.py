@@ -4,8 +4,8 @@ Each CLI run goes through ``artifact.cli.main`` into a scratch directory, and
 its numbers are read back from the files it writes:
 
 * ``ramsey`` and ``echo`` on a 9x9 ensemble grid, with ideal and with the
-  shipped reference pulses, and an unlocked echo with the variable-depth pi,
-  t < 600 us at dt 8: P_D at every fifth hold time, the window contrasts, the
+  shipped reference pulses, an unlocked Ramsey with the reference pi/2 and an
+  unlocked echo with the variable-depth pi, t < 600 us at dt 8: P_D at every fifth hold time, the window contrasts, the
   1/e crossing and the fitted tau;
 * ``bands`` energies at G, M and K;
 * ``eval`` of the four shipped sequences: fidelity and leakages;
@@ -42,6 +42,7 @@ CONFIG = "ensemble:\n  quadrature: 9\noptimizer:\n  max_iters: 5\n  restarts: 1\
 FRINGES = {
     "ramsey_ideal": ["ramsey", "--pi2", "ideal"],
     "ramsey_reference": ["ramsey", "--pi2", "reference:pi2"],
+    "ramsey_unlocked": ["ramsey", "--pi2", "reference:pi2", "--no-phase-lock"],
     "echo_ideal": ["echo", "--pi2", "ideal"],
     "echo_reference": ["echo", "--pi2", "reference:pi2", "--pi", "reference:pi"],
     "echo_unlocked": ["echo", "--pi2", "reference:pi2", "--pi", "reference:pi_variable",

@@ -19,7 +19,7 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from artifact import shortcut
+from artifact import dynamics, shortcut
 from artifact.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -27,6 +27,7 @@ from artifact.cli import (
     EXIT_VALIDATION,
     MAX_HOLD_TIMES,
     RunConfig,
+    RunWriter,
     _parse_sequence,
     _run_fringe,
     _sequence_file,
@@ -36,7 +37,14 @@ from artifact.cli import (
 )
 from artifact.dynamics import MAX_STEP_US, PulseSequence
 from artifact.interferometer import MAX_QUADRATURE, EnsembleSpec, FringeKind
-from artifact.lattice import MAX_DEPTH_ER, MAX_SHELL_RADIUS, LatticeSpec, build_basis
+from artifact.lattice import (
+    MAX_DEPTH_ER,
+    MAX_SHELL_RADIUS,
+    LatticeSpec,
+    build_basis,
+    fringe_period_us,
+    sd_gap,
+)
 from artifact.sequences import REFERENCE_SEQUENCES
 from artifact.shortcut import MAX_COUNT, ObjectiveKind, OptimizerOptions
 
@@ -1408,6 +1416,30 @@ class TestManifest:
         assert derived["sd_gap_Er"] == pytest.approx(5.5535, abs=2e-4)
         assert derived["fringe_period_us"] == pytest.approx(88.8, abs=0.02)
         assert manifest["run_id"] in (out / "fringe.csv").read_text()
+
+    @pytest.mark.parametrize("config", [None, "lattice: {depth_Er: 7}\n",
+                                        "lattice: {geometry: 1d}\n"],
+                             ids=["default", "depth-7", "1d"])
+    def test_constants_come_from_one_zone_centre_solve(self, tmp_path, monkeypatch, config):
+        # The recorded period is the one lattice.fringe_period_us gives, to
+        # the bit, yet the writer solves q = 0 once for the gap and period.
+        cfgp = tmp_path / "c.yaml"
+        if config is not None:
+            cfgp.write_text(config)
+        cfg = RunConfig.load(str(cfgp) if config else None)
+        gap, period = sd_gap(cfg.lattice, cfg.basis), fringe_period_us(cfg.lattice, cfg.basis)
+        calls = []
+        band_eig = dynamics.band_eig
+
+        def counted(*args):
+            calls.append(args)
+            return band_eig(*args)
+
+        monkeypatch.setattr(dynamics, "band_eig", counted)
+        writer = RunWriter("ramsey", tmp_path / "o", cfg, {})
+        assert len(calls) == 1
+        assert writer.derived["sd_gap_Er"] == gap
+        assert writer.derived["fringe_period_us"] == period
 
     @pytest.mark.parametrize(
         "args",

@@ -59,7 +59,6 @@ from .lattice import (
     LatticeSpec,
     build_basis,
     fringe_period_us,
-    recoil_energy,
     reciprocal_primitives,
     require_within,
     sd_gap,
@@ -290,7 +289,7 @@ class RunWriter:
         self.run_id = hashlib.sha256(canonical.encode()).hexdigest()[:16]
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         if derive:
-            f_hz, gap = recoil_energy(config.lattice)[1], sd_gap(config.lattice, config.basis)
+            f_hz, gap = config.lattice.recoil_frequency_Hz, sd_gap(config.lattice, config.basis)
             self.derived.update(recoil_frequency_Hz=f_hz, sd_gap_Er=gap,
                                 fringe_period_us=1e6 / (gap * f_hz))
 

@@ -25,7 +25,6 @@ from .lattice import (
     Geometry,
     LatticeSpec,
     PlaneWaveBasis,
-    angular_frequency_per_Er,
     hamiltonian_on,
     require_within,
 )
@@ -235,7 +234,7 @@ def evolve_columns(
     the product's adjoint instead: the intervals in reverse order, each with
     its phases conjugated.
     """
-    w = angular_frequency_per_Er(bands.spec)
+    w = bands.spec.angular_frequency_per_Er
     kin = bands.basis.kinetic(bands.q)
     sign = 1j if adjoint else -1j
     out = np.asarray(cols, dtype=complex)

@@ -47,7 +47,6 @@ from .lattice import (
     Geometry,
     LatticeSpec,
     PlaneWaveBasis,
-    angular_frequency_per_Er,
     bisect_root,
     require_within,
 )
@@ -268,7 +267,7 @@ def _fringe_kernel(
     the next hold.  Pulses act only on the columns read: R^dagger D, and for
     n > 0 R V.  R F is the pi/2's image of the frame F from :func:`_pulse`.
     """
-    w = angular_frequency_per_Er(bands.spec)
+    w = bands.spec.angular_frequency_per_Er
     energies, states = bands.eig()
     bras = states.conj().T
     frame = bands.frame
@@ -459,8 +458,8 @@ def contrast_curve(fringe: FringeCurve, period: float) -> ContrastCurve:
     """Per-period fringe contrast (max-min)/(max+min) in period windows.
 
     P_D must not dip below 0, where a window's contrast would exceed 1.  The
-    hold times must span at least two periods, and their median step must
-    give at least 8 samples per period."""
+    hold times must span two periods with a median step of at most 1/8 of a
+    period, and a window that holds no sample is refused."""
     t, p = fringe.times, fringe.p_d
     if np.any(p < 0):
         raise ValueError(f"P_D must be >= 0, got {p.min():g} at t = {t[np.argmin(p)]:g} us")
@@ -473,15 +472,14 @@ def contrast_curve(fringe: FringeCurve, period: float) -> ContrastCurve:
             f"dt = {dt:g} us undersamples the {period} us contrast window: "
             f"need dt <= window/8 = {period / 8.0:.3f} us"
         )
-    centers, values = [], []
-    t0 = t[0]
-    while t0 + period <= t[-1] + 1e-9:
-        m = (t >= t0 - 1e-12) & (t <= t0 + period + 1e-12)
-        hi = float(np.max(p[m]))
-        lo = float(np.min(p[m]))
-        denom = hi + lo
+    centers, values, t0 = [], [], t[0]
+    while t0 <= t[-1] and t0 + period <= t[-1] + 1e-9:
+        win = p[np.searchsorted(t, t0 - 1e-12):np.searchsorted(t, t0 + period + 1e-12, "right")]
+        if not len(win):
+            raise ValueError(f"the {period:g} us window at t = {t0:g} us holds no sample")
+        hi, lo = float(np.max(win)), float(np.min(win))
         centers.append(t0 + period / 2.0)
-        values.append((hi - lo) / denom if denom > 0 else 0.0)
+        values.append((hi - lo) / (hi + lo) if hi + lo > 0 else 0.0)
         t0 += period
     return ContrastCurve(times=np.array(centers), contrast=np.array(values))
 
@@ -493,8 +491,8 @@ def coherence_time(curve: ContrastCurve) -> CoherenceResult:
     interpolated between curve samples; None when the curve never crosses
     from above.  The fit is least-squares A exp(-t/tau) over the full curve
     (:func:`_fit_decay`), started from a log-linear regression on the samples
-    above 1e-12 (on all samples if fewer than two are), and reports that
-    regression when it finds no minimum; a non-decaying curve reports tau = inf.
+    above 1e-12 (all if fewer than two are, refused if every t^2 underflows),
+    and reports that regression if it finds no minimum; tau = inf if no decay.
     """
     t, c = curve.times, curve.contrast
     if len(t) < 3:
@@ -511,6 +509,8 @@ def coherence_time(curve: ContrastCurve) -> CoherenceResult:
     # Seed from the samples above the clip floor, where at least two are:
     # a zero sample would enter the regression as log(1e-12) = -27.6.
     keep = c > 1e-12 if np.count_nonzero(c > 1e-12) >= 2 else np.ones(len(c), bool)
+    if not t[keep] @ t[keep]:  # the regression divides by sqrt(sum t^2)
+        raise ValueError("contrast times too close to 0 to fit: every t^2 underflows to 0")
     slope, intercept = np.polyfit(t[keep], np.log(np.clip(c[keep], 1e-12, None)), 1)
     if slope >= -1e-15:
         return CoherenceResult(

@@ -12,8 +12,8 @@ Internal unit conventions (used across the whole package):
 * energies in recoil units E_r = hbar^2 k^2 / 2m,
 * times in microseconds,
 * quasi-momenta and wavevectors in units of the single-beam wavenumber k,
-* hbar = 1 via the conversion ``angular_frequency_per_Er`` (rad/us per E_r),
-  always computed from the spec, never hard-coded.
+* hbar = 1 via the spec's ``angular_frequency_per_Er`` (rad/us per E_r),
+  derived once on construction, never hard-coded.
 """
 
 from __future__ import annotations
@@ -89,50 +89,29 @@ class LatticeSpec:
         Lattice depth V_OL in recoil units E_r.
     atom_mass:
         Atomic mass in kg (default: Rb-87).
+    recoil_frequency_Hz, angular_frequency_per_Er:
+        Derived on construction, outside ``==``, ``hash`` and ``repr``: E_r/h,
+        and w, the rad/us per E_r: energy E gains the phase exp(-i E w t_us).
     """
 
     geometry: Geometry = Geometry.TRIANGULAR_3BEAM
     wavelength: float = DEFAULT_WAVELENGTH
     depth: float = REFERENCE_DEPTH_ER
     atom_mass: float = MASS_RB87
+    recoil_frequency_Hz: float = field(init=False, repr=False, compare=False)
+    angular_frequency_per_Er: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_within("wavelength", self.wavelength, 0, above=True)
         require_within("atom_mass", self.atom_mass, 0, above=True)
         require_within("depth", self.depth, 0, MAX_DEPTH_ER, unit=" E_r")
-        try:  # E_r/h, the unit of every energy and time
-            f_hz = recoil_energy(self)[1]
+        try:  # E_r/h = hbar^2 k^2 / 2m / h, k = 2 pi / lambda: the unit of energy and time
+            f_hz = HBAR**2 * (2 * math.pi / self.wavelength)**2 / (2 * self.atom_mass) / PLANCK_H
         except OverflowError:  # k**2 beyond the largest float
             f_hz = math.inf
         require_within("recoil frequency E_r/h", f_hz, 0, above=True)
-
-
-def wavenumber(spec: LatticeSpec) -> float:
-    """Single-beam wavenumber k = 2 pi / lambda in 1/m."""
-    return 2.0 * math.pi / spec.wavelength
-
-
-def recoil_energy(spec: LatticeSpec) -> tuple[float, float]:
-    """Recoil energy E_r = hbar^2 k^2 / 2m.
-
-    Returns
-    -------
-    (energy_J, frequency_Hz):
-        The recoil energy in joules and the equivalent frequency E_r / h.
-    """
-    k = wavenumber(spec)
-    e_j = HBAR**2 * k**2 / (2.0 * spec.atom_mass)
-    return e_j, e_j / PLANCK_H
-
-
-def angular_frequency_per_Er(spec: LatticeSpec) -> float:
-    """Conversion factor: 1 E_r of energy <-> this many rad/us of phase.
-
-    With hbar = 1, a state of energy E (in E_r) acquires phase
-    exp(-i * E * angular_frequency_per_Er(spec) * t_us).
-    """
-    _, f_hz = recoil_energy(spec)
-    return 2.0 * math.pi * f_hz * 1e-6
+        object.__setattr__(self, "recoil_frequency_Hz", f_hz)
+        object.__setattr__(self, "angular_frequency_per_Er", 2.0 * math.pi * f_hz * 1e-6)
 
 
 def reciprocal_primitives(geometry: Geometry) -> np.ndarray:
@@ -316,8 +295,7 @@ def sd_gap(spec: LatticeSpec, basis: PlaneWaveBasis) -> float:
 
 def fringe_period_us(spec: LatticeSpec, basis: PlaneWaveBasis) -> float:
     """Interferometer fringe period h / (S-D gap) in microseconds."""
-    _, f_hz = recoil_energy(spec)
-    return 1e6 / (sd_gap(spec, basis) * f_hz)
+    return 1e6 / (sd_gap(spec, basis) * spec.recoil_frequency_Hz)
 
 
 def calibrate_fourier_coefficient(
@@ -339,8 +317,7 @@ def calibrate_fourier_coefficient(
     if spec.geometry is not Geometry.TRIANGULAR_3BEAM:
         raise ValueError("calibration needs the triangular geometry")
     basis = build_basis(spec)
-    _, f_hz = recoil_energy(spec)
-    target_gap = 1e6 / (period_us * f_hz)
+    target_gap = 1e6 / (period_us * spec.recoil_frequency_Hz)
     s_idx, d_idx = dynamics.default_band_pair(spec.geometry)
 
     def gap_minus_target(c: float) -> float:

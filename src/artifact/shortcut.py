@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,7 +227,8 @@ class OptimizerOptions:
     off_max: float = 40.0
 
     def __post_init__(self) -> None:
-        require_within("grid_quantum", self.grid_quantum, 0)
+        floor = MAX_STEP_US / sys.float_info.max  # below it, optimize's x / q overflows
+        require_within("grid_quantum", self.grid_quantum, floor if self.grid_quantum > 0 else 0)
         require_within("rng_seed", self.rng_seed, 0, integer=True)
         require_within("max_iters", self.max_iters, 1, MAX_COUNT, integer=True)
         require_within("restarts", self.restarts, 1, MAX_COUNT, integer=True)

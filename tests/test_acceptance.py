@@ -28,11 +28,9 @@ from artifact.interferometer import (
     ramsey_pd,
 )
 from artifact.lattice import (
-    angular_frequency_per_Er,
     build_basis,
     fringe_period_us,
     hamiltonian_on,
-    recoil_energy,
     sd_gap,
 )
 from artifact.sequences import (
@@ -113,8 +111,7 @@ class TestFringePeriod:
         assert fitted_period == pytest.approx(88.8, rel=0.02)
 
         # Internal consistency: the fitted period must equal h / gap.
-        _, f_hz = recoil_energy(spec)
-        gap_period_us = 1e6 / (sd_gap(spec, basis) * f_hz)
+        gap_period_us = 1e6 / (sd_gap(spec, basis) * spec.recoil_frequency_Hz)
         assert abs(fitted_period - gap_period_us) / gap_period_us < 0.005
 
 
@@ -274,7 +271,7 @@ class TestNumericalProperties:
         q = np.array([0.1, 0.3])
         h = hamiltonian_on(small, spec, q)
         t_us = 11.0
-        a = -1j * angular_frequency_per_Er(spec) * t_us * h / 256.0
+        a = -1j * spec.angular_frequency_per_Er * t_us * h / 256.0
         term = np.eye(small.size, dtype=complex)
         acc = np.eye(small.size, dtype=complex)
         for k in range(1, 30):

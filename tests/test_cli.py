@@ -197,6 +197,19 @@ class TestConfig:
         assert f"{name} must be finite, with 0 <= {name} <= {MAX_STEP_US:g} us" in err
         assert not out.exists()
 
+    def test_grid_quantum_below_the_rounding_floor_exits_2(self, tmp_path, capsys):
+        # 1e-320 once overflowed x / q in the rounding and wrote 1e6 us steps.
+        p = tmp_path / "c.yaml"
+        p.write_text("optimizer: {grid_quantum_us: 1.0e-320, max_iters: 2, restarts: 1}\n")
+        out = tmp_path / "x"
+        code = main(["design", "--kind", "pi2", "--steps", "2", "--threshold", "0",
+                     "--config", str(p), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: grid_quantum must be finite, with grid_quantum >= 5.56268e-303, "
+            "got 1e-320\n")
+        assert not out.exists()
+
     def test_non_finite_optimizer_value_exits_2(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
         p.write_text("optimizer:\n  on_max_us: .inf\n")

@@ -20,7 +20,6 @@ from artifact.lattice import (
     Geometry,
     LatticeSpec,
     TRIANGULAR_COUPLING_OFFSETS,
-    angular_frequency_per_Er,
     build_basis,
     hamiltonian_on,
 )
@@ -57,7 +56,7 @@ def _free_propagator(t_us, q, spec, basis):
     """exp(-i (q+G)^2 t) on the plane waves, written out from the kinetic
     energies (q+G)^2 in E_r."""
     kinetic = np.sum((basis.g_vectors + q) ** 2, axis=1)
-    return np.diag(np.exp(-1j * kinetic * angular_frequency_per_Er(spec) * t_us))
+    return np.diag(np.exp(-1j * kinetic * spec.angular_frequency_per_Er * t_us))
 
 
 class TestBandPair:
@@ -261,7 +260,7 @@ class TestPropagator:
         q = np.array([0.2, -0.1])
         t_us = 7.3
         h = hamiltonian_on(small, spec, q)
-        acc = _taylor_expm(-1j * angular_frequency_per_Er(spec) * t_us * h)
+        acc = _taylor_expm(-1j * spec.angular_frequency_per_Er * t_us * h)
         u = _on_operator(t_us, q, spec, small)
         assert np.max(np.abs(u - acc)) < 1e-9
 

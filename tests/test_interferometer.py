@@ -38,7 +38,6 @@ from artifact.dynamics import (
 )
 from artifact.lattice import (
     Geometry,
-    angular_frequency_per_Er,
     build_basis,
     fringe_period_us,
     sd_gap,
@@ -62,7 +61,7 @@ def period(spec, basis):
 
 def _ideal_fringe(gap, times, spec):
     """Analytic two-level Ramsey fringe (1 + cos(gap t))/2 for a gap in E_r."""
-    return (1.0 + np.cos(gap * angular_frequency_per_Er(spec) * times)) / 2.0
+    return (1.0 + np.cos(gap * spec.angular_frequency_per_Er * times)) / 2.0
 
 
 class TestEnsembleSpec:
@@ -345,7 +344,7 @@ def _dense_kernel(kind, r_half, r_pi, times, q, spec, basis, n_echo):
     pulse's image of the D component, read out on D."""
     energies, states = band_eig(q, spec, basis)
     s, d = BandSet(q, spec, basis).frame.T
-    w = angular_frequency_per_Er(spec)
+    w = spec.angular_frequency_per_Er
 
     def hold(t):
         return states @ (np.exp(-1j * energies * w * t)[:, None] * states.conj().T)
@@ -977,15 +976,13 @@ class TestPhaseScan:
     def test_ideal_ramsey_equals_dephasing_factor(self, spec, basis):
         # For ideal pulses the phase-scan contrast must equal the modulus of
         # the ensemble average of exp(-i gap(q) t / hbar).
-        from artifact.lattice import angular_frequency_per_Er
-
         ens = EnsembleSpec(sigma_q=0.3, quadrature=9)
         times = np.array([0.0, 300.0, 900.0])
         curve = ensemble_fringe(
             FringeKind.RAMSEY, IdealPulses(), times, ens, spec, basis
         ).phase_contrast
         s_idx, d_idx = default_band_pair(spec.geometry)
-        w = angular_frequency_per_Er(spec)
+        w = spec.angular_frequency_per_Er
         sigma = ens.sigma_q
         xs = np.linspace(-3 * sigma, 3 * sigma, ens.quadrature)
         wx = np.exp(-(xs**2) / (2 * sigma**2))
@@ -1049,7 +1046,7 @@ class TestEffectiveMassLimit:
         """Per width: (tau_model, hold times, package contrast, contrast of
         the model summed on the package's +-3 sigma grid and weights)."""
         kappa = (hessian[0] + hessian[1]) / 2.0
-        w = angular_frequency_per_Er(spec)
+        w = spec.angular_frequency_per_Er
         out = []
         for fwhm in self.FWHMS:
             ens = EnsembleSpec.from_width(fwhm, quadrature=self.NODES)
@@ -1134,6 +1131,28 @@ class TestContrastCurve:
         p = np.full_like(t, 0.5)
         with pytest.raises(ValueError):
             contrast_curve(FringeCurve(times=t, p_d=p), period)
+
+    def test_a_window_below_1e_9_us_stops_at_the_data(self):
+        # Windows under 1e-9 us once ran past the last sample and failed
+        # in numpy on an empty window.
+        t = np.arange(0.0, 1e-11, 1e-13)
+        p = 0.5 + 0.5 * np.cos(2 * np.pi * t / 1e-12)
+        assert len(contrast_curve(FringeCurve(times=t, p_d=p), 1e-12).times) == 10
+
+    def test_a_subnormal_window_ends_at_the_data(self):
+        # Once t0 + window == t0, the window start stopped advancing.  Each
+        # window now starts at or before the last sample, and the 1e-12 us
+        # tolerance puts every sample in every window.
+        t = np.arange(0.0, 1e-318, 1e-320)
+        curve = contrast_curve(FringeCurve(times=t, p_d=np.full_like(t, 0.5)), 1e-319)
+        assert len(curve.times) == 11 and np.all(curve.contrast == 0.0)
+        with pytest.raises(ValueError, match="every t\\^2 underflows to 0"):
+            coherence_time(curve)
+
+    def test_an_empty_window_is_refused(self):
+        t = np.concatenate([np.arange(0.0, 200.0), np.arange(400.0, 600.0)])
+        with pytest.raises(ValueError, match="^the 10 us window at t = 200 us holds no sample$"):
+            contrast_curve(FringeCurve(times=t, p_d=np.full_like(t, 0.5)), 10.0)
 
     def test_fringe_below_zero_refused(self):
         # A window whose minimum is below 0 would read a contrast above 1.

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import sys
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from artifact.dynamics import MAX_STEP_US, PulseSequence, PulseStep
 from artifact.interferometer import MAX_QUADRATURE, EnsembleSpec
 from artifact.lattice import (
+    HBAR,
+    PLANCK_H,
     Geometry,
     LatticeSpec,
     MAX_DEPTH_ER,
@@ -24,37 +27,61 @@ from artifact.lattice import (
     hamiltonian_on,
     potential_fourier,
     reciprocal_primitives,
-    recoil_energy,
     sd_gap,
-    wavenumber,
 )
 from artifact.shortcut import MAX_COUNT, ObjectiveKind, OptimizerOptions, build_objective, optimize
 
 
+#: Specs whose derived constants are pinned against the conversion chain.
+CHAIN_SPECS = (
+    LatticeSpec(),
+    LatticeSpec(wavelength=532e-9),
+    LatticeSpec(depth=7.0),
+    LatticeSpec(geometry=Geometry.STANDING_WAVE_1D),
+    LatticeSpec(atom_mass=2 * LatticeSpec.atom_mass),
+)
+
+
 class TestConstants:
     def test_recoil_frequency(self, spec):
-        _, f_hz = recoil_energy(spec)
-        assert f_hz == pytest.approx(2027.7586, rel=1e-6)
+        assert spec.recoil_frequency_Hz == pytest.approx(2027.7586, rel=1e-6)
 
-    def test_recoil_energy_joules(self, spec):
-        e_j, f_hz = recoil_energy(spec)
-        assert e_j == pytest.approx(f_hz * 6.62607015e-34, rel=1e-12)
+    @pytest.mark.parametrize("spec", CHAIN_SPECS, ids=("default", "532nm", "7Er", "1d", "2m"))
+    def test_derived_fields_follow_the_chain_bit_for_bit(self, spec):
+        # k = 2 pi / lambda, E_r = hbar^2 k^2 / 2m, E_r/h, then 2 pi (E_r/h) 1e-6.
+        k = 2.0 * math.pi / spec.wavelength
+        e_j = HBAR**2 * k**2 / (2.0 * spec.atom_mass)
+        f_hz = e_j / PLANCK_H
+        assert spec.recoil_frequency_Hz == f_hz
+        assert spec.angular_frequency_per_Er == 2.0 * math.pi * f_hz * 1e-6
 
-    def test_wavenumber(self, spec):
-        assert wavenumber(spec) == pytest.approx(5.905249e6, rel=1e-6)
+    def test_replace_rederives_the_fields(self, spec):
+        green = dataclasses.replace(spec, wavelength=532e-9)
+        fresh = LatticeSpec(wavelength=532e-9)
+        assert green.recoil_frequency_Hz == fresh.recoil_frequency_Hz
+        assert green.angular_frequency_per_Er == fresh.angular_frequency_per_Er
+        assert green.recoil_frequency_Hz == pytest.approx(4 * spec.recoil_frequency_Hz)
+
+    def test_derived_fields_stay_out_of_identity(self):
+        a, b = LatticeSpec(depth=7.0), LatticeSpec(depth=7.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != LatticeSpec()
+        assert repr(LatticeSpec()) == (
+            "LatticeSpec(geometry=<Geometry.TRIANGULAR_3BEAM: 'triangular'>, "
+            "wavelength=1.064e-06, depth=5.0, atom_mass=1.4432e-25)")
 
     def test_wavelength_scaling(self):
         base = LatticeSpec()
         doubled = LatticeSpec(wavelength=2 * base.wavelength)
-        assert recoil_energy(doubled)[1] == pytest.approx(
-            recoil_energy(base)[1] / 4.0, rel=1e-12
+        assert doubled.recoil_frequency_Hz == pytest.approx(
+            base.recoil_frequency_Hz / 4.0, rel=1e-12
         )
 
     def test_mass_scaling(self):
         base = LatticeSpec()
         heavy = LatticeSpec(atom_mass=2 * base.atom_mass)
-        assert recoil_energy(heavy)[1] == pytest.approx(
-            recoil_energy(base)[1] / 2.0, rel=1e-12
+        assert heavy.recoil_frequency_Hz == pytest.approx(
+            base.recoil_frequency_Hz / 2.0, rel=1e-12
         )
 
     def test_spec_validation(self):
@@ -383,12 +410,14 @@ INTEGER_FIELDS = {"shell_radius", "quadrature", "rng_seed", "max_iters", "restar
 QUADRATURE_RULES = ("quadrature must be odd",)
 #: The probed values inside their own range that a derived bound refuses, with
 #: that bound's name: a wavelength or atom mass (the other at its default) that
-#: gives no finite, positive recoil frequency E_r/h, and a schedule width whose
-#: squared ratio 3 sigma_q / width overflows.
+#: gives no finite, positive recoil frequency E_r/h, a schedule width whose
+#: squared ratio 3 sigma_q / width overflows, and a grid quantum below the
+#: floor at which the optimizer's rounding x / q overflows.
 DERIVED_REFUSED = {("LatticeSpec.wavelength", 5e-324): "recoil frequency E_r/h",
                    ("LatticeSpec.wavelength", 1e308): "recoil frequency E_r/h",
                    ("LatticeSpec.atom_mass", 1e308): "recoil frequency E_r/h",
-                   ("EnsembleSpec.width_schedule width", 5e-324): "(3 sigma_q / width)^2"}
+                   ("EnsembleSpec.width_schedule width", 5e-324): "(3 sigma_q / width)^2",
+                   ("OptimizerOptions.grid_quantum", 5e-324): "grid_quantum"}
 
 
 def _boundary_values(lo, hi):
@@ -412,6 +441,7 @@ def _boundary_values(lo, hi):
 @example(case=("LatticeSpec.wavelength", True))
 @example(case=("PulseStep.t_on", True))
 @example(case=("OptimizerOptions.grid_quantum", True))
+@example(case=("OptimizerOptions.grid_quantum", 5e-324))
 @example(case=("EnsembleSpec.sigma_q", True))
 @example(case=("EnsembleSpec.width_schedule time", True))
 @example(case=("EnsembleSpec.width_schedule time", 10**400))
